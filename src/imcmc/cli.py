@@ -106,11 +106,15 @@ class RunConfig:
             raise ConfigError("need steps > burn_in >= 0")
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("IMCMC_SEED")
-    return int(env) if env else 0
+def _parse_seed(value, source: str) -> int:
+    """A seed as a non-negative integer; anything else is a ConfigError."""
+    try:
+        seed = int(str(value))
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +473,15 @@ def _make_config(args, need_kind: bool = True) -> RunConfig:
         params["dataset"] = merged["dataset"]
     if kind in ("irr_nice_mc",) and "alpha" not in params:
         params["alpha"] = _DEFAULTS["alpha"]
-    seed = merged.get("seed")
-    if seed is None:
-        seed = int(os.environ.get("IMCMC_SEED", "0"))
+    if merged.get("seed") is not None:
+        seed = _parse_seed(merged["seed"], "seed")
+    else:
+        seed = _parse_seed(os.environ.get("IMCMC_SEED") or 0, "IMCMC_SEED")
     return RunConfig(kind=kind or "", target=target,
                      steps=int(merged.get("steps", _DEFAULTS["steps"])),
                      burn_in=int(merged.get("burn_in", _DEFAULTS["burn_in"])),
                      chains=int(merged.get("chains", _DEFAULTS["chains"])),
-                     seed=int(seed), out=merged.get("out"),
+                     seed=seed, out=merged.get("out"),
                      fmt=merged.get("fmt", "csv"),
                      jobs=int(merged.get("jobs", _DEFAULTS["jobs"])),
                      params=params)

@@ -149,13 +149,64 @@ class JointPoint:
 # densities and conditionals
 # ---------------------------------------------------------------------------
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+class _LastTwo:
+    """A pure function of a float64 array that remembers its last two points.
+
+    A step needs the target at the current point and at the proposal, and
+    the current point is the previous step's proposal (on acceptance) or
+    current point (on rejection); so two entries serve every repeated
+    evaluation.  A hit on the older entry makes it the newer one.  Each entry
+    is one ``(key, result)`` tuple replaced whole, so threads sharing the
+    memo see a consistent pair or miss.  Array results are handed out as
+    read-only views: a caller editing one in place gets an error instead of
+    corrupting the memo.
+    """
+
+    __slots__ = ("fn", "_new", "_old")
+
+    def __init__(self, fn: Callable[[np.ndarray], object]):
+        self.fn = fn
+        self._new = self._old = (None, None)
+
+    def __call__(self, x):
+        if type(x) is not np.ndarray or x.dtype != _FLOAT64:
+            return self.fn(x)
+        key = (x.shape, x.tobytes())
+        new = self._new
+        if new[0] == key:
+            return new[1]
+        old = self._old
+        if old[0] == key:
+            self._new, self._old = old, new
+            return old[1]
+        result = self.fn(x)
+        if isinstance(result, np.ndarray):
+            result = result.view()
+            result.flags.writeable = False
+        self._new, self._old = (key, result), new
+        return result
+
+
 @dataclasses.dataclass(frozen=True)
 class LogDensity:
-    """Unnormalized log-density with an optional analytic gradient."""
+    """Unnormalized log-density with an optional analytic gradient.
+
+    ``logpdf`` and ``grad`` must be pure functions of ``x``: each remembers
+    its results at the two points it was last called on (see `_LastTwo`),
+    so a point is evaluated once however many parts of a step ask for it.
+    """
 
     dim: int
     logpdf: Callable[[np.ndarray], float]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "logpdf", _LastTwo(self.logpdf))
+        if self.grad is not None:
+            object.__setattr__(self, "grad", _LastTwo(self.grad))
 
     def __call__(self, x: np.ndarray) -> float:
         return self.logpdf(x)

@@ -93,6 +93,9 @@ def ess_batch_means(series: np.ndarray, seconds: Optional[float] = None,
             raise DegenerateSeriesError(f"dimension {d} is constant")
         means = col[:used].reshape(n_batches, m).mean(axis=1)
         iact = m * float(np.var(means, ddof=1)) / s2
+        if iact == 0.0:
+            raise DegenerateSeriesError(
+                f"dimension {d} has equal batch means; its ESS is undefined")
         per_dim[d] = n / iact
     ess = float(per_dim.min())
     return EssReport(ess=ess, iact=n / ess, n=n, dims=dims, per_dim=per_dim,

@@ -80,19 +80,24 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
 
     ``grad_x`` is the gradient of the target log-density; ``grad_v`` that of
     the momentum log-density (standard normal when omitted).  The map is
-    volume preserving, so no log-Jacobian is returned.
+    volume preserving, so no log-Jacobian is returned.  The gradient at each
+    position serves both the closing half-kick of one step and the opening
+    half-kick of the next, so ``k`` steps cost ``k + 1`` gradients.  A
+    non-finite gradient leaves ``v`` non-finite (later kicks only add to
+    it), so one check of the final ``v`` covers the whole trajectory.
     """
     if grad_v is None:
         grad_v = _default_grad_v
     eps = cfg.eps
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    g = grad_x(x)
     for _ in range(cfg.k):
-        g = grad_x(x)
-        if not np.all(np.isfinite(g)):
-            raise ConfigError("non-finite gradient in leapfrog")
         v = v + 0.5 * eps * g
         x = x - eps * grad_v(v)
-        v = v + 0.5 * eps * grad_x(x)
+        g = grad_x(x)
+        v = v + 0.5 * eps * g
+    if not np.all(np.isfinite(v)):
+        raise ConfigError("non-finite gradient in leapfrog")
     return x, v
 
 
@@ -103,10 +108,12 @@ def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
         grad_v = _default_grad_v
     eps = cfg.eps
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    g = grad_x(x)
     for _ in range(cfg.k):
-        v = v - 0.5 * eps * grad_x(x)
+        v = v - 0.5 * eps * g
         x = x + eps * grad_v(v)
-        v = v - 0.5 * eps * grad_x(x)
+        g = grad_x(x)
+        v = v - 0.5 * eps * g
     return x, v
 
 

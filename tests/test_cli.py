@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from imcmc.cli import main, parse_config_file, read_trace_csv
 
 
@@ -99,6 +101,24 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
                         "--scale", "0.5", "--steps", "200", "--burn-in", "20",
                         "--out", str(out)]) == 0
     assert (out1 / "chain_000.csv").read_bytes() == (out2 / "chain_000.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", "-3"])
+def test_bad_env_seed_is_config_error(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.setenv("IMCMC_SEED", seed)
+    assert run_cli(["sample", "--kind", "rwm", "--target", "normal1d",
+                    "--scale", "0.5", "--steps", "200", "--burn-in", "20",
+                    "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: IMCMC_SEED") and err.count("\n") == 1
+
+
+def test_bad_config_seed_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = rwm\ntarget = normal1d\nscale = 0.5\nseed = seven\n")
+    assert run_cli(["sample", "--config", str(cfg), "--steps", "200",
+                    "--burn-in", "20", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed")
 
 
 def test_ess_subcommand(tmp_path, capsys):

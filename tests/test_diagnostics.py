@@ -41,6 +41,16 @@ def test_ess_errors():
         ess_batch_means(np.arange(10.0))
 
 
+def test_ess_equal_batch_means_is_degenerate():
+    # a 100-step window of a two-state chain whose four batches of 21 steps
+    # hold the same states: the series varies but the batch means do not
+    window = np.tile(np.r_[np.zeros(10), np.ones(11)], 5)[:100]
+    with pytest.raises(DegenerateSeriesError, match="equal batch means"):
+        ess_batch_means(window)
+    with pytest.raises(DegenerateSeriesError, match="dimension 1"):
+        ess_batch_means(np.column_stack([np.arange(100.0), window]))
+
+
 def test_ess_multivariate_takes_minimum():
     rng = make_rng(2)
     a = rng.standard_normal(50000)

@@ -82,6 +82,37 @@ def test_leapfrog_inverse_roundtrip():
     assert np.max(np.abs(np.concatenate([x0 - x, v0 - v]))) < 1e-10
 
 
+def test_leapfrog_evaluates_k_plus_one_gradients():
+    calls = []
+
+    def g(x):
+        calls.append(x.copy())
+        return -x
+
+    x, v = np.array([0.3, -1.1]), np.array([0.2, 0.4])
+    cfg = LeapfrogConfig(0.1, 8)
+    leapfrog(x, v, cfg, g)
+    assert len(calls) == cfg.k + 1
+    leapfrog_inverse(x, v, cfg, g)
+    assert len(calls) == 2 * (cfg.k + 1)
+    # no position is evaluated twice within a trajectory
+    assert len({c.tobytes() for c in calls[cfg.k + 1:]}) == cfg.k + 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_leapfrog_non_finite_gradient_partway_raises(bad):
+    calls = []
+
+    def g(x):
+        calls.append(float(x[0]))
+        return np.array([bad]) if x[0] > 0.5 else -x
+
+    with pytest.raises(ConfigError, match="non-finite gradient in leapfrog"):
+        leapfrog(np.array([0.0]), np.array([1.0]), LeapfrogConfig(0.1, 20), g)
+    # the first gradients were finite: the failure came mid-trajectory
+    assert calls[0] == 0.0 and sum(c <= 0.5 for c in calls) > 3
+
+
 def test_leapfrog_volume_preserving():
     inv = hmc_involution(LeapfrogConfig(0.1, 5), SN1.grad)
     pt = LAY1.point([0.7], [-0.4])
