@@ -45,7 +45,7 @@ c = 2.0
 ham = RiemannianHamiltonian(sn.logpdf, sn.grad, constant_metric(np.array([[c]])))
 xi, vi = implicit_leapfrog(x, v, LeapfrogConfig(0.1, 7), ham)
 xe, ve = leapfrog(x, v, LeapfrogConfig(0.1, 7), sn.grad, grad_v=lambda w: -w / c)
-gap = max(abs(float(xi - xe)), abs(float(vi - ve)))
+gap = max(np.max(np.abs(xi - xe)), np.max(np.abs(vi - ve)))
 print(f"implicit vs explicit trajectory gap (constant metric): {gap:.1e}\n")
 
 # a scale-matched flow turns a stiff target into a round latent space

@@ -138,12 +138,6 @@ class JointPoint:
         d = self.layout.x_dim
         return dataclasses.replace(self, x=z[:d].copy(), v=z[d:].copy())
 
-    def close_to(self, other: "JointPoint", atol: float) -> bool:
-        if self.tags != other.tags:
-            return False
-        return (np.max(np.abs(self.x - other.x), initial=0.0) <= atol
-                and np.max(np.abs(self.v - other.v), initial=0.0) <= atol)
-
 
 # ---------------------------------------------------------------------------
 # densities and conditionals
@@ -619,15 +613,6 @@ class KernelComposition(TransitionKernel):
             accepted = accepted and out.accepted
             prob = min(prob, out.prob)
         return StepOutcome(point, accepted, prob)
-
-    def step_detailed(self, point: JointPoint,
-                      rng: np.random.Generator) -> tuple[JointPoint, list[StepOutcome]]:
-        outs = []
-        for k in self._kernels:
-            out = k.step(point, rng)
-            outs.append(out)
-            point = out.point
-        return point, outs
 
 
 def compose(kernels: Sequence[TransitionKernel], name: str = "composition") -> KernelComposition:

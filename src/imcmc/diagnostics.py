@@ -126,30 +126,39 @@ def moment_estimates(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class _StateIndex:
-    """Nearest-point lookup over an enumerated joint space."""
+    """Nearest-point lookup over an enumerated joint space.
+
+    States are grouped by tag tuple once; a lookup is then one sup-norm
+    distance over the matching group, and ties go to the lowest index.
+    """
 
     def __init__(self, states: Sequence[JointPoint], atol: float):
         self.states = list(states)
         self.atol = atol
-        self._cont = np.stack([s.continuous() for s in self.states])
-        self._tags = [s.tags for s in self.states]
+        cont = np.stack([s.continuous() for s in self.states])
+        members: dict[tuple, list[int]] = {}
+        for i, s in enumerate(self.states):
+            members.setdefault(s.tags, []).append(i)
+        self._groups = {tags: (np.array(ids), cont[ids])
+                        for tags, ids in members.items()}
 
     def __len__(self):
         return len(self.states)
 
     def locate(self, point: JointPoint) -> int:
-        z = point.continuous()
-        best, best_d = -1, math.inf
-        for i, tags in enumerate(self._tags):
-            if tags != point.tags:
-                continue
-            d = float(np.max(np.abs(self._cont[i] - z), initial=0.0))
-            if d < best_d:
-                best, best_d = i, d
-        if best < 0 or best_d > self.atol:
+        group = self._groups.get(point.tags)
+        if group is None:
+            raise EnumerationError(
+                f"step landed on tags {point.tags} outside the enumerated space")
+        ids, cont = group
+        dist = np.abs(cont - point.continuous()).max(axis=1, initial=0.0)
+        j = int(np.argmin(dist))
+        best_d = float(dist[j])
+        # written so that a NaN distance fails too
+        if not best_d <= self.atol:
             raise EnumerationError(
                 f"step landed outside the enumerated space (distance {best_d:.3g})")
-        return best
+        return int(ids[j])
 
 
 def _kernel_matrix(kernel: TransitionKernel, index: _StateIndex) -> np.ndarray:

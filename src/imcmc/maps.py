@@ -37,7 +37,6 @@ __all__ = [
     "implicit_hmc_involution",
     "implicit_leapfrog",
     "implicit_leapfrog_inverse",
-    "iterate_flow",
     "leapfrog",
     "leapfrog_flow",
     "leapfrog_inverse",
@@ -45,7 +44,6 @@ __all__ = [
     "momentum_flip",
     "swap_blocks",
     "swap_slots",
-    "xblock_flow",
 ]
 
 
@@ -146,20 +144,6 @@ def identity_flow() -> FlowMap:
     return FlowMap(lambda z: (z, 0.0), lambda z: (z, 0.0), name="identity")
 
 
-def xblock_flow(fwd_x, inv_x, name: str = "xflow") -> FlowMap:
-    """Lift a bijection of the target block (with logdet) to joint points."""
-
-    def fwd(z):
-        x, ld = fwd_x(z.x)
-        return z.with_x(x), ld
-
-    def inv(z):
-        x, ld = inv_x(z.x)
-        return z.with_x(x), ld
-
-    return FlowMap(fwd, inv, name=name)
-
-
 def leapfrog_flow(cfg: LeapfrogConfig, grad_x, grad_v=None,
                   slot: Optional[str] = None, name: str = "leapfrog") -> FlowMap:
     """The integrator as a volume-preserving flow on (x, momentum slot)."""
@@ -198,28 +182,6 @@ class AffineXFlow(FlowMap):
             return z.with_x((z.x - self.shift) / self.scale), -ld
 
         super().__init__(fwd, inv, name=name)
-
-
-def iterate_flow(flow: FlowMap, k: int) -> FlowMap:
-    """k-fold composition of a flow with itself."""
-    if k < 1:
-        raise ConfigError("iteration count must be at least 1")
-
-    def fwd(z):
-        total = 0.0
-        for _ in range(k):
-            z, ld = flow.forward(z)
-            total += ld
-        return z, total
-
-    def inv(z):
-        total = 0.0
-        for _ in range(k):
-            z, ld = flow.inverse(z)
-            total += ld
-        return z, total
-
-    return FlowMap(fwd, inv, name=f"{flow.name}^{k}")
 
 
 def cycle_flow(values: Sequence[float], atol: float = 1e-9) -> FlowMap:
@@ -353,15 +315,25 @@ class RiemannianHamiltonian:
                 + 0.5 * float(v @ ginv_v))
 
     def grad_x(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        g = self.metric.g(x)
-        ginv = np.linalg.inv(g)
+        return self.grad_x_at(x)(v)
+
+    def grad_x_at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``v -> grad_x(x, v)`` with everything that depends on x alone
+        (G^-1, dG, the target gradient, the trace terms) computed once."""
+        ginv = np.linalg.inv(self.metric.g(x))
         dg = self.metric.grad(x)
-        out = -np.asarray(self.target_grad(x), dtype=float)
-        ginv_v = ginv @ v
+        base = -np.asarray(self.target_grad(x), dtype=float)
         for k in range(x.size):
-            out[k] += 0.5 * np.trace(ginv @ dg[k])
-            out[k] -= 0.5 * float(ginv_v @ dg[k] @ ginv_v)
-        return out
+            base[k] += 0.5 * np.trace(ginv @ dg[k])
+
+        def kick(v: np.ndarray) -> np.ndarray:
+            out = base.copy()
+            ginv_v = ginv @ v
+            for k in range(x.size):
+                out[k] -= 0.5 * float(ginv_v @ dg[k] @ ginv_v)
+            return out
+
+        return kick
 
     def grad_v(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.metric.g(x), v)
@@ -392,13 +364,15 @@ def implicit_leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     """
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
     h = 0.5 * cfg.eps
+    # a step's closing kick and the next step's implicit kick share one x
+    kick = ham.grad_x_at(x)
     for _ in range(cfg.k):
-        x0 = x
-        v_half = _fixed_point(lambda w: v - h * ham.grad_x(x0, w), v, tol, max_iter)
-        x_half = x0 + h * ham.grad_v(x0, v_half)
+        v_half = _fixed_point(lambda w: v - h * kick(w), v, tol, max_iter)
+        x_half = x + h * ham.grad_v(x, v_half)
         x = _fixed_point(lambda y: x_half + h * ham.grad_v(y, v_half), x_half,
                          tol, max_iter)
-        v = v_half - h * ham.grad_x(x, v_half)
+        kick = ham.grad_x_at(x)
+        v = v_half - h * kick(v_half)
     return x, v
 
 

@@ -96,6 +96,16 @@ def xv_layout(d: int, tags: tuple[str, ...] = (), scratch: bool = False,
     return Layout(x_dim=d, v_dim=v_dim, slots=slots, tags=tags, tag_values=tv)
 
 
+def _grid_logpmf(stacked: np.ndarray, w: np.ndarray, value) -> float:
+    """Log weight of the first grid row within 1e-9 of ``value`` (sup norm)."""
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
+    if hits.size == 0:
+        return -math.inf
+    p = w[hits[0]]
+    return math.log(p) if p > 0 else -math.inf
+
+
 def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
                               support_values: Optional[Sequence] = None
                               ) -> AuxiliaryConditional:
@@ -118,6 +128,7 @@ def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
         return AuxiliaryConditional(_sample, _logpdf, name=name)
 
     vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in support_values]
+    stacked = np.stack(vals)
 
     def _weights(point):
         mu = mean_fn(point)
@@ -129,12 +140,7 @@ def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
         return vals[rng.choice(len(vals), p=_weights(point))]
 
     def _logpdf(value, point):
-        w = _weights(point)
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        for u, p in zip(vals, w):
-            if np.max(np.abs(u - value)) <= 1e-9:
-                return math.log(p) if p > 0 else -math.inf
-        return -math.inf
+        return _grid_logpmf(stacked, _weights(point), value)
 
     def _support(point):
         return list(zip(vals, _weights(point).tolist()))
@@ -313,6 +319,7 @@ def gaussian_family(d: int, var) -> ProposalFamily:
 def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
     """Finite proposal family over grid values with weights exp(logpdf_fn)."""
     vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
+    stacked = np.stack(vals)
 
     def weights(center):
         logs = np.array([logpdf_fn(u, center) for u in vals])
@@ -323,12 +330,7 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
         return vals[rng.choice(len(vals), p=weights(center))]
 
     def logpdf(value, center):
-        w = weights(center)
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        for u, p in zip(vals, w):
-            if np.max(np.abs(u - value)) <= 1e-9:
-                return math.log(p) if p > 0 else -math.inf
-        return -math.inf
+        return _grid_logpmf(stacked, weights(center), value)
 
     def support(center):
         return list(zip(vals, weights(center).tolist()))

@@ -649,17 +649,8 @@ def mutant_case() -> FiniteCase:
 
 def run_stationarity(cases: Optional[list[FiniteCase]] = None) -> list[CheckResult]:
     """Fixed-point residual of every finite analog, plus the mutant control."""
-    out = []
-    for case in (finite_cases() if cases is None else cases):
-        Tg = case.check_matrix()
-        resid = check_stationary(Tg, case.check_pmf, STATIONARY_TOL)
-        out.append(CheckResult(case.name, "stationarity", resid.residual,
-                               STATIONARY_TOL, resid.passed))
-    mut = mutant_case()
-    resid = check_stationary(mut.check_matrix(), mut.check_pmf, STATIONARY_TOL)
-    out.append(CheckResult(mut.name, "stationarity-must-fail", resid.residual,
-                           STATIONARY_TOL, not resid.passed))
-    return out
+    cases = finite_cases() if cases is None else cases
+    return _stationarity_checks([(case, case.matrix()) for case in cases])
 
 
 def run_balance(cases: Optional[list[FiniteCase]] = None) -> list[CheckResult]:
@@ -669,9 +660,26 @@ def run_balance(cases: Optional[list[FiniteCase]] = None) -> list[CheckResult]:
     be in detailed balance with the joint law, and the refresh-marginalized
     chain matrix must be in detailed balance with the chain law.
     """
+    cases = finite_cases() if cases is None else cases
+    return _balance_checks([(case, case.matrix()) for case in cases])
+
+
+def _stationarity_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:
     out = []
-    for case in (finite_cases() if cases is None else cases):
-        T = case.matrix()
+    for case, T in built:
+        resid = check_stationary(case.check_matrix(T), case.check_pmf, STATIONARY_TOL)
+        out.append(CheckResult(case.name, "stationarity", resid.residual,
+                               STATIONARY_TOL, resid.passed))
+    mut = mutant_case()
+    resid = check_stationary(mut.check_matrix(), mut.check_pmf, STATIONARY_TOL)
+    out.append(CheckResult(mut.name, "stationarity-must-fail", resid.residual,
+                           STATIONARY_TOL, not resid.passed))
+    return out
+
+
+def _balance_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:
+    out = []
+    for case, T in built:
         if case.single and isinstance(case.kernel, ImcmcKernel):
             p_joint = stationary_pmf(case.states, case.joint_logpdf)
             frozen = transition_matrix(case.kernel.frozen_aux(), case.states,
@@ -823,10 +831,10 @@ def run_reductions() -> list[CheckResult]:
 
     # identity-flow conjugation leaves the Hamiltonian kernel untouched
     hmc = make_hamiltonian(dens, cfg, momentum_cond=mom)
+    T_h = transition_matrix(hmc, st_g)
     neutra_id = make_embedded_flow(dens, identity_flow(), cfg, momentum_cond=mom)
     record("neutra_identity_equals_hmc",
-           float(np.max(np.abs(transition_matrix(neutra_id, st_g)
-                               - transition_matrix(hmc, st_g)))))
+           float(np.max(np.abs(transition_matrix(neutra_id, st_g) - T_h))))
 
     # constant decision function collapses the lifted chain onto its base
     p3 = np.array([0.5, 0.3, 0.2])
@@ -847,7 +855,6 @@ def run_reductions() -> list[CheckResult]:
     p_d = stationary_pmf(st_d, lambda pt: xgrid.logpdf(pt.x) + mom_logpdf(pt.slot("v"))
                          + math.log(0.5))
     Tx_dm, _ = marginal_matrix(T_dm, p_d, [i // 6 for i in range(18)])
-    T_h = transition_matrix(hmc, st_g)
     p_h = stationary_pmf(st_g, lambda pt: xgrid.logpdf(pt.x) + mom_logpdf(pt.slot("v")))
     Tx_h, _ = marginal_matrix(T_h, p_h, [i // 3 for i in range(9)])
     record("directional_fresh_d_equals_hmc", float(np.max(np.abs(Tx_dm - Tx_h))))
@@ -889,5 +896,8 @@ def run_reductions() -> list[CheckResult]:
 
 
 def run_all() -> list[CheckResult]:
-    return (run_involutions() + run_stationarity() + run_balance()
+    """Every check, with each finite case's matrix built once for both the
+    stationarity and the balance checks."""
+    built = [(case, case.matrix()) for case in finite_cases()]
+    return (run_involutions() + _stationarity_checks(built) + _balance_checks(built)
             + run_reductions())

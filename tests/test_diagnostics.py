@@ -1,5 +1,7 @@
 """Estimators and the exact matrix oracle machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,24 @@ def test_transition_matrix_detects_escapes():
     states = [lay.point([float(i)]) for i in range(3)]
     with pytest.raises(EnumerationError):
         transition_matrix(drift, states)
+    # a tag tuple that was never enumerated
+    tagged = Layout(x_dim=1, v_dim=0, tags=("d",), tag_values={"d": (-1, 1)})
+    flip = DeterministicKernel(tagged, lambda pt: pt.with_tag("d", -pt.tag("d")))
+    with pytest.raises(EnumerationError):
+        transition_matrix(flip, [tagged.point([float(i)], tags=(1,)) for i in range(3)])
+    # a NaN coordinate is at no finite distance from any state
+    to_nan = DeterministicKernel(lay, lambda pt: pt.with_x(np.array([math.nan])))
+    with pytest.raises(EnumerationError):
+        transition_matrix(to_nan, states)
+
+
+def test_transition_matrix_ties_go_to_the_first_state():
+    # x = 1 is at distance 1 from both enumerated states
+    lay = Layout(x_dim=1, v_dim=0)
+    to_one = DeterministicKernel(lay, lambda pt: pt.with_x(np.array([1.0])))
+    for xs in ((0.0, 2.0), (2.0, 0.0)):
+        T = transition_matrix(to_one, [lay.point([x]) for x in xs], atol=1.0)
+        assert np.array_equal(T, [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_check_stationary_flags_wrong_pmf():

@@ -37,6 +37,10 @@ from imcmc.targets import mog2, normal_cdf1d, standard_normal
 SN1 = standard_normal(1)
 LAY1 = Layout(x_dim=1, v_dim=1, slots={"v": slice(0, 1)})
 LAY2 = Layout(x_dim=2, v_dim=2, slots={"v": slice(0, 2)})
+# G(x) = 1 + x^2, the non-constant metric of suite.involution_gallery
+CURVED = Metric(g=lambda x: np.array([[1.0 + x[0] ** 2]]),
+                g_logdet=lambda x: math.log(1.0 + x[0] ** 2),
+                g_grad=lambda x: np.array([[[2.0 * x[0]]]]))
 
 
 def hamiltonian(x, v):
@@ -171,12 +175,50 @@ def test_implicit_converges_immediately_for_constant_metric():
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
 
 
+# (x, v) -> implicit_leapfrog(eps 0.1, k 3) end point and grad_x(x, v), as
+# float.hex, recorded before the half-kick's x-only terms were hoisted
+IMPLICIT_PINNED = [
+    ((-1.3, 0.7), ("-0x1.306b9e3c1dcd6p+0", "0x1.2b44cdac64b1ap+0", "-0x1.b1fb488bb7e34p+0")),
+    ((0.4, -1.1), ("0x1.45b52d70091dfp-4", "-0x1.2923089050405p+0", "0x1.8a61493d1002fp-2")),
+    ((2.0, 0.25), ("0x1.fe4ef1a33b7abp+0", "-0x1.e002c3cf942ccp-2", "0x1.328f5c28f5c29p+1")),
+]
+
+
+@pytest.mark.parametrize("start,pinned", IMPLICIT_PINNED)
+def test_implicit_leapfrog_pinned_bitwise(start, pinned):
+    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, CURVED)
+    x, v = np.array([start[0]]), np.array([start[1]])
+    xo, vo = implicit_leapfrog(x, v, LeapfrogConfig(0.1, 3), ham)
+    g = ham.grad_x(x, v)
+    assert (xo[0].hex(), vo[0].hex(), g[0].hex()) == pinned
+    assert np.array_equal(g, ham.grad_x_at(x)(v))
+
+
+def test_hoisted_kick_equals_grad_x_bitwise():
+    # a 2-d metric with off-diagonal terms exercises every trace and quad term
+    sn2 = standard_normal(2)
+
+    def g(x):
+        c = 0.3 * x[0] * x[1]
+        return np.array([[1.0 + x[0] ** 2, c], [c, 2.0 + x[1] ** 2]])
+
+    def dg(x):
+        return np.array([[[2.0 * x[0], 0.3 * x[1]], [0.3 * x[1], 0.0]],
+                         [[0.0, 0.3 * x[0]], [0.3 * x[0], 2.0 * x[1]]]])
+
+    ham = RiemannianHamiltonian(sn2.logpdf, sn2.grad, Metric(g=g, g_grad=dg))
+    x = np.array([0.5, -0.8])
+    kick = ham.grad_x_at(x)
+    for pt in random_points(LAY2, 5, make_rng(3)):
+        assert np.array_equal(kick(pt.v), ham.grad_x(x, pt.v))
+    xo, vo = implicit_leapfrog(x, np.array([0.3, 1.2]), LeapfrogConfig(0.1, 3), ham)
+    assert [a.hex() for a in xo] == ["0x1.1acc722050bf4p-1", "-0x1.475597352bfbbp-1"]
+    assert [a.hex() for a in vo] == ["0x1.1fd093de0ee3cp-6", "0x1.71917cad8bcd3p+0"]
+
+
 def test_implicit_nonconvergence_reports_residual():
     # a huge step makes the fixed-point iteration diverge
-    met = Metric(g=lambda x: np.array([[1.0 + x[0] ** 2]]),
-                 g_logdet=lambda x: math.log(1.0 + x[0] ** 2),
-                 g_grad=lambda x: np.array([[[2.0 * x[0]]]]))
-    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, met)
+    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, CURVED)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FixedPointError) as err:
             implicit_leapfrog(np.array([3.0]), np.array([5.0]),
@@ -185,20 +227,14 @@ def test_implicit_nonconvergence_reports_residual():
 
 
 def test_implicit_involution_position_dependent_metric():
-    met = Metric(g=lambda x: np.array([[1.0 + x[0] ** 2]]),
-                 g_logdet=lambda x: math.log(1.0 + x[0] ** 2),
-                 g_grad=lambda x: np.array([[[2.0 * x[0]]]]))
-    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, met)
+    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, CURVED)
     inv = implicit_hmc_involution(LeapfrogConfig(0.1, 3), ham)
     rep = verify_involution(inv, random_points(LAY1, 50, make_rng(2)), tol=1e-8)
     assert rep.passed
 
 
 def test_implicit_inverse_roundtrip():
-    met = Metric(g=lambda x: np.array([[1.0 + x[0] ** 2]]),
-                 g_logdet=lambda x: math.log(1.0 + x[0] ** 2),
-                 g_grad=lambda x: np.array([[[2.0 * x[0]]]]))
-    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, met)
+    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, CURVED)
     cfg = LeapfrogConfig(0.05, 4)
     x, v = np.array([0.6]), np.array([-0.3])
     x1, v1 = implicit_leapfrog(x, v, cfg, ham)

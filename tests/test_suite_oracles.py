@@ -9,11 +9,13 @@ involutions must verify; the reduction identities must hold exactly.
 import numpy as np
 import pytest
 
+from imcmc import diagnostics
 from imcmc.diagnostics import check_stationary, transition_matrix
 from imcmc.suite import (
     STATIONARY_TOL,
     finite_cases,
     mutant_case,
+    run_all,
     run_balance,
     run_involutions,
     run_reductions,
@@ -126,3 +128,24 @@ def test_mtm_three_state_needs_cap_override():
 
     p = stationary_pmf(states, joint)
     assert check_stationary(T, p, STATIONARY_TOL).passed
+
+
+def test_run_all_builds_each_matrix_once_and_matches_the_parts(monkeypatch):
+    calls = []
+    inner = diagnostics._kernel_matrix
+
+    def counting(kernel, index):
+        calls.append(kernel.name)
+        return inner(kernel, index)
+
+    monkeypatch.setattr(diagnostics, "_kernel_matrix", counting)
+    whole = run_all()
+    # each finite case's matrix serves both the stationarity and balance
+    # checks; building them twice took 106 component matrices
+    assert len(calls) <= 70
+    parts = run_involutions() + run_stationarity() + run_balance() + run_reductions()
+
+    def key(r):
+        return (r.case, r.check, float(r.value).hex(), r.threshold, r.passed)
+
+    assert [key(r) for r in whole] == [key(r) for r in parts]
