@@ -266,6 +266,21 @@ def _chain_worker(cfg: RunConfig, index: int) -> tuple[np.ndarray, np.ndarray, f
     return res.xs, res.accepted_all(), time.perf_counter() - t0
 
 
+def _chain_report(cfg: RunConfig, index: int, xs: np.ndarray,
+                  accepted: np.ndarray, seconds: float):
+    """Batch-means ESS of one chain's steps after burn-in."""
+    kept = xs[cfg.burn_in:]
+    try:
+        return ess_batch_means(kept, seconds=seconds * kept.shape[0] / xs.shape[0],
+                               accept_rate=acceptance_rate(accepted))
+    except DegenerateSeriesError:
+        if np.any(accepted[cfg.burn_in:]):
+            raise
+        raise DegenerateSeriesError(
+            f"chain {index} accepted no proposals in its {kept.shape[0]} steps "
+            "after burn-in (acceptance 0), so its ESS is undefined") from None
+
+
 def cmd_sample(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,10 +297,7 @@ def cmd_sample(cfg: RunConfig) -> dict:
     reports = []
     for i, (xs, accepted, seconds) in enumerate(results):
         write_trace_csv(out_dir / f"chain_{i:03d}.csv", xs, accepted)
-        kept = xs[cfg.burn_in:]
-        rep = ess_batch_means(kept, seconds=seconds * kept.shape[0] / xs.shape[0],
-                              accept_rate=acceptance_rate(accepted))
-        reports.append(rep)
+        reports.append(_chain_report(cfg, i, xs, accepted, seconds))
 
     summary = {
         "kind": cfg.kind,
@@ -342,11 +354,7 @@ def cmd_ess(trace: Optional[str] = None, cfg: Optional[RunConfig] = None) -> dic
     if cfg.chains != 1:
         raise ConfigError("ess from a config runs a single chain; "
                           "use `sample` for multi-chain summaries")
-    xs, accepted, seconds = _chain_worker(cfg, 0)
-    kept = xs[cfg.burn_in:]
-    rep = ess_batch_means(kept, seconds=seconds * kept.shape[0] / xs.shape[0],
-                          accept_rate=acceptance_rate(accepted))
-    return rep.to_json()
+    return _chain_report(cfg, 0, *_chain_worker(cfg, 0)).to_json()
 
 
 def cmd_bench(cfg: RunConfig, samplers: list[str]) -> list[dict]:
@@ -439,7 +447,6 @@ def _add_run_flags(sp):
     sp.add_argument("--chains", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
     sp.add_argument("--jobs", type=int)
     for flag in _PARAM_FLAGS:
         sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=float)
@@ -450,9 +457,16 @@ _DEFAULTS = {"steps": 20000, "burn_in": 1000, "chains": 1, "fmt": "csv",
 
 
 def _make_config(args, need_kind: bool = True) -> RunConfig:
+    """Merge the config file, the flags and the defaults.
+
+    ``need_kind`` is False for `bench` only, which runs several kinds and is
+    the one subcommand with an output format.
+    """
     merged: dict = {}
     if args.config:
         merged.update(parse_config_file(args.config))
+    if need_kind and "fmt" in merged:
+        raise ConfigError("the fmt key (--format) applies to bench only")
     for key in ("kind", "target", "dataset", "steps", "burn_in", "chains",
                 "seed", "out", "fmt", "jobs", *_PARAM_FLAGS):
         val = getattr(args, key, None)
@@ -508,6 +522,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     bp = sub.add_parser("bench", help="benchmark table over samplers")
     _add_run_flags(bp)
+    bp.add_argument("--format", dest="fmt", choices=("csv", "json"))
     bp.add_argument("--samplers", default=",".join(BENCH_KINDS),
                     help="comma-separated subset of " + ",".join(BENCH_KINDS))
 

@@ -101,18 +101,9 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
 
 def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
                      grad_x, grad_v=None) -> tuple[np.ndarray, np.ndarray]:
-    """Time-reversed update; exact inverse of :func:`leapfrog`."""
-    if grad_v is None:
-        grad_v = _default_grad_v
-    eps = cfg.eps
-    x, v = np.array(x, dtype=float), np.array(v, dtype=float)
-    g = grad_x(x)
-    for _ in range(cfg.k):
-        v = v - 0.5 * eps * g
-        x = x + eps * grad_v(v)
-        g = grad_x(x)
-        v = v - 0.5 * eps * g
-    return x, v
+    """Inverse step via flip-integrate-flip (the momentum density is even)."""
+    x, v = leapfrog(x, -np.asarray(v, dtype=float), cfg, grad_x, grad_v)
+    return x, -v
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +453,20 @@ class CouplingMap(FlowMap):
     A map built only from additive, swap, and det-one linear layers is volume
     preserving and reports a zero log-Jacobian everywhere.  The map couples
     the target block with the named auxiliary slot (whole block by default).
+
+    ``forward_arrays``/``inverse_arrays`` take one point ``(d,)`` or rows
+    ``(..., d)`` of points and return one log-det per row.  With layer
+    functions that act elementwise, as all here do, a row's result equals
+    the single-point result bitwise.
     """
 
     def __init__(self, layers: Sequence[tuple], name: str = "coupling",
                  slot: Optional[str] = None):
         self.slot = slot
         self.layers = tuple(layers)
+        # the layers as applied: a linear layer carries its arrays and its
+        # constant log-det, computed once here
+        steps = []
         vp = True
         for layer in self.layers:
             kind = layer[0]
@@ -475,17 +474,20 @@ class CouplingMap(FlowMap):
                 vp = False
             elif kind == "linear":
                 ax, av = (np.asarray(a, dtype=float) for a in layer[1:])
-                if abs(np.sum(np.log(np.abs(ax))) + np.sum(np.log(np.abs(av)))) > 1e-12:
-                    vp = False
+                ld = float(np.sum(np.log(np.abs(ax))) + np.sum(np.log(np.abs(av))))
+                vp = vp and abs(ld) <= 1e-12
+                layer = (kind, ax, av, ld)
             elif kind not in ("add_x", "add_v", "swap"):
                 raise ConfigError(f"unknown coupling layer kind {kind!r}")
+            steps.append(layer)
+        self._steps = tuple(steps)
         self.volume_preserving = vp
         super().__init__(self._forward, self._inverse, name=name)
 
-    def forward_arrays(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def forward_arrays(self, x: np.ndarray, v: np.ndarray):
         x, v = x.copy(), v.copy()
-        ld = 0.0
-        for layer in self.layers:
+        ld = np.zeros(x.shape[:-1])
+        for layer in self._steps:
             kind = layer[0]
             if kind == "add_x":
                 x = x + layer[1](v)
@@ -494,23 +496,22 @@ class CouplingMap(FlowMap):
             elif kind == "scale_x":
                 s = layer[1](v)
                 x = x * np.exp(s)
-                ld += float(np.sum(s))
+                ld += np.sum(s, axis=-1)
             elif kind == "scale_v":
                 s = layer[1](x)
                 v = v * np.exp(s)
-                ld += float(np.sum(s))
+                ld += np.sum(s, axis=-1)
             elif kind == "swap":
                 x, v = v, x
-            elif kind == "linear":
-                ax, av = (np.asarray(a, dtype=float) for a in layer[1:])
-                x, v = x * ax, v * av
-                ld += float(np.sum(np.log(np.abs(ax))) + np.sum(np.log(np.abs(av))))
-        return x, v, ld
+            else:
+                x, v = x * layer[1], v * layer[2]
+                ld += layer[3]
+        return x, v, ld[()]  # a scalar for one point, an array for rows
 
-    def inverse_arrays(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def inverse_arrays(self, x: np.ndarray, v: np.ndarray):
         x, v = x.copy(), v.copy()
-        ld = 0.0
-        for layer in reversed(self.layers):
+        ld = np.zeros(x.shape[:-1])
+        for layer in reversed(self._steps):
             kind = layer[0]
             if kind == "add_x":
                 x = x - layer[1](v)
@@ -519,18 +520,17 @@ class CouplingMap(FlowMap):
             elif kind == "scale_x":
                 s = layer[1](v)
                 x = x * np.exp(-s)
-                ld -= float(np.sum(s))
+                ld -= np.sum(s, axis=-1)
             elif kind == "scale_v":
                 s = layer[1](x)
                 v = v * np.exp(-s)
-                ld -= float(np.sum(s))
+                ld -= np.sum(s, axis=-1)
             elif kind == "swap":
                 x, v = v, x
-            elif kind == "linear":
-                ax, av = (np.asarray(a, dtype=float) for a in layer[1:])
-                x, v = x / ax, v / av
-                ld -= float(np.sum(np.log(np.abs(ax))) + np.sum(np.log(np.abs(av))))
-        return x, v, ld
+            else:
+                x, v = x / layer[1], v / layer[2]
+                ld -= layer[3]
+        return x, v, ld[()]  # a scalar for one point, an array for rows
 
     def _forward(self, z: JointPoint) -> tuple[JointPoint, float]:
         x, v, ld = self.forward_arrays(z.x, _read_slot(z, self.slot))

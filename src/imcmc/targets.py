@@ -185,7 +185,8 @@ class LogisticPosterior:
     The success logit is ``x'w - b`` and the prior variance on every
     coordinate is ``prior_var`` (0.1 unless overridden; the reference
     formulation writes the prior scale ambiguously and we read it as a
-    variance).
+    variance).  ``logpdf`` and ``grad`` take one parameter vector ``(d,)``
+    or rows ``(..., d)`` of them.
     """
 
     X: np.ndarray
@@ -202,25 +203,25 @@ class LogisticPosterior:
     def dim(self) -> int:
         return self.X.shape[1] + 1
 
-    def logpdf(self, theta: np.ndarray) -> float:
-        if theta.size != self.dim:
+    def _logits(self, theta: np.ndarray) -> np.ndarray:
+        return theta[..., :-1] @ self.X.T - theta[..., -1:]
+
+    def logpdf(self, theta: np.ndarray):
+        if theta.shape[-1] != self.dim:
             raise ConfigError(
-                f"parameter must have {self.dim} coordinates, got {theta.size}")
-        w, b = theta[:-1], theta[-1]
-        z = self.X @ w - b
-        loglik = float(np.sum(self.y * _log_sigmoid(z)
-                              + (1.0 - self.y) * _log_sigmoid(-z)))
-        logprior = -0.5 * float(theta @ theta) / self.prior_var \
-            - 0.5 * theta.size * math.log(2.0 * math.pi * self.prior_var)
-        return loglik + logprior
+                f"parameter must have {self.dim} coordinates, got {theta.shape[-1]}")
+        z = self._logits(theta)
+        logsig = _log_sigmoid(z)
+        # log sigmoid(-z) = log sigmoid(z) - z
+        loglik = np.sum(self.y * logsig + (1.0 - self.y) * (logsig - z), axis=-1)
+        const = -0.5 * self.dim * math.log(2.0 * math.pi * self.prior_var)
+        return loglik + const - 0.5 * np.sum(theta * theta, axis=-1) / self.prior_var
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        w, b = theta[:-1], theta[-1]
-        z = self.X @ w - b
-        resid = self.y - 1.0 / (1.0 + np.exp(-z))
-        g = np.empty(self.dim)
-        g[:-1] = self.X.T @ resid
-        g[-1] = -float(np.sum(resid))
+        resid = self.y - 1.0 / (1.0 + np.exp(-self._logits(theta)))
+        g = np.empty(theta.shape)
+        g[..., :-1] = resid @ self.X
+        g[..., -1] = -np.sum(resid, axis=-1)
         return g - theta / self.prior_var
 
     def density(self) -> LogDensity:

@@ -1,7 +1,13 @@
-"""The vectorized multi-chain runners must reproduce the kernel engine.
+"""The vectorized multi-chain runners must follow the kernel engine.
 
 With one chain and a shared seed the two paths consume the random stream in
-the same order, so trajectories and accept decisions must coincide exactly.
+the same order, so over the 400 steps pinned here trajectories and accept
+decisions coincide exactly.  Over long runs on mog2 they drift apart by
+rounding, because `mog2_batch` is a second copy of the target whose sums and
+``exp`` can round differently in the last bit: with seed 11 batch MALA first
+differs from the engine at step 821 of 20000, by at most 1.3e-15.  The
+coupling maps and the logistic posterior have one copy each, which takes
+rows; their tests check that a row equals a single point.
 """
 
 import math
@@ -21,7 +27,7 @@ from imcmc.batch import (
     normal_batch,
 )
 from imcmc.core import make_rng, run_chain
-from imcmc.maps import CouplingMap
+from imcmc.maps import CouplingMap, affine_coupling
 from imcmc.samplers import (
     default_init,
     make_directional_map,
@@ -59,10 +65,15 @@ def test_logreg_batch_matches_scalar():
     rng = make_rng(1)
     post = LogisticPosterior(rng.standard_normal((12, 3)),
                              (rng.random(12) < 0.5).astype(float))
+    # the bench target is the posterior itself, evaluated over rows
     pb = logreg_batch(post)
+    assert pb.logpdf == post.logpdf and pb.grad == post.grad
     TH = rng.standard_normal((20, 4))
-    lp = pb.logpdf(TH)
-    g = pb.grad(TH)
+    lp = post.logpdf(TH)
+    g = post.grad(TH)
+    assert lp.shape == (20,) and g.shape == (20, 4)
+    # rows go through matrix-matrix products and a single point through
+    # matrix-vector ones, which may sum in another order: equal to rounding
     for i in range(20):
         assert lp[i] == pytest.approx(post.logpdf(TH[i]), abs=1e-10)
         assert np.max(np.abs(g[i] - post.grad(TH[i]))) < 1e-10
@@ -72,15 +83,21 @@ def test_batch_coupling_matches_pointwise(coupling):
     rng = make_rng(2)
     X = rng.standard_normal((10, 2))
     V = rng.standard_normal((10, 2))
-    xf, vf, ld = batch_coupling_forward(coupling, X, V)
-    xb, vb, ldb = batch_coupling_inverse(coupling, xf, vf)
-    assert np.max(np.abs(xb - X)) < 1e-12
-    assert np.max(np.abs(vb - V)) < 1e-12
-    assert np.max(np.abs(ld + ldb)) < 1e-12
-    for i in range(10):
-        x1, v1, l1 = coupling.forward_arrays(X[i], V[i])
-        assert np.max(np.abs(x1 - xf[i])) == 0.0
-        assert np.max(np.abs(v1 - vf[i])) == 0.0
+    # volume preserving, and one whose log-det differs from row to row
+    for cmap in (coupling, affine_coupling(slot="v")):
+        xf, vf, ld = batch_coupling_forward(cmap, X, V)
+        xb, vb, ldb = batch_coupling_inverse(cmap, xf, vf)
+        assert ld.shape == ldb.shape == (10,)
+        assert np.max(np.abs(xb - X)) < 1e-12
+        assert np.max(np.abs(vb - V)) < 1e-12
+        assert np.max(np.abs(ld + ldb)) < 1e-12
+        for i in range(10):
+            for rows, point in (((xf, vf, ld), cmap.forward_arrays(X[i], V[i])),
+                                ((xb, vb, ldb), cmap.inverse_arrays(xf[i], vf[i]))):
+                assert np.array_equal(rows[0][i], point[0])
+                assert np.array_equal(rows[1][i], point[1])
+                assert rows[2][i] == point[2]
+    assert len(set(ld)) == 10  # the affine map's log-det is per row
 
 
 def test_batch_mala_equals_engine():

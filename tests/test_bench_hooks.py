@@ -1,0 +1,53 @@
+"""The benchmark's tracer still finds every name it wraps, and puts it back.
+
+`perfbench/spans.py` wraps library entry points by name from outside the
+package; a renamed or deleted name would otherwise surface only when a
+traced benchmark run starts.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MODULES = ("errors", "core", "maps", "targets", "samplers", "diagnostics",
+           "suite", "batch", "cli")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _namespaces(mods):
+    """Every module namespace, and that of every class the modules define."""
+    out = {}
+    for name, mod in mods.items():
+        out[name] = dict(vars(mod))
+        for attr, val in vars(mod).items():
+            if isinstance(val, type) and val.__module__ == mod.__name__:
+                out[f"{name}.{attr}"] = dict(vars(val))
+    return out
+
+
+def _changed(before, after):
+    return {f"{ns}.{attr}" for ns, names in before.items()
+            for attr, val in names.items() if after[ns].get(attr) is not val}
+
+
+def test_instrumentation_installs_and_restores_every_original():
+    spans = _load_spans()
+    mods = {n: importlib.import_module(f"imcmc.{n}") for n in MODULES}
+    before = _namespaces(mods)
+    inst = spans.Instrumentation(spans.Tracer())
+    try:
+        inst.install(mods, full=True)
+        wrapped = _changed(before, _namespaces(mods))
+    finally:
+        inst.restore()
+    assert {"maps.leapfrog", "maps.leapfrog_inverse", "maps.CouplingMap.forward_arrays",
+            "batch.batch_coupling_forward", "batch.logreg_batch",
+            "core.ImcmcKernel.step"} <= wrapped
+    assert not _changed(before, _namespaces(mods))

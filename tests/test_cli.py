@@ -198,3 +198,36 @@ def test_bench_missing_dataset_file(tmp_path):
     assert run_cli(["bench", "--target", "logreg", "--dataset",
                     str(tmp_path / "nope.csv"), "--chains", "2",
                     "--steps", "100", "--burn-in", "10", "--eps", "0.1"]) == 2
+
+
+# argv with {tmp} for a scratch directory holding fmt.cfg, and the last line
+# the CLI writes to stderr
+BAD_INPUTS = {
+    "sample_format_flag": (
+        ["sample", "--kind", "mala", "--target", "mog2", "--format", "json",
+         "--out", "{tmp}"],
+        "imcmc: error: unrecognized arguments: --format json"),
+    "ess_format_flag": (
+        ["ess", "--kind", "mala", "--target", "mog2", "--format", "json"],
+        "imcmc: error: unrecognized arguments: --format json"),
+    "sample_fmt_key": (
+        ["sample", "--config", "{tmp}/fmt.cfg", "--out", "{tmp}"],
+        "error: the fmt key (--format) applies to bench only"),
+    "stuck_chain": (
+        ["sample", "--kind", "hmc", "--target", "mog2", "--eps", "1e9", "--k", "2",
+         "--steps", "200", "--burn-in", "10", "--out", "{tmp}"],
+        "error: chain 0 accepted no proposals in its 190 steps after burn-in "
+        "(acceptance 0), so its ESS is undefined"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    argv, last_line = BAD_INPUTS[case]
+    (tmp_path / "fmt.cfg").write_text("kind = mala\ntarget = mog2\nfmt = json\n")
+    try:
+        code = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == last_line

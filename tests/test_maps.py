@@ -105,16 +105,18 @@ def test_leapfrog_evaluates_k_plus_one_gradients():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_leapfrog_non_finite_gradient_partway_raises(bad):
-    calls = []
+    # the inverse runs time backwards, so -v takes it along the same path
+    for integrate, v0 in ((leapfrog, 1.0), (leapfrog_inverse, -1.0)):
+        calls = []
 
-    def g(x):
-        calls.append(float(x[0]))
-        return np.array([bad]) if x[0] > 0.5 else -x
+        def g(x):
+            calls.append(float(x[0]))
+            return np.array([bad]) if x[0] > 0.5 else -x
 
-    with pytest.raises(ConfigError, match="non-finite gradient in leapfrog"):
-        leapfrog(np.array([0.0]), np.array([1.0]), LeapfrogConfig(0.1, 20), g)
-    # the first gradients were finite: the failure came mid-trajectory
-    assert calls[0] == 0.0 and sum(c <= 0.5 for c in calls) > 3
+        with pytest.raises(ConfigError, match="non-finite gradient in leapfrog"):
+            integrate(np.array([0.0]), np.array([v0]), LeapfrogConfig(0.1, 20), g)
+        # the first gradients were finite: the failure came mid-trajectory
+        assert calls[0] == 0.0 and sum(c <= 0.5 for c in calls) > 3
 
 
 def test_leapfrog_volume_preserving():
