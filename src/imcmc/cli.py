@@ -294,10 +294,11 @@ def cmd_sample(cfg: RunConfig) -> dict:
     else:
         results = [_chain_worker(cfg, i) for i in range(cfg.chains)]
 
-    reports = []
-    for i, (xs, accepted, seconds) in enumerate(results):
+    # every report before any file, so a chain without an ESS leaves no output
+    reports = [_chain_report(cfg, i, xs, accepted, seconds)
+               for i, (xs, accepted, seconds) in enumerate(results)]
+    for i, (xs, accepted, _) in enumerate(results):
         write_trace_csv(out_dir / f"chain_{i:03d}.csv", xs, accepted)
-        reports.append(_chain_report(cfg, i, xs, accepted, seconds))
 
     summary = {
         "kind": cfg.kind,
@@ -501,8 +502,17 @@ def _make_config(args, need_kind: bool = True) -> RunConfig:
                      params=params)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as a `ConfigError`, so it gets the
+    one-line ``error:`` message and exit code 2 of every configuration
+    error instead of argparse's usage block and ``SystemExit``."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imcmc",
         description="involutive kernel samplers, verification oracles, benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -526,8 +536,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     bp.add_argument("--samplers", default=",".join(BENCH_KINDS),
                     help="comma-separated subset of " + ",".join(BENCH_KINDS))
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "sample":
             summary = cmd_sample(_make_config(args))
             print(json.dumps(summary, indent=2))

@@ -111,24 +111,24 @@ class JointPoint:
         return self.tags[self.layout.tag_index(name)]
 
     def with_x(self, x) -> "JointPoint":
-        return dataclasses.replace(self, x=np.asarray(x, dtype=float))
+        return _joint_point(np.asarray(x, dtype=float), self.v, self.tags, self.layout)
 
     def with_v(self, v) -> "JointPoint":
-        return dataclasses.replace(self, v=np.asarray(v, dtype=float))
+        return _joint_point(self.x, np.asarray(v, dtype=float), self.tags, self.layout)
 
     def with_slot(self, name: str, value) -> "JointPoint":
         if name in self.layout.slots:
             v = self.v.copy()
             v[self.layout.slots[name]] = value
-            return dataclasses.replace(self, v=v)
+            return _joint_point(self.x, v, self.tags, self.layout)
         x = self.x.copy()
         x[self.layout.x_slots[name]] = value
-        return dataclasses.replace(self, x=x)
+        return _joint_point(x, self.v, self.tags, self.layout)
 
     def with_tag(self, name: str, value: int) -> "JointPoint":
         i = self.layout.tag_index(name)
         tags = self.tags[:i] + (int(value),) + self.tags[i + 1:]
-        return dataclasses.replace(self, tags=tags)
+        return _joint_point(self.x, self.v, tags, self.layout)
 
     def continuous(self) -> np.ndarray:
         """Concatenated continuous coordinates (x block then v block)."""
@@ -136,7 +136,15 @@ class JointPoint:
 
     def with_continuous(self, z: np.ndarray) -> "JointPoint":
         d = self.layout.x_dim
-        return dataclasses.replace(self, x=z[:d].copy(), v=z[d:].copy())
+        return _joint_point(z[:d].copy(), z[d:].copy(), self.tags, self.layout)
+
+
+def _joint_point(x, v, tags, layout) -> JointPoint:
+    """A `JointPoint` built without the frozen dataclass's per-field
+    ``__setattr__`` guards; a step makes several."""
+    point = object.__new__(JointPoint)
+    point.__dict__.update(x=x, v=v, tags=tags, layout=layout)
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +479,8 @@ class ImcmcKernel(TransitionKernel):
         self.involution = involution
         self.rule = rule
         self.name = name
-        for slot, _ in self.aux_refresh + self.aux_static:
+        self._factors = self.aux_refresh + self.aux_static
+        for slot, _ in self._factors:
             if (slot not in layout.slots and slot not in layout.x_slots
                     and slot not in layout.tags):
                 raise ConfigError(f"unknown auxiliary slot {slot!r}")
@@ -492,7 +501,7 @@ class ImcmcKernel(TransitionKernel):
         # a None target contributes nothing: factors the involution never
         # moves may be omitted from a kernel's bookkeeping
         total = 0.0 if self.target is None else float(self.target(point))
-        for slot, cond in self.aux_refresh + self.aux_static:
+        for slot, cond in self._factors:
             if total == -math.inf:
                 break
             total += cond.logpdf(self._get(point, slot), point)
@@ -513,7 +522,7 @@ class ImcmcKernel(TransitionKernel):
         """
         return ImcmcKernel(self.layout, self.target, aux_refresh=(),
                            involution=self.involution, rule=self.rule,
-                           aux_static=self.aux_refresh + self.aux_static,
+                           aux_static=self._factors,
                            name=f"{self.name}_frozen")
 
     def acceptance(self, point: JointPoint) -> tuple[float, JointPoint]:
@@ -659,7 +668,9 @@ def run_chain(kernel: TransitionKernel, init: JointPoint, n: int,
     """Run ``n`` steps and record the target block after each step.
 
     The trace is a pure function of ``(kernel, init, n, seed)``; auxiliary
-    blocks are recorded only through the optional tag trace.
+    blocks are recorded only through the optional tag trace.  A
+    `DensityError` raised by a step names the kernel and the step's index in
+    the trace, e.g. ``hmc step 137: hmc: joint log-density is NaN``.
     """
     if n < 0:
         raise ConfigError("step count must be non-negative")
@@ -677,15 +688,18 @@ def run_chain(kernel: TransitionKernel, init: JointPoint, n: int,
     tag_trace = np.empty((n, len(init.layout.tags)), dtype=int) if record_tags else None
 
     point = init
-    for i in range(n):
-        for j, k in enumerate(kernels):
-            out = k.step(point, rng)
-            point = out.point
-            acc[i, j] = out.accepted
-            prob[i, j] = out.prob
-        xs[i] = point.x
-        if record_tags:
-            tag_trace[i] = point.tags
+    try:
+        for i in range(n):
+            for j, k in enumerate(kernels):
+                out = k.step(point, rng)
+                point = out.point
+                acc[i, j] = out.accepted
+                prob[i, j] = out.prob
+            xs[i] = point.x
+            if record_tags:
+                tag_trace[i] = point.tags
+    except DensityError as exc:
+        raise DensityError(f"{kernel.name} step {i}: {exc}") from exc
     return ChainResult(xs=xs, accepted=acc, accept_prob=prob,
                        tags=tag_trace, final=point if n > 0 else init)
 

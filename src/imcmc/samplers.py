@@ -24,8 +24,10 @@ from .core import (
     KernelComposition,
     Layout,
     LogDensity,
+    StepOutcome,
     TagConditional,
     TransitionKernel,
+    _LastTwo,
     compose,
 )
 from .errors import ConfigError
@@ -123,7 +125,7 @@ def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
 
         def _logpdf(value, point):
             d = np.asarray(value) - mean_fn(point)
-            return const - 0.5 * float(np.sum(d * d / var))
+            return const - 0.5 * float((d * d / var).sum())
 
         return AuxiliaryConditional(_sample, _logpdf, name=name)
 
@@ -309,7 +311,7 @@ def gaussian_family(d: int, var) -> ProposalFamily:
 
     def logpdf(value, center):
         diff = np.asarray(value) - np.asarray(center)
-        return const - 0.5 * float(np.sum(diff * diff / var))
+        return const - 0.5 * float((diff * diff / var).sum())
 
     return ProposalFamily(
         sample=lambda rng, center: np.asarray(center) + np.sqrt(var) * rng.standard_normal(d),
@@ -394,14 +396,21 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
 
     y_cond = _iid_slot(k, lambda point: point.x, "trials")
 
-    def j_probs(point):
-        x = point.x
-        logs = np.array([log_w(y, x) for y in trials(point)])
+    def _j_probs(xy):
+        x, ys = xy[:d], xy[d:]
+        logs = np.array([log_w(ys[i * d:(i + 1) * d], x) for i in range(k)])
         if np.all(logs == -math.inf):
             return np.full(k, 1.0 / k)
         w = np.exp(logs - logs[np.isfinite(logs)].max())
         w[~np.isfinite(logs)] = 0.0
         return w / w.sum()
+
+    # a step asks for the index weights of its refreshed point twice (draw
+    # and joint density) and of its proposal once; x and the trials key them
+    j_weights = _LastTwo(_j_probs)
+
+    def j_probs(point):
+        return j_weights(np.concatenate([point.x, point.slot("y")]))
 
     j_cond = TagConditional(tuple(range(k)), j_probs, name="trial_index")
 
@@ -753,6 +762,12 @@ class LookAheadKernel(TransitionKernel):
     ratio_k * (1 - sum_{j<k} pi_j(flip(T^k(z)))))``; when all K proposals
     fail the state is kept unchanged (the trailing flip kernel then reverses
     the momentum).
+
+    ``T`` must be reversible (``flip∘T`` an involution) and the momentum
+    factor symmetric, as the cascade's own validity requires.  Then the
+    reverse cascade from ``flip(z_k)``, with ``z_k = T^k(z)``, lands on
+    ``z_{k-1}, ..., z_1, z`` again, so one trajectory and its K + 1 joint
+    densities serve every weight of the recursion.
     """
 
     def __init__(self, layout: Layout, target, mom_factor: AuxiliaryConditional,
@@ -772,38 +787,29 @@ class LookAheadKernel(TransitionKernel):
     def _flip(self, z: JointPoint) -> JointPoint:
         return z.with_slot("v", -z.slot("v"))
 
-    def pis(self, z: JointPoint, kmax: Optional[int] = None) -> list[float]:
-        kmax = self.K if kmax is None else kmax
-        lp = self.joint(z)
-        out: list[float] = []
-        cum = 0.0
+    def _cascade(self, z: JointPoint, kmax: int
+                 ) -> tuple[list[JointPoint], list[float]]:
+        """The landing points ``flip(z_k)`` and their weights ``pi_k``."""
+        joints = [self.joint(z)]
+        landings = []
         w = z
-        for k in range(1, kmax + 1):
+        for _ in range(kmax):
             w, ld = self.T.forward(w)
             if abs(ld) > 1e-12:
                 raise ConfigError("look-ahead requires a volume-preserving map")
             fz = self._flip(w)
-            delta = self.joint(fz) - lp
-            ratio = math.exp(min(delta, 50.0))
-            inner = 1.0 - math.fsum(self.pis(fz, k - 1)) if k > 1 else 1.0
-            pi_k = min(1.0 - cum, ratio * inner)
-            out.append(pi_k)
-            cum += pi_k
-        return out
+            landings.append(fz)
+            joints.append(self.joint(fz))
+        return landings, _cascade_weights(joints, kmax)
+
+    def pis(self, z: JointPoint, kmax: Optional[int] = None) -> list[float]:
+        return self._cascade(z, self.K if kmax is None else kmax)[1]
 
     def _branches(self, z: JointPoint) -> list[tuple[JointPoint, float]]:
-        pis = self.pis(z)
-        out = []
-        w = z
-        for pi_k in pis:
-            w, _ = self.T.forward(w)
-            out.append((self._flip(w), pi_k))
-        out.append((z, 1.0 - math.fsum(pis)))
-        return out
+        landings, pis = self._cascade(z, self.K)
+        return [*zip(landings, pis), (z, 1.0 - math.fsum(pis))]
 
     def step(self, point: JointPoint, rng: np.random.Generator):
-        from .core import StepOutcome
-
         branches = self._branches(point)
         u = rng.random()
         cum = 0.0
@@ -816,6 +822,32 @@ class LookAheadKernel(TransitionKernel):
 
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
         return [(dest, p) for dest, p in self._branches(point) if p > 0.0]
+
+
+def _cascade_weights(joints: list[float], kmax: int) -> list[float]:
+    """``pi_1..pi_kmax`` of the cascade from ``z_0`` over one trajectory.
+
+    ``joints[m]`` is the joint density at ``z_m`` (equal to that at
+    ``flip(z_m)``).  The cascade from ``z_s`` lands on ``z_{s+i}`` and the
+    reverse one from ``flip(z_s)`` on ``z_{s-i}``, so a cascade is an index
+    and a direction, and each is computed once however often the recursion
+    asks for it.  The arithmetic is that of recursing on the points.
+    """
+    # (start index, direction) -> (weights so far, their running sums)
+    memo: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
+
+    def weights(s: int, step: int, n: int) -> list[float]:
+        out, cums = memo.setdefault((s, step), ([], [0.0]))
+        while len(out) < n:
+            i = len(out) + 1
+            m = s + step * i
+            ratio = math.exp(min(joints[m] - joints[s], 50.0))
+            inner = 1.0 - math.fsum(weights(m, -step, i - 1)) if i > 1 else 1.0
+            out.append(min(1.0 - cums[-1], ratio * inner))
+            cums.append(cums[-1] + out[-1])
+        return out[:n]
+
+    return weights(0, 1, kmax)
 
 
 def make_look_ahead(target: LogDensity, T: FlowMap, K: int, refresh_alpha: float,

@@ -1,10 +1,15 @@
 """Command-line contracts: subcommands, exit codes, files, determinism."""
 
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 
+from imcmc import cli
 from imcmc.cli import main, parse_config_file, read_trace_csv
+from imcmc.core import LogDensity
 
 
 def run_cli(args):
@@ -200,16 +205,20 @@ def test_bench_missing_dataset_file(tmp_path):
                     "--steps", "100", "--burn-in", "10", "--eps", "0.1"]) == 2
 
 
-# argv with {tmp} for a scratch directory holding fmt.cfg, and the last line
+# argv with {tmp} for a scratch directory holding fmt.cfg, and the one line
 # the CLI writes to stderr
 BAD_INPUTS = {
     "sample_format_flag": (
         ["sample", "--kind", "mala", "--target", "mog2", "--format", "json",
          "--out", "{tmp}"],
-        "imcmc: error: unrecognized arguments: --format json"),
+        "error: unrecognized arguments: --format json"),
     "ess_format_flag": (
         ["ess", "--kind", "mala", "--target", "mog2", "--format", "json"],
-        "imcmc: error: unrecognized arguments: --format json"),
+        "error: unrecognized arguments: --format json"),
+    "bad_int_flag": (
+        ["sample", "--kind", "mala", "--target", "mog2", "--steps", "many"],
+        "error: argument --steps: invalid int value: 'many'"),
+    "no_command": ([], "error: the following arguments are required: command"),
     "sample_fmt_key": (
         ["sample", "--config", "{tmp}/fmt.cfg", "--out", "{tmp}"],
         "error: the fmt key (--format) applies to bench only"),
@@ -223,11 +232,37 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(tmp_path, capsys, case):
-    argv, last_line = BAD_INPUTS[case]
+    argv, line = BAD_INPUTS[case]
     (tmp_path / "fmt.cfg").write_text("kind = mala\ntarget = mog2\nfmt = json\n")
-    try:
-        code = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
-    except SystemExit as exc:  # rejected by the argument parser
-        code = exc.code
+    code = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == last_line
+    assert capsys.readouterr().err.splitlines() == [line]
+    # a failed run leaves no partial output
+    assert not list(tmp_path.glob("chain_*.csv"))
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--help"])
+    assert exc.value.code == 0
+    assert "--kind" in capsys.readouterr().out
+
+
+def test_density_error_mid_chain_exits_1(tmp_path, capsys, monkeypatch):
+    def nan_above_one(name, dataset=None):
+        # standard normal, undefined beyond x = 1
+        def logpdf(x):
+            return math.nan if x[0] > 1.0 else -0.5 * float(x @ x)
+
+        return {"density": LogDensity(dim=1, logpdf=logpdf, grad=lambda x: -x),
+                "x0": np.zeros(1)}
+
+    monkeypatch.setattr(cli, "build_target", nan_above_one)
+    assert run_cli(["sample", "--kind", "hmc", "--target", "normal1d", "--eps", "0.5",
+                    "--k", "4", "--steps", "500", "--burn-in", "50",
+                    "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: hmc step \d+: hmc: joint log-density is NaN", err[0])
+    assert not list(tmp_path.glob("chain_*.csv"))

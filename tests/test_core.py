@@ -1,6 +1,7 @@
 """Engine-level tests: acceptance rules, stepping, chains, verification hooks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from imcmc.core import (
     ImcmcKernel,
     Involution,
     Layout,
+    LogDensity,
     chain_rngs,
     compose,
     log_accept,
@@ -22,7 +24,7 @@ from imcmc.core import (
 )
 from imcmc.errors import ConfigError, DensityError
 from imcmc.maps import LeapfrogConfig, hmc_involution, leapfrog_flow, swap_blocks
-from imcmc.samplers import make_mh, normal_momentum
+from imcmc.samplers import make_mh, normal_momentum, random_walk_proposal
 from imcmc.targets import GridDensity, grid_conditional, standard_normal
 
 
@@ -140,6 +142,24 @@ def test_run_chain_rejects_bad_init():
         run_chain(kern, kern.layout.point([7.0], [0.0]), 10, seed=0)
     with pytest.raises(ConfigError):
         run_chain(kern, kern.layout.point([0.0], [0.0]), -1, seed=0)
+
+
+def test_density_error_mid_chain_names_kernel_and_step():
+    # standard normal whose log-density is NaN beyond x = 1.5
+    sn = standard_normal(1)
+    density = LogDensity(dim=1, logpdf=lambda x: math.nan if x[0] > 1.5 else sn.logpdf(x))
+    kern = make_mh(density, random_walk_proposal(1, 0.5), name="rw")
+    init = kern.layout.point([0.0], [0.0])
+    with pytest.raises(DensityError) as exc:
+        run_chain(kern, init, 2000, seed=3)
+    match = re.fullmatch(r"rw step (\d+): rw: joint log-density is NaN", str(exc.value))
+    assert match, str(exc.value)
+    step = int(match.group(1))
+    assert step > 0 and isinstance(exc.value.__cause__, DensityError)
+    # the named step is the first one to fail
+    assert run_chain(kern, init, step, seed=3).xs.shape == (step, 1)
+    with pytest.raises(DensityError, match=f"^rw step {step}: "):
+        run_chain(kern, init, step + 1, seed=3)
 
 
 def test_chain_rngs_split_deterministically():

@@ -8,6 +8,7 @@ identical to those recorded before evaluations were reused.
 """
 
 import hashlib
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,14 +38,17 @@ SPECS = {
 
 # `_digest` of 300 steps from seed 11, recorded while every step still
 # evaluated the target at its current point afresh.  neutra with the
-# identity flow is HMC, so the two share a trace.
+# identity flow is HMC, so the two share a trace.  look_ahead's was recorded
+# again when its cascade stopped re-integrating the reverse trajectories:
+# floating-point leapfrog is not exactly reversible, so its accept_prob moved
+# in the last bits; the rest of its trace is pinned by LOOK_AHEAD_TRACE.
 GOLDEN = {
     "rwm": "1f21095f81f2c484",
     "mala": "881957c8c50b6b1e",
     "irr_mala": "69a1ae65eef424d8",
     "hmc": "13e3fd6f2e37fc5e",
     "persistent_hmc": "3448d41a5f68feae",
-    "look_ahead": "19fd1a4d7ff1662d",
+    "look_ahead": "e72b6ab6db7d4c04",
     "neutra": "13e3fd6f2e37fc5e",
     "nice_mc": "a7a9fb8955eba1bb",
     "irr_nice_mc": "56200ca2e0c75218",
@@ -52,6 +56,10 @@ GOLDEN = {
     "lifted_rw": "1e50fa103afa75cf",
     "cdf": "d9af35caa0abb38e",
 }
+
+# look_ahead's `_digest` without accept_prob, recorded with the recursive
+# cascade of `_reference_pis`
+LOOK_AHEAD_TRACE = "1d9c80a59a3e8120"
 
 N = 200
 
@@ -68,12 +76,28 @@ def _chain(kind, tgt=None, n=300, seed=11):
                      record_tags=True)
 
 
-def _digest(res) -> str:
+def _digest(res, accept_prob=True) -> str:
     h = hashlib.sha256()
-    for arr in (res.xs, res.accepted, res.accept_prob, res.tags,
-                res.final.x, res.final.v):
-        h.update(np.ascontiguousarray(arr).tobytes())
+    for arr in (res.xs, res.accepted, res.accept_prob if accept_prob else None,
+                res.tags, res.final.x, res.final.v):
+        if arr is not None:
+            h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
+
+
+def _reference_pis(cascade, z, kmax):
+    """Look-ahead weights by the plain recursion on points: each reverse
+    cascade from ``flip(T^k z)`` is integrated afresh."""
+    lp = cascade.joint(z)
+    out, cum, w = [], 0.0, z
+    for k in range(1, kmax + 1):
+        w, _ = cascade.T.forward(w)
+        fz = w.with_slot("v", -w.slot("v"))
+        ratio = math.exp(min(cascade.joint(fz) - lp, 50.0))
+        inner = 1.0 - math.fsum(_reference_pis(cascade, fz, k - 1)) if k > 1 else 1.0
+        out.append(min(1.0 - cum, ratio * inner))
+        cum += out[-1]
+    return out
 
 
 def _counting_mog2():
@@ -99,6 +123,70 @@ def _counted_chain(kind):
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_seeded_trace_matches_golden(kind):
     assert _digest(_chain(kind)) == GOLDEN[kind]
+
+
+def test_look_ahead_trace_matches_the_recursive_cascade():
+    tgt = build_target("mog2")
+    kernel = _kernel("look_ahead", tgt)
+    cascade = kernel.kernels()[1]
+    entered = []
+    step = cascade.step
+
+    def recording_step(point, rng):
+        entered.append(point)
+        return step(point, rng)
+
+    cascade.step = recording_step
+    res = run_chain(kernel, default_init(kernel, tgt["x0"]), 300, seed=11,
+                    record_tags=True)
+    assert _digest(res, accept_prob=False) == LOOK_AHEAD_TRACE
+    # the cascade's accept probability is the total weight of its moves
+    want = [math.fsum(_reference_pis(cascade, z, cascade.K)) for z in entered]
+    assert np.max(np.abs(res.accept_prob[:, 1] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("K", range(1, 7))
+def test_look_ahead_pis_match_the_recursive_cascade(K):
+    tgt = build_target("mog2")
+    config = RunConfig(kind="look_ahead", target="mog2",
+                       params={"eps": 0.3, "K": K, "alpha": 0.8})
+    cascade = build_kernel(config, tgt).kernels()[1]
+    rng = np.random.default_rng(K)
+    worst = 0.0
+    for _ in range(200):
+        z = cascade.layout.point(2.0 * rng.standard_normal(2),
+                                 np.concatenate([rng.standard_normal(2), np.zeros(2)]))
+        got, want = cascade.pis(z), _reference_pis(cascade, z, K)
+        assert len(got) == K
+        worst = max(worst, np.max(np.abs(np.subtract(got, want))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("K", [4, 6])
+def test_look_ahead_evaluates_each_point_of_its_trajectory_once(K):
+    density, counts = _counting_mog2()
+    tgt = {"density": density, "x0": np.array([2.0, 0.0])}
+    config = RunConfig(kind="look_ahead", target="mog2",
+                       params={"eps": 0.3, "K": K, "alpha": 0.8})
+    kernel = build_kernel(config, tgt)
+    run_chain(kernel, default_init(kernel, tgt["x0"]), N, seed=11)
+    # the start point and K new positions, the start point usually remembered
+    assert counts["logpdf"] <= (K + 1) * N
+    assert counts["grad"] <= (K + 1) * N
+
+
+def test_mtm_computes_trial_weights_once_per_point():
+    res, counts = _counted_chain("mtm")
+    k = SPECS["mtm"][1]["k"]
+    j = res.tags[:, 0]
+    # A step evaluates its k trials, its current point, the selected trial,
+    # the k - 1 reference points and the current point again (as a trial of
+    # the proposal): 2k + 2 calls, 2k - 1 of them at new points.  The memo
+    # still holds the selected trial when it was the last one evaluated
+    # (j = k - 1), and the current point when it is the proposal's first
+    # trial (j = 0).
+    assert counts["logpdf"] == 1 + (2 * k + 2) * N - np.sum(j == 0) - np.sum(j == k - 1)
+    assert counts["logpdf"] <= 9.5 * N
 
 
 @pytest.mark.parametrize("kind", ["rwm", "mala", "irr_mala", "nice_mc",
@@ -149,11 +237,21 @@ def test_memo_gradients_are_read_only_and_other_inputs_pass_through():
 
 
 def test_threads_sharing_a_density_reproduce_serial_traces():
+    _threads_reproduce_serial_traces(("mala", "irr_mala", "hmc", "rwm"))
+
+
+def test_threads_sharing_an_mtm_kernel_reproduce_serial_traces():
+    # one kernel, so the threads also share its memo of trial weights
+    # and run different chains at once, so they evict each other's entries
+    _threads_reproduce_serial_traces(("mtm",), seeds=(1, 2, 3, 4))
+
+
+def _threads_reproduce_serial_traces(kinds, seeds=(1, 1, 2, 2)):
     tgt = build_target("mog2")
-    kinds = ("mala", "irr_mala", "hmc", "rwm")
     kernels = {kind: _kernel(kind, tgt) for kind in kinds}
-    # both threads run each chain at once, so they ask for the same points
-    jobs = [(kind, seed) for kind in kinds for seed in (1, 1, 2, 2)]
+    # by default both threads run each chain at once, so they ask for the
+    # same points
+    jobs = [(kind, seed) for kind in kinds for seed in seeds]
 
     def run(job):
         kernel = kernels[job[0]]
