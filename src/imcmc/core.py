@@ -152,6 +152,7 @@ def _joint_point(x, v, tags, layout) -> JointPoint:
 # ---------------------------------------------------------------------------
 
 _FLOAT64 = np.dtype(np.float64)
+_MISS = object()  # what `_LastTwo.get` returns for a key it does not hold
 
 
 class _LastTwo:
@@ -174,6 +175,7 @@ class _LastTwo:
         self._new = self._old = (None, None)
 
     def __call__(self, x):
+        # `get` inlined: this runs several times a step
         if type(x) is not np.ndarray or x.dtype != _FLOAT64:
             return self.fn(x)
         key = (x.shape, x.tobytes())
@@ -184,12 +186,62 @@ class _LastTwo:
         if old[0] == key:
             self._new, self._old = old, new
             return old[1]
-        result = self.fn(x)
+        return self.put(key, self.fn(x))
+
+    def get(self, key):
+        """The result remembered for ``key``, or ``_MISS``."""
+        new = self._new
+        if new[0] == key:
+            return new[1]
+        old = self._old
+        if old[0] == key:
+            self._new, self._old = old, new
+            return old[1]
+        return _MISS
+
+    def put(self, key, result):
+        """Remember ``result`` for ``key`` as the newer entry; return it as
+        the memo hands it out."""
         if isinstance(result, np.ndarray):
             result = result.view()
             result.flags.writeable = False
-        self._new, self._old = (key, result), new
+        self._new, self._old = (key, result), self._new
         return result
+
+
+class _GradMemo(_LastTwo):
+    """The gradient's `_LastTwo`, paired with its density's ``logpdf`` memo
+    and optional fused function for `value_and_grad`.  An integrator handed
+    ``density.grad`` can then fill both memos at a trajectory's endpoint
+    (see `maps.leapfrog`)."""
+
+    __slots__ = ("logpdf", "fused")
+
+    def __init__(self, fn, logpdf: _LastTwo, fused=None):
+        super().__init__(fn)
+        self.logpdf = logpdf
+        self.fused = fused
+
+    def value_and_grad(self, x):
+        """``(logpdf(x), grad(x))`` through both memos.
+
+        A point that misses both memos costs one call of ``fused`` when the
+        density supplies one, and one ``logpdf`` and one ``grad`` otherwise;
+        a point that hits one memo costs only the other function.
+        """
+        logpdf, fused = self.logpdf, self.fused
+        if type(x) is not np.ndarray or x.dtype != _FLOAT64:
+            return fused(x) if fused is not None else (logpdf.fn(x), self.fn(x))
+        key = (x.shape, x.tobytes())
+        value, g = logpdf.get(key), self.get(key)
+        if value is _MISS and g is _MISS and fused is not None:
+            value, g = fused(x)
+            return logpdf.put(key, value), self.put(key, g)
+        if value is _MISS:
+            value = logpdf.put(key, logpdf.fn(x))
+        if g is _MISS:
+            g = self.put(key, self.fn(x))
+        return value, g
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,16 +251,31 @@ class LogDensity:
     ``logpdf`` and ``grad`` must be pure functions of ``x``: each remembers
     its results at the two points it was last called on (see `_LastTwo`),
     so a point is evaluated once however many parts of a step ask for it.
+
+    ``value_and_grad`` returns ``(logpdf(x), grad(x))`` and fills both
+    memos.  A density may supply a fused function that computes the pair in
+    one pass; its results must equal ``logpdf``'s and ``grad``'s bitwise,
+    since a density rebuilt without it must give the same chains.  Without
+    one, the pair comes from the memoized ``logpdf`` and ``grad``.  A density
+    with a gradient always has ``value_and_grad``.
     """
 
     dim: int
     logpdf: Callable[[np.ndarray], float]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    value_and_grad: Optional[
+        Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "logpdf", _LastTwo(self.logpdf))
-        if self.grad is not None:
-            object.__setattr__(self, "grad", _LastTwo(self.grad))
+        logpdf = _LastTwo(self.logpdf)
+        object.__setattr__(self, "logpdf", logpdf)
+        if self.grad is None:
+            if self.value_and_grad is not None:
+                raise ConfigError("a fused value_and_grad needs the gradient too")
+            return
+        grad = _GradMemo(self.grad, logpdf, self.value_and_grad)
+        object.__setattr__(self, "grad", grad)
+        object.__setattr__(self, "value_and_grad", grad.value_and_grad)
 
     def __call__(self, x: np.ndarray) -> float:
         return self.logpdf(x)

@@ -65,11 +65,6 @@ class LeapfrogConfig:
             raise ConfigError("step count must be at least 1")
 
 
-def _default_grad_v(v: np.ndarray) -> np.ndarray:
-    # standard normal momentum: grad of log N(v|0,1) is -v
-    return -v
-
-
 def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
              grad_x: Callable[[np.ndarray], np.ndarray],
              grad_v: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -83,17 +78,30 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     half-kick of the next, so ``k`` steps cost ``k + 1`` gradients.  A
     non-finite gradient leaves ``v`` non-finite (later kicks only add to
     it), so one check of the final ``v`` covers the whole trajectory.
+
+    When ``grad_x`` is a `LogDensity`'s memoized gradient, only the start
+    goes through its memo: the interior positions are new points that
+    nothing asks for again, and the endpoint goes through the density's
+    ``value_and_grad``, since an acceptance test asks for its log-density
+    next.
     """
-    if grad_v is None:
-        grad_v = _default_grad_v
-    eps = cfg.eps
+    interior = endpoint = grad_x
+    fused = getattr(grad_x, "value_and_grad", None)
+    if fused is not None:
+        interior = grad_x.fn
+
+        def endpoint(y):
+            return fused(y)[1]
+
+    half, eps = 0.5 * cfg.eps, cfg.eps
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
     g = grad_x(x)
-    for _ in range(cfg.k):
-        v = v + 0.5 * eps * g
-        x = x - eps * grad_v(v)
-        g = grad_x(x)
-        v = v + 0.5 * eps * g
+    for step in range(1, cfg.k + 1):
+        v = v + half * g
+        # the drift for a standard normal momentum: -eps * (-v) is eps * v
+        x = x + eps * v if grad_v is None else x - eps * grad_v(v)
+        g = endpoint(x) if step == cfg.k else interior(x)
+        v = v + half * g
     if not np.all(np.isfinite(v)):
         raise ConfigError("non-finite gradient in leapfrog")
     return x, v

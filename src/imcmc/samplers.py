@@ -172,11 +172,18 @@ def mala_proposal(target: LogDensity, eps: float,
     def mean(point):
         return point.x + eps * target.grad(point.x)
 
-    return gaussian_slot_conditional(target.dim, mean, 2.0 * eps, name="mala",
+    cond = gaussian_slot_conditional(target.dim, mean, 2.0 * eps, name="mala",
                                      support_values=support_values)
+    cond.grad_of = target
+    return cond
 
 
-def _x_target(density: LogDensity):
+def _x_target(density: LogDensity, with_grad: bool = False):
+    """The target term ``point -> log p(point.x)``.  ``with_grad`` fills the
+    gradient memo in the same pass, for a kernel that asks for the gradient
+    at the proposal right after its log-density."""
+    if with_grad:
+        return lambda point: density.value_and_grad(point.x)[0]
     return lambda point: density.logpdf(point.x)
 
 
@@ -266,10 +273,14 @@ def make_mh(target: LogDensity, proposal: AuxiliaryConditional,
     """Metropolis-Hastings: swap involution over (x, proposal).
 
     Covers random-walk, Langevin (`mala_proposal`), and independence
-    samplers through the choice of proposal conditional.
+    samplers through the choice of proposal conditional.  A proposal that
+    reads the target's gradient at its conditioning point (``grad_of``, as
+    the Langevin one does) scores the reverse move right after the target
+    term, so the target term fetches both in one pass.
     """
     layout = xv_layout(target.dim)
-    return ImcmcKernel(layout, _x_target(target),
+    with_grad = getattr(proposal, "grad_of", None) is target
+    return ImcmcKernel(layout, _x_target(target, with_grad),
                        aux_refresh=[("v", proposal)],
                        involution=swap_blocks(slot="v"),
                        rule=rule, name=name)
@@ -607,6 +618,12 @@ def make_gibbs(target: LogDensity, blocks: Sequence[BlockConditional],
 # Hamiltonian family
 # ---------------------------------------------------------------------------
 
+def _momentum_grad(var: float) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """Gradient of log N(v | 0, var I); None (leapfrog's built-in standard
+    normal) at var 1, where ``-v / 1.0`` is ``-v``."""
+    return None if var == 1.0 else (lambda v: -v / var)
+
+
 def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
                      metric: Optional[Metric] = None,
                      momentum_var: float = 1.0,
@@ -624,8 +641,7 @@ def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
     layout = xv_layout(d)
     if metric is None:
         cond = momentum_cond if momentum_cond is not None else normal_momentum(d, momentum_var)
-        grad_v = (lambda v: -v / momentum_var)
-        inv = hmc_involution(cfg, target.grad, grad_v, slot="v")
+        inv = hmc_involution(cfg, target.grad, _momentum_grad(momentum_var), slot="v")
         return ImcmcKernel(layout, _x_target(target),
                            aux_refresh=[("v", cond)], involution=inv, name=name)
 
@@ -677,8 +693,7 @@ def make_embedded_flow(target: LogDensity, flow: FlowMap, cfg: LeapfrogConfig,
             raise ConfigError("supply the latent gradient for a general flow")
     d = target.dim
     layout = xv_layout(d)
-    grad_v = (lambda v: -v / momentum_var)
-    inner = hmc_involution(cfg, latent_grad, grad_v, slot="v")
+    inner = hmc_involution(cfg, latent_grad, _momentum_grad(momentum_var), slot="v")
     cond = momentum_cond if momentum_cond is not None else normal_momentum(d, momentum_var)
     # conjugation order: map into the latent space, integrate, map back
     return ImcmcKernel(layout, _x_target(target),
@@ -1020,7 +1035,8 @@ def make_irr_mala(target: LogDensity, eps: float,
 
     def fn(z: JointPoint):
         gx = target.grad(z.x)
-        gv = target.grad(z.v)
+        # z.v is the proposal, whose log-density the acceptance test needs next
+        gv = target.value_and_grad(z.v)[1]
         s = 1.0 if float(gx @ gv) >= 0.0 else -1.0
         return (z.with_x(z.v.copy()).with_v(z.x.copy())
                 .with_tag("d", int(-z.tag("d") * s)), 0.0)

@@ -134,23 +134,26 @@ def mog2() -> LogDensity:
         d2 = x - MOG2_MU2
         c1 = log_half + const - 0.5 * float(d1 @ d1) / MOG2_VAR
         c2 = log_half + const - 0.5 * float(d2 @ d2) / MOG2_VAR
-        return c1, c2
+        return c1, c2, d1, d2
 
     def logpdf(x):
-        c1, c2 = comps(x)
+        c1, c2, _, _ = comps(x)
         m = max(c1, c2)
         return m + math.log(math.exp(c1 - m) + math.exp(c2 - m))
 
-    def grad(x):
-        c1, c2 = comps(x)
+    def value_and_grad(x):
+        c1, c2, d1, d2 = comps(x)
         m = max(c1, c2)
         r1 = math.exp(c1 - m)
         r2 = math.exp(c2 - m)
         z = r1 + r2
         r1, r2 = r1 / z, r2 / z
-        return (r1 * -(x - MOG2_MU1) + r2 * -(x - MOG2_MU2)) / MOG2_VAR
+        return m + math.log(z), (r1 * -d1 + r2 * -d2) / MOG2_VAR
 
-    return LogDensity(dim=2, logpdf=logpdf, grad=grad)
+    def grad(x):
+        return value_and_grad(x)[1]
+
+    return LogDensity(dim=2, logpdf=logpdf, grad=grad, value_and_grad=value_and_grad)
 
 
 def mog2_cell_masses(edges_x: np.ndarray, edges_y: np.ndarray) -> np.ndarray:
@@ -174,8 +177,8 @@ def mog2_cell_masses(edges_x: np.ndarray, edges_y: np.ndarray) -> np.ndarray:
 
 def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     # log(1/(1+exp(-z))), stable on both tails
-    return np.where(z >= 0, -np.log1p(np.exp(-np.abs(z))),
-                    z - np.log1p(np.exp(-np.abs(z))))
+    tail = np.log1p(np.exp(-np.abs(z)))
+    return np.where(z >= 0, -tail, z - tail)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,47 +188,63 @@ class LogisticPosterior:
     The success logit is ``x'w - b`` and the prior variance on every
     coordinate is ``prior_var`` (0.1 unless overridden; the reference
     formulation writes the prior scale ambiguously and we read it as a
-    variance).  ``logpdf`` and ``grad`` take one parameter vector ``(d,)``
-    or rows ``(..., d)`` of them.
+    variance).  ``logpdf``, ``grad`` and ``value_and_grad`` take one
+    parameter vector ``(d,)`` or rows ``(..., d)`` of them;
+    ``value_and_grad`` forms the logits once for both.
     """
 
     X: np.ndarray
     y: np.ndarray
     prior_var: float = 0.1
+    # computed once from the fields above
+    _one_minus_y: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _prior_const: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
             raise ConfigError("design matrix and labels do not align")
         if not set(np.unique(self.y)) <= {0.0, 1.0}:
             raise ConfigError("labels must be 0/1")
+        object.__setattr__(self, "_one_minus_y", 1.0 - self.y)
+        object.__setattr__(self, "_prior_const",
+                           -0.5 * self.dim * math.log(2.0 * math.pi * self.prior_var))
 
     @property
     def dim(self) -> int:
         return self.X.shape[1] + 1
 
     def _logits(self, theta: np.ndarray) -> np.ndarray:
-        return theta[..., :-1] @ self.X.T - theta[..., -1:]
-
-    def logpdf(self, theta: np.ndarray):
         if theta.shape[-1] != self.dim:
             raise ConfigError(
                 f"parameter must have {self.dim} coordinates, got {theta.shape[-1]}")
-        z = self._logits(theta)
+        return theta[..., :-1] @ self.X.T - theta[..., -1:]
+
+    def _value(self, theta: np.ndarray, z: np.ndarray):
         logsig = _log_sigmoid(z)
         # log sigmoid(-z) = log sigmoid(z) - z
-        loglik = np.sum(self.y * logsig + (1.0 - self.y) * (logsig - z), axis=-1)
-        const = -0.5 * self.dim * math.log(2.0 * math.pi * self.prior_var)
-        return loglik + const - 0.5 * np.sum(theta * theta, axis=-1) / self.prior_var
+        loglik = np.sum(self.y * logsig + self._one_minus_y * (logsig - z), axis=-1)
+        return loglik + self._prior_const - 0.5 * np.sum(theta * theta, axis=-1) / self.prior_var
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        resid = self.y - 1.0 / (1.0 + np.exp(-self._logits(theta)))
+    def _grad(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        resid = self.y - 1.0 / (1.0 + np.exp(-z))
         g = np.empty(theta.shape)
         g[..., :-1] = resid @ self.X
         g[..., -1] = -np.sum(resid, axis=-1)
         return g - theta / self.prior_var
 
+    def logpdf(self, theta: np.ndarray):
+        return self._value(theta, self._logits(theta))
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        return self._grad(theta, self._logits(theta))
+
+    def value_and_grad(self, theta: np.ndarray):
+        z = self._logits(theta)
+        return self._value(theta, z), self._grad(theta, z)
+
     def density(self) -> LogDensity:
-        return LogDensity(dim=self.dim, logpdf=self.logpdf, grad=self.grad)
+        return LogDensity(dim=self.dim, logpdf=self.logpdf, grad=self.grad,
+                          value_and_grad=self.value_and_grad)
 
 
 KNOWN_DATASET_SHAPES = {

@@ -3,8 +3,10 @@
 A step needs the target at two points: the current point and the proposal.
 The current point is the previous step's proposal or current point, so
 `LogDensity` remembers its last two points and every kernel evaluates each
-point once.  Reuse changes no arithmetic, so seeded traces stay bitwise
-identical to those recorded before evaluations were reused.
+point once.  A kernel that needs the log-density and the gradient at a new
+point fetches both through one `value_and_grad` call, which a density may
+compute in one fused pass.  Reuse changes no arithmetic, so seeded traces
+stay bitwise identical to those recorded before evaluations were reused.
 """
 
 import hashlib
@@ -17,8 +19,10 @@ import pytest
 
 from imcmc.cli import RunConfig, build_kernel, build_target
 from imcmc.core import LogDensity, run_chain
+from imcmc.errors import ConfigError
+from imcmc.maps import LeapfrogConfig, leapfrog
 from imcmc.samplers import default_init
-from imcmc.targets import mog2
+from imcmc.targets import LogisticPosterior, mog2
 
 # every CLI kind on its default target
 SPECS = {
@@ -61,6 +65,26 @@ GOLDEN = {
 # cascade of `_reference_pis`
 LOOK_AHEAD_TRACE = "1d9c80a59a3e8120"
 
+# the gradient kinds (and rwm) on `_logreg_target`, with step sizes that
+# accept 58-97% of moves
+LOGREG_SPECS = {
+    "rwm": {"scale": 0.03},
+    "mala": {"eps": 0.006},
+    "irr_mala": {"eps": 0.001},
+    "hmc": {"eps": 0.1, "k": 4},
+    "persistent_hmc": {"eps": 0.1, "k": 1, "alpha": 0.8},
+}
+
+# `_digest` of 300 steps from seed 11 on `_logreg_target`, recorded while
+# the posterior computed its log-density and gradient in separate passes
+LOGREG_GOLDEN = {
+    "rwm": "30d11dab68a6c876",
+    "mala": "8afa1ad460a624e6",
+    "irr_mala": "e34ba2e109fc82e8",
+    "hmc": "96155286cb5da7a5",
+    "persistent_hmc": "04fff105fe81cef8",
+}
+
 N = 200
 
 
@@ -74,6 +98,19 @@ def _chain(kind, tgt=None, n=300, seed=11):
     kernel = _kernel(kind, tgt)
     return run_chain(kernel, default_init(kernel, tgt["x0"]), n, seed=seed,
                      record_tags=True)
+
+
+def _logreg_target():
+    """A synthetic 400 x 10 logistic posterior: half the covariates normal,
+    half 0/1, labels drawn from a random weight vector and bias."""
+    rng = np.random.Generator(np.random.Philox(7))
+    n, p = 400, 10
+    X = rng.standard_normal((n, p))
+    X[:, p // 2:] = rng.random((n, p - p // 2)) < 0.5
+    w = rng.standard_normal(p)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ w - 0.5)))).astype(float)
+    post = LogisticPosterior(X, y)
+    return {"density": post.density(), "x0": np.zeros(post.dim), "posterior": post}
 
 
 def _digest(res, accept_prob=True) -> str:
@@ -123,6 +160,16 @@ def _counted_chain(kind):
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_seeded_trace_matches_golden(kind):
     assert _digest(_chain(kind)) == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(LOGREG_GOLDEN))
+def test_seeded_logreg_trace_matches_golden(kind):
+    tgt = _logreg_target()
+    config = RunConfig(kind=kind, target="logreg", params=dict(LOGREG_SPECS[kind]))
+    kernel = build_kernel(config, tgt)
+    res = run_chain(kernel, default_init(kernel, tgt["x0"]), 300, seed=11,
+                    record_tags=True)
+    assert _digest(res) == LOGREG_GOLDEN[kind]
 
 
 def test_look_ahead_trace_matches_the_recursive_cascade():
@@ -206,11 +253,11 @@ def test_one_grad_per_step(kind):
 
 def test_hmc_grads_per_step():
     res, counts = _counted_chain("hmc")
-    # 16 new positions per step; a rejection keeps a start point whose
-    # gradient the 16 positions evicted, so the next step evaluates it again
-    rejected_before_last = int((~res.accepted[:-1].all(axis=1)).sum())
-    assert rejected_before_last > 0
-    assert counts["grad"] == 16 * N + 1 + rejected_before_last
+    # 16 new positions per step, plus the first step's start point.  The
+    # interior positions skip the memo, so it still holds a rejected step's
+    # start point when the next step starts there again.
+    assert (~res.accepted[:-1].all(axis=1)).sum() > 0
+    assert counts["grad"] == 16 * N + 1
 
 
 def test_memo_is_lru_over_two_points():
@@ -234,6 +281,111 @@ def test_memo_gradients_are_read_only_and_other_inputs_pass_through():
     density.grad([0.5, -0.5])
     density.grad(x.astype(np.float32))
     assert counts["grad"] == 3
+
+
+def _counters(post):
+    """Call counts, and ``name -> post.<name>`` wrappers that count into
+    them, for a posterior's logpdf, grad and value_and_grad."""
+    counts = {"logpdf": 0, "grad": 0, "value_and_grad": 0}
+
+    def counted(name):
+        fn = getattr(post, name)
+
+        def wrapper(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapper
+
+    return counts, counted
+
+
+def _counting_logreg():
+    """A small logistic posterior with `_counters` on it."""
+    rng = np.random.Generator(np.random.Philox(3))
+    post = LogisticPosterior(rng.standard_normal((20, 3)),
+                             (rng.random(20) < 0.5).astype(float))
+    return (post, *_counters(post))
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "separate"])
+@pytest.mark.parametrize("warm", [(), ("logpdf",), ("grad",), ("logpdf", "grad")],
+                         ids=["miss", "value_hit", "grad_hit", "both_hit"])
+def test_value_and_grad_evaluates_only_what_the_memos_miss(fused, warm):
+    post, counts, counted = _counting_logreg()
+    density = LogDensity(dim=post.dim, logpdf=counted("logpdf"), grad=counted("grad"),
+                         value_and_grad=counted("value_and_grad") if fused else None)
+    x = np.array([0.3, -0.2, 0.1, 0.4])
+    for name in warm:
+        getattr(density, name)(x)
+    before = dict(counts)
+    value, g = density.value_and_grad(x)
+    spent = {name: counts[name] - before[name] for name in counts}
+    if fused and not warm:
+        want = {"logpdf": 0, "grad": 0, "value_and_grad": 1}
+    else:
+        want = {"logpdf": int("logpdf" not in warm), "grad": int("grad" not in warm),
+                "value_and_grad": 0}
+    assert spent == want
+    assert value == post.logpdf(x) and np.array_equal(g, post.grad(x))
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    # both memos now hold the pair
+    assert density.logpdf(x) is value and density.grad(x) is g
+    again = density.value_and_grad(x.copy())
+    assert again[0] is value and again[1] is g
+    assert counts == {name: before[name] + want[name] for name in counts}
+
+
+def test_value_and_grad_passes_other_inputs_through():
+    post, counts, counted = _counting_logreg()
+    density = LogDensity(dim=post.dim, logpdf=counted("logpdf"), grad=counted("grad"),
+                         value_and_grad=counted("value_and_grad"))
+    x = np.array([0.3, -0.2, 0.1, 0.4])
+    for _ in range(2):
+        density.value_and_grad(x)
+        density.value_and_grad(x.astype(np.float32))
+    # the float64 point is remembered; the float32 one passes through each time
+    assert counts == {"logpdf": 0, "grad": 0, "value_and_grad": 3}
+    with pytest.raises(ConfigError):
+        LogDensity(dim=4, logpdf=post.logpdf, value_and_grad=post.value_and_grad)
+
+
+@pytest.mark.parametrize("kind,want", [
+    # run_chain's initial check is the fused target term of mala
+    ("mala", {"logpdf": 0, "grad": 0, "value_and_grad": N + 1}),
+    ("irr_mala", {"logpdf": 1, "grad": 1, "value_and_grad": N}),
+    # k - 1 interior gradients and a fused endpoint per trajectory
+    ("hmc", {"logpdf": 1, "grad": 1 + 3 * N, "value_and_grad": N}),
+    ("persistent_hmc", {"logpdf": 1, "grad": 1, "value_and_grad": N}),
+    ("rwm", {"logpdf": N + 1, "grad": 0, "value_and_grad": 0}),
+])
+def test_each_proposal_costs_one_fused_call(kind, want):
+    tgt = _logreg_target()
+    post = tgt["posterior"]
+    counts, counted = _counters(post)
+    tgt["density"] = LogDensity(dim=post.dim, logpdf=counted("logpdf"), grad=counted("grad"),
+                                value_and_grad=counted("value_and_grad"))
+    kernel = build_kernel(RunConfig(kind=kind, target="logreg",
+                                    params=dict(LOGREG_SPECS[kind])), tgt)
+    res = run_chain(kernel, default_init(kernel, tgt["x0"]), N, seed=11)
+    assert (~res.accepted.all(axis=1)).any()
+    assert counts == want
+
+
+def test_leapfrog_remembers_only_its_start_and_endpoint():
+    post, counts, counted = _counting_logreg()
+    density = LogDensity(dim=post.dim, logpdf=counted("logpdf"), grad=counted("grad"))
+    x0, v0 = np.array([0.3, -0.2, 0.1, 0.4]), np.array([1.0, 0.5, -0.5, 0.2])
+    cfg = LeapfrogConfig(0.05, 5)
+    x, v = leapfrog(x0, v0, cfg, density.grad)
+    plain = leapfrog(x0, v0, cfg, post.grad)
+    assert np.array_equal(x, plain[0]) and np.array_equal(v, plain[1])
+    # k + 1 gradients, and the endpoint's log-density in the same pass
+    assert counts == {"logpdf": 1, "grad": cfg.k + 1, "value_and_grad": 0}
+    density.grad(x0)
+    density.logpdf(x)
+    density.grad(x)
+    assert counts == {"logpdf": 1, "grad": cfg.k + 1, "value_and_grad": 0}
 
 
 def test_threads_sharing_a_density_reproduce_serial_traces():
@@ -267,6 +419,37 @@ def _threads_reproduce_serial_traces(kinds, seeds=(1, 1, 2, 2)):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_memos_shared_by_threads_return_each_points_own_pair():
+    post = _counting_logreg()[0]
+    density = post.density()
+    points = [np.array([0.1 * i, -0.05 * i, 0.02 * i, 0.3]) for i in range(6)]
+    want = [(post.logpdf(x), post.grad(x)) for x in points]
+
+    def wrong(j, call):
+        value, g = want[j]
+        if call == 0:
+            return density.logpdf(points[j]) != value
+        if call == 1:
+            return not np.array_equal(density.grad(points[j]), g)
+        got = density.value_and_grad(points[j])
+        return got[0] != value or not np.array_equal(got[1], g)
+
+    def hammer(offset):
+        # the threads cycle through the same points out of phase, each
+        # interleaving fused calls with plain logpdf and grad calls
+        return sum(wrong((i + offset) % 6, (i // 6 + offset) % 3) for i in range(6000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(hammer, offset) for offset in (0, 1, 3, 4)]
+            wrong_counts = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong_counts == [0, 0, 0, 0]
 
 
 def test_memo_shared_by_threads_returns_each_points_own_result():

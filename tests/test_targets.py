@@ -101,6 +101,52 @@ def test_logreg_gradient_and_dim_check():
         post.logpdf(np.zeros(3))
 
 
+def test_logreg_grad_checks_the_parameter_length():
+    post = LogisticPosterior(np.ones((5, 2)), np.array([0.0, 1.0, 1.0, 0.0, 1.0]))
+    for method in (post.logpdf, post.grad, post.value_and_grad):
+        for theta in (np.zeros(2), np.zeros(4), np.zeros((3, 4))):
+            with pytest.raises(ConfigError, match="parameter must have 3 coordinates"):
+                method(theta)
+
+
+def _reference_logreg(post, theta):
+    """The posterior's log-density and gradient as two separate passes,
+    each forming its own logits."""
+    z = theta[..., :-1] @ post.X.T - theta[..., -1:]
+    logsig = np.where(z >= 0, -np.log1p(np.exp(-np.abs(z))),
+                      z - np.log1p(np.exp(-np.abs(z))))
+    loglik = np.sum(post.y * logsig + (1.0 - post.y) * (logsig - z), axis=-1)
+    const = -0.5 * post.dim * math.log(2.0 * math.pi * post.prior_var)
+    value = loglik + const - 0.5 * np.sum(theta * theta, axis=-1) / post.prior_var
+    resid = post.y - 1.0 / (1.0 + np.exp(-(theta[..., :-1] @ post.X.T - theta[..., -1:])))
+    g = np.empty(theta.shape)
+    g[..., :-1] = resid @ post.X
+    g[..., -1] = -np.sum(resid, axis=-1)
+    return value, g - theta / post.prior_var
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("scale", [0.3, 300.0])
+def test_logreg_value_and_grad_equals_separate_passes_bitwise(shape, scale):
+    rng = make_rng(14)
+    X = rng.standard_normal((200, 6))
+    X[:, 3:] = rng.random((200, 3)) < 0.5
+    post = LogisticPosterior(X, (rng.random(200) < 0.4).astype(float))
+    theta = scale * rng.standard_normal((*shape, post.dim))
+    with np.errstate(over="ignore"):
+        want_value, want_grad = _reference_logreg(post, theta)
+        z = theta[..., :-1] @ X.T - theta[..., -1:]
+        if scale > 1.0:
+            # exp overflows in the gradient and underflows in the log-sigmoid
+            assert np.isinf(np.exp(-z)).any() and (np.exp(-np.abs(z)) == 0.0).any()
+        value, g = post.value_and_grad(theta)
+        separate = post.logpdf(theta), post.grad(theta)
+    assert np.shape(value) == shape and g.shape == theta.shape
+    for got in ((value, g), separate):
+        assert np.array_equal(got[0], want_value) and np.array_equal(got[1], want_grad)
+        assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+
+
 def _write_csv(path, rows, header=None):
     lines = ([header] if header else []) + [",".join(str(v) for v in r) for r in rows]
     path.write_text("\n".join(lines) + "\n")
