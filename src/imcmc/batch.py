@@ -34,7 +34,6 @@ __all__ = [
     "batch_nice_mc",
     "logreg_batch",
     "mog2_batch",
-    "normal_batch",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -78,13 +77,6 @@ def mog2_batch() -> BatchTarget:
     return BatchTarget(dim=2, logpdf=logpdf, grad=grad)
 
 
-def normal_batch(dim: int) -> BatchTarget:
-    const = -0.5 * dim * _LOG_2PI
-    return BatchTarget(dim=dim,
-                       logpdf=lambda X: const - 0.5 * np.sum(X * X, axis=1),
-                       grad=lambda X: -X)
-
-
 def logreg_batch(posterior) -> BatchTarget:
     """The logistic-regression posterior over rows (rows = chains)."""
     return BatchTarget(posterior.dim, posterior.logpdf, posterior.grad)
@@ -104,11 +96,6 @@ batch_coupling_inverse = CouplingMap.inverse_arrays
 class BatchResult:
     xs: np.ndarray         # (steps, chains, dim)
     accepted: np.ndarray   # (steps, chains) move-kernel flags
-    seconds: float = 0.0
-
-    @property
-    def n_steps(self) -> int:
-        return self.xs.shape[0]
 
 
 def _norm_logpdf(diff: np.ndarray, var: float) -> np.ndarray:

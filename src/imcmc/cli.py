@@ -330,14 +330,9 @@ def cmd_verify(suite: str, mutant: bool = False) -> int:
     if mutant:
         # inject the broken-acceptance fixture as a live check: it must make
         # the suite fail, demonstrating the oracle's discriminative power
-        case = vs.mutant_case()
-        from .diagnostics import check_stationary
-
-        resid = check_stationary(case.check_matrix(), case.check_pmf,
-                                 vs.STATIONARY_TOL)
+        row = vs._mutant_check()
         results.append(vs.CheckResult("injected_mutant", "stationarity",
-                                      resid.residual, vs.STATIONARY_TOL,
-                                      resid.passed))
+                                      row.value, row.threshold, not row.passed))
     failures = 0
     for r in results:
         print(r.line())
@@ -381,8 +376,7 @@ def cmd_bench(cfg: RunConfig, samplers: list[str]) -> list[dict]:
     for kind in samplers:
         if kind not in BENCH_KINDS:
             raise ConfigError(f"bench supports {', '.join(BENCH_KINDS)}; got {kind!r}")
-        params = dict(cfg.params)
-        spec = SamplerSpec(kind, params) if kind != "nice_mc" else SamplerSpec(kind, {})
+        params = SamplerSpec(kind, cfg.params).params
         rng = make_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         t0 = time.perf_counter()
         if kind == "mala":

@@ -252,6 +252,15 @@ def swap_slots(a: str, b: str, name: str = "swap_slots") -> Involution:
     return Involution(fn, name=name)
 
 
+def _swap_negate_fn(z: JointPoint):
+    return (z.with_x(z.v.copy()).with_v(z.x.copy())
+            .with_tag("d", -z.tag("d")), 0.0)
+
+
+# the lifted chains' move: exchange x and v and negate the direction tag "d"
+_swap_negate = Involution(_swap_negate_fn, name="swap_negate")
+
+
 def hmc_involution(cfg: LeapfrogConfig, grad_x, grad_v=None,
                    slot: Optional[str] = None) -> Involution:
     """Flip composed with k leapfrog steps; an involution for separable joints."""

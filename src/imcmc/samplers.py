@@ -37,6 +37,7 @@ from .maps import (
     LeapfrogConfig,
     Metric,
     RiemannianHamiltonian,
+    _swap_negate,
     cdf_map,
     direction_augment,
     embed,
@@ -46,7 +47,7 @@ from .maps import (
     swap_blocks,
     swap_slots,
 )
-from .targets import Cdf1D
+from .targets import Cdf1D, _grid_logpmf
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -98,14 +99,64 @@ def xv_layout(d: int, tags: tuple[str, ...] = (), scratch: bool = False,
     return Layout(x_dim=d, v_dim=v_dim, slots=slots, tags=tags, tag_values=tv)
 
 
-def _grid_logpmf(stacked: np.ndarray, w: np.ndarray, value) -> float:
-    """Log weight of the first grid row within 1e-9 of ``value`` (sup norm)."""
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
-    if hits.size == 0:
-        return -math.inf
-    p = w[hits[0]]
-    return math.log(p) if p > 0 else -math.inf
+class ProposalFamily:
+    """Reusable proposal density q(. | center) over one block.
+
+    Seen from a point (`_family_conditional`) a family is a slot conditional;
+    the multiple-try and sample-adaptive kernels also score it at centers of
+    their own.
+    """
+
+    def __init__(self, sample, logpdf, support=None):
+        self.sample = sample          # (rng, center) -> array
+        self.logpdf = logpdf          # (value, center) -> float
+        self.support = support        # center -> [(value, prob)] or None
+
+
+def gaussian_family(d: int, var) -> ProposalFamily:
+    var = np.broadcast_to(np.asarray(var, dtype=float), (d,)).copy()
+    const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
+
+    def logpdf(value, center):
+        diff = np.asarray(value) - np.asarray(center)
+        return const - 0.5 * float((diff * diff / var).sum())
+
+    return ProposalFamily(
+        sample=lambda rng, center: np.asarray(center) + np.sqrt(var) * rng.standard_normal(d),
+        logpdf=logpdf)
+
+
+def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
+    """Finite proposal family over grid values with weights exp(logpdf_fn)."""
+    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
+    stacked = np.stack(vals)
+
+    def weights(center):
+        logs = np.array([logpdf_fn(u, center) for u in vals])
+        w = np.exp(logs - logs.max())
+        return w / w.sum()
+
+    def sample(rng, center):
+        return vals[rng.choice(len(vals), p=weights(center))]
+
+    def logpdf(value, center):
+        return _grid_logpmf(stacked, weights(center), value)
+
+    def support(center):
+        return list(zip(vals, weights(center).tolist()))
+
+    return ProposalFamily(sample, logpdf, support)
+
+
+def _family_conditional(family: ProposalFamily, center_fn,
+                        name: str) -> AuxiliaryConditional:
+    """A proposal family seen from a point: ``q(. | center_fn(point))``."""
+    sample, logpdf, support = family.sample, family.logpdf, family.support
+    return AuxiliaryConditional(
+        lambda rng, point: sample(rng, center_fn(point)),
+        lambda value, point: logpdf(value, center_fn(point)),
+        None if support is None else (lambda point: support(center_fn(point))),
+        name=name)
 
 
 def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
@@ -116,38 +167,12 @@ def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
     With ``support_values`` the conditional becomes a normalized finite
     restriction of the same density (enumerable by the matrix oracle).
     """
-    var = np.broadcast_to(np.asarray(var, dtype=float), (dim,)).copy()
-    const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
-
     if support_values is None:
-        def _sample(rng, point):
-            return mean_fn(point) + np.sqrt(var) * rng.standard_normal(dim)
-
-        def _logpdf(value, point):
-            d = np.asarray(value) - mean_fn(point)
-            return const - 0.5 * float((d * d / var).sum())
-
-        return AuxiliaryConditional(_sample, _logpdf, name=name)
-
-    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in support_values]
-    stacked = np.stack(vals)
-
-    def _weights(point):
-        mu = mean_fn(point)
-        logs = np.array([-0.5 * float(np.sum((u - mu) ** 2 / var)) for u in vals])
-        w = np.exp(logs - logs.max())
-        return w / w.sum()
-
-    def _sample(rng, point):
-        return vals[rng.choice(len(vals), p=_weights(point))]
-
-    def _logpdf(value, point):
-        return _grid_logpmf(stacked, _weights(point), value)
-
-    def _support(point):
-        return list(zip(vals, _weights(point).tolist()))
-
-    return AuxiliaryConditional(_sample, _logpdf, _support, name=name)
+        return _family_conditional(gaussian_family(dim, var), mean_fn, name)
+    var = np.broadcast_to(np.asarray(var, dtype=float), (dim,)).copy()
+    family = grid_family(support_values,
+                         lambda u, c: -0.5 * float(np.sum((u - c) ** 2 / var)))
+    return _family_conditional(family, mean_fn, name)
 
 
 def normal_momentum(d: int, var: float = 1.0,
@@ -307,50 +332,6 @@ def make_mixture_proposal(target: LogDensity, index: TagConditional,
 # multiple-try Metropolis
 # ---------------------------------------------------------------------------
 
-class ProposalFamily:
-    """Reusable proposal density q(. | center) over the target block."""
-
-    def __init__(self, sample, logpdf, support=None):
-        self.sample = sample          # (rng, center) -> array
-        self.logpdf = logpdf          # (value, center) -> float
-        self.support = support        # center -> [(value, prob)] or None
-
-
-def gaussian_family(d: int, var) -> ProposalFamily:
-    var = np.broadcast_to(np.asarray(var, dtype=float), (d,)).copy()
-    const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
-
-    def logpdf(value, center):
-        diff = np.asarray(value) - np.asarray(center)
-        return const - 0.5 * float((diff * diff / var).sum())
-
-    return ProposalFamily(
-        sample=lambda rng, center: np.asarray(center) + np.sqrt(var) * rng.standard_normal(d),
-        logpdf=logpdf)
-
-
-def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
-    """Finite proposal family over grid values with weights exp(logpdf_fn)."""
-    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
-    stacked = np.stack(vals)
-
-    def weights(center):
-        logs = np.array([logpdf_fn(u, center) for u in vals])
-        w = np.exp(logs - logs.max())
-        return w / w.sum()
-
-    def sample(rng, center):
-        return vals[rng.choice(len(vals), p=weights(center))]
-
-    def logpdf(value, center):
-        return _grid_logpmf(stacked, weights(center), value)
-
-    def support(center):
-        return list(zip(vals, weights(center).tolist()))
-
-    return ProposalFamily(sample, logpdf, support)
-
-
 def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
                       lam: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
                       name: str = "mtm") -> ImcmcKernel:
@@ -483,21 +464,7 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
     def joint_target(point):
         return math.fsum(target.logpdf(xi) for xi in ensemble(point))
 
-    def prop_cond_center(point):
-        return g(ensemble(point))
-
-    def _sample(rng, point):
-        return family.sample(rng, prop_cond_center(point))
-
-    def _logpdf(value, point):
-        return family.logpdf(value, prop_cond_center(point))
-
-    def _support(point):
-        if family.support is None:
-            return None
-        return family.support(prop_cond_center(point))
-
-    prop_cond = AuxiliaryConditional(_sample, _logpdf, _support, name="prop")
+    prop_cond = _family_conditional(family, lambda point: g(ensemble(point)), "prop")
 
     def log_lams(point):
         S = ensemble(point)
@@ -963,14 +930,9 @@ def make_lifted(base: np.ndarray, values: Sequence[float], log_weights: Sequence
         return up[i] if point.tag("d") == 1 else down[i]
 
     q_cond = grid_conditional([np.array([u]) for u in vals], probs, name="split_rw")
-
-    def fn(z: JointPoint):
-        return (z.with_x(z.v.copy()).with_v(z.x.copy())
-                .with_tag("d", -z.tag("d")), 0.0)
-
     t1 = ImcmcKernel(layout, lambda point: grid.logpdf(point.x),
                      aux_refresh=[("v", q_cond)],
-                     involution=Involution(fn, name="swap_negate"),
+                     involution=_swap_negate,
                      name=f"{name}_move")
     t2 = tag_flip_kernel(layout, "d", name=f"{name}_flip")
     return compose([t1, t2], name=name)
@@ -995,14 +957,9 @@ def make_lifted_rw1d(target: LogDensity, scale: float,
         return log2 + const - 0.5 * step * step / (scale * scale)
 
     q_cond = AuxiliaryConditional(_sample, _logpdf, name="half_normal")
-
-    def fn(z: JointPoint):
-        return (z.with_x(z.v.copy()).with_v(z.x.copy())
-                .with_tag("d", -z.tag("d")), 0.0)
-
     t1 = ImcmcKernel(layout, _x_target(target),
                      aux_refresh=[("v", q_cond)],
-                     involution=Involution(fn, name="swap_negate"),
+                     involution=_swap_negate,
                      name=f"{name}_move")
     t2 = tag_flip_kernel(layout, "d", name=f"{name}_flip")
     return compose([t1, t2], name=name)

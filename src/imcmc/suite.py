@@ -670,11 +670,16 @@ def _stationarity_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[Che
         resid = check_stationary(case.check_matrix(T), case.check_pmf, STATIONARY_TOL)
         out.append(CheckResult(case.name, "stationarity", resid.residual,
                                STATIONARY_TOL, resid.passed))
+    out.append(_mutant_check())
+    return out
+
+
+def _mutant_check() -> CheckResult:
+    """The mutant's stationarity residual; the check passes when it fails."""
     mut = mutant_case()
     resid = check_stationary(mut.check_matrix(), mut.check_pmf, STATIONARY_TOL)
-    out.append(CheckResult(mut.name, "stationarity-must-fail", resid.residual,
-                           STATIONARY_TOL, not resid.passed))
-    return out
+    return CheckResult(mut.name, "stationarity-must-fail", resid.residual,
+                       STATIONARY_TOL, not resid.passed)
 
 
 def _balance_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:

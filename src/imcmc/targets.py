@@ -381,6 +381,17 @@ class GridDensity:
                           grad=self.grad if self._grad is not None else None)
 
 
+def _grid_logpmf(stacked: np.ndarray, p: np.ndarray, value) -> float:
+    """Log probability of the first grid row within 1e-9 of ``value`` (sup
+    norm): -inf off the grid or at probability zero, NaN at a NaN one."""
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
+    if hits.size == 0:
+        return -math.inf
+    pi = p[hits[0]]
+    return -math.inf if pi <= 0.0 else math.log(pi)
+
+
 def grid_conditional(values: Sequence, probs: Callable[[JointPoint], np.ndarray],
                      name: str = "") -> AuxiliaryConditional:
     """Finite-support conditional over vector slot values.
@@ -389,18 +400,14 @@ def grid_conditional(values: Sequence, probs: Callable[[JointPoint], np.ndarray]
     support hook makes the conditional enumerable by the matrix oracle.
     """
     vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
+    stacked = np.stack(vals)
 
     def _sample(rng, point):
         p = np.asarray(probs(point), dtype=float)
         return vals[rng.choice(len(vals), p=p / p.sum())]
 
     def _logpdf(value, point):
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        p = np.asarray(probs(point), dtype=float)
-        for u, pi in zip(vals, p):
-            if np.max(np.abs(u - value)) <= 1e-9:
-                return -math.inf if pi <= 0.0 else math.log(pi)
-        return -math.inf
+        return _grid_logpmf(stacked, np.asarray(probs(point), dtype=float), value)
 
     def _support(point):
         p = np.asarray(probs(point), dtype=float)

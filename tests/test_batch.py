@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from imcmc.batch import (
+    BatchTarget,
     batch_coupling_forward,
     batch_coupling_inverse,
     batch_irr_mala,
@@ -24,7 +25,6 @@ from imcmc.batch import (
     batch_nice_mc,
     logreg_batch,
     mog2_batch,
-    normal_batch,
 )
 from imcmc.core import make_rng, run_chain
 from imcmc.maps import CouplingMap, affine_coupling
@@ -139,7 +139,9 @@ def test_batch_irr_nice_mc_equals_engine(coupling):
 
 
 def test_batch_chains_are_exchangeable_not_identical():
-    mb = normal_batch(2)
+    const = -math.log(2.0 * math.pi)
+    mb = BatchTarget(dim=2, logpdf=lambda X: const - 0.5 * np.sum(X * X, axis=1),
+                     grad=lambda X: -X)
     got = batch_mala(mb, 0.2, 8, 3000, make_rng(15), np.zeros(2))
     # different chains see different noise
     assert not np.array_equal(got.xs[:, 0, :], got.xs[:, 1, :])

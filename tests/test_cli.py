@@ -174,6 +174,13 @@ def test_verify_mutant_fails(capsys):
     assert run_cli(["verify", "stationarity", "--mutant"]) == 1
     out = capsys.readouterr().out
     assert "injected_mutant" in out
+    rows = {line.split()[1]: line.split() for line in out.splitlines()
+            if line.startswith("[")}
+    injected, suite_row = rows["injected_mutant"], rows["mutant_mh"]
+    assert injected[0] == "[FAIL]" and suite_row[0] == "[pass]"
+    assert suite_row[2] == "stationarity-must-fail"
+    # the same residual, printed once as a failure and once as the control
+    assert injected[3] == suite_row[3]
 
 
 def test_bench_table_format(tmp_path, capsys):

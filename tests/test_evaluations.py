@@ -22,6 +22,7 @@ from imcmc.core import LogDensity, run_chain
 from imcmc.errors import ConfigError
 from imcmc.maps import LeapfrogConfig, leapfrog
 from imcmc.samplers import default_init
+from imcmc.suite import finite_cases
 from imcmc.targets import LogisticPosterior, mog2
 
 # every CLI kind on its default target
@@ -83,6 +84,17 @@ LOGREG_GOLDEN = {
     "irr_mala": "e34ba2e109fc82e8",
     "hmc": "96155286cb5da7a5",
     "persistent_hmc": "04fff105fe81cef8",
+}
+
+# `_digest` of 2000 steps from seed 11 and each case's first state, for
+# finite cases whose proposals are finite conditionals (a Langevin grid, grid
+# families, a grid lookup), recorded while `gaussian_slot_conditional` and
+# `make_sample_adaptive` still wrote out their own sampling and density code
+FINITE_GOLDEN = {
+    "mala_grid": "480080da32a70ab7",
+    "sample_adaptive_3state": "c4a240cf40a18984",
+    "mtm_2state_k2": "2856c5b8f8651596",
+    "mh_2state_metropolis": "cce8c19cc728501b",
 }
 
 N = 200
@@ -170,6 +182,16 @@ def test_seeded_logreg_trace_matches_golden(kind):
     res = run_chain(kernel, default_init(kernel, tgt["x0"]), 300, seed=11,
                     record_tags=True)
     assert _digest(res) == LOGREG_GOLDEN[kind]
+
+
+def test_seeded_finite_case_traces_match_golden():
+    cases = {c.name: c for c in finite_cases()}
+    got = {}
+    for name in FINITE_GOLDEN:
+        case = cases[name]
+        got[name] = _digest(run_chain(case.kernel, case.states[0], 2000, seed=11,
+                                      record_tags=True))
+    assert got == FINITE_GOLDEN
 
 
 def test_look_ahead_trace_matches_the_recursive_cascade():

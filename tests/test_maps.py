@@ -12,6 +12,7 @@ from imcmc.maps import (
     LeapfrogConfig,
     Metric,
     RiemannianHamiltonian,
+    _swap_negate,
     additive_coupling,
     affine_coupling,
     affine_x_flow,
@@ -143,6 +144,15 @@ def test_swap_slots():
     z1, ld = inv.forward(z)
     assert ld == 0.0
     assert z1.slot("a")[0] == 2.0 and z1.slot("b")[0] == 1.0
+
+
+def test_swap_negate_is_an_involution():
+    lay = Layout(x_dim=1, v_dim=1, slots={"v": slice(0, 1)}, tags=("d",),
+                 tag_values={"d": (-1, 1)})
+    pts = random_points(lay, 50, make_rng(3))
+    assert verify_involution(_swap_negate, pts).passed
+    z1, ld = _swap_negate.forward(lay.point([0.5], [2.0], (1,)))
+    assert (z1.x[0], z1.v[0], z1.tag("d"), ld) == (2.0, 0.5, -1, 0.0)
 
 
 def test_hmc_involution_eps_to_zero_limit():

@@ -430,3 +430,141 @@ def test_sampler_spec_validation():
     with pytest.raises(ConfigError):
         SamplerSpec("warp_drive", {})
     assert "irr_nice_mc" in SamplerSpec.kinds()
+
+
+# ---------------------------------------------------------------------------
+# slot conditionals against the closures they were written as before they
+# became proposal families seen from a point
+# ---------------------------------------------------------------------------
+
+def _reference_grid_logpmf(stacked, w, value):
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
+    if hits.size == 0:
+        return -math.inf
+    p = w[hits[0]]
+    return math.log(p) if p > 0 else -math.inf
+
+
+def _reference_gaussian_slot(dim, mean_fn, var, support_values=None):
+    """(sample, logpdf, support) written out as closures over a mean."""
+    var = np.broadcast_to(np.asarray(var, dtype=float), (dim,)).copy()
+    const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
+    if support_values is None:
+        def sample(rng, point):
+            return mean_fn(point) + np.sqrt(var) * rng.standard_normal(dim)
+
+        def logpdf(value, point):
+            d = np.asarray(value) - mean_fn(point)
+            return const - 0.5 * float((d * d / var).sum())
+
+        return sample, logpdf, lambda point: None
+
+    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in support_values]
+    stacked = np.stack(vals)
+
+    def weights(point):
+        mu = mean_fn(point)
+        logs = np.array([-0.5 * float(np.sum((u - mu) ** 2 / var)) for u in vals])
+        w = np.exp(logs - logs.max())
+        return w / w.sum()
+
+    return (lambda rng, point: vals[rng.choice(len(vals), p=weights(point))],
+            lambda value, point: _reference_grid_logpmf(stacked, weights(point), value),
+            lambda point: list(zip(vals, weights(point).tolist())))
+
+
+def _reference_grid_logpdf(vals, p, value):
+    """The grid lookup as a loop over the candidate values."""
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    for u, pi in zip(vals, p):
+        if np.max(np.abs(u - value)) <= 1e-9:
+            return -math.inf if pi <= 0.0 else math.log(pi)
+    return -math.inf
+
+
+def _same_floats(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_conditional(cond, reference, points, values):
+    sample, logpdf, support = reference
+    for i, pt in enumerate(points):
+        assert _same_floats(cond.sample(make_rng(i), pt), sample(make_rng(i), pt))
+        for u in values:
+            assert float(cond.logpdf(u, pt)).hex() == float(logpdf(u, pt)).hex()
+        got, want = cond.support(pt), support(pt)
+        if want is None:
+            assert got is None
+        else:
+            assert len(got) == len(want)
+            for (u, p), (uw, pw) in zip(got, want):
+                assert _same_floats(u, uw) and float(p).hex() == float(pw).hex()
+
+
+_GRID2 = [np.array([a, b]) for a in (-1.0, 0.0, 1.5) for b in (-0.5, 0.5)]
+
+
+@pytest.mark.parametrize("var", [0.7, [0.5, 2.0]], ids=["scalar", "vector"])
+@pytest.mark.parametrize("grid", [False, True], ids=["gaussian", "support"])
+def test_gaussian_slot_conditional_is_bitwise_the_written_out_closures(var, grid):
+    from imcmc.samplers import gaussian_slot_conditional, xv_layout
+
+    lay = xv_layout(2)
+
+    def mean(point):
+        return 0.5 * point.x + np.array([0.1, -0.2])
+
+    support = _GRID2 if grid else None
+    cond = gaussian_slot_conditional(2, mean, var, name="q", support_values=support)
+    ref = _reference_gaussian_slot(2, mean, var, support)
+    points = [lay.point(x, [0.0, 0.0]) for x in ([0.0, 0.0], [1.3, -0.4], [-2.0, 0.9])]
+    values = _GRID2 + [np.array([0.25, -0.75]), np.array([1.5, 0.5 + 1e-12])]
+    _assert_same_conditional(cond, ref, points, values)
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["gaussian", "support"])
+def test_mala_proposal_is_bitwise_the_written_out_closures(grid):
+    from imcmc.samplers import xv_layout
+
+    target, eps = bivariate_normal(0.6), 0.3
+    support = _GRID2 if grid else None
+    cond = mala_proposal(target, eps, support_values=support)
+    ref = _reference_gaussian_slot(2, lambda pt: pt.x + eps * target.grad(pt.x),
+                                   2.0 * eps, support)
+    lay = xv_layout(2)
+    points = [lay.point(x, [0.0, 0.0]) for x in ([0.0, 0.0], [1.5, -0.5], [-1.0, 0.5])]
+    values = _GRID2 + [np.array([0.3, 0.3])]
+    _assert_same_conditional(cond, ref, points, values)
+
+
+def test_grid_conditional_logpdf_is_bitwise_the_loop():
+    from imcmc.samplers import xv_layout
+    from imcmc.targets import grid_conditional
+
+    # the second and fourth candidates tie with the first and the third
+    vals = [np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([2.0, -1.0]),
+            np.array([2.0, -1.0 + 1e-10]), np.array([3.0, 3.0])]
+    p = np.array([0.1, 0.2, 0.0, 0.3, 0.4])
+    cond = grid_conditional(vals, lambda pt: p)
+    pt = xv_layout(2).point([0.0, 0.0], [0.0, 0.0])
+    on_grid = vals + [np.array([3.0, 3.0 + 5e-10])]
+    off_grid = [np.array([0.0, 1.0 + 1e-8]), np.array([1.0, 1.0]), np.array([-3.0, 3.0])]
+    for u in on_grid + off_grid:
+        assert float(cond.logpdf(u, pt)).hex() == float(_reference_grid_logpdf(vals, p, u)).hex()
+    assert cond.logpdf(vals[1], pt) == math.log(0.1)         # first tie wins
+    assert cond.logpdf(vals[2], pt) == -math.inf             # zero probability
+    assert cond.logpdf(vals[3], pt) == -math.inf             # ties with vals[2]
+    assert cond.logpdf(off_grid[1], pt) == -math.inf
+
+
+def test_grid_conditional_nan_probability_scores_nan():
+    from imcmc.samplers import xv_layout
+    from imcmc.targets import grid_conditional
+
+    vals = [np.array([0.0]), np.array([1.0])]
+    cond = grid_conditional(vals, lambda pt: np.array([math.nan, 1.0]))
+    pt = xv_layout(1).point([0.0], [0.0])
+    assert math.isnan(cond.logpdf(np.array([0.0]), pt))
+    assert cond.logpdf(np.array([1.0]), pt) == 0.0
