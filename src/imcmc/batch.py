@@ -166,8 +166,7 @@ def batch_irr_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
 
 
 def batch_nice_mc(target: BatchTarget, cmap: CouplingMap, n_chains: int,
-                  n_steps: int, rng: np.random.Generator, x0: np.ndarray,
-                  momentum_var: float = 1.0) -> BatchResult:
+                  n_steps: int, rng: np.random.Generator, x0: np.ndarray) -> BatchResult:
     """Coupling-map chains with freshly drawn momentum and direction."""
     d = target.dim
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
@@ -175,8 +174,8 @@ def batch_nice_mc(target: BatchTarget, cmap: CouplingMap, n_chains: int,
     xs = np.empty((n_steps, n_chains, d))
     acc = np.empty((n_steps, n_chains), dtype=bool)
     for t in range(n_steps):
-        v = math.sqrt(momentum_var) * rng.standard_normal((n_chains, d))
-        lv = _norm_logpdf(v, momentum_var)
+        v = rng.standard_normal((n_chains, d))
+        lv = _norm_logpdf(v, 1.0)
         # inverse-CDF over (-1, +1): low half of the uniform is direction -1
         up = rng.random(n_chains) >= 0.5
         xf, vf, ldf = batch_coupling_forward(cmap, x, v)
@@ -185,7 +184,7 @@ def batch_nice_mc(target: BatchTarget, cmap: CouplingMap, n_chains: int,
         vn = np.where(up[:, None], vf, vb)
         ld = np.where(up, ldf, ldb)
         lpn = target.logpdf(xn)
-        lvn = _norm_logpdf(vn, momentum_var)
+        lvn = _norm_logpdf(vn, 1.0)
         delta = lpn + lvn - lp - lv + ld
         a = rng.random(n_chains) < np.exp(np.minimum(delta, 0.0))
         x[a] = xn[a]
@@ -197,7 +196,7 @@ def batch_nice_mc(target: BatchTarget, cmap: CouplingMap, n_chains: int,
 
 def batch_irr_nice_mc(target: BatchTarget, cmap: CouplingMap, alpha: float,
                       n_chains: int, n_steps: int, rng: np.random.Generator,
-                      x0: np.ndarray, momentum_var: float = 1.0) -> BatchResult:
+                      x0: np.ndarray) -> BatchResult:
     """Persistent-direction coupling chains with partial momentum refresh."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError("refresh strength must lie in [0, 1]")
@@ -211,9 +210,9 @@ def batch_irr_nice_mc(target: BatchTarget, cmap: CouplingMap, alpha: float,
     acc = np.empty((n_steps, n_chains), dtype=bool)
     for t in range(n_steps):
         # partial refresh (autoregressive swap construction, acceptance one)
-        v = keep * v + alpha * math.sqrt(momentum_var) * rng.standard_normal((n_chains, d))
+        v = keep * v + alpha * rng.standard_normal((n_chains, d))
         rng.random(n_chains)        # mirrors the refresh kernel's accept draw
-        lv = _norm_logpdf(v, momentum_var)
+        lv = _norm_logpdf(v, 1.0)
         up = dirs > 0
         xf, vf, ldf = batch_coupling_forward(cmap, x, v)
         xb, vb, ldb = batch_coupling_inverse(cmap, x, v)
@@ -221,7 +220,7 @@ def batch_irr_nice_mc(target: BatchTarget, cmap: CouplingMap, alpha: float,
         vn = np.where(up[:, None], vf, vb)
         ld = np.where(up, ldf, ldb)
         lpn = target.logpdf(xn)
-        lvn = _norm_logpdf(vn, momentum_var)
+        lvn = _norm_logpdf(vn, 1.0)
         delta = lpn + lvn - lp - lv + ld
         a = rng.random(n_chains) < np.exp(np.minimum(delta, 0.0))
         x[a] = xn[a]

@@ -311,8 +311,7 @@ class ChiSquareReport:
 
 
 def grid_chi_square(xs: np.ndarray, edges_x: np.ndarray, edges_y: np.ndarray,
-                    cell_masses: np.ndarray, level: float = 0.01,
-                    thin_to_ess: bool = True) -> ChiSquareReport:
+                    cell_masses: np.ndarray, level: float = 0.01) -> ChiSquareReport:
     """Chi-square test of a planar trace against exact grid-cell masses.
 
     Correlated chain output is thinned to roughly one sample per effective
@@ -323,9 +322,7 @@ def grid_chi_square(xs: np.ndarray, edges_x: np.ndarray, edges_y: np.ndarray,
     from scipy.stats import chi2
 
     xs = np.asarray(xs)
-    thin = 1
-    if thin_to_ess:
-        thin = max(1, int(math.ceil(xs.shape[0] / ess_batch_means(xs).ess)))
+    thin = max(1, int(math.ceil(xs.shape[0] / ess_batch_means(xs).ess)))
     th = xs[::thin]
     n = th.shape[0]
     counts, _, _ = np.histogram2d(th[:, 0], th[:, 1], bins=[edges_x, edges_y])

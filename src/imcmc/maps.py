@@ -143,16 +143,17 @@ def identity_flow() -> FlowMap:
     return FlowMap(lambda z: (z, 0.0), lambda z: (z, 0.0), name="identity")
 
 
-def leapfrog_flow(cfg: LeapfrogConfig, grad_x, grad_v=None,
-                  slot: Optional[str] = None, name: str = "leapfrog") -> FlowMap:
-    """The integrator as a volume-preserving flow on (x, momentum slot)."""
+def leapfrog_flow(cfg: LeapfrogConfig, grad_x, slot: Optional[str] = None,
+                  name: str = "leapfrog") -> FlowMap:
+    """The unit-mass integrator as a volume-preserving flow on (x, momentum
+    slot)."""
 
     def fwd(z):
-        x, v = leapfrog(z.x, _read_slot(z, slot), cfg, grad_x, grad_v)
+        x, v = leapfrog(z.x, _read_slot(z, slot), cfg, grad_x)
         return _write_slot(z.with_x(x), slot, v), 0.0
 
     def inv(z):
-        x, v = leapfrog_inverse(z.x, _read_slot(z, slot), cfg, grad_x, grad_v)
+        x, v = leapfrog_inverse(z.x, _read_slot(z, slot), cfg, grad_x)
         return _write_slot(z.with_x(x), slot, v), 0.0
 
     return FlowMap(fwd, inv, name=name)
@@ -261,12 +262,13 @@ def _swap_negate_fn(z: JointPoint):
 _swap_negate = Involution(_swap_negate_fn, name="swap_negate")
 
 
-def hmc_involution(cfg: LeapfrogConfig, grad_x, grad_v=None,
+def hmc_involution(cfg: LeapfrogConfig, grad_x,
                    slot: Optional[str] = None) -> Involution:
-    """Flip composed with k leapfrog steps; an involution for separable joints."""
+    """Flip composed with k unit-mass leapfrog steps; an involution for
+    separable joints."""
 
     def fn(z: JointPoint):
-        x, v = leapfrog(z.x, _read_slot(z, slot), cfg, grad_x, grad_v)
+        x, v = leapfrog(z.x, _read_slot(z, slot), cfg, grad_x)
         return _write_slot(z.with_x(x), slot, -v), 0.0
 
     return Involution(fn, name=f"flip*leapfrog^{cfg.k}")

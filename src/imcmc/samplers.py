@@ -175,17 +175,13 @@ def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
     return _family_conditional(family, mean_fn, name)
 
 
-def normal_momentum(d: int, var: float = 1.0,
-                    support_values: Optional[Sequence] = None) -> AuxiliaryConditional:
-    """State-independent N(0, var I) conditional for a momentum slot."""
-    return gaussian_slot_conditional(d, lambda point: np.zeros(d), var,
-                                     name="momentum", support_values=support_values)
+def normal_momentum(d: int) -> AuxiliaryConditional:
+    """State-independent N(0, I) conditional for a momentum slot."""
+    return gaussian_slot_conditional(d, lambda point: np.zeros(d), 1.0, name="momentum")
 
 
-def random_walk_proposal(d: int, scale: float,
-                         support_values: Optional[Sequence] = None) -> AuxiliaryConditional:
-    return gaussian_slot_conditional(d, lambda point: point.x, scale * scale,
-                                     name="rw", support_values=support_values)
+def random_walk_proposal(d: int, scale: float) -> AuxiliaryConditional:
+    return gaussian_slot_conditional(d, lambda point: point.x, scale * scale, name="rw")
 
 
 def mala_proposal(target: LogDensity, eps: float,
@@ -238,26 +234,27 @@ def slot_flip_kernel(layout: Layout, slot: str, factor: AuxiliaryConditional,
                        aux_static=[(slot, factor)], name=name)
 
 
-def momentum_refresh_kernel(layout: Layout, alpha: float, var: float = 1.0,
-                            cond: Optional[AuxiliaryConditional] = None,
+def momentum_refresh_kernel(layout: Layout, alpha: float,
+                            momentum: Optional[AuxiliaryConditional] = None,
                             name: str = "refresh") -> ImcmcKernel:
-    """Momentum update kernel, accepted with probability one.
+    """Momentum update kernel for the momentum factor ``momentum`` (N(0, I)
+    by default).
 
-    For ``alpha < 1`` this is the autoregressive construction: draw
-    ``a ~ N(v sqrt(1-alpha^2), alpha^2 var)`` and swap the two slots, which
-    realizes ``v' = v sqrt(1-alpha^2) + alpha eta``.  For ``alpha == 1`` (or
-    an explicit conditional) the slot is resampled outright under an
-    identity move.
+    For ``alpha == 1`` the slot is resampled outright from the factor under
+    an identity move.  For ``alpha < 1`` this is the autoregressive
+    construction: draw ``a ~ N(v sqrt(1-alpha^2), alpha^2 I)`` and swap the
+    two slots, which realizes ``v' = v sqrt(1-alpha^2) + alpha eta``.  The
+    swap is accepted with probability one for N(0, I) and Metropolis-corrected
+    for any other factor.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError("refresh strength must lie in [0, 1]")
     d = layout.slots["v"].stop - layout.slots["v"].start
-    if cond is not None or alpha >= 1.0:
+    momentum = normal_momentum(d) if momentum is None else momentum
+    if alpha >= 1.0:
         identity = Involution(lambda z: (z, 0.0), name="identity")
-        return ImcmcKernel(
-            layout, target=None,
-            aux_refresh=[("v", cond if cond is not None else normal_momentum(d, var))],
-            involution=identity, name=name)
+        return ImcmcKernel(layout, target=None, aux_refresh=[("v", momentum)],
+                           involution=identity, name=name)
     if "a" not in layout.slots:
         raise ConfigError("partial refresh needs a scratch slot in the layout")
     keep = math.sqrt(1.0 - alpha * alpha)
@@ -265,11 +262,11 @@ def momentum_refresh_kernel(layout: Layout, alpha: float, var: float = 1.0,
     def mean(point):
         return keep * point.slot("v")
 
-    a_cond = gaussian_slot_conditional(d, mean, alpha * alpha * var, name="ar")
+    a_cond = gaussian_slot_conditional(d, mean, alpha * alpha, name="ar")
     return ImcmcKernel(
         layout, target=None,
         aux_refresh=[("a", a_cond)],
-        aux_static=[("v", normal_momentum(d, var))],
+        aux_static=[("v", momentum)],
         involution=swap_slots("v", "a"), name=name)
 
 
@@ -585,30 +582,24 @@ def make_gibbs(target: LogDensity, blocks: Sequence[BlockConditional],
 # Hamiltonian family
 # ---------------------------------------------------------------------------
 
-def _momentum_grad(var: float) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Gradient of log N(v | 0, var I); None (leapfrog's built-in standard
-    normal) at var 1, where ``-v / 1.0`` is ``-v``."""
-    return None if var == 1.0 else (lambda v: -v / var)
-
-
 def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
                      metric: Optional[Metric] = None,
-                     momentum_var: float = 1.0,
                      momentum_cond: Optional[AuxiliaryConditional] = None,
                      name: str = "hmc") -> ImcmcKernel:
     """Full-refresh Hamiltonian kernel: flip-after-k-integrator-steps.
 
     With a metric this is the implicit-integrator variant; the momentum is
     then drawn from N(0, G(x)) and the integrator solves the non-separable
-    equations to tolerance 1e-12.
+    equations to tolerance 1e-12.  A non-unit constant mass M is
+    ``metric=constant_metric(M)``.
     """
     if target.grad is None:
         raise ConfigError("Hamiltonian kernels need a target gradient")
     d = target.dim
     layout = xv_layout(d)
     if metric is None:
-        cond = momentum_cond if momentum_cond is not None else normal_momentum(d, momentum_var)
-        inv = hmc_involution(cfg, target.grad, _momentum_grad(momentum_var), slot="v")
+        cond = momentum_cond if momentum_cond is not None else normal_momentum(d)
+        inv = hmc_involution(cfg, target.grad, slot="v")
         return ImcmcKernel(layout, _x_target(target),
                            aux_refresh=[("v", cond)], involution=inv, name=name)
 
@@ -634,7 +625,6 @@ def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
 
 def make_embedded_flow(target: LogDensity, flow: FlowMap, cfg: LeapfrogConfig,
                        latent_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                       momentum_var: float = 1.0,
                        momentum_cond: Optional[AuxiliaryConditional] = None,
                        name: str = "neutra") -> ImcmcKernel:
     """Hamiltonian kernel conjugated by a reparameterizing flow.
@@ -660,8 +650,8 @@ def make_embedded_flow(target: LogDensity, flow: FlowMap, cfg: LeapfrogConfig,
             raise ConfigError("supply the latent gradient for a general flow")
     d = target.dim
     layout = xv_layout(d)
-    inner = hmc_involution(cfg, latent_grad, _momentum_grad(momentum_var), slot="v")
-    cond = momentum_cond if momentum_cond is not None else normal_momentum(d, momentum_var)
+    inner = hmc_involution(cfg, latent_grad, slot="v")
+    cond = momentum_cond if momentum_cond is not None else normal_momentum(d)
     # conjugation order: map into the latent space, integrate, map back
     return ImcmcKernel(layout, _x_target(target),
                        aux_refresh=[("v", cond)],
@@ -670,7 +660,6 @@ def make_embedded_flow(target: LogDensity, flow: FlowMap, cfg: LeapfrogConfig,
 
 def make_directional_map(target: LogDensity, T: FlowMap,
                          volume_preserving: Optional[bool] = None,
-                         momentum_var: float = 1.0,
                          momentum_cond: Optional[AuxiliaryConditional] = None,
                          name: str = "directional") -> ImcmcKernel:
     """Coupling-map kernel with a freshly drawn direction each step.
@@ -684,7 +673,7 @@ def make_directional_map(target: LogDensity, T: FlowMap,
             raise ConfigError("volume-preserving declaration contradicts the map")
     d = target.dim
     layout = xv_layout(d, tags=("d",))
-    cond = momentum_cond if momentum_cond is not None else normal_momentum(d, momentum_var)
+    cond = momentum_cond if momentum_cond is not None else normal_momentum(d)
     from .core import uniform_tag
 
     return ImcmcKernel(layout, _x_target(target),
@@ -693,7 +682,6 @@ def make_directional_map(target: LogDensity, T: FlowMap,
 
 
 def make_persistent(target: LogDensity, T: FlowMap, refresh_alpha: float,
-                    momentum_var: float = 1.0,
                     momentum_cond: Optional[AuxiliaryConditional] = None,
                     variant: str = "direction_tag",
                     name: str = "persistent") -> KernelComposition:
@@ -702,17 +690,19 @@ def make_persistent(target: LogDensity, T: FlowMap, refresh_alpha: float,
     ``variant="direction_tag"`` keeps an explicit direction tag that only
     net-flips on rejection.  ``variant="momentum_flip"`` is the classical
     persistent-momentum form: the map must then be the flip-after-integrator
-    involution and the momentum sign plays the direction role.
+    involution and the momentum sign plays the direction role.  The
+    composition preserves p(x) q(v) only if every kernel in it scores v with
+    the same q, so one momentum factor (``momentum_cond``, N(0, I) by
+    default) serves the refresh, the move and the flip.
     """
     d = target.dim
-    scratch = momentum_cond is None and refresh_alpha < 1.0
+    momentum = momentum_cond if momentum_cond is not None else normal_momentum(d)
+    scratch = refresh_alpha < 1.0
     if variant == "direction_tag":
         layout = xv_layout(d, tags=("d",), scratch=scratch)
-        refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum_var,
-                                          cond=momentum_cond)
-        v_factor = normal_momentum(d, momentum_var)
+        refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum)
         move = ImcmcKernel(layout, _x_target(target),
-                           aux_static=[("v", v_factor)],
+                           aux_static=[("v", momentum)],
                            involution=direction_augment(T),
                            name=f"{name}_move")
         flip = tag_flip_kernel(layout, "d", name=f"{name}_flip")
@@ -722,13 +712,11 @@ def make_persistent(target: LogDensity, T: FlowMap, refresh_alpha: float,
     if not isinstance(T, Involution):
         raise ConfigError("momentum_flip variant expects an involution")
     layout = xv_layout(d, scratch=scratch)
-    refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum_var,
-                                      cond=momentum_cond)
-    v_factor = normal_momentum(d, momentum_var)
+    refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum)
     move = ImcmcKernel(layout, _x_target(target),
-                       aux_static=[("v", v_factor)],
+                       aux_static=[("v", momentum)],
                        involution=T, name=f"{name}_move")
-    flip = slot_flip_kernel(layout, "v", v_factor, name=f"{name}_flip")
+    flip = slot_flip_kernel(layout, "v", momentum, name=f"{name}_flip")
     return compose([refresh, move, flip], name=name)
 
 
@@ -833,19 +821,18 @@ def _cascade_weights(joints: list[float], kmax: int) -> list[float]:
 
 
 def make_look_ahead(target: LogDensity, T: FlowMap, K: int, refresh_alpha: float,
-                    momentum_var: float = 1.0,
                     momentum_cond: Optional[AuxiliaryConditional] = None,
                     name: str = "look_ahead") -> KernelComposition:
-    """Look-ahead composition: refresh, multi-step proposal cascade, flip."""
+    """Look-ahead composition: refresh, multi-step proposal cascade, flip,
+    all three scoring v with one momentum factor (``momentum_cond``, N(0, I)
+    by default)."""
     d = target.dim
-    scratch = momentum_cond is None and refresh_alpha < 1.0
-    layout = xv_layout(d, scratch=scratch)
-    refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum_var,
-                                      cond=momentum_cond)
-    v_factor = normal_momentum(d, momentum_var)
-    la = LookAheadKernel(layout, _x_target(target), v_factor, T, K,
+    momentum = momentum_cond if momentum_cond is not None else normal_momentum(d)
+    layout = xv_layout(d, scratch=refresh_alpha < 1.0)
+    refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum)
+    la = LookAheadKernel(layout, _x_target(target), momentum, T, K,
                          name=f"{name}_cascade")
-    flip = slot_flip_kernel(layout, "v", v_factor, name=f"{name}_flip")
+    flip = slot_flip_kernel(layout, "v", momentum, name=f"{name}_flip")
     return compose([refresh, la, flip], name=name)
 
 
@@ -1007,12 +994,10 @@ def make_irr_mala(target: LogDensity, eps: float,
 
 
 def make_irr_nice_mc(target: LogDensity, T: FlowMap, alpha: float = 0.8,
-                     momentum_var: float = 1.0,
                      momentum_cond: Optional[AuxiliaryConditional] = None,
                      name: str = "irr_nice_mc") -> KernelComposition:
     """Irreversible coupling-map chain: partial refresh, persistent move, flip."""
-    return make_persistent(target, T, alpha, momentum_var=momentum_var,
-                           momentum_cond=momentum_cond,
+    return make_persistent(target, T, alpha, momentum_cond=momentum_cond,
                            variant="direction_tag", name=name)
 
 

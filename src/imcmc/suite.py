@@ -105,16 +105,20 @@ class FiniteCase:
     name: str
     kernel: TransitionKernel
     states: list[JointPoint]
-    check_pmf: np.ndarray                       # stationary law on the check space
+    check_pmf: Optional[np.ndarray] = None      # stationary law on the check space
     groups: Optional[list[int]] = None          # lump enumerated -> check space
     joint_logpdf: Optional[Callable] = None     # product-form law on the full space
     single: bool = False                        # Prop-2 reversibility applies
     expect_irreversible: bool = False           # must violate detailed balance
-    max_states: int = 64
     x_groups: Optional[list[int]] = None        # grouping for the marginal chain
 
+    def __post_init__(self):
+        # without a check space the check law is the joint law itself
+        if self.check_pmf is None:
+            self.check_pmf = stationary_pmf(self.states, self.joint_logpdf)
+
     def matrix(self) -> np.ndarray:
-        return transition_matrix(self.kernel, self.states, max_states=self.max_states)
+        return transition_matrix(self.kernel, self.states)
 
     def check_matrix(self, T: Optional[np.ndarray] = None) -> np.ndarray:
         T = self.matrix() if T is None else T
@@ -165,6 +169,17 @@ def _grid_vals(n: int) -> list[np.ndarray]:
     return [np.array([float(i)]) for i in range(n)]
 
 
+def _q2() -> AuxiliaryConditional:
+    """Two-state proposal that stays put with probability 0.3."""
+    return grid_conditional(_grid_vals(2), lambda pt: np.array([0.3, 0.7])
+                            if pt.x[0] == 0.0 else np.array([0.7, 0.3]))
+
+
+def _qlog2(u, c) -> float:
+    """The same proposal as a family: log q(u | c)."""
+    return math.log(0.3) if abs(u[0] - c[0]) < 0.5 else math.log(0.7)
+
+
 def _harmonic_grid(c: float = 0.75):
     """Phase-space grid closed under the sqrt(2)-step oscillator leapfrog."""
     V = [np.array([s * c]) for s in (-1.0, 0.0, 1.0)]
@@ -208,8 +223,7 @@ def finite_cases() -> list[FiniteCase]:
     # -- Metropolis-Hastings, two states, stochastic proposal ---------------
     g2 = _grid_2state()
     vals2 = _grid_vals(2)
-    q2 = grid_conditional(vals2, lambda pt: np.array([0.3, 0.7])
-                          if pt.x[0] == 0.0 else np.array([0.7, 0.3]))
+    q2 = _q2()
     for rule_name, rule in (("metropolis", None), ("barker", "barker")):
         from .core import AcceptanceRule
 
@@ -223,7 +237,6 @@ def finite_cases() -> list[FiniteCase]:
 
         add(FiniteCase(
             name=f"mh_2state_{rule_name}", kernel=kern, states=states,
-            check_pmf=stationary_pmf(states, mh_joint),
             joint_logpdf=mh_joint, single=True,
             x_groups=[0, 0, 1, 1]))
 
@@ -240,7 +253,6 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="mala_grid", kernel=mala_k, states=mala_states,
-        check_pmf=stationary_pmf(mala_states, mala_joint),
         joint_logpdf=mala_joint, single=True,
         x_groups=[i // 4 for i in range(16)]))
 
@@ -259,15 +271,11 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="mixture_proposal_2x2", kernel=mp, states=mp_states,
-        check_pmf=stationary_pmf(mp_states, mp_joint),
         joint_logpdf=mp_joint, single=True,
         x_groups=[0, 0, 0, 0, 1, 1, 1, 1]))
 
     # -- multiple-try, two trials on two states -----------------------------
-    def qlog2(u, c):
-        return math.log(0.3) if abs(u[0] - c[0]) < 0.5 else math.log(0.7)
-
-    fam2 = grid_family(vals2, qlog2)
+    fam2 = grid_family(vals2, _qlog2)
     mtm = make_multiple_try(g2.density(), fam2, k=2)
     mtm_states = [mtm.layout.point([x], [y1, y2, xsr], (j,))
                   for x in (0.0, 1.0) for y1 in (0.0, 1.0) for y2 in (0.0, 1.0)
@@ -276,14 +284,13 @@ def finite_cases() -> list[FiniteCase]:
     def mtm_joint(pt, _g=g2):
         x = pt.x
         ys = [pt.slot("y")[0:1], pt.slot("y")[1:2]]
-        lp = _g.logpdf(x) + qlog2(ys[0], x) + qlog2(ys[1], x)
-        w = np.array([math.exp(_g.logpdf(y) + qlog2(x, y)) for y in ys])
+        lp = _g.logpdf(x) + _qlog2(ys[0], x) + _qlog2(ys[1], x)
+        w = np.array([math.exp(_g.logpdf(y) + _qlog2(x, y)) for y in ys])
         lp += math.log(w[pt.tag("j")] / w.sum())
-        return lp + qlog2(pt.slot("xstar"), ys[pt.tag("j")])
+        return lp + _qlog2(pt.slot("xstar"), ys[pt.tag("j")])
 
     add(FiniteCase(
         name="mtm_2state_k2", kernel=mtm, states=mtm_states,
-        check_pmf=stationary_pmf(mtm_states, mtm_joint),
         joint_logpdf=mtm_joint, single=True,
         x_groups=[0 if pt.x[0] == 0.0 else 1 for pt in mtm_states]))
 
@@ -305,7 +312,6 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="sample_adaptive_3state", kernel=sa, states=sa_states,
-        check_pmf=stationary_pmf(sa_states, sa_joint),
         joint_logpdf=sa_joint, single=True,
         x_groups=[int(pt.x[0]) for pt in sa_states]))
 
@@ -335,7 +341,6 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="sample_adaptive_generalized", kernel=sag, states=sag_states,
-        check_pmf=stationary_pmf(sag_states, sag_joint),
         joint_logpdf=sag_joint, single=True,
         x_groups=[2 * int(pt.x[0]) + int(pt.x[1]) for pt in sag_states]))
 
@@ -351,7 +356,6 @@ def finite_cases() -> list[FiniteCase]:
     hmc_states = [hmc.layout.point(x, v) for x in X for v in V]
     add(FiniteCase(
         name="hmc_grid", kernel=hmc, states=hmc_states,
-        check_pmf=stationary_pmf(hmc_states, hmc_joint),
         joint_logpdf=hmc_joint, single=True,
         x_groups=[i // 3 for i in range(9)]))
 
@@ -378,7 +382,6 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="rmhmc_grid", kernel=rm, states=rm_states,
-        check_pmf=stationary_pmf(rm_states, rm_joint),
         joint_logpdf=rm_joint, single=True,
         x_groups=[i // 3 for i in range(9)]))
 
@@ -386,7 +389,6 @@ def finite_cases() -> list[FiniteCase]:
     neutra_id = make_embedded_flow(dens, identity_flow(), cfg, momentum_cond=mom)
     add(FiniteCase(
         name="neutra_identity_grid", kernel=neutra_id, states=hmc_states,
-        check_pmf=stationary_pmf(hmc_states, hmc_joint),
         joint_logpdf=hmc_joint, single=True,
         x_groups=[i // 3 for i in range(9)]))
 
@@ -403,7 +405,6 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="neutra_affine_grid", kernel=neutra, states=n_states,
-        check_pmf=stationary_pmf(n_states, n_joint),
         joint_logpdf=n_joint, single=True,
         x_groups=[i // 3 for i in range(9)]))
 
@@ -417,7 +418,6 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="directional_map_grid", kernel=dm, states=dm_states,
-        check_pmf=stationary_pmf(dm_states, dm_joint),
         joint_logpdf=dm_joint, single=True,
         x_groups=[i // 6 for i in range(18)]))
 
@@ -425,21 +425,18 @@ def finite_cases() -> list[FiniteCase]:
     pers = make_persistent(dens, L, 1.0, momentum_cond=mom, name="persistent_hmc")
     add(FiniteCase(
         name="persistent_hmc_grid", kernel=pers, states=dm_states,
-        check_pmf=stationary_pmf(dm_states, dm_joint),
         joint_logpdf=dm_joint, expect_irreversible=True))
 
     # look-ahead cascade
     la = make_look_ahead(dens, L, 3, 1.0, momentum_cond=mom)
     add(FiniteCase(
         name="look_ahead_grid", kernel=la, states=hmc_states,
-        check_pmf=stationary_pmf(hmc_states, hmc_joint),
         joint_logpdf=hmc_joint))
 
     # irreversible coupling-map chain
     inm = make_irr_nice_mc(dens, L, 1.0, momentum_cond=mom)
     add(FiniteCase(
         name="irr_nice_mc_grid", kernel=inm, states=dm_states,
-        check_pmf=stationary_pmf(dm_states, dm_joint),
         joint_logpdf=dm_joint, expect_irreversible=True))
 
     # direction-augmented Langevin
@@ -522,7 +519,6 @@ def finite_cases() -> list[FiniteCase]:
                for pt in rj_states]
     add(FiniteCase(
         name="rjmcmc_bits", kernel=rj, states=rj_states,
-        check_pmf=stationary_pmf(rj_states, rj_joint),
         joint_logpdf=rj_joint, single=True,
         x_groups=_group_ids(rj_keys)))
 
@@ -563,7 +559,7 @@ def finite_cases() -> list[FiniteCase]:
     pc = np.array([0.5, 0.3, 0.2])
     gc = GridDensity(np.array([0.0, 1.0, 2.0]), np.log(pc))
     cyc = make_persistent(
-        _grid_logdensity(gc), cycle_flow([0.0, 1.0, 2.0]), 1.0,
+        gc.density(), cycle_flow([0.0, 1.0, 2.0]), 1.0,
         momentum_cond=_null_momentum(), name="cycle_pair")
     cy_states = [cyc.layout.point([x], [0.0], (d,))
                  for x in (0.0, 1.0, 2.0) for d in (-1, 1)]
@@ -597,13 +593,6 @@ def _bit_model_space() -> ModelSpace:
                       coord_dist=bit)
 
 
-def _grid_logdensity(grid: GridDensity):
-    """Grid density as a LogDensity (no gradient needed by the cycle pair)."""
-    from .core import LogDensity
-
-    return LogDensity(dim=grid.dim, logpdf=grid.logpdf)
-
-
 def _null_momentum() -> AuxiliaryConditional:
     """Point mass at zero for layouts whose momentum block is unused."""
     return AuxiliaryConditional(
@@ -627,8 +616,7 @@ class _MutantKernel(ImcmcKernel):
 
 def mutant_case() -> FiniteCase:
     g2 = _grid_2state()
-    q2 = grid_conditional(_grid_vals(2), lambda pt: np.array([0.3, 0.7])
-                          if pt.x[0] == 0.0 else np.array([0.7, 0.3]))
+    q2 = _q2()
     good = make_mh(g2.density(), q2)
     bad = _MutantKernel(good.layout, good.target, aux_refresh=good.aux_refresh,
                         involution=good.involution, name="mutant_mh")
@@ -638,7 +626,6 @@ def mutant_case() -> FiniteCase:
         return g2.logpdf(pt.x) + q2.logpdf(pt.slot("v"), pt)
 
     return FiniteCase(name="mutant_mh", kernel=bad, states=states,
-                      check_pmf=stationary_pmf(states, joint),
                       joint_logpdf=joint, single=True,
                       x_groups=[0, 0, 1, 1])
 
@@ -687,8 +674,7 @@ def _balance_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckRes
     for case, T in built:
         if case.single and isinstance(case.kernel, ImcmcKernel):
             p_joint = stationary_pmf(case.states, case.joint_logpdf)
-            frozen = transition_matrix(case.kernel.frozen_aux(), case.states,
-                                       max_states=case.max_states)
+            frozen = transition_matrix(case.kernel.frozen_aux(), case.states)
             rep = check_detailed_balance(frozen, p_joint, BALANCE_TOL)
             out.append(CheckResult(case.name, "joint-reversibility",
                                    rep.max_asymmetry, BALANCE_TOL, rep.passed))
@@ -787,12 +773,26 @@ def run_involutions(n_points: int = 100, seed: int = 2024) -> list[CheckResult]:
 REDUCTION_TOL = 1e-12
 
 
+# the registry cases whose matrices the reductions compare
+_REDUCTION_CASES = ("mh_2state_metropolis", "hmc_grid", "neutra_identity_grid",
+                    "directional_map_grid", "irr_nice_mc_grid", "persistent_hmc_grid",
+                    "lifted_3state")
+
+
 def run_reductions() -> list[CheckResult]:
     """Exact-matrix equalities between samplers that must coincide.
 
     Comparisons are on the full joint matrix when the kernels share a state
     space and on the refresh-marginalized chain matrix otherwise.
     """
+    cases = [case for case in finite_cases() if case.name in _REDUCTION_CASES]
+    return _reduction_checks([(case, case.matrix()) for case in cases])
+
+
+def _reduction_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:
+    """The reductions over the registry matrices in ``built``; only kernels
+    the registry lacks are built here."""
+    reg = {case.name: (case, T) for case, T in built}
     out = []
 
     def record(name, diff, tol=REDUCTION_TOL):
@@ -800,92 +800,65 @@ def run_reductions() -> list[CheckResult]:
 
     # multiple-try with one trial collapses to Metropolis-Hastings
     g2 = _grid_2state()
-    vals2 = _grid_vals(2)
-
-    def qlog2(u, c):
-        return math.log(0.3) if abs(u[0] - c[0]) < 0.5 else math.log(0.7)
-
-    fam2 = grid_family(vals2, qlog2)
-    mtm1 = make_multiple_try(g2.density(), fam2, k=1)
+    mtm1 = make_multiple_try(g2.density(), grid_family(_grid_vals(2), _qlog2), k=1)
     st_m = [mtm1.layout.point([x], [y], (0,)) for x in (0.0, 1.0) for y in (0.0, 1.0)]
     T1 = transition_matrix(mtm1, st_m)
-    p1 = stationary_pmf(st_m, lambda pt: g2.logpdf(pt.x) + qlog2(pt.slot("y"), pt.x))
+    p1 = stationary_pmf(st_m, lambda pt: g2.logpdf(pt.x) + _qlog2(pt.slot("y"), pt.x))
     Tx1, _ = marginal_matrix(T1, p1, [0, 0, 1, 1])
-
-    q2 = grid_conditional(vals2, lambda pt: np.array([0.3, 0.7])
-                          if pt.x[0] == 0.0 else np.array([0.7, 0.3]))
-    mh = make_mh(g2.density(), q2)
-    st_h = [mh.layout.point([x], [v]) for x in (0.0, 1.0) for v in (0.0, 1.0)]
-    Tmh = transition_matrix(mh, st_h)
-    pmh = stationary_pmf(st_h, lambda pt: g2.logpdf(pt.x) + q2.logpdf(pt.slot("v"), pt))
-    Txm, _ = marginal_matrix(Tmh, pmh, [0, 0, 1, 1])
+    mh, Tmh = reg["mh_2state_metropolis"]
+    Txm, _ = marginal_matrix(Tmh, mh.check_pmf, mh.x_groups)
     record("mtm_k1_equals_mh", float(np.max(np.abs(Tx1 - Txm))))
 
     # depth-one look-ahead equals the persistent-momentum step
-    X, V, xgrid, mom, mom_logpdf = _harmonic_grid()
+    _, _, xgrid, mom, _ = _harmonic_grid()
     cfg = LeapfrogConfig(math.sqrt(2.0), 1)
     dens = xgrid.density()
     L = leapfrog_flow(cfg, xgrid.grad, slot="v")
     la1 = make_look_ahead(dens, L, 1, 1.0, momentum_cond=mom)
     pm = make_persistent(dens, hmc_involution(cfg, xgrid.grad, slot="v"), 1.0,
                          momentum_cond=mom, variant="momentum_flip")
-    st_g = [la1.layout.point(x, v) for x in X for v in V]
+    hmc, T_h = reg["hmc_grid"]
     record("look_ahead_k1_equals_persistent",
-           float(np.max(np.abs(transition_matrix(la1, st_g)
-                               - transition_matrix(pm, st_g)))))
+           float(np.max(np.abs(transition_matrix(la1, hmc.states)
+                               - transition_matrix(pm, hmc.states)))))
 
     # identity-flow conjugation leaves the Hamiltonian kernel untouched
-    hmc = make_hamiltonian(dens, cfg, momentum_cond=mom)
-    T_h = transition_matrix(hmc, st_g)
-    neutra_id = make_embedded_flow(dens, identity_flow(), cfg, momentum_cond=mom)
     record("neutra_identity_equals_hmc",
-           float(np.max(np.abs(transition_matrix(neutra_id, st_g) - T_h))))
+           float(np.max(np.abs(reg["neutra_identity_grid"][1] - T_h))))
 
     # constant decision function collapses the lifted chain onto its base
     p3 = np.array([0.5, 0.3, 0.2])
     base = _reversible_base(p3)
     lift0 = make_lifted(base, [0.0, 1.0, 2.0], np.log(p3), eta=[1.0, 1.0, 1.0])
-    st_l = [lift0.layout.point([x], [v], (d,))
-            for x in (0.0, 1.0, 2.0) for v in (0.0, 1.0, 2.0) for d in (-1, 1)]
-    T_l = transition_matrix(lift0, st_l)
-    gx = [int(pt.x[0]) for pt in st_l]
+    lift, T_lift = reg["lifted_3state"]
+    T_l = transition_matrix(lift0, lift.states)
+    gx = [int(pt.x[0]) for pt in lift.states]
     _assert_lumpable(T_l, gx)
-    Tx0, _ = marginal_matrix(T_l, np.full(len(st_l), 1.0 / len(st_l)), gx)
+    Tx0, _ = marginal_matrix(T_l, np.full(len(lift.states), 1.0 / len(lift.states)), gx)
     record("lifted_constant_eta_equals_base", float(np.max(np.abs(Tx0 - base))))
 
     # freshly drawn directions make the integrator-map chain plain Hamiltonian
-    dm = make_directional_map(dens, L, momentum_cond=mom)
-    st_d = [dm.layout.point(x, v, (d,)) for x in X for v in V for d in (-1, 1)]
-    T_dm = transition_matrix(dm, st_d)
-    p_d = stationary_pmf(st_d, lambda pt: xgrid.logpdf(pt.x) + mom_logpdf(pt.slot("v"))
-                         + math.log(0.5))
-    Tx_dm, _ = marginal_matrix(T_dm, p_d, [i // 6 for i in range(18)])
-    p_h = stationary_pmf(st_g, lambda pt: xgrid.logpdf(pt.x) + mom_logpdf(pt.slot("v")))
-    Tx_h, _ = marginal_matrix(T_h, p_h, [i // 3 for i in range(9)])
+    dm, T_dm = reg["directional_map_grid"]
+    Tx_dm, _ = marginal_matrix(T_dm, dm.check_pmf, dm.x_groups)
+    Tx_h, _ = marginal_matrix(T_h, hmc.check_pmf, hmc.x_groups)
     record("directional_fresh_d_equals_hmc", float(np.max(np.abs(Tx_dm - Tx_h))))
 
     # full refresh collapses the persistent coupling chain onto the fresh one
-    inm = make_irr_nice_mc(dens, L, 1.0, momentum_cond=mom)
-    T_inm = transition_matrix(inm, st_d)
-    Tx_inm, _ = marginal_matrix(T_inm, p_d, [i // 6 for i in range(18)])
+    inm, T_inm = reg["irr_nice_mc_grid"]
+    Tx_inm, _ = marginal_matrix(T_inm, inm.check_pmf, dm.x_groups)
     record("irr_nice_alpha1_marginal_equals_directional",
            float(np.max(np.abs(Tx_inm - Tx_dm))))
 
     # composition product equals direct path enumeration
     from .diagnostics import transition_matrix_direct
 
-    pers = make_persistent(dens, L, 1.0, momentum_cond=mom)
-    T_p = transition_matrix(pers, st_d)
-    T_pd = transition_matrix_direct(pers, st_d)
+    pers, T_p = reg["persistent_hmc_grid"]
+    T_pd = transition_matrix_direct(pers.kernel, pers.states)
     record("composition_product_equals_direct",
            float(np.max(np.abs(T_p - T_pd))), tol=1e-14)
 
     # lifted kernel composition equals the directly assembled lifted matrix
-    lift = make_lifted(base, [0.0, 1.0, 2.0], np.log(p3))
-    T_full = transition_matrix(lift, st_l)
-    groups = [2 * int(pt.x[0]) + (0 if pt.tag("d") == 1 else 1) for pt in st_l]
-    _assert_lumpable(T_full, groups)
-    Txd, _ = marginal_matrix(T_full, np.full(len(st_l), 1.0 / len(st_l)), groups)
+    Txd = lift.check_matrix(T_lift)
     LM = lifted_matrix(base, [0.0, 1.0, 2.0])
     LM_interleaved = np.zeros_like(LM)
     n = 3
@@ -901,8 +874,8 @@ def run_reductions() -> list[CheckResult]:
 
 
 def run_all() -> list[CheckResult]:
-    """Every check, with each finite case's matrix built once for both the
-    stationarity and the balance checks."""
+    """Every check, with each finite case's matrix built once for the
+    stationarity, the balance and the reduction checks."""
     built = [(case, case.matrix()) for case in finite_cases()]
     return (run_involutions() + _stationarity_checks(built) + _balance_checks(built)
-            + run_reductions())
+            + _reduction_checks(built))

@@ -170,17 +170,31 @@ def test_verify_suites_pass(capsys):
     assert "0 failures" in out
 
 
-def test_verify_mutant_fails(capsys):
-    assert run_cli(["verify", "stationarity", "--mutant"]) == 1
-    out = capsys.readouterr().out
-    assert "injected_mutant" in out
-    rows = {line.split()[1]: line.split() for line in out.splitlines()
-            if line.startswith("[")}
-    injected, suite_row = rows["injected_mutant"], rows["mutant_mh"]
-    assert injected[0] == "[FAIL]" and suite_row[0] == "[pass]"
-    assert suite_row[2] == "stationarity-must-fail"
-    # the same residual, printed once as a failure and once as the control
-    assert injected[3] == suite_row[3]
+def test_verify_mutant_fails(capsys, monkeypatch):
+    from imcmc import suite
+
+    built = []
+    inner = suite.mutant_case
+
+    def counting():
+        built.append(1)
+        return inner()
+
+    monkeypatch.setattr(suite, "mutant_case", counting)
+    for which in ("stationarity", "all"):
+        built.clear()
+        assert run_cli(["verify", which, "--mutant"]) == 1
+        # the injected row reuses the suite's mutant row
+        assert len(built) == 1, which
+        out = capsys.readouterr().out
+        assert "injected_mutant" in out
+        rows = {line.split()[1]: line.split() for line in out.splitlines()
+                if line.startswith("[")}
+        injected, suite_row = rows["injected_mutant"], rows["mutant_mh"]
+        assert injected[0] == "[FAIL]" and suite_row[0] == "[pass]"
+        assert suite_row[2] == "stationarity-must-fail"
+        # the same residual, printed once as a failure and once as the control
+        assert injected[3] == suite_row[3]
 
 
 def test_bench_table_format(tmp_path, capsys):

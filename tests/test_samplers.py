@@ -568,3 +568,76 @@ def test_grid_conditional_nan_probability_scores_nan():
     pt = xv_layout(1).point([0.0], [0.0])
     assert math.isnan(cond.logpdf(np.array([0.0]), pt))
     assert cond.logpdf(np.array([1.0]), pt) == 0.0
+
+
+def _skewed_harmonic_momentum():
+    """The harmonic grid with a symmetric but non-Gaussian momentum law."""
+    from imcmc.suite import _harmonic_grid
+    from imcmc.targets import grid_conditional
+
+    X, V, xgrid, _, _ = _harmonic_grid()
+    q = np.array([0.2, 0.6, 0.2])
+    mom = grid_conditional(V, lambda pt: q)
+
+    def joint(pt, tag_factor=0.0):
+        v = pt.slot("v")[0]
+        return (xgrid.logpdf(pt.x) + tag_factor
+                + math.log(q[[abs(u[0] - v) <= 1e-9 for u in V].index(True)]))
+
+    return X, V, xgrid, mom, joint
+
+
+def _persistent_family_with(mom, xgrid):
+    from imcmc.maps import hmc_involution
+    from imcmc.samplers import make_persistent
+
+    cfg = LeapfrogConfig(math.sqrt(2.0), 1)
+    dens = xgrid.density()
+    L = leapfrog_flow(cfg, xgrid.grad, slot="v")
+    return {
+        "persistent_direction_tag": (make_persistent(dens, L, 1.0, momentum_cond=mom), True),
+        "persistent_momentum_flip": (
+            make_persistent(dens, hmc_involution(cfg, xgrid.grad, slot="v"), 1.0,
+                            momentum_cond=mom, variant="momentum_flip"), False),
+        "irr_nice_mc": (make_irr_nice_mc(dens, L, 1.0, momentum_cond=mom), True),
+        "look_ahead_k3": (make_look_ahead(dens, L, 3, 1.0, momentum_cond=mom), False),
+    }
+
+
+@pytest.mark.parametrize("name", ["persistent_direction_tag", "persistent_momentum_flip",
+                                  "irr_nice_mc", "look_ahead_k3"])
+def test_persistent_compositions_keep_a_non_gaussian_momentum_law(name):
+    """Refresh, move and flip must all score v with the given momentum law,
+    so the exact matrix fixes p(x) q(v) (and 1/2 for a direction tag)."""
+    from imcmc.diagnostics import check_stationary, stationary_pmf, transition_matrix
+    from imcmc.suite import STATIONARY_TOL
+
+    X, V, xgrid, mom, joint = _skewed_harmonic_momentum()
+    kern, tagged = _persistent_family_with(mom, xgrid)[name]
+    if tagged:
+        states = [kern.layout.point(x, v, (d,)) for x in X for v in V for d in (-1, 1)]
+        p = stationary_pmf(states, lambda pt: joint(pt, math.log(0.5)))
+    else:
+        states = [kern.layout.point(x, v) for x in X for v in V]
+        p = stationary_pmf(states, joint)
+    rep = check_stationary(transition_matrix(kern, states), p, STATIONARY_TOL)
+    assert rep.passed, f"{name}: ||pT - p|| = {rep.residual:.3e}"
+
+
+def test_persistent_with_explicit_standard_normal_momentum_is_the_default():
+    """Passing N(0, I) as the momentum law changes nothing, partial refresh
+    included."""
+    from imcmc.samplers import make_persistent, normal_momentum
+
+    sn = standard_normal(2)
+    L = leapfrog_flow(LeapfrogConfig(0.2, 3), sn.grad, slot="v")
+    runs = []
+    for kwargs in ({}, {"momentum_cond": normal_momentum(2)}):
+        kern = make_persistent(sn, L, 0.5, **kwargs)
+        res = run_chain(kern, default_init(kern, [0.5, -0.3]), 300, seed=17)
+        runs.append(res)
+    a, b = runs
+    assert a.xs.tobytes() == b.xs.tobytes()
+    assert a.accepted.tobytes() == b.accepted.tobytes()
+    assert a.accept_prob.tobytes() == b.accept_prob.tobytes()
+    assert a.final.v.tobytes() == b.final.v.tobytes()

@@ -6,6 +6,8 @@ compositions must measurably violate detailed balance; the shipped
 involutions must verify; the reduction identities must hold exactly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -140,12 +142,37 @@ def test_run_all_builds_each_matrix_once_and_matches_the_parts(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "_kernel_matrix", counting)
     whole = run_all()
-    # each finite case's matrix serves both the stationarity and balance
-    # checks; building them twice took 106 component matrices
-    assert len(calls) <= 70
+    # each finite case's matrix serves the stationarity, balance and
+    # reduction checks; building them twice took 106 component matrices, and
+    # building the reductions' registry matrices a second time took 70
+    assert len(calls) <= 58
     parts = run_involutions() + run_stationarity() + run_balance() + run_reductions()
 
     def key(r):
         return (r.case, r.check, float(r.value).hex(), r.threshold, r.passed)
 
     assert [key(r) for r in whole] == [key(r) for r in parts]
+
+
+# sha256 over the (case, check, float.hex(value)) rows of run_all(), in order
+ORACLE_GOLDEN = "579db4fa513f3501b2ee282d0a71db1ff21c98569234129a2b31180cd76954f5"
+
+
+def _oracle_digest(results) -> str:
+    h = hashlib.sha256()
+    for r in results:
+        h.update(f"{r.case}\t{r.check}\t{float(r.value).hex()}\n".encode())
+    return h.hexdigest()
+
+
+def test_run_all_values_match_golden():
+    """Pins every oracle value, not only its threshold.
+
+    The values are deterministic residuals of exact matrices, so a silent
+    one-ulp drift is a change too.  A change that moves any of them declares
+    in CHANGES.md which rows moved, with ``float.hex`` before and after
+    (ROADMAP aim 3), and then re-records ``ORACLE_GOLDEN``.
+    """
+    results = run_all()
+    assert len(results) == 104
+    assert _oracle_digest(results) == ORACLE_GOLDEN
