@@ -326,6 +326,7 @@ def cmd_verify(suite: str, mutant: bool = False) -> int:
     if suite not in runners:
         raise ConfigError(f"unknown suite {suite!r}; choose from "
                           f"{', '.join(sorted(runners))}")
+    t0 = time.perf_counter()
     results = runners[suite]()
     if mutant:
         # inject the broken-acceptance fixture as a live check: it must make
@@ -336,11 +337,12 @@ def cmd_verify(suite: str, mutant: bool = False) -> int:
             row = vs._mutant_check()
         results.append(vs.CheckResult("injected_mutant", "stationarity",
                                       row.value, row.threshold, not row.passed))
+    seconds = time.perf_counter() - t0
     failures = 0
     for r in results:
         print(r.line())
         failures += 0 if r.passed else 1
-    print(f"{len(results)} checks, {failures} failures")
+    print(f"{len(results)} checks, {failures} failures in {seconds:.2f} s")
     return 1 if failures else 0
 
 

@@ -244,6 +244,37 @@ class _GradMemo(_LastTwo):
         return value, g
 
 
+class _RowIndex:
+    """An exact-bytes table in front of a search over fixed float64 rows.
+
+    ``search(query)`` runs once per distinct row at construction and its
+    result is kept under the row's bytes.  A float64 query of a row's shape
+    whose bytes equal a row's gets that stored result; any other query
+    (the other signed zero, a NaN, an off-grid point, another dtype) runs
+    ``search``.  So every result is bitwise the search's.  The table is
+    bounded by the row count and never changes, so threads may share it.
+    """
+
+    __slots__ = ("search", "_shape", "_known")
+
+    def __init__(self, rows: np.ndarray, search: Callable[[np.ndarray], object]):
+        self.search = search
+        self._shape = rows.shape[1:]
+        self._known: dict[bytes, object] = {}
+        for row in rows:
+            key = row.tobytes()
+            if key not in self._known:
+                self._known[key] = search(row)
+
+    def __call__(self, query):
+        if (type(query) is np.ndarray and query.dtype == _FLOAT64
+                and query.shape == self._shape):
+            result = self._known.get(query.tobytes(), _MISS)
+            if result is not _MISS:
+                return result
+        return self.search(query)
+
+
 @dataclasses.dataclass(frozen=True)
 class LogDensity:
     """Unnormalized log-density with an optional analytic gradient.

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import JointPoint, TransitionKernel
+from .core import JointPoint, TransitionKernel, _RowIndex
 from .errors import DegenerateSeriesError, EnumerationError
 
 __all__ = [
@@ -129,7 +129,10 @@ class _StateIndex:
     """Nearest-point lookup over an enumerated joint space.
 
     States are grouped by tag tuple once; a lookup is then one sup-norm
-    distance over the matching group, and ties go to the lowest index.
+    distance over the matching group, and ties go to the lowest index.  A
+    point whose continuous coordinates are bitwise an enumerated state's
+    gets that search's answer from a table built here (see
+    `core._RowIndex`).
     """
 
     def __init__(self, states: Sequence[JointPoint], atol: float):
@@ -139,26 +142,35 @@ class _StateIndex:
         members: dict[tuple, list[int]] = {}
         for i, s in enumerate(self.states):
             members.setdefault(s.tags, []).append(i)
-        self._groups = {tags: (np.array(ids), cont[ids])
+        self._groups = {tags: _RowIndex(cont[ids], _nearest_of(np.array(ids), cont[ids]))
                         for tags, ids in members.items()}
 
     def __len__(self):
         return len(self.states)
 
     def locate(self, point: JointPoint) -> int:
-        group = self._groups.get(point.tags)
-        if group is None:
+        nearest = self._groups.get(point.tags)
+        if nearest is None:
             raise EnumerationError(
                 f"step landed on tags {point.tags} outside the enumerated space")
-        ids, cont = group
-        dist = np.abs(cont - point.continuous()).max(axis=1, initial=0.0)
-        j = int(np.argmin(dist))
-        best_d = float(dist[j])
+        i, best_d = nearest(point.continuous())
         # written so that a NaN distance fails too
         if not best_d <= self.atol:
             raise EnumerationError(
                 f"step landed outside the enumerated space (distance {best_d:.3g})")
-        return int(ids[j])
+        return i
+
+
+def _nearest_of(ids: np.ndarray, cont: np.ndarray):
+    """``z -> (state index, distance)`` of the first of ``cont``'s rows
+    nearest to ``z`` in the sup norm."""
+
+    def nearest(z):
+        dist = np.abs(cont - z).max(axis=1, initial=0.0)
+        j = int(np.argmin(dist))
+        return int(ids[j]), float(dist[j])
+
+    return nearest
 
 
 def _kernel_matrix(kernel: TransitionKernel, index: _StateIndex) -> np.ndarray:

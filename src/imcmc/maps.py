@@ -354,9 +354,11 @@ def _fixed_point(update, start: np.ndarray, tol: float, max_iter: int) -> np.nda
     resid = math.inf
     for _ in range(max_iter):
         z_new = update(z)
-        if not np.all(np.isfinite(z_new)):
+        resid = float(np.abs(z_new - z).max(initial=0.0))
+        # a non-finite iterate makes the residual non-finite too, so only
+        # then is the iterate itself inspected
+        if not math.isfinite(resid) and not np.all(np.isfinite(z_new)):
             raise FixedPointError("implicit integrator step diverged", math.inf)
-        resid = float(np.max(np.abs(z_new - z), initial=0.0))
         z = z_new
         if resid <= tol:
             return z

@@ -47,7 +47,7 @@ from .maps import (
     swap_blocks,
     swap_slots,
 )
-from .targets import Cdf1D, _grid_logpmf
+from .targets import Cdf1D, _grid_logpmf, _grid_rows
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -127,20 +127,27 @@ def gaussian_family(d: int, var) -> ProposalFamily:
 
 
 def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
-    """Finite proposal family over grid values with weights exp(logpdf_fn)."""
-    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
-    stacked = np.stack(vals)
+    """Finite proposal family over grid values with weights exp(logpdf_fn).
 
-    def weights(center):
+    ``logpdf_fn(u, center)`` must be a pure function: the weight vector is
+    remembered at the last two centers (see `core._LastTwo`), since a step
+    asks for it at the same center to draw and to score.
+    """
+    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
+    rows = _grid_rows(np.stack(vals))
+
+    def _weights(center):
         logs = np.array([logpdf_fn(u, center) for u in vals])
         w = np.exp(logs - logs.max())
         return w / w.sum()
+
+    weights = _LastTwo(_weights)
 
     def sample(rng, center):
         return vals[rng.choice(len(vals), p=weights(center))]
 
     def logpdf(value, center):
-        return _grid_logpmf(stacked, weights(center), value)
+        return _grid_logpmf(rows, weights(center), value)
 
     def support(center):
         return list(zip(vals, weights(center).tolist()))

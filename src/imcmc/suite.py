@@ -44,7 +44,7 @@ from .diagnostics import (
     stationary_pmf,
     transition_matrix,
 )
-from .errors import EnumerationError
+from .errors import ConfigError, EnumerationError
 from .maps import (
     LeapfrogConfig,
     Metric,
@@ -111,11 +111,18 @@ class FiniteCase:
     single: bool = False                        # Prop-2 reversibility applies
     expect_irreversible: bool = False           # must violate detailed balance
     x_groups: Optional[list[int]] = None        # grouping for the marginal chain
+    # the normalized joint law on the enumerated space, computed once
+    _joint_pmf: Optional[np.ndarray] = dataclasses.field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if self.joint_logpdf is not None:
+            self._joint_pmf = stationary_pmf(self.states, self.joint_logpdf)
         # without a check space the check law is the joint law itself
         if self.check_pmf is None:
-            self.check_pmf = stationary_pmf(self.states, self.joint_logpdf)
+            if self._joint_pmf is None:
+                raise ConfigError(f"{self.name}: give a check_pmf or a joint_logpdf")
+            self.check_pmf = self._joint_pmf
 
     def matrix(self) -> np.ndarray:
         return transition_matrix(self.kernel, self.states)
@@ -124,8 +131,7 @@ class FiniteCase:
         T = self.matrix() if T is None else T
         if self.groups is None:
             return T
-        w = (stationary_pmf(self.states, self.joint_logpdf)
-             if self.joint_logpdf is not None
+        w = (self._joint_pmf if self._joint_pmf is not None
              else np.full(len(self.states), 1.0 / len(self.states)))
         _assert_lumpable(T, self.groups)
         Tg, _ = marginal_matrix(T, w, self.groups)
@@ -673,7 +679,7 @@ def _balance_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckRes
     out = []
     for case, T in built:
         if case.single and isinstance(case.kernel, ImcmcKernel):
-            p_joint = stationary_pmf(case.states, case.joint_logpdf)
+            p_joint = case._joint_pmf
             frozen = transition_matrix(case.kernel.frozen_aux(), case.states)
             rep = check_detailed_balance(frozen, p_joint, BALANCE_TOL)
             out.append(CheckResult(case.name, "joint-reversibility",

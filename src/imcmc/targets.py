@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import AuxiliaryConditional, JointPoint, LogDensity
+from .core import AuxiliaryConditional, JointPoint, LogDensity, _RowIndex
 from .errors import ConfigError, DensityError
 
 __all__ = [
@@ -339,7 +339,9 @@ class GridDensity:
     Evaluation snaps to the nearest grid point within ``atol`` and returns
     the stored log-weight; anywhere else the density is zero.  ``grad``
     optionally delegates to a smooth envelope so integrator-based kernels can
-    run on the grid.
+    run on the grid.  ``values`` and ``atol`` are fixed at construction: a
+    query that is bitwise a grid row gets the nearest-point search's answer
+    for that row from a table built then (see `core._RowIndex`).
     """
 
     def __init__(self, values: np.ndarray, log_weights: np.ndarray,
@@ -353,6 +355,7 @@ class GridDensity:
             raise ConfigError("grid values and weights do not align")
         self.atol = atol
         self._grad = grad
+        self._index = _RowIndex(values, self._nearest)
 
     @property
     def dim(self) -> int:
@@ -362,13 +365,16 @@ class GridDensity:
         w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
 
-    def index(self, x: np.ndarray) -> Optional[int]:
+    def _nearest(self, x) -> Optional[int]:
         d = np.max(np.abs(self.values - np.asarray(x)), axis=1)
         i = int(np.argmin(d))
         return i if d[i] <= self.atol else None
 
+    def index(self, x: np.ndarray) -> Optional[int]:
+        return self._index(x)
+
     def logpdf(self, x: np.ndarray) -> float:
-        i = self.index(x)
+        i = self._index(x)
         return -math.inf if i is None else float(self.log_weights[i])
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -381,14 +387,26 @@ class GridDensity:
                           grad=self.grad if self._grad is not None else None)
 
 
-def _grid_logpmf(stacked: np.ndarray, p: np.ndarray, value) -> float:
-    """Log probability of the first grid row within 1e-9 of ``value`` (sup
-    norm): -inf off the grid or at probability zero, NaN at a NaN one."""
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
-    if hits.size == 0:
+def _grid_rows(stacked: np.ndarray) -> _RowIndex:
+    """``value ->`` the index of the first row of ``stacked`` within 1e-9 of
+    ``value`` (sup norm), or None; a value bitwise equal to a row hits a
+    table built here."""
+
+    def first_within(value):
+        hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
+        return int(hits[0]) if hits.size else None
+
+    return _RowIndex(stacked, first_within)
+
+
+def _grid_logpmf(rows: _RowIndex, p: np.ndarray, value) -> float:
+    """Log probability of the grid row that ``rows`` (from `_grid_rows`)
+    finds for ``value``: -inf off the grid or at probability zero, NaN at a
+    NaN one."""
+    i = rows(np.atleast_1d(np.asarray(value, dtype=float)))
+    if i is None:
         return -math.inf
-    pi = p[hits[0]]
+    pi = p[i]
     return -math.inf if pi <= 0.0 else math.log(pi)
 
 
@@ -400,14 +418,14 @@ def grid_conditional(values: Sequence, probs: Callable[[JointPoint], np.ndarray]
     support hook makes the conditional enumerable by the matrix oracle.
     """
     vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
-    stacked = np.stack(vals)
+    rows = _grid_rows(np.stack(vals))
 
     def _sample(rng, point):
         p = np.asarray(probs(point), dtype=float)
         return vals[rng.choice(len(vals), p=p / p.sum())]
 
     def _logpdf(value, point):
-        return _grid_logpmf(stacked, np.asarray(probs(point), dtype=float), value)
+        return _grid_logpmf(rows, np.asarray(probs(point), dtype=float), value)
 
     def _support(point):
         p = np.asarray(probs(point), dtype=float)

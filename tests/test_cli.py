@@ -170,6 +170,22 @@ def test_verify_suites_pass(capsys):
     assert "0 failures" in out
 
 
+def test_verify_summary_reports_wall_time(capsys, monkeypatch):
+    from imcmc import suite
+
+    with monkeypatch.context() as patched:
+        patched.setattr(suite, "run_involutions", lambda: [
+            suite.CheckResult("a", "involution", 0.0, 1e-10, True),
+            suite.CheckResult("b", "involution", 1.0, 1e-10, False)])
+        clock = iter([10.0, 10.254])
+        patched.setattr(cli.time, "perf_counter", lambda: next(clock))
+        assert run_cli(["verify", "involutions"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "2 checks, 1 failures in 0.25 s"
+    assert run_cli(["verify", "reductions"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"\d+ checks, 0 failures in \d+\.\d\d s", summary)
+
+
 def test_verify_mutant_fails(capsys, monkeypatch):
     from imcmc import suite
 

@@ -17,13 +17,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from imcmc import samplers
 from imcmc.cli import RunConfig, build_kernel, build_target
 from imcmc.core import LogDensity, run_chain
 from imcmc.errors import ConfigError
 from imcmc.maps import LeapfrogConfig, leapfrog
 from imcmc.samplers import default_init
 from imcmc.suite import finite_cases
-from imcmc.targets import LogisticPosterior, mog2
+from imcmc.targets import GridDensity, LogisticPosterior, mog2
 
 # every CLI kind on its default target
 SPECS = {
@@ -258,6 +259,55 @@ def test_mtm_computes_trial_weights_once_per_point():
     assert counts["logpdf"] <= 9.5 * N
 
 
+def test_grid_family_weighs_each_center_once(monkeypatch):
+    calls = []
+    family = samplers.grid_family
+
+    def counting_family(values, logpdf_fn):
+        def counted(u, center):
+            calls.append(float(center[0]))
+            return logpdf_fn(u, center)
+
+        return family(values, counted)
+
+    monkeypatch.setattr(samplers, "grid_family", counting_family)
+    # the suite's mala_grid kernel: a Langevin proposal on a 4-point grid
+    xs = np.array([-1.5, -0.5, 0.5, 1.5])
+    grid = GridDensity(xs, -0.5 * xs ** 2, grad=lambda x: -x)
+    langevin = samplers.mala_proposal(grid.density(), 0.3,
+                                      support_values=[np.array([u]) for u in xs])
+    kernel = samplers.make_mh(grid.density(), langevin)
+    moves = []
+    acceptance = kernel.acceptance
+
+    def recording(point):
+        prob, proposal = acceptance(point)
+        moves.append((float(point.x[0]), float(proposal.x[0])))
+        return prob, proposal
+
+    monkeypatch.setattr(kernel, "acceptance", recording)
+    n_values = xs.size
+    res = run_chain(kernel, kernel.layout.point([-1.5], [-1.5]), 1000, seed=5)
+    assert res.accepted.mean() < 1.0
+    # A step asks for the weights of q(. | mean(x)) at its current point x
+    # twice (to draw v, then to score it) and at its proposal once.  The
+    # vector is built only when its center is not among the last two, so
+    # with one vector per x the calls follow an LRU memo of size two over
+    # that sequence of points.
+    memo, built = [], 0
+    for x, y in moves:
+        for key in (x, x, y):
+            if key in memo:
+                memo.remove(key)
+            else:
+                built += 1
+                del memo[:-1]
+            memo.append(key)
+    assert len(calls) == n_values * built
+    assert len(set(calls)) == n_values
+    assert len(calls) <= 2 * n_values * len(moves)
+
+
 @pytest.mark.parametrize("kind", ["rwm", "mala", "irr_mala", "nice_mc",
                                   "irr_nice_mc", "persistent_hmc", "hmc"])
 def test_one_logpdf_per_step(kind):
@@ -420,6 +470,18 @@ def test_threads_sharing_an_mtm_kernel_reproduce_serial_traces():
     _threads_reproduce_serial_traces(("mtm",), seeds=(1, 2, 3, 4))
 
 
+def test_threads_sharing_a_grid_family_reproduce_serial_traces():
+    # one mala_grid kernel, so the threads share its memo of grid weights
+    case = {c.name: c for c in finite_cases()}["mala_grid"]
+    jobs = [(case.states[i], seed) for i in (0, 5) for seed in (1, 1, 2, 3)]
+
+    def run(job):
+        return _digest(run_chain(case.kernel, job[0], 300, seed=job[1],
+                                 record_tags=True))
+
+    _threads_reproduce_serial(run, jobs)
+
+
 def _threads_reproduce_serial_traces(kinds, seeds=(1, 1, 2, 2)):
     tgt = build_target("mog2")
     kernels = {kind: _kernel(kind, tgt) for kind in kinds}
@@ -432,6 +494,10 @@ def _threads_reproduce_serial_traces(kinds, seeds=(1, 1, 2, 2)):
         return _digest(run_chain(kernel, default_init(kernel, tgt["x0"]), 150,
                                  seed=job[1], record_tags=True))
 
+    _threads_reproduce_serial(run, jobs)
+
+
+def _threads_reproduce_serial(run, jobs):
     serial = [run(job) for job in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the threads finely

@@ -12,6 +12,7 @@ from imcmc.maps import (
     LeapfrogConfig,
     Metric,
     RiemannianHamiltonian,
+    _fixed_point,
     _swap_negate,
     additive_coupling,
     affine_coupling,
@@ -236,6 +237,34 @@ def test_implicit_nonconvergence_reports_residual():
             implicit_leapfrog(np.array([3.0]), np.array([5.0]),
                               LeapfrogConfig(40.0, 1), ham, max_iter=10)
     assert err.value.residual > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_point_non_finite_iterate_diverges(bad):
+    iterates = iter([np.array([0.5, 0.2]), np.array([0.25, bad])])
+    with pytest.raises(FixedPointError, match="diverged") as err:
+        _fixed_point(lambda z: next(iterates), np.zeros(2), 1e-12, 10)
+    assert err.value.residual == math.inf
+
+
+def test_fixed_point_non_finite_start_keeps_iterating():
+    seen = []
+
+    def update(z):
+        seen.append(z.copy())
+        return np.array([1.0, 2.0])
+
+    z = _fixed_point(update, np.array([np.inf, np.nan]), 1e-12, 10)
+    # the first iterate is finite, so the infinite residual only means
+    # "not converged yet"; the second step converges
+    assert np.array_equal(z, [1.0, 2.0]) and len(seen) == 2
+
+
+def test_fixed_point_nonconvergence_reports_the_last_residual():
+    with pytest.raises(FixedPointError, match="did not converge") as err:
+        _fixed_point(lambda z: 0.5 * z, np.array([1.0, -4.0]), 1e-12, 3)
+    # iterates -2, -1, -0.5 in the second coordinate
+    assert err.value.residual == 0.5
 
 
 def test_implicit_involution_position_dependent_metric():

@@ -13,8 +13,10 @@ import pytest
 
 from imcmc import diagnostics
 from imcmc.diagnostics import check_stationary, transition_matrix
+from imcmc.errors import ConfigError
 from imcmc.suite import (
     STATIONARY_TOL,
+    FiniteCase,
     finite_cases,
     mutant_case,
     run_all,
@@ -152,6 +154,34 @@ def test_run_all_builds_each_matrix_once_and_matches_the_parts(monkeypatch):
         return (r.case, r.check, float(r.value).hex(), r.threshold, r.passed)
 
     assert [key(r) for r in whole] == [key(r) for r in parts]
+
+
+def test_grouped_case_lumps_with_its_joint_law():
+    # no registry case has both groups and a joint law; this one lumps the
+    # Langevin grid's (x, v) chain onto x
+    mala = next(c for c in CASES if c.name == "mala_grid")
+    p_joint = diagnostics.stationary_pmf(mala.states, mala.joint_logpdf)
+    _, px = diagnostics.marginal_matrix(np.eye(len(mala.states)), p_joint, mala.x_groups)
+    case = FiniteCase(name="mala_grid_lumped", kernel=mala.kernel, states=mala.states,
+                      check_pmf=px, groups=mala.x_groups,
+                      joint_logpdf=mala.joint_logpdf)
+    T = case.matrix()
+    want, _ = diagnostics.marginal_matrix(T, p_joint, mala.x_groups)
+    # the lumped matrix weighs each group's rows by the joint law, as a
+    # per-call computation does, bit for bit
+    assert np.array_equal(case.check_matrix(T), want)
+    # rows within a group agree, so other weights move only the last bits;
+    # the bits show which weights were used
+    uniform, _ = diagnostics.marginal_matrix(
+        T, np.full(len(mala.states), 1.0 / len(mala.states)), mala.x_groups)
+    assert not np.array_equal(case.check_matrix(T), uniform)
+    assert check_stationary(case.check_matrix(T), px, STATIONARY_TOL).passed
+
+
+def test_finite_case_needs_a_law():
+    mala = next(c for c in CASES if c.name == "mala_grid")
+    with pytest.raises(ConfigError):
+        FiniteCase(name="lawless", kernel=mala.kernel, states=mala.states)
 
 
 # sha256 over the (case, check, float.hex(value)) rows of run_all(), in order
