@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import make_rng, run_chain
 from .diagnostics import acceptance_rate, ess_batch_means
-from .errors import ConfigError, DegenerateSeriesError, ImcmcError
+from .errors import ConfigError, DegenerateSeriesError, DensityError, ImcmcError
 from .maps import CouplingMap, LeapfrogConfig, affine_x_flow, identity_flow
 from .samplers import (
     SamplerSpec,
@@ -102,6 +102,8 @@ class RunConfig:
     def __post_init__(self):
         if self.chains < 1:
             raise ConfigError("need at least one chain")
+        if self.jobs < 1:
+            raise ConfigError("need at least one job")
         if not self.steps > self.burn_in >= 0:
             raise ConfigError("need steps > burn_in >= 0")
 
@@ -115,6 +117,24 @@ def _parse_seed(value, source: str) -> int:
     if seed < 0:
         raise ConfigError(f"{source} must be a non-negative integer, got {value!r}")
     return seed
+
+
+# the numeric settings that count something
+_COUNT_KEYS = ("k", "K", "steps", "burn_in", "chains", "jobs")
+
+
+def _parse_number(key: str, value):
+    """A numeric setting as a finite float, or an int for the counts in
+    ``_COUNT_KEYS``; anything else is a ConfigError."""
+    count = key in _COUNT_KEYS
+    try:
+        num = float(value)
+    except (TypeError, ValueError, OverflowError):
+        num = math.nan
+    if not math.isfinite(num) or (count and not num.is_integer()):
+        raise ConfigError(f"{key} must be a finite {'integer' if count else 'number'}, "
+                          f"got {value!r}")
+    return int(num) if count else num
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +161,12 @@ def build_target(name: str, dataset: Optional[str] = None):
     if name == "logreg":
         if not dataset:
             raise ConfigError("the logreg target needs --dataset")
-        ds = load_dataset(dataset)
+        try:
+            ds = load_dataset(dataset)
+        except (DensityError, OSError) as exc:
+            raise ConfigError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{dataset}: not UTF-8 text ({exc.reason})") from None
         post = LogisticPosterior(ds.X, ds.y)
         return {"density": post.density(), "x0": np.zeros(post.dim),
                 "posterior": post, "batch": "logreg"}
@@ -478,11 +503,9 @@ def _make_config(args, need_kind: bool = True) -> RunConfig:
         raise ConfigError("a sampler kind is required (--kind)")
     if not target:
         raise ConfigError("a target is required (--target)")
-    params = {k: merged[k] for k in _PARAM_FLAGS if k in merged}
-    if "k" in params:
-        params["k"] = int(params["k"])
-    if "K" in params:
-        params["K"] = int(params["K"])
+    params = {k: _parse_number(k, merged[k]) for k in _PARAM_FLAGS if k in merged}
+    counts = {k: _parse_number(k, merged.get(k, _DEFAULTS[k]))
+              for k in ("steps", "burn_in", "chains", "jobs")}
     if merged.get("dataset"):
         params["dataset"] = merged["dataset"]
     if kind in ("irr_nice_mc",) and "alpha" not in params:
@@ -491,14 +514,9 @@ def _make_config(args, need_kind: bool = True) -> RunConfig:
         seed = _parse_seed(merged["seed"], "seed")
     else:
         seed = _parse_seed(os.environ.get("IMCMC_SEED") or 0, "IMCMC_SEED")
-    return RunConfig(kind=kind or "", target=target,
-                     steps=int(merged.get("steps", _DEFAULTS["steps"])),
-                     burn_in=int(merged.get("burn_in", _DEFAULTS["burn_in"])),
-                     chains=int(merged.get("chains", _DEFAULTS["chains"])),
-                     seed=seed, out=merged.get("out"),
-                     fmt=merged.get("fmt", "csv"),
-                     jobs=int(merged.get("jobs", _DEFAULTS["jobs"])),
-                     params=params)
+    return RunConfig(kind=kind or "", target=target, seed=seed,
+                     out=merged.get("out"), fmt=merged.get("fmt", "csv"),
+                     params=params, **counts)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -244,6 +244,10 @@ class _GradMemo(_LastTwo):
         return value, g
 
 
+# the sup-norm distance within which a query matches a grid row or a state
+_LOOKUP_ATOL = 1e-9
+
+
 class _RowIndex:
     """An exact-bytes table in front of a search over fixed float64 rows.
 
@@ -455,8 +459,9 @@ class JacobianReport:
         return math.isfinite(self.fd_logdet) and self.abs_error <= self.tol
 
 
-def fd_jacobian(f: Involution, point: JointPoint, step: float = 1e-5) -> np.ndarray:
-    """Central-finite-difference Jacobian of the continuous blocks of ``f``."""
+def fd_jacobian(f: Involution, point: JointPoint) -> np.ndarray:
+    """Central-difference Jacobian (step 1e-5) of the continuous blocks of ``f``."""
+    step = 1e-5
     z0 = point.continuous()
     n = z0.size
     if n == 0:
@@ -472,11 +477,11 @@ def fd_jacobian(f: Involution, point: JointPoint, step: float = 1e-5) -> np.ndar
     return jac
 
 
-def verify_jacobian(f: Involution, point: JointPoint, tol: float = 1e-5,
-                    step: float = 1e-5) -> JacobianReport:
+def verify_jacobian(f: Involution, point: JointPoint, tol: float = 1e-5
+                    ) -> JacobianReport:
     """Compare the reported log|det J| against a finite-difference estimate."""
     _, reported = f.forward(point)
-    jac = fd_jacobian(f, point, step=step)
+    jac = fd_jacobian(f, point)
     sign, fd_logdet = np.linalg.slogdet(jac)
     cond = float(np.linalg.cond(jac))
     if sign == 0.0:
@@ -802,15 +807,13 @@ def run_chain(kernel: TransitionKernel, init: JointPoint, n: int,
                        tags=tag_trace, final=point if n > 0 else init)
 
 
-def random_points(layout: Layout, n: int, rng: np.random.Generator,
-                  scale: float = 1.0) -> list[JointPoint]:
-    """Layout-valid random points for involution and Jacobian property tests."""
+def random_points(layout: Layout, n: int, rng: np.random.Generator
+                  ) -> list[JointPoint]:
+    """Layout-valid standard-normal points for involution and Jacobian tests."""
     points = []
     for _ in range(n):
         tags = tuple(int(rng.choice(layout.tag_values.get(t, (0, 1))))
                      for t in layout.tags)
-        points.append(layout.point(
-            scale * rng.standard_normal(layout.x_dim),
-            scale * rng.standard_normal(layout.v_dim),
-            tags))
+        points.append(layout.point(rng.standard_normal(layout.x_dim),
+                                   rng.standard_normal(layout.v_dim), tags))
     return points

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import JointPoint, TransitionKernel, _RowIndex
+from .core import JointPoint, TransitionKernel, _LOOKUP_ATOL, _RowIndex
 from .errors import DegenerateSeriesError, EnumerationError
 
 __all__ = [
@@ -132,13 +132,17 @@ class _StateIndex:
     distance over the matching group, and ties go to the lowest index.  A
     point whose continuous coordinates are bitwise an enumerated state's
     gets that search's answer from a table built here (see
-    `core._RowIndex`).
+    `core._RowIndex`).  A state with a NaN coordinate is refused, since its
+    distance would win every search among its tags.
     """
 
     def __init__(self, states: Sequence[JointPoint], atol: float):
         self.states = list(states)
         self.atol = atol
         cont = np.stack([s.continuous() for s in self.states])
+        bad = np.flatnonzero(np.isnan(cont).any(axis=1))
+        if bad.size:
+            raise EnumerationError(f"enumerated state {bad[0]} has a NaN coordinate")
         members: dict[tuple, list[int]] = {}
         for i, s in enumerate(self.states):
             members.setdefault(s.tags, []).append(i)
@@ -187,7 +191,7 @@ def _kernel_matrix(kernel: TransitionKernel, index: _StateIndex) -> np.ndarray:
 
 
 def transition_matrix(kernel: TransitionKernel, states: Sequence[JointPoint],
-                      atol: float = 1e-9,
+                      atol: float = _LOOKUP_ATOL,
                       max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
     """Exact transition matrix of a kernel over an enumerated state space.
 
@@ -208,18 +212,16 @@ def transition_matrix(kernel: TransitionKernel, states: Sequence[JointPoint],
 
 
 def transition_matrix_direct(kernel: TransitionKernel,
-                             states: Sequence[JointPoint],
-                             atol: float = 1e-9,
-                             max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
+                             states: Sequence[JointPoint]) -> np.ndarray:
     """Composition matrix built by chaining enumerations, not by multiplying.
 
     Exists to cross-check that the matrix product route agrees with direct
-    path enumeration.
+    path enumeration, at `transition_matrix`'s default tolerance and cap.
     """
-    if len(states) > max_states:
+    if len(states) > DEFAULT_MAX_STATES:
         raise EnumerationError(
-            f"{len(states)} states exceeds the cap of {max_states}")
-    index = _StateIndex(states, atol)
+            f"{len(states)} states exceeds the cap of {DEFAULT_MAX_STATES}")
+    index = _StateIndex(states, _LOOKUP_ATOL)
     n = len(index)
     T = np.zeros((n, n))
     for i, state in enumerate(index.states):

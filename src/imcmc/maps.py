@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Involution, JointPoint
+from .core import Involution, JointPoint, _LOOKUP_ATOL
 from .errors import ConfigError, FixedPointError
 
 __all__ = [
@@ -108,9 +108,9 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
 
 
 def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
-                     grad_x, grad_v=None) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse step via flip-integrate-flip (the momentum density is even)."""
-    x, v = leapfrog(x, -np.asarray(v, dtype=float), cfg, grad_x, grad_v)
+                     grad_x) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of the unit-mass `leapfrog`: flip, integrate, flip."""
+    x, v = leapfrog(x, -np.asarray(v, dtype=float), cfg, grad_x)
     return x, -v
 
 
@@ -184,13 +184,19 @@ class AffineXFlow(FlowMap):
         super().__init__(fwd, inv, name=name)
 
 
-def cycle_flow(values: Sequence[float], atol: float = 1e-9) -> FlowMap:
-    """Cyclic shift on a finite set of 1-d target-block values."""
+def cycle_flow(values: Sequence[float]) -> FlowMap:
+    """Cyclic shift on a finite set of 1-d target-block values.
+
+    A point is on the cycle within 1e-9.  A NaN value is refused, since its
+    distance would win every search.
+    """
     vals = np.asarray(values, dtype=float)
+    if np.isnan(vals).any():
+        raise ConfigError("cycle values must not be NaN")
 
     def locate(x):
         i = int(np.argmin(np.abs(vals - x[0])))
-        if abs(vals[i] - x[0]) > atol:
+        if abs(vals[i] - x[0]) > _LOOKUP_ATOL:
             raise ConfigError("point is not on the cycle")
         return i
 
@@ -366,40 +372,41 @@ def _fixed_point(update, start: np.ndarray, tol: float, max_iter: int) -> np.nda
 
 
 def implicit_leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
-                      ham: RiemannianHamiltonian, tol: float = 1e-12,
-                      max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+                      ham: RiemannianHamiltonian, max_iter: int = 100
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized leapfrog for non-separable Hamiltonians.
 
     Each step solves two fixed-point equations (implicit half-kick and
-    implicit drift) by plain iteration; the scheme is volume preserving and
-    time reversible, so composing with a momentum flip gives an involution.
+    implicit drift) by plain iteration to a sup-norm change of 1e-12; the
+    scheme is volume preserving and time reversible, so composing with a
+    momentum flip gives an involution.
     """
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
     h = 0.5 * cfg.eps
     # a step's closing kick and the next step's implicit kick share one x
     kick = ham.grad_x_at(x)
     for _ in range(cfg.k):
-        v_half = _fixed_point(lambda w: v - h * kick(w), v, tol, max_iter)
+        v_half = _fixed_point(lambda w: v - h * kick(w), v, 1e-12, max_iter)
         x_half = x + h * ham.grad_v(x, v_half)
         x = _fixed_point(lambda y: x_half + h * ham.grad_v(y, v_half), x_half,
-                         tol, max_iter)
+                         1e-12, max_iter)
         kick = ham.grad_x_at(x)
         v = v_half - h * kick(v_half)
     return x, v
 
 
 def implicit_leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
-                              ham: RiemannianHamiltonian, tol: float = 1e-12,
-                              max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+                              ham: RiemannianHamiltonian
+                              ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse step via flip-integrate-flip (the Hamiltonian is even in v)."""
-    x, v = implicit_leapfrog(x, -np.asarray(v, dtype=float), cfg, ham, tol, max_iter)
+    x, v = implicit_leapfrog(x, -np.asarray(v, dtype=float), cfg, ham)
     return x, -v
 
 
-def implicit_hmc_involution(cfg: LeapfrogConfig, ham: RiemannianHamiltonian,
-                            tol: float = 1e-12, max_iter: int = 100) -> Involution:
+def implicit_hmc_involution(cfg: LeapfrogConfig,
+                            ham: RiemannianHamiltonian) -> Involution:
     def fn(z: JointPoint):
-        x, v = implicit_leapfrog(z.x, z.v, cfg, ham, tol, max_iter)
+        x, v = implicit_leapfrog(z.x, z.v, cfg, ham)
         return z.with_x(x).with_v(-v), 0.0
 
     return Involution(fn, name=f"flip*implicit_leapfrog^{cfg.k}")
@@ -409,22 +416,23 @@ def implicit_hmc_involution(cfg: LeapfrogConfig, ham: RiemannianHamiltonian,
 # involution combinators
 # ---------------------------------------------------------------------------
 
-def direction_augment(flow: FlowMap, tag: str = "d") -> Involution:
-    """Turn any bijection into an involution on states carrying a direction.
+def direction_augment(flow: FlowMap) -> Involution:
+    """Turn any bijection into an involution on states carrying a direction
+    tag "d".
 
     Moving with d=+1 applies the forward map and lands on d=-1; moving with
     d=-1 applies the inverse and lands on d=+1.
     """
 
     def fn(z: JointPoint):
-        d = z.tag(tag)
+        d = z.tag("d")
         if d == 1:
             z1, ld = flow.forward(z)
         elif d == -1:
             z1, ld = flow.inverse(z)
         else:
             raise ConfigError(f"direction tag must be +1 or -1, got {d}")
-        return z1.with_tag(tag, -d), ld
+        return z1.with_tag("d", -d), ld
 
     return Involution(fn, name=f"dir[{flow.name}]")
 
@@ -562,36 +570,33 @@ class CouplingMap(FlowMap):
         return _write_slot(z.with_x(x), self.slot, v), ld
 
 
-def _bounded_cubic(coeffs: Sequence[float], clip: float = 3.0):
-    """Smooth odd-ish polynomial shift, clipped through tanh to stay bounded."""
-    c = tuple(float(a) for a in coeffs)
+def _bounded_cubic(c: tuple[float, float, float, float]):
+    """Smooth odd-ish polynomial shift, clipped through tanh(y / 3) to stay bounded."""
 
     def s(y: np.ndarray) -> np.ndarray:
-        t = np.tanh(y / clip)
+        t = np.tanh(y / 3.0)
         return c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3
 
     return s
 
 
-def additive_coupling(shift_coeffs_x=(0.0, 0.4, 0.0, -0.1),
-                      shift_coeffs_v=(0.0, 0.3, 0.1, 0.0),
-                      slot: Optional[str] = None,
-                      name: str = "nice") -> CouplingMap:
+# the x-block shift that both fixed coupling maps apply first
+_X_SHIFT_COEFFS = (0.0, 0.4, 0.0, -0.1)
+
+
+def additive_coupling(slot: Optional[str] = None, name: str = "nice") -> CouplingMap:
     """Two additive layers with fixed smooth shifts; volume preserving."""
     return CouplingMap(
-        [("add_x", _bounded_cubic(shift_coeffs_x)),
-         ("add_v", _bounded_cubic(shift_coeffs_v))],
+        [("add_x", _bounded_cubic(_X_SHIFT_COEFFS)),
+         ("add_v", _bounded_cubic((0.0, 0.3, 0.1, 0.0)))],
         name=name, slot=slot)
 
 
-def affine_coupling(shift_coeffs=(0.0, 0.4, 0.0, -0.1),
-                    scale_coeffs=(0.0, 0.15, 0.0, 0.05),
-                    slot: Optional[str] = None,
-                    name: str = "affine") -> CouplingMap:
+def affine_coupling(slot: Optional[str] = None, name: str = "affine") -> CouplingMap:
     """Additive plus scaling layer; not volume preserving."""
     return CouplingMap(
-        [("add_x", _bounded_cubic(shift_coeffs)),
-         ("scale_v", _bounded_cubic(scale_coeffs))],
+        [("add_x", _bounded_cubic(_X_SHIFT_COEFFS)),
+         ("scale_v", _bounded_cubic((0.0, 0.15, 0.0, 0.05)))],
         name=name, slot=slot)
 
 
@@ -603,16 +608,16 @@ DEFAULT_SHIFT = 1.0 / math.sqrt(2.0)
 
 
 def cdf_map(cdf: Callable[[float], float], icdf: Callable[[float], float],
-            shift: float = DEFAULT_SHIFT, clamp: float = 1e-15):
+            shift: float = DEFAULT_SHIFT):
     """Measure-preserving 1-d map: push through the CDF, rotate, pull back.
 
-    The CDF value is clamped into the open unit interval before inversion
+    The CDF value is clamped into [1e-15, 1 - 1e-15] before inversion
     because the inverse CDF diverges at the endpoints.
     """
 
     def fn(x: float) -> float:
         u = (float(cdf(x)) + shift) % 1.0
-        u = min(max(u, clamp), 1.0 - clamp)
+        u = min(max(u, 1e-15), 1.0 - 1e-15)
         return float(icdf(u))
 
     return fn

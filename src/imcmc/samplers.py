@@ -277,9 +277,9 @@ def momentum_refresh_kernel(layout: Layout, alpha: float,
         involution=swap_slots("v", "a"), name=name)
 
 
-def default_init(kernel: TransitionKernel, x0, v0=None, tags: Optional[dict] = None
+def default_init(kernel: TransitionKernel, x0, tags: Optional[dict] = None
                  ) -> JointPoint:
-    """Layout-valid starting point with conventional tag defaults."""
+    """Layout-valid starting point: zero auxiliary block, conventional tags."""
     layout = kernel.layout
     values = []
     for t in layout.tags:
@@ -289,7 +289,7 @@ def default_init(kernel: TransitionKernel, x0, v0=None, tags: Optional[dict] = N
             values.append(1)
         else:
             values.append(layout.tag_values.get(t, (0,))[0])
-    return layout.point(x0, v0, values)
+    return layout.point(x0, tags=values)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +448,11 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
 
     The proposal is drawn around ``aggregate(S)`` of the current ensemble S,
     and the swap index is drawn with weight ``q(x_i | aggregate(S_-i)) / p(x_i)``;
-    index N means "replace the proposal itself" (a no-op).  With a
-    permutation-invariant aggregation every proposed swap is accepted; the
-    generalized mode drops that requirement and pays with a genuine test.
+    index N means "replace the proposal itself" (a no-op).  Every mode runs
+    the same joint-density acceptance test.  With a permutation-invariant
+    aggregation that test accepts every proposed swap; with any other it
+    may reject.  ``generalized`` changes no computation: it only requires
+    ``aggregate`` to be given explicitly.
     """
     if N < 1:
         raise ConfigError("ensemble size must be at least 1")
@@ -764,26 +766,25 @@ class LookAheadKernel(TransitionKernel):
     def _flip(self, z: JointPoint) -> JointPoint:
         return z.with_slot("v", -z.slot("v"))
 
-    def _cascade(self, z: JointPoint, kmax: int
-                 ) -> tuple[list[JointPoint], list[float]]:
+    def _cascade(self, z: JointPoint) -> tuple[list[JointPoint], list[float]]:
         """The landing points ``flip(z_k)`` and their weights ``pi_k``."""
         joints = [self.joint(z)]
         landings = []
         w = z
-        for _ in range(kmax):
+        for _ in range(self.K):
             w, ld = self.T.forward(w)
             if abs(ld) > 1e-12:
                 raise ConfigError("look-ahead requires a volume-preserving map")
             fz = self._flip(w)
             landings.append(fz)
             joints.append(self.joint(fz))
-        return landings, _cascade_weights(joints, kmax)
+        return landings, _cascade_weights(joints)
 
-    def pis(self, z: JointPoint, kmax: Optional[int] = None) -> list[float]:
-        return self._cascade(z, self.K if kmax is None else kmax)[1]
+    def pis(self, z: JointPoint) -> list[float]:
+        return self._cascade(z)[1]
 
     def _branches(self, z: JointPoint) -> list[tuple[JointPoint, float]]:
-        landings, pis = self._cascade(z, self.K)
+        landings, pis = self._cascade(z)
         return [*zip(landings, pis), (z, 1.0 - math.fsum(pis))]
 
     def step(self, point: JointPoint, rng: np.random.Generator):
@@ -801,8 +802,9 @@ class LookAheadKernel(TransitionKernel):
         return [(dest, p) for dest, p in self._branches(point) if p > 0.0]
 
 
-def _cascade_weights(joints: list[float], kmax: int) -> list[float]:
-    """``pi_1..pi_kmax`` of the cascade from ``z_0`` over one trajectory.
+def _cascade_weights(joints: list[float]) -> list[float]:
+    """``pi_1..pi_K`` of the cascade from ``z_0`` over one trajectory
+    ``z_0..z_K``.
 
     ``joints[m]`` is the joint density at ``z_m`` (equal to that at
     ``flip(z_m)``).  The cascade from ``z_s`` lands on ``z_{s+i}`` and the
@@ -824,7 +826,7 @@ def _cascade_weights(joints: list[float], kmax: int) -> list[float]:
             cums.append(cums[-1] + out[-1])
         return out[:n]
 
-    return weights(0, 1, kmax)
+    return weights(0, 1, len(joints) - 1)
 
 
 def make_look_ahead(target: LogDensity, T: FlowMap, K: int, refresh_alpha: float,
@@ -1124,7 +1126,6 @@ def make_transdimensional(space: ModelSpace, mode: str = "reversible",
                           model_probs: Optional[Callable[[JointPoint], np.ndarray]] = None,
                           tau: float = 0.5,
                           within: Optional[AuxiliaryConditional] = None,
-                          within_scale: float = 0.5,
                           within_dim: Optional[int] = None,
                           name: str = "transdim") -> TransitionKernel:
     """Between-model sampler in the reversible or the non-reversible form.
@@ -1132,9 +1133,10 @@ def make_transdimensional(space: ModelSpace, mode: str = "reversible",
     The reversible mode draws the next model from ``model_probs`` and
     applies the dimension-matched move with the standard between-model
     acceptance.  The non-reversible mode carries a persistent direction over
-    the model ladder: with probability ``tau`` a within-model random-walk
-    update runs (direction fixed), otherwise a jump to ``k + nu`` is
-    attempted and the direction net-flips exactly on rejected jumps.
+    the model ladder: with probability ``tau`` a within-model update
+    (``within``, by default a normal random walk with step 0.5) runs with
+    the direction fixed, otherwise a jump to ``k + nu`` is attempted and the
+    direction net-flips exactly on rejected jumps.
     """
     d = space.total_dim
     ids = space.ids()
@@ -1189,7 +1191,7 @@ def make_transdimensional(space: ModelSpace, mode: str = "reversible",
             mu[:n] = point.x[:n]
             return mu
 
-        within = gaussian_slot_conditional(w_dim, w_mean, within_scale ** 2,
+        within = gaussian_slot_conditional(w_dim, w_mean, 0.5 ** 2,
                                            name="within_rw")
 
     def jump_involution(z: JointPoint):

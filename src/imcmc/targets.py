@@ -10,12 +10,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import AuxiliaryConditional, JointPoint, LogDensity, _RowIndex
+from .core import AuxiliaryConditional, JointPoint, LogDensity, _LOOKUP_ATOL, _RowIndex
 from .errors import ConfigError, DensityError
 
 __all__ = [
@@ -88,16 +88,11 @@ def bivariate_normal(rho: float) -> LogDensity:
 # Gaussian mixtures
 # ---------------------------------------------------------------------------
 
-def mixture_1d(means: Sequence[float], sigma: float,
-               weights: Optional[Sequence[float]] = None) -> LogDensity:
-    """Equal-variance 1-d normal mixture with responsibility-weighted gradient."""
+def mixture_1d(means: Sequence[float], sigma: float) -> LogDensity:
+    """Equal-weight, equal-variance 1-d normal mixture with
+    responsibility-weighted gradient."""
     mu = np.asarray(means, dtype=float)
-    if weights is None:
-        w = np.full(mu.size, 1.0 / mu.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-    logw = np.log(w)
+    logw = np.log(np.full(mu.size, 1.0 / mu.size))
     var = sigma * sigma
     const = -0.5 * math.log(2.0 * math.pi * var)
 
@@ -186,16 +181,16 @@ class LogisticPosterior:
     """Posterior over (weights, bias) with a zero-mean normal prior.
 
     The success logit is ``x'w - b`` and the prior variance on every
-    coordinate is ``prior_var`` (0.1 unless overridden; the reference
-    formulation writes the prior scale ambiguously and we read it as a
-    variance).  ``logpdf``, ``grad`` and ``value_and_grad`` take one
-    parameter vector ``(d,)`` or rows ``(..., d)`` of them;
-    ``value_and_grad`` forms the logits once for both.
+    coordinate is ``prior_var`` = 0.1 (the reference formulation writes the
+    prior scale ambiguously and we read it as a variance).  ``logpdf``,
+    ``grad`` and ``value_and_grad`` take one parameter vector ``(d,)`` or
+    rows ``(..., d)`` of them; ``value_and_grad`` forms the logits once for
+    both.
     """
 
     X: np.ndarray
     y: np.ndarray
-    prior_var: float = 0.1
+    prior_var: ClassVar[float] = 0.1
     # computed once from the fields above
     _one_minus_y: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _prior_const: float = dataclasses.field(init=False, repr=False, compare=False)
@@ -261,17 +256,16 @@ class Dataset:
     name: str
 
 
-def load_dataset(path, name: Optional[str] = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a CSV with the label in the last column; standardize covariates.
 
     An optional header row is detected by a non-numeric first row.  Labels
-    must take exactly the values {0, 1}.  When the dataset name (given or
-    inferred from the file stem) is a known benchmark, the shape is validated
-    against the expected (rows, covariates).
+    must take exactly the values {0, 1}.  The dataset is named by the
+    lower-cased file stem; when that is a known benchmark, the shape is
+    validated against the expected (rows, covariates).
     """
     path = Path(path)
-    if name is None:
-        name = path.stem.lower()
+    name = path.stem.lower()
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -293,6 +287,8 @@ def load_dataset(path, name: Optional[str] = None) -> Dataset:
             rows.append([float(tok) for tok in toks])
         except ValueError:
             raise DensityError(f"{path}: malformed row {i}") from None
+    if not rows:
+        raise DensityError(f"{path}: no data rows")
     data = np.asarray(rows)
     if data.shape[1] < 2:
         raise DensityError(f"{path}: need at least one covariate and a label")
@@ -336,24 +332,28 @@ def ar1_generate(rho: float, n: int, seed: int) -> np.ndarray:
 class GridDensity:
     """Log-density supported on a finite set of target-block values.
 
-    Evaluation snaps to the nearest grid point within ``atol`` and returns
-    the stored log-weight; anywhere else the density is zero.  ``grad``
-    optionally delegates to a smooth envelope so integrator-based kernels can
-    run on the grid.  ``values`` and ``atol`` are fixed at construction: a
-    query that is bitwise a grid row gets the nearest-point search's answer
-    for that row from a table built then (see `core._RowIndex`).
+    Evaluation snaps to the nearest grid point within ``atol`` (1e-9, sup
+    norm) and returns the stored log-weight; anywhere else the density is
+    zero.  ``grad`` optionally delegates to a smooth envelope so
+    integrator-based kernels can run on the grid.  ``values`` are fixed at
+    construction: a query that is bitwise a grid row gets the nearest-point
+    search's answer for that row from a table built then (see
+    `core._RowIndex`).  A NaN in ``values`` is refused, since its distance
+    would win every search.
     """
 
-    def __init__(self, values: np.ndarray, log_weights: np.ndarray,
-                 atol: float = 1e-9, grad=None):
+    atol = _LOOKUP_ATOL
+
+    def __init__(self, values: np.ndarray, log_weights: np.ndarray, grad=None):
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
+        if np.isnan(values).any():
+            raise ConfigError("grid values must not be NaN")
         self.values = values
         self.log_weights = np.asarray(log_weights, dtype=float)
         if self.values.shape[0] != self.log_weights.size:
             raise ConfigError("grid values and weights do not align")
-        self.atol = atol
         self._grad = grad
         self._index = _RowIndex(values, self._nearest)
 
@@ -393,7 +393,7 @@ def _grid_rows(stacked: np.ndarray) -> _RowIndex:
     table built here."""
 
     def first_within(value):
-        hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
+        hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= _LOOKUP_ATOL)
         return int(hits[0]) if hits.size else None
 
     return _RowIndex(stacked, first_within)

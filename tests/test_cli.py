@@ -242,8 +242,21 @@ def test_bench_missing_dataset_file(tmp_path):
                     "--steps", "100", "--burn-in", "10", "--eps", "0.1"]) == 2
 
 
-# argv with {tmp} for a scratch directory holding fmt.cfg, and the one line
-# the CLI writes to stderr
+# files written to the scratch directory before each bad-input case
+BAD_INPUT_FILES = {
+    "fmt.cfg": "kind = mala\ntarget = mog2\nfmt = json\n",
+    "k.cfg": "kind = hmc\ntarget = mog2\neps = 0.1\nk = abc\n",
+    "steps.cfg": "kind = mala\ntarget = mog2\neps = 0.1\nsteps = abc\n",
+    "scale.cfg": "kind = rwm\ntarget = mog2\nscale = abc\n",
+    "header.csv": "a,b,label\n",
+    "labels.csv": "1.0,2.0,0\n3.0,1.0,2\n",
+    "ragged.csv": "1.0,2.0,0\n1.0,1\n",
+    "empty.csv": "",
+    "latin1.csv": "caf\u00e9,label\n1.0,0\n",
+}
+
+# argv and the one line the CLI writes to stderr, with {tmp} for the
+# scratch directory holding BAD_INPUT_FILES
 BAD_INPUTS = {
     "sample_format_flag": (
         ["sample", "--kind", "mala", "--target", "mog2", "--format", "json",
@@ -264,16 +277,66 @@ BAD_INPUTS = {
          "--steps", "200", "--burn-in", "10", "--out", "{tmp}"],
         "error: chain 0 accepted no proposals in its 190 steps after burn-in "
         "(acceptance 0), so its ESS is undefined"),
+    "k_nan": (
+        ["sample", "--kind", "hmc", "--target", "mog2", "--eps", "0.1", "--k", "nan",
+         "--out", "{tmp}"],
+        "error: k must be a finite integer, got nan"),
+    "k_inf": (
+        ["sample", "--kind", "hmc", "--target", "mog2", "--eps", "0.1", "--k", "inf",
+         "--out", "{tmp}"],
+        "error: k must be a finite integer, got inf"),
+    "k_fraction": (
+        ["sample", "--kind", "hmc", "--target", "mog2", "--eps", "0.1", "--k", "2.5",
+         "--out", "{tmp}"],
+        "error: k must be a finite integer, got 2.5"),
+    "jobs_negative": (
+        ["sample", "--kind", "mala", "--target", "mog2", "--eps", "0.1", "--jobs", "-3",
+         "--out", "{tmp}"],
+        "error: need at least one job"),
+    "k_key_not_a_number": (
+        ["sample", "--config", "{tmp}/k.cfg", "--out", "{tmp}"],
+        "error: k must be a finite integer, got 'abc'"),
+    "steps_key_not_a_number": (
+        ["sample", "--config", "{tmp}/steps.cfg", "--out", "{tmp}"],
+        "error: steps must be a finite integer, got 'abc'"),
+    "scale_key_not_a_number": (
+        ["sample", "--config", "{tmp}/scale.cfg", "--out", "{tmp}"],
+        "error: scale must be a finite number, got 'abc'"),
+    "dataset_header_only": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}/header.csv", "--out", "{tmp}"],
+        "error: {tmp}/header.csv: no data rows"),
+    "dataset_label_not_binary": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}/labels.csv", "--out", "{tmp}"],
+        "error: {tmp}/labels.csv: non-binary label at row 2"),
+    "dataset_ragged_row": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}/ragged.csv", "--out", "{tmp}"],
+        "error: {tmp}/ragged.csv: malformed row 2 (expected 3 fields)"),
+    "dataset_empty": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}/empty.csv", "--out", "{tmp}"],
+        "error: {tmp}/empty.csv: empty dataset"),
+    "dataset_not_utf8": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}/latin1.csv", "--out", "{tmp}"],
+        "error: {tmp}/latin1.csv: not UTF-8 text (invalid continuation byte)"),
+    "dataset_is_a_directory": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}", "--out", "{tmp}"],
+        "error: [Errno 21] Is a directory: '{tmp}'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(tmp_path, capsys, case):
     argv, line = BAD_INPUTS[case]
-    (tmp_path / "fmt.cfg").write_text("kind = mala\ntarget = mog2\nfmt = json\n")
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="latin-1")
     code = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert code == 2
-    assert capsys.readouterr().err.splitlines() == [line]
+    assert capsys.readouterr().err.splitlines() == [line.replace("{tmp}", str(tmp_path))]
     # a failed run leaves no partial output
     assert not list(tmp_path.glob("chain_*.csv"))
     assert not (tmp_path / "summary.json").exists()

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from imcmc.core import Layout
-from imcmc.diagnostics import _StateIndex
-from imcmc.errors import EnumerationError
-from imcmc.targets import GridDensity, _grid_logpmf, _grid_rows
+from imcmc.diagnostics import _StateIndex, transition_matrix, transition_matrix_direct
+from imcmc.errors import ConfigError, EnumerationError
+from imcmc.samplers import make_cdf_deterministic
+from imcmc.targets import GridDensity, _grid_logpmf, _grid_rows, uniform_cdf1d
 
 # duplicate rows, two rows 5e-10 apart, both signed zeros and a NaN row
 ROWS = np.array([[1.0, 2.0], [0.0, 0.5], [1.0, 2.0], [1.0 + 5e-10, 2.0],
@@ -87,8 +88,14 @@ def test_grid_logpmf_equals_the_search_bitwise(rows):
             assert _bits(got) == _bits(_reference_grid_logpmf(rows, p, value)), q
 
 
+# a NaN row would win every search (argmin picks a NaN distance), so the
+# grid refuses it when it is built
 @pytest.mark.parametrize("rows", [ROWS, ROWS[:6], ROWS[::-1].copy()])
 def test_grid_density_index_equals_the_search(rows):
+    if np.isnan(rows).any():
+        with pytest.raises(ConfigError, match="NaN"):
+            GridDensity(rows, np.zeros(len(rows)))
+        rows = rows[~np.isnan(rows).any(axis=1)]
     grid = GridDensity(rows, np.zeros(len(rows)))
     for q in _queries(rows):
         want = _reference_index(grid.values, grid.atol, q)
@@ -105,14 +112,19 @@ def test_grid_density_index_takes_other_dtypes_as_the_search_does():
     assert grid.index(np.array([2, 3])) == 1
 
 
-# without the NaN row, and with it: a NaN state's distance is NaN and
-# argmin picks it, so the search fails every lookup among its tags
+# without the NaN row, and with it: a NaN state's distance would be NaN and
+# argmin would pick it, failing every lookup among its tags, so the index
+# refuses the state when it is built
 @pytest.mark.parametrize("rows", [np.delete(ROWS, 6, axis=0), ROWS])
 def test_locate_equals_the_search(rows):
     lay = Layout(x_dim=2, v_dim=1, slots={"v": slice(0, 1)},
                  tags=("d",), tag_values={"d": (-1, 1)})
     states = [lay.point(row, [v], (d,)) for row in rows
               for v in (0.0, -0.0, 1.0) for d in (-1, 1)]
+    if np.isnan(rows).any():
+        with pytest.raises(EnumerationError, match="NaN coordinate"):
+            _StateIndex(states, 1e-9)
+        return
     index = _StateIndex(states, 1e-9)
     queries = [lay.point(q, [v], (d,)) for q in _queries(rows)
                for v in (0.0, -0.0, 1.0 + 5e-10, 1.0 + 2e-9) for d in (-1, 1)]
@@ -123,7 +135,7 @@ def test_locate_equals_the_search(rows):
         got = _outcome(index.locate, q)
         assert got == _outcome(_reference_locate, states, 1e-9, q)
         outcomes.add(got[0])
-    assert outcomes == ({"raised"} if np.isnan(rows).any() else {"ok", "raised"})
+    assert outcomes == {"ok", "raised"}
 
 
 def test_locate_finds_the_nearest_state_and_ties_go_to_the_first():
@@ -134,3 +146,11 @@ def test_locate_finds_the_nearest_state_and_ties_go_to_the_first():
     # is the second's duplicate, the fourth is 5e-10 from it and the fifth
     # is the first's other signed zero
     assert [index.locate(s) for s in states] == [0, 1, 1, 3, 0]
+
+
+def test_transition_matrices_refuse_a_nan_state():
+    kernel = make_cdf_deterministic(uniform_cdf1d(), shift=0.25)
+    states = [kernel.layout.point([u]) for u in (0.0, 0.25, np.nan, 0.75)]
+    for build in (transition_matrix, transition_matrix_direct):
+        with pytest.raises(EnumerationError, match="state 2 has a NaN coordinate"):
+            build(kernel, states)

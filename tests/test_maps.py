@@ -381,6 +381,18 @@ def test_cycle_flow():
         flow.forward(lay.point([0.5]))
 
 
+def test_cycle_flow_refuses_a_nan_value():
+    # a NaN value's distance would win every search, so that every point,
+    # even the off-cycle 5.0, was mapped to the first value
+    with pytest.raises(ConfigError, match="NaN"):
+        cycle_flow([0.0, 1.0, np.nan])
+    flow = cycle_flow([0.0, 1.0, 2.0])
+    lay = Layout(x_dim=1, v_dim=0)
+    for move in (flow.forward, flow.inverse):
+        with pytest.raises(ConfigError, match="not on the cycle"):
+            move(lay.point([5.0]))
+
+
 def test_cdf_map_uniform_is_rotation():
     f = cdf_map(lambda x: x, lambda u: u, shift=0.25)
     assert f(0.5) == pytest.approx(0.75)

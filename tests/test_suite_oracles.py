@@ -7,16 +7,32 @@ involutions must verify; the reduction identities must hold exactly.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from imcmc import diagnostics
-from imcmc.diagnostics import check_stationary, transition_matrix
+from imcmc.diagnostics import (
+    check_detailed_balance,
+    check_stationary,
+    stationary_pmf,
+    transition_matrix,
+)
 from imcmc.errors import ConfigError
+from imcmc.maps import FlowMap
+from imcmc.samplers import (
+    ModelSpace,
+    grid_family,
+    make_multiple_try,
+    make_transdimensional,
+)
 from imcmc.suite import (
+    BALANCE_TOL,
     STATIONARY_TOL,
     FiniteCase,
+    _bit_model_space,
+    _grid_2state,
     finite_cases,
     mutant_case,
     run_all,
@@ -206,3 +222,94 @@ def test_run_all_values_match_golden():
     results = run_all()
     assert len(results) == 104
     assert _oracle_digest(results) == ORACLE_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# function-valued hooks that no registry case sets, checked on kernels built
+# here so that run_all keeps its rows
+# ---------------------------------------------------------------------------
+
+def _assert_exact(kernel, states, joint):
+    """The kernel leaves ``joint`` invariant and its frozen-auxiliary move is
+    in detailed balance with it."""
+    p = stationary_pmf(states, joint)
+    stat = check_stationary(transition_matrix(kernel, states), p, STATIONARY_TOL)
+    assert stat.passed, f"||pT - p|| = {stat.residual:.3e}"
+    frozen = transition_matrix(kernel.frozen_aux(), states)
+    bal = check_detailed_balance(frozen, p, BALANCE_TOL)
+    assert bal.passed, f"joint asymmetry {bal.max_asymmetry:.3e}"
+
+
+# the bit models of the registry's rjmcmc_bits: p(k=1, a) and p(k=2, a, b),
+# and the padding coordinate's law
+P_MODEL1 = [0.5 * 0.55, 0.5 * 0.45]
+P_MODEL2 = [[0.5 * 0.4, 0.5 * 0.1], [0.5 * 0.2, 0.5 * 0.3]]
+P_PAD = [0.6, 0.4]
+
+
+def _bits_law(a, b, k):
+    """Model 1 holds a and pads b; model 2 holds both."""
+    return P_MODEL1[int(a)] * P_PAD[int(b)] if k == 1 else P_MODEL2[int(a)][int(b)]
+
+
+def test_model_space_flows_run_both_directions():
+    calls = []
+
+    def swap(name):
+        def fn(z):
+            calls.append(name)
+            return z.with_x(z.x[::-1].copy()), 0.0
+        return fn
+
+    # exchanging the two coordinates preserves volume and maps {0,1}^2 to
+    # itself; the 1->2 move applies it forward and the 2->1 move inversely
+    bits = _bit_model_space()
+    space = ModelSpace(2, bits.models, coord_dist=bits.coord_dist,
+                       flows={(1, 2): FlowMap(swap("fwd"), swap("inv"))})
+    rj = make_transdimensional(space, mode="reversible")
+    states = [rj.layout.point([a, b], tags=(k, 3 - k))
+              for a in (0.0, 1.0) for b in (0.0, 1.0) for k in (1, 2)]
+    _assert_exact(rj, states,
+                  lambda pt: math.log(_bits_law(pt.x[0], pt.x[1], pt.tag("k"))))
+    assert {"fwd", "inv"} <= set(calls)
+
+
+def test_multiple_try_with_a_symmetric_lambda():
+    def lam(y, x):
+        return 1.0 + 2.0 * y[0] + 2.0 * x[0]
+
+    q = [[0.3, 0.7], [0.7, 0.3]]  # q(u | c): stay with probability 0.3
+    p = [0.6, 0.4]
+    mtm = make_multiple_try(_grid_2state().density(),
+                            grid_family([np.array([0.0]), np.array([1.0])],
+                                        lambda u, c: math.log(q[int(c[0])][int(u[0])])),
+                            k=2, lam=lam)
+    states = [mtm.layout.point([x], [y1, y2, xs], (j,))
+              for x in (0.0, 1.0) for y1 in (0.0, 1.0) for y2 in (0.0, 1.0)
+              for xs in (0.0, 1.0) for j in (0, 1)]
+
+    def joint(pt):
+        x = int(pt.x[0])
+        ys = [int(u) for u in pt.slot("y")]
+        w = [p[y] * q[y][x] * lam([y], [x]) for y in ys]
+        y_j = ys[pt.tag("j")]
+        return math.log(p[x] * q[x][ys[0]] * q[x][ys[1]] * w[pt.tag("j")] / sum(w)
+                        * q[y_j][int(pt.slot("xstar")[0])])
+
+    _assert_exact(mtm, states, joint)
+
+
+def test_transdimensional_with_model_probs_that_may_stay():
+    def model_probs(point):
+        return np.array([0.3, 0.7]) if point.tag("k") == 1 else np.array([0.7, 0.3])
+
+    rj = make_transdimensional(_bit_model_space(), mode="reversible",
+                               model_probs=model_probs)
+    states = [rj.layout.point([a, b], tags=(k, j))
+              for a in (0.0, 1.0) for b in (0.0, 1.0) for k in (1, 2) for j in (1, 2)]
+
+    def joint(pt):
+        k, j = pt.tag("k"), pt.tag("j")
+        return math.log(_bits_law(pt.x[0], pt.x[1], k) * (0.3 if j == k else 0.7))
+
+    _assert_exact(rj, states, joint)
