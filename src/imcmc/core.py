@@ -65,10 +65,16 @@ class Layout:
     x_slots: dict[str, slice] = dataclasses.field(default_factory=dict)
     tags: tuple[str, ...] = ()
     tag_values: dict[str, tuple[int, ...]] = dataclasses.field(default_factory=dict)
+    # tag name -> its first position in ``tags``, computed once
+    _tag_pos: dict[str, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x_dim < 0 or self.v_dim < 0:
             raise ConfigError("block dimensions must be non-negative")
+        tag_pos: dict[str, int] = {}
+        for i, name in enumerate(self.tags):
+            tag_pos.setdefault(name, i)
+        object.__setattr__(self, "_tag_pos", tag_pos)
         for name, sl in self.slots.items():
             if sl.stop > self.v_dim:
                 raise ConfigError(f"slot {name!r} exceeds the v block")
@@ -77,10 +83,10 @@ class Layout:
                 raise ConfigError(f"x slot {name!r} is invalid")
 
     def tag_index(self, name: str) -> int:
-        try:
-            return self.tags.index(name)
-        except ValueError:
-            raise ConfigError(f"unknown tag {name!r}") from None
+        i = self._tag_pos.get(name)
+        if i is None:
+            raise ConfigError(f"unknown tag {name!r}")
+        return i
 
     def point(self, x, v=None, tags=()) -> "JointPoint":
         x = np.asarray(x, dtype=float).reshape(self.x_dim)
@@ -506,7 +512,9 @@ def log_accept(rule: AcceptanceRule, log_p_current: float,
     and Barker returns ``1 / (1 + exp(log_p_current - log_p_proposed - logdet))``.
     A proposal with zero density is rejected outright.
     """
-    if math.isnan(log_p_current) or math.isnan(log_p_proposed) or math.isnan(logdet):
+    # x != x holds exactly for a NaN, without a call per argument
+    if (log_p_current != log_p_current or log_p_proposed != log_p_proposed
+            or logdet != logdet):
         raise DensityError("NaN encountered in acceptance computation")
     if log_p_proposed == -math.inf:
         return 0.0
@@ -528,11 +536,16 @@ def log_accept(rule: AcceptanceRule, log_p_current: float,
 # kernels
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
 class StepOutcome:
-    point: JointPoint
-    accepted: bool
-    prob: float
+    """Where a step landed, whether it moved, and its acceptance
+    probability.  A plain slotted class: a chain makes one per step."""
+
+    __slots__ = ("point", "accepted", "prob")
+
+    def __init__(self, point: JointPoint, accepted: bool, prob: float):
+        self.point = point
+        self.accepted = accepted
+        self.prob = prob
 
 
 class TransitionKernel:
@@ -583,10 +596,11 @@ class ImcmcKernel(TransitionKernel):
         self.rule = rule
         self.name = name
         self._factors = self.aux_refresh + self.aux_static
-        for slot, _ in self._factors:
-            if (slot not in layout.slots and slot not in layout.x_slots
-                    and slot not in layout.tags):
-                raise ConfigError(f"unknown auxiliary slot {slot!r}")
+        # each factor as (reader of its coordinates, its logpdf), bound once
+        self._scored = tuple((_reader(layout, slot), cond.logpdf)
+                             for slot, cond in self._factors)
+        # no target and no factors: the joint density is identically 1
+        self._flat = target is None and not self._factors
 
     # -- density bookkeeping -------------------------------------------------
 
@@ -595,19 +609,14 @@ class ImcmcKernel(TransitionKernel):
             return point.with_tag(slot, value)
         return point.with_slot(slot, value)
 
-    def _get(self, point: JointPoint, slot: str):
-        if slot in self.layout.tags:
-            return point.tag(slot)
-        return point.slot(slot)
-
     def joint_logpdf(self, point: JointPoint) -> float:
         # a None target contributes nothing: factors the involution never
         # moves may be omitted from a kernel's bookkeeping
         total = 0.0 if self.target is None else float(self.target(point))
-        for slot, cond in self._factors:
+        for read, logpdf in self._scored:
             if total == -math.inf:
                 break
-            total += cond.logpdf(self._get(point, slot), point)
+            total += logpdf(read(point), point)
         if math.isnan(total):
             raise DensityError(f"{self.name}: joint log-density is NaN")
         return total
@@ -630,7 +639,7 @@ class ImcmcKernel(TransitionKernel):
 
     def acceptance(self, point: JointPoint) -> tuple[float, JointPoint]:
         """Acceptance probability of the deterministic move from ``point``."""
-        lp = self.joint_logpdf(point)
+        lp = 0.0 if self._flat else self.joint_logpdf(point)
         proposal, logdet = self.involution.forward(point)
         if (proposal.x.shape != point.x.shape or proposal.v.shape != point.v.shape
                 or len(proposal.tags) != len(point.tags)):
@@ -638,7 +647,7 @@ class ImcmcKernel(TransitionKernel):
         if lp == -math.inf:
             # zero-probability auxiliary draw: reject without evaluating further
             return 0.0, proposal
-        lq = self.joint_logpdf(proposal)
+        lq = 0.0 if self._flat else self.joint_logpdf(proposal)
         return log_accept(self.rule, lp, lq, logdet), proposal
 
     # -- stepping ------------------------------------------------------------
@@ -677,6 +686,20 @@ class ImcmcKernel(TransitionKernel):
             if prob < 1.0:
                 out.append((refreshed, w * (1.0 - prob)))
         return out
+
+
+def _reader(layout: Layout, slot: str) -> Callable[[JointPoint], object]:
+    """``point ->`` the value of the named tag, v slot or x slot."""
+    if slot in layout.tags:
+        i = layout.tag_index(slot)
+        return lambda point: point.tags[i]
+    if slot in layout.slots:
+        sl = layout.slots[slot]
+        return lambda point: point.v[sl]
+    if slot in layout.x_slots:
+        sl = layout.x_slots[slot]
+        return lambda point: point.x[sl]
+    raise ConfigError(f"unknown auxiliary slot {slot!r}")
 
 
 class DeterministicKernel(TransitionKernel):
@@ -790,11 +813,12 @@ def run_chain(kernel: TransitionKernel, init: JointPoint, n: int,
     prob = np.empty((n, m))
     tag_trace = np.empty((n, len(init.layout.tags)), dtype=int) if record_tags else None
 
+    steps = [k.step for k in kernels]
     point = init
     try:
         for i in range(n):
-            for j, k in enumerate(kernels):
-                out = k.step(point, rng)
+            for j, step in enumerate(steps):
+                out = step(point, rng)
                 point = out.point
                 acc[i, j] = out.accepted
                 prob[i, j] = out.prob

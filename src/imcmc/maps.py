@@ -94,15 +94,21 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
             return fused(y)[1]
 
     half, eps = 0.5 * cfg.eps, cfg.eps
-    x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    # x is never written to (each drift makes a new array), so only v, whose
+    # half-kicks are in place, is copied
+    x, v = np.asarray(x, dtype=float), np.array(v, dtype=float)
     g = grad_x(x)
     for step in range(1, cfg.k + 1):
-        v = v + half * g
-        # the drift for a standard normal momentum: -eps * (-v) is eps * v
-        x = x + eps * v if grad_v is None else x - eps * grad_v(v)
+        v += half * g
+        if grad_v is None:
+            # the drift for a standard normal momentum: -eps * (-v) is eps * v
+            x = x + eps * v
+        else:
+            x = x - eps * grad_v(v)
+            v = v.copy()  # grad_v may keep the array it was handed
         g = endpoint(x) if step == cfg.k else interior(x)
-        v = v + half * g
-    if not np.all(np.isfinite(v)):
+        v += half * g
+    if not np.isfinite(v).all():
         raise ConfigError("non-finite gradient in leapfrog")
     return x, v
 
@@ -326,7 +332,7 @@ class RiemannianHamiltonian:
         self.metric = metric
 
     def value(self, x: np.ndarray, v: np.ndarray) -> float:
-        ginv_v = np.linalg.solve(self.metric.g(x), v)
+        ginv_v = _solve(self.metric.g(x), v)
         return (-float(self.logpdf(x)) + 0.5 * self.metric.logdet(x)
                 + 0.5 * float(v @ ginv_v))
 
@@ -352,7 +358,15 @@ class RiemannianHamiltonian:
         return kick
 
     def grad_v(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.metric.g(x), v)
+        return _solve(self.metric.g(x), v)
+
+
+def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``G^-1 v``.  A 1x1 metric is a division, which gives LAPACK's
+    ``solve`` bits without its call overhead."""
+    if g.shape == (1, 1):
+        return v / g[0, 0]
+    return np.linalg.solve(g, v)
 
 
 def _fixed_point(update, start: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -525,11 +539,11 @@ class CouplingMap(FlowMap):
             elif kind == "scale_x":
                 s = layer[1](v)
                 x = x * np.exp(s)
-                ld += np.sum(s, axis=-1)
+                ld += s.sum(axis=-1)
             elif kind == "scale_v":
                 s = layer[1](x)
                 v = v * np.exp(s)
-                ld += np.sum(s, axis=-1)
+                ld += s.sum(axis=-1)
             elif kind == "swap":
                 x, v = v, x
             else:
@@ -549,11 +563,11 @@ class CouplingMap(FlowMap):
             elif kind == "scale_x":
                 s = layer[1](v)
                 x = x * np.exp(-s)
-                ld -= np.sum(s, axis=-1)
+                ld -= s.sum(axis=-1)
             elif kind == "scale_v":
                 s = layer[1](x)
                 v = v * np.exp(-s)
-                ld -= np.sum(s, axis=-1)
+                ld -= s.sum(axis=-1)
             elif kind == "swap":
                 x, v = v, x
             else:

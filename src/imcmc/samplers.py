@@ -37,6 +37,7 @@ from .maps import (
     LeapfrogConfig,
     Metric,
     RiemannianHamiltonian,
+    _solve,
     _swap_negate,
     cdf_map,
     direction_augment,
@@ -102,7 +103,7 @@ def xv_layout(d: int, tags: tuple[str, ...] = (), scratch: bool = False,
 class ProposalFamily:
     """Reusable proposal density q(. | center) over one block.
 
-    Seen from a point (`_family_conditional`) a family is a slot conditional;
+    Seen from a point (`_FamilyConditional`) a family is a slot conditional;
     the multiple-try and sample-adaptive kernels also score it at centers of
     their own.
     """
@@ -116,14 +117,26 @@ class ProposalFamily:
 def gaussian_family(d: int, var) -> ProposalFamily:
     var = np.broadcast_to(np.asarray(var, dtype=float), (d,)).copy()
     const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
+    sd = np.sqrt(var)
+    add = np.add.reduce
 
-    def logpdf(value, center):
-        diff = np.asarray(value) - np.asarray(center)
-        return const - 0.5 * float((diff * diff / var).sum())
+    if np.all(var == 1.0):
+        # x / 1.0 == x and 1.0 * x == x exactly, so both are skipped
+        def sample(rng, center):
+            return center + rng.standard_normal(d)
 
-    return ProposalFamily(
-        sample=lambda rng, center: np.asarray(center) + np.sqrt(var) * rng.standard_normal(d),
-        logpdf=logpdf)
+        def logpdf(value, center):
+            diff = np.asarray(value) - center
+            return const - 0.5 * float(add(diff * diff))
+    else:
+        def sample(rng, center):
+            return center + sd * rng.standard_normal(d)
+
+        def logpdf(value, center):
+            diff = np.asarray(value) - center
+            return const - 0.5 * float(add(diff * diff / var))
+
+    return ProposalFamily(sample=sample, logpdf=logpdf)
 
 
 def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
@@ -155,15 +168,26 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
     return ProposalFamily(sample, logpdf, support)
 
 
-def _family_conditional(family: ProposalFamily, center_fn,
-                        name: str) -> AuxiliaryConditional:
-    """A proposal family seen from a point: ``q(. | center_fn(point))``."""
-    sample, logpdf, support = family.sample, family.logpdf, family.support
-    return AuxiliaryConditional(
-        lambda rng, point: sample(rng, center_fn(point)),
-        lambda value, point: logpdf(value, center_fn(point)),
-        None if support is None else (lambda point: support(center_fn(point))),
-        name=name)
+class _FamilyConditional(AuxiliaryConditional):
+    """A proposal family seen from a point: ``q(. | center_fn(point))``.
+
+    The family's own ``logpdf`` returns a float, so it is called directly.
+    """
+
+    def __init__(self, family: ProposalFamily, center_fn, name: str):
+        support = family.support
+        super().__init__(
+            None, None,
+            None if support is None else (lambda point: support(center_fn(point))),
+            name=name)
+        self._family = family
+        self._center = center_fn
+
+    def sample(self, rng: np.random.Generator, point: JointPoint):
+        return self._family.sample(rng, self._center(point))
+
+    def logpdf(self, value, point: JointPoint) -> float:
+        return self._family.logpdf(value, self._center(point))
 
 
 def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
@@ -175,16 +199,18 @@ def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
     restriction of the same density (enumerable by the matrix oracle).
     """
     if support_values is None:
-        return _family_conditional(gaussian_family(dim, var), mean_fn, name)
+        return _FamilyConditional(gaussian_family(dim, var), mean_fn, name)
     var = np.broadcast_to(np.asarray(var, dtype=float), (dim,)).copy()
     family = grid_family(support_values,
                          lambda u, c: -0.5 * float(np.sum((u - c) ** 2 / var)))
-    return _family_conditional(family, mean_fn, name)
+    return _FamilyConditional(family, mean_fn, name)
 
 
 def normal_momentum(d: int) -> AuxiliaryConditional:
     """State-independent N(0, I) conditional for a momentum slot."""
-    return gaussian_slot_conditional(d, lambda point: np.zeros(d), 1.0, name="momentum")
+    zero = np.zeros(d)
+    zero.flags.writeable = False
+    return gaussian_slot_conditional(d, lambda point: zero, 1.0, name="momentum")
 
 
 def random_walk_proposal(d: int, scale: float) -> AuxiliaryConditional:
@@ -197,8 +223,12 @@ def mala_proposal(target: LogDensity, eps: float,
     if target.grad is None:
         raise ConfigError("the Langevin proposal needs a target gradient")
 
+    # a step asks for the mean at its current point to draw and to score,
+    # and at its proposal to score the reverse move
+    mean_at = _LastTwo(lambda x: x + eps * target.grad(x))
+
     def mean(point):
-        return point.x + eps * target.grad(point.x)
+        return mean_at(point.x)
 
     cond = gaussian_slot_conditional(target.dim, mean, 2.0 * eps, name="mala",
                                      support_values=support_values)
@@ -345,7 +375,10 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     ``w_j = p(y_j) q(x|y_j) lambda(y_j, x)``, and a reference set is drawn
     around the selected trial; the swap involution exchanges x with the
     selected trial and the remaining trials with the reference set.  The
-    weight function must be symmetric; the default is identically one.
+    weight function may be any positive λ, symmetric or not: the joint
+    density scores the drawn index with it, so the acceptance test accounts
+    for it (symmetry is needed only by the classical MTM acceptance formula,
+    which this kernel does not use).  The default is identically one.
     """
     if k < 1:
         raise ConfigError("need at least one trial")
@@ -357,14 +390,26 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
         slots={"y": slice(0, k * d), "xstar": slice(k * d, (2 * k - 1) * d)},
         tags=("j",), tag_values={"j": tuple(range(k))})
 
-    def log_w(y, x):
-        lp = target.logpdf(y)
-        if lp == -math.inf:
-            return -math.inf
-        return lp + family.logpdf(x, y) + loglam(y, x)
+    # log p at the centre and the trials of the last two trial sets weighed,
+    # newer first, each dict replaced whole.  Every log p a step needs is
+    # among them: its current point is the previous proposal's centre or one
+    # of its trials, its proposal is one of its own trials, and the
+    # proposal's trials are its current point and the new reference points.
+    # log p is a pure function of the point's bytes, so threads sharing the
+    # kernel that overwrite each other's dicts only cost re-evaluations.
+    weighed = ({}, {})
+
+    def logp(y):
+        key = y.tobytes()
+        for values in weighed:
+            lp = values.get(key)
+            if lp is not None:
+                return lp
+        return target.logpdf(y)
 
     def trials(point):
-        return [point.slot("y")[i * d:(i + 1) * d] for i in range(k)]
+        y = point.slot("y")
+        return [y[i * d:(i + 1) * d] for i in range(k)]
 
     def _iid_slot(count, center_fn, slot_name):
         def _sample(rng, point):
@@ -393,9 +438,17 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     y_cond = _iid_slot(k, lambda point: point.x, "trials")
 
     def _j_probs(xy):
+        nonlocal weighed
         x, ys = xy[:d], xy[d:]
-        logs = np.array([log_w(ys[i * d:(i + 1) * d], x) for i in range(k)])
-        if np.all(logs == -math.inf):
+        values = {x.tobytes(): logp(x)}
+        logs = np.empty(k)
+        for i in range(k):
+            # w_i = p(y_i) q(x | y_i) lambda(y_i, x)
+            y = ys[i * d:(i + 1) * d]
+            lp = values[y.tobytes()] = logp(y)
+            logs[i] = lp if lp == -math.inf else lp + family.logpdf(x, y) + loglam(y, x)
+        weighed = (values, weighed[0])
+        if (logs == -math.inf).all():
             return np.full(k, 1.0 / k)
         w = np.exp(logs - logs[np.isfinite(logs)].max())
         w[~np.isfinite(logs)] = 0.0
@@ -415,7 +468,8 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     def fn(z: JointPoint):
         j = z.tag("j")
         ys = trials(z)
-        xs = [z.slot("xstar")[i * d:(i + 1) * d] for i in range(k - 1)]
+        xstar = z.slot("xstar")
+        xs = [xstar[i * d:(i + 1) * d] for i in range(k - 1)]
         new_x = ys[j].copy()
         new_ys = xs[:j] + [z.x.copy()] + xs[j:]
         new_xs = ys[:j] + ys[j + 1:]
@@ -425,7 +479,7 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
             out = out.with_slot("xstar", np.concatenate(new_xs))
         return out, 0.0
 
-    return ImcmcKernel(layout, _x_target(target),
+    return ImcmcKernel(layout, lambda point: logp(point.x),
                        aux_refresh=[("y", y_cond), ("j", j_cond), ("xstar", xstar_cond)],
                        involution=Involution(fn, name="mtm_swap"),
                        name=name)
@@ -470,7 +524,7 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
     def joint_target(point):
         return math.fsum(target.logpdf(xi) for xi in ensemble(point))
 
-    prop_cond = _family_conditional(family, lambda point: g(ensemble(point)), "prop")
+    prop_cond = _FamilyConditional(family, lambda point: g(ensemble(point)), "prop")
 
     def log_lams(point):
         S = ensemble(point)
@@ -621,7 +675,7 @@ def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
     def _logpdf(value, point):
         g = metric.g(point.x)
         value = np.asarray(value)
-        return (-0.5 * float(value @ np.linalg.solve(g, value))
+        return (-0.5 * float(value @ _solve(g, value))
                 - 0.5 * metric.logdet(point.x) - 0.5 * d * _LOG_2PI)
 
     cond = momentum_cond if momentum_cond is not None else \
@@ -980,8 +1034,12 @@ def make_irr_mala(target: LogDensity, eps: float,
     d = target.dim
     layout = xv_layout(d, tags=("d",))
 
+    # the mean for each direction, remembered as mala's is
+    mean_at = {sign: _LastTwo(lambda x, step=sign * eps: x + step * target.grad(x))
+               for sign in (-1, 1)}
+
     def mean(point):
-        return point.x + point.tag("d") * eps * target.grad(point.x)
+        return mean_at[point.tag("d")](point.x)
 
     v_cond = gaussian_slot_conditional(d, mean, 2.0 * eps, name="langevin",
                                        support_values=support_values)

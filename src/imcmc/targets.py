@@ -61,7 +61,7 @@ def gaussian(mean, var) -> LogDensity:
 
     def logpdf(x):
         d = x - mean
-        return const - 0.5 * float(np.sum(d * d / var))
+        return const - 0.5 * float((d * d / var).sum())
 
     return LogDensity(dim=mean.size, logpdf=logpdf, grad=lambda x: -(x - mean) / var)
 
@@ -103,13 +103,13 @@ def mixture_1d(means: Sequence[float], sigma: float) -> LogDensity:
     def logpdf(x):
         c = components(x)
         m = c.max()
-        return float(m + np.log(np.sum(np.exp(c - m))))
+        return float(m + np.log(np.exp(c - m).sum()))
 
     def grad(x):
         c = components(x)
         r = np.exp(c - c.max())
         r /= r.sum()
-        return np.array([float(np.sum(r * -(float(x[0]) - mu) / var))])
+        return np.array([float((r * -(float(x[0]) - mu) / var).sum())])
 
     return LogDensity(dim=1, logpdf=logpdf, grad=grad)
 
@@ -143,7 +143,11 @@ def mog2() -> LogDensity:
         r2 = math.exp(c2 - m)
         z = r1 + r2
         r1, r2 = r1 / z, r2 / z
-        return m + math.log(z), (r1 * -d1 + r2 * -d2) / MOG2_VAR
+        # (r1 * -d1 + r2 * -d2) / MOG2_VAR, one coordinate at a time in
+        # Python floats: the same operations on the same doubles
+        (a1, b1), (a2, b2) = d1.tolist(), d2.tolist()
+        return m + math.log(z), np.array([(r1 * -a1 + r2 * -a2) / MOG2_VAR,
+                                          (r1 * -b1 + r2 * -b2) / MOG2_VAR])
 
     def grad(x):
         return value_and_grad(x)[1]
@@ -217,14 +221,14 @@ class LogisticPosterior:
     def _value(self, theta: np.ndarray, z: np.ndarray):
         logsig = _log_sigmoid(z)
         # log sigmoid(-z) = log sigmoid(z) - z
-        loglik = np.sum(self.y * logsig + self._one_minus_y * (logsig - z), axis=-1)
-        return loglik + self._prior_const - 0.5 * np.sum(theta * theta, axis=-1) / self.prior_var
+        loglik = (self.y * logsig + self._one_minus_y * (logsig - z)).sum(axis=-1)
+        return loglik + self._prior_const - 0.5 * (theta * theta).sum(axis=-1) / self.prior_var
 
     def _grad(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
         resid = self.y - 1.0 / (1.0 + np.exp(-z))
         g = np.empty(theta.shape)
         g[..., :-1] = resid @ self.X
-        g[..., -1] = -np.sum(resid, axis=-1)
+        g[..., -1] = -resid.sum(axis=-1)
         return g - theta / self.prior_var
 
     def logpdf(self, theta: np.ndarray):

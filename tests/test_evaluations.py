@@ -48,6 +48,10 @@ SPECS = {
 # again when its cascade stopped re-integrating the reverse trajectories:
 # floating-point leapfrog is not exactly reversible, so its accept_prob moved
 # in the last bits; the rest of its trace is pinned by LOOK_AHEAD_TRACE.
+# The mog2 digests also pin the rounding of numpy's `d @ d` on 2-vectors,
+# which OpenBLAS's x86_64 (Haswell) `ddot` kernel computes with fused
+# multiply-adds, so a machine whose BLAS dispatches another `ddot` kernel may
+# record other digests for the kinds on mog2.
 GOLDEN = {
     "rwm": "1f21095f81f2c484",
     "mala": "881957c8c50b6b1e",
@@ -248,15 +252,13 @@ def test_look_ahead_evaluates_each_point_of_its_trajectory_once(K):
 def test_mtm_computes_trial_weights_once_per_point():
     res, counts = _counted_chain("mtm")
     k = SPECS["mtm"][1]["k"]
-    j = res.tags[:, 0]
-    # A step evaluates its k trials, its current point, the selected trial,
-    # the k - 1 reference points and the current point again (as a trial of
-    # the proposal): 2k + 2 calls, 2k - 1 of them at new points.  The memo
-    # still holds the selected trial when it was the last one evaluated
-    # (j = k - 1), and the current point when it is the proposal's first
-    # trial (j = 0).
-    assert counts["logpdf"] == 1 + (2 * k + 2) * N - np.sum(j == 0) - np.sum(j == k - 1)
-    assert counts["logpdf"] <= 9.5 * N
+    # A step needs the target at its k trials, its current point, the
+    # selected trial, the k - 1 reference points and the current point again
+    # (as a trial of the proposal).  Only the k trials and the k - 1
+    # reference points are new: the others are read from the trial sets the
+    # weight memo last weighed, so each point is evaluated once.
+    assert (res.accepted.all(axis=1)).any() and (~res.accepted.all(axis=1)).any()
+    assert counts["logpdf"] == 1 + (2 * k - 1) * N
 
 
 def test_grid_family_weighs_each_center_once(monkeypatch):
@@ -458,6 +460,28 @@ def test_leapfrog_remembers_only_its_start_and_endpoint():
     density.logpdf(x)
     density.grad(x)
     assert counts == {"logpdf": 1, "grad": cfg.k + 1, "value_and_grad": 0}
+
+
+def test_leapfrog_writes_only_to_arrays_it_owns():
+    # the half-kicks update leapfrog's own copy of v in place; the inputs
+    # and the memo's results, which it hands to and gets from the gradient,
+    # must not change
+    post = _counting_logreg()[0]
+    density = post.density()
+    x0, v0 = np.array([0.3, -0.2, 0.1, 0.4]), np.array([1.0, 0.5, -0.5, 0.2])
+    x0.flags.writeable = v0.flags.writeable = False
+    saved = x0.copy(), v0.copy()
+    cfg = LeapfrogConfig(0.05, 5)
+    x, v = leapfrog(x0, v0, cfg, density.grad)
+    assert np.array_equal(x0, saved[0]) and np.array_equal(v0, saved[1])
+    remembered = [density.grad(x0), density.grad(x), density.logpdf(x)]
+    copies = [np.copy(r) for r in remembered]
+    plain = leapfrog(x0, v0, cfg, post.grad)
+    assert x.tobytes() == plain[0].tobytes() and v.tobytes() == plain[1].tobytes()
+    again = leapfrog(x0, v0, cfg, density.grad)
+    assert x.tobytes() == again[0].tobytes() and v.tobytes() == again[1].tobytes()
+    assert all(np.array_equal(r, c) for r, c in zip(remembered, copies))
+    assert np.array_equal(x0, saved[0]) and np.array_equal(v0, saved[1])
 
 
 def test_threads_sharing_a_density_reproduce_serial_traces():

@@ -274,10 +274,13 @@ def test_model_space_flows_run_both_directions():
     assert {"fwd", "inv"} <= set(calls)
 
 
-def test_multiple_try_with_a_symmetric_lambda():
-    def lam(y, x):
-        return 1.0 + 2.0 * y[0] + 2.0 * x[0]
-
+@pytest.mark.parametrize("lam", [
+    lambda y, x: 1.0 + 2.0 * y[0] + 2.0 * x[0],
+    lambda y, x: 1.0 + 2.0 * y[0],
+], ids=["symmetric", "one_sided"])
+def test_multiple_try_with_any_positive_lambda(lam):
+    """The joint-space kernel scores the drawn index with λ, so any
+    positive λ is exact; symmetry is not needed."""
     q = [[0.3, 0.7], [0.7, 0.3]]  # q(u | c): stay with probability 0.3
     p = [0.6, 0.4]
     mtm = make_multiple_try(_grid_2state().density(),
@@ -288,15 +291,20 @@ def test_multiple_try_with_a_symmetric_lambda():
               for x in (0.0, 1.0) for y1 in (0.0, 1.0) for y2 in (0.0, 1.0)
               for xs in (0.0, 1.0) for j in (0, 1)]
 
-    def joint(pt):
-        x = int(pt.x[0])
-        ys = [int(u) for u in pt.slot("y")]
-        w = [p[y] * q[y][x] * lam([y], [x]) for y in ys]
-        y_j = ys[pt.tag("j")]
-        return math.log(p[x] * q[x][ys[0]] * q[x][ys[1]] * w[pt.tag("j")] / sum(w)
-                        * q[y_j][int(pt.slot("xstar")[0])])
+    def law(written_lam):
+        def joint(pt):
+            x = int(pt.x[0])
+            ys = [int(u) for u in pt.slot("y")]
+            w = [p[y] * q[y][x] * written_lam([y], [x]) for y in ys]
+            y_j = ys[pt.tag("j")]
+            return math.log(p[x] * q[x][ys[0]] * q[x][ys[1]] * w[pt.tag("j")] / sum(w)
+                            * q[y_j][int(pt.slot("xstar")[0])])
+        return joint
 
-    _assert_exact(mtm, states, joint)
+    _assert_exact(mtm, states, law(lam))
+    # the law written without λ is not the kernel's
+    with pytest.raises(AssertionError):
+        _assert_exact(mtm, states, law(lambda y, x: 1.0))
 
 
 def test_transdimensional_with_model_probs_that_may_stay():
