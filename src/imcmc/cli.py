@@ -16,16 +16,17 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import batch
 from .core import make_rng, run_chain
 from .diagnostics import acceptance_rate, ess_batch_means
 from .errors import ConfigError, DegenerateSeriesError, DensityError, ImcmcError
-from .maps import CouplingMap, LeapfrogConfig, affine_x_flow, identity_flow
+from .maps import (CouplingMap, LeapfrogConfig, affine_x_flow, identity_flow,
+                   leapfrog_flow)
 from .samplers import (
-    SamplerSpec,
     default_init,
     gaussian_family,
     make_cdf_deterministic,
@@ -52,9 +53,6 @@ from .targets import (
     standard_normal,
     uniform_cdf1d,
 )
-
-BENCH_KINDS = ("mala", "irr_mala", "nice_mc", "irr_nice_mc")
-
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -144,7 +142,7 @@ def _parse_number(key: str, value):
 def build_target(name: str, dataset: Optional[str] = None):
     """Named target: density, starting point, and optional extras."""
     if name == "mog2":
-        return {"density": mog2(), "x0": np.array([2.0, 0.0]), "batch": "mog2"}
+        return {"density": mog2(), "x0": np.array([2.0, 0.0])}
     if name == "normal":
         return {"density": standard_normal(2), "x0": np.zeros(2)}
     if name == "normal1d":
@@ -169,7 +167,7 @@ def build_target(name: str, dataset: Optional[str] = None):
             raise ConfigError(f"{dataset}: not UTF-8 text ({exc.reason})") from None
         post = LogisticPosterior(ds.X, ds.y)
         return {"density": post.density(), "x0": np.zeros(post.dim),
-                "posterior": post, "batch": "logreg"}
+                "posterior": post}
     raise ConfigError(f"unknown target {name!r}")
 
 
@@ -193,52 +191,111 @@ def default_coupling(target_name: str, dim: int) -> CouplingMap:
                        name=f"{target_name}_coupling", slot="v")
 
 
+class _Kind(NamedTuple):
+    """A CLI sampler kind: the inclusive range of each checked parameter, the
+    default of each one a run may leave out, its kernel builder and, for the
+    kinds `bench` runs, its row runner.  A runner looks its `batch` function
+    up when called, so a wrapper installed on the module at run time (the
+    benchmark's tracer) is the one it calls."""
+
+    ranges: dict
+    defaults: dict
+    build: Callable  # (density, params, target_name, target) -> kernel
+    bench: Optional[Callable] = None  # (batch_target, params, cfg, rng, x0) -> BatchResult
+
+
+_POSITIVE, _STEPS, _UNIT = (1e-12, math.inf), (1, 1e9), (0.0, 1.0)
+
+
+def _neutra(density, p, name, tgt):
+    shift, scale, d = p["flow_shift"], p["flow_scale"], density.dim
+    flow = (identity_flow() if shift == 0.0 and scale == 1.0
+            else affine_x_flow(np.full(d, shift), np.full(d, scale)))
+    return make_embedded_flow(density, flow, LeapfrogConfig(p["eps"], int(p["k"])))
+
+
+def _cdf(density, p, name, tgt):
+    if "cdf" not in tgt:
+        raise ConfigError(f"target {name!r} has no tractable CDF")
+    return make_cdf_deterministic(tgt["cdf"], p["shift"])
+
+
+# every kind the CLI runs, in the order README lists them
+KINDS: dict[str, _Kind] = {
+    "rwm": _Kind(
+        {"scale": _POSITIVE}, {},
+        lambda density, p, name, tgt: make_mh(
+            density, random_walk_proposal(density.dim, p["scale"]))),
+    "mala": _Kind(
+        {"eps": _POSITIVE}, {},
+        lambda density, p, name, tgt: make_mh(density, mala_proposal(density, p["eps"])),
+        lambda bt, p, cfg, rng, x0: batch.batch_mala(
+            bt, p["eps"], cfg.chains, cfg.steps, rng, x0)),
+    "irr_mala": _Kind(
+        {"eps": _POSITIVE}, {},
+        lambda density, p, name, tgt: make_irr_mala(density, p["eps"]),
+        lambda bt, p, cfg, rng, x0: batch.batch_irr_mala(
+            bt, p["eps"], cfg.chains, cfg.steps, rng, x0)),
+    "hmc": _Kind(
+        {"eps": _POSITIVE, "k": _STEPS}, {},
+        lambda density, p, name, tgt: make_hamiltonian(
+            density, LeapfrogConfig(p["eps"], int(p["k"])))),
+    "persistent_hmc": _Kind(
+        {"eps": _POSITIVE, "k": _STEPS, "alpha": _UNIT}, {},
+        lambda density, p, name, tgt: make_persistent(density, leapfrog_flow(
+            LeapfrogConfig(p["eps"], int(p["k"])), density.grad, slot="v"), p["alpha"])),
+    "look_ahead": _Kind(
+        {"eps": _POSITIVE, "K": (1, 16), "alpha": _UNIT}, {},
+        lambda density, p, name, tgt: make_look_ahead(density, leapfrog_flow(
+            LeapfrogConfig(p["eps"], 1), density.grad, slot="v"), int(p["K"]), p["alpha"])),
+    "neutra": _Kind(
+        {"eps": _POSITIVE, "k": _STEPS}, {"flow_shift": 0.0, "flow_scale": 1.0},
+        _neutra),
+    "nice_mc": _Kind(
+        {}, {},
+        lambda density, p, name, tgt: make_directional_map(
+            density, default_coupling(name, density.dim)),
+        lambda bt, p, cfg, rng, x0: batch.batch_nice_mc(
+            bt, default_coupling(cfg.target, bt.dim), cfg.chains, cfg.steps, rng, x0)),
+    "irr_nice_mc": _Kind(
+        {"alpha": _UNIT}, {"alpha": 0.8},
+        lambda density, p, name, tgt: make_irr_nice_mc(
+            density, default_coupling(name, density.dim), p["alpha"]),
+        lambda bt, p, cfg, rng, x0: batch.batch_irr_nice_mc(
+            bt, default_coupling(cfg.target, bt.dim), p["alpha"], cfg.chains, cfg.steps,
+            rng, x0)),
+    "mtm": _Kind(
+        {"scale": _POSITIVE, "k": (1, 64)}, {},
+        lambda density, p, name, tgt: make_multiple_try(
+            density, gaussian_family(density.dim, p["scale"] ** 2), int(p["k"]))),
+    "lifted_rw": _Kind(
+        {"scale": _POSITIVE}, {},
+        lambda density, p, name, tgt: make_lifted_rw1d(density, p["scale"])),
+    "cdf": _Kind({}, {"shift": None}, _cdf),
+}
+
+BENCH_KINDS = tuple(kind for kind, spec in KINDS.items() if spec.bench)
+
+
+def kind_params(kind: str, params: dict) -> dict:
+    """``params`` with ``kind``'s defaults filled in, each checked parameter
+    present and inside its range; anything else is a ConfigError."""
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ConfigError(f"unknown sampler kind {kind!r}; "
+                          f"known: {', '.join(sorted(KINDS))}")
+    p = {**spec.defaults, **params}
+    for name, (lo, hi) in spec.ranges.items():
+        if name not in p:
+            raise ConfigError(f"{kind} needs parameter {name!r}")
+        if not lo <= p[name] <= hi:
+            raise ConfigError(f"{kind}: {name}={p[name]} outside [{lo}, {hi}]")
+    return p
+
+
 def build_kernel(cfg: RunConfig, tgt: dict):
-    density = tgt["density"]
-    d = density.dim
-    spec = SamplerSpec(cfg.kind, cfg.params)
-    p = spec.params
-    if cfg.kind == "rwm":
-        return make_mh(density, random_walk_proposal(d, p["scale"]))
-    if cfg.kind == "mala":
-        return make_mh(density, mala_proposal(density, p["eps"]))
-    if cfg.kind == "irr_mala":
-        return make_irr_mala(density, p["eps"])
-    if cfg.kind == "hmc":
-        return make_hamiltonian(density, LeapfrogConfig(p["eps"], int(p["k"])))
-    if cfg.kind == "persistent_hmc":
-        from .maps import leapfrog_flow
-
-        L = leapfrog_flow(LeapfrogConfig(p["eps"], int(p["k"])), density.grad,
-                          slot="v")
-        return make_persistent(density, L, p["alpha"])
-    if cfg.kind == "look_ahead":
-        from .maps import leapfrog_flow
-
-        L = leapfrog_flow(LeapfrogConfig(p["eps"], 1), density.grad, slot="v")
-        return make_look_ahead(density, L, int(p["K"]), p["alpha"])
-    if cfg.kind == "neutra":
-        shift = cfg.params.get("flow_shift", 0.0)
-        scale = cfg.params.get("flow_scale", 1.0)
-        flow = (identity_flow() if shift == 0.0 and scale == 1.0
-                else affine_x_flow(np.full(d, shift), np.full(d, scale)))
-        return make_embedded_flow(density, flow,
-                                  LeapfrogConfig(p["eps"], int(p["k"])))
-    if cfg.kind == "nice_mc":
-        return make_directional_map(density, default_coupling(cfg.target, d))
-    if cfg.kind == "irr_nice_mc":
-        return make_irr_nice_mc(density, default_coupling(cfg.target, d),
-                                p["alpha"])
-    if cfg.kind == "mtm":
-        return make_multiple_try(density, gaussian_family(d, p["scale"] ** 2),
-                                 int(p["k"]))
-    if cfg.kind == "lifted_rw":
-        return make_lifted_rw1d(density, p["scale"])
-    if cfg.kind == "cdf":
-        if "cdf" not in tgt:
-            raise ConfigError(f"target {cfg.target!r} has no tractable CDF")
-        return make_cdf_deterministic(tgt["cdf"], cfg.params.get("shift"))
-    raise ConfigError(f"unknown sampler kind {cfg.kind!r}")
+    p = kind_params(cfg.kind, cfg.params)
+    return KINDS[cfg.kind].build(tgt["density"], p, cfg.target, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +397,15 @@ def cmd_sample(cfg: RunConfig) -> dict:
     return summary
 
 
+# the `verify` suites, each run by the function ``suite.run_<name>``
+_VERIFY_SUITES = ("involutions", "stationarity", "balance", "reductions", "all")
+
+
 def cmd_verify(suite: str, mutant: bool = False) -> int:
     from . import suite as vs
 
-    runners = {"involutions": vs.run_involutions,
-               "stationarity": vs.run_stationarity,
-               "balance": vs.run_balance,
-               "reductions": vs.run_reductions,
-               "all": vs.run_all}
-    if suite not in runners:
-        raise ConfigError(f"unknown suite {suite!r}; choose from "
-                          f"{', '.join(sorted(runners))}")
     t0 = time.perf_counter()
-    results = runners[suite]()
+    results = getattr(vs, f"run_{suite}")()
     if mutant:
         # inject the broken-acceptance fixture as a live check: it must make
         # the suite fail, demonstrating the oracle's discriminative power; a
@@ -390,36 +443,26 @@ def cmd_bench(cfg: RunConfig, samplers: list[str]) -> list[dict]:
     kept chain length); ESS/sec is absolute effective samples per second of
     sampling time.
     """
-    from .batch import (batch_irr_mala, batch_irr_nice_mc, batch_mala,
-                        batch_nice_mc, logreg_batch, mog2_batch)
-
     tgt = build_target(cfg.target, cfg.params.get("dataset"))
-    kind_of_batch = tgt.get("batch")
-    if kind_of_batch == "mog2":
-        bt = mog2_batch()
-    elif kind_of_batch == "logreg":
-        bt = logreg_batch(tgt["posterior"])
+    if cfg.target == "mog2":
+        bt = batch.mog2_batch()
+    elif cfg.target == "logreg":
+        bt = batch.logreg_batch(tgt["posterior"])
     else:
         raise ConfigError(f"bench supports mog2 and logreg targets, not {cfg.target!r}")
-
-    rows = []
+    if not samplers:
+        raise ConfigError("bench needs at least one sampler (--samplers)")
+    # every kind and its parameters before any runner, so a bad one wastes no run
     for kind in samplers:
         if kind not in BENCH_KINDS:
             raise ConfigError(f"bench supports {', '.join(BENCH_KINDS)}; got {kind!r}")
-        params = SamplerSpec(kind, cfg.params).params
+    params = {kind: kind_params(kind, cfg.params) for kind in samplers}
+
+    rows = []
+    for kind in samplers:
         rng = make_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         t0 = time.perf_counter()
-        if kind == "mala":
-            res = batch_mala(bt, params["eps"], cfg.chains, cfg.steps, rng, tgt["x0"])
-        elif kind == "irr_mala":
-            res = batch_irr_mala(bt, params["eps"], cfg.chains, cfg.steps, rng, tgt["x0"])
-        elif kind == "nice_mc":
-            res = batch_nice_mc(bt, default_coupling(cfg.target, bt.dim),
-                                cfg.chains, cfg.steps, rng, tgt["x0"])
-        else:
-            res = batch_irr_nice_mc(bt, default_coupling(cfg.target, bt.dim),
-                                    params["alpha"], cfg.chains, cfg.steps, rng,
-                                    tgt["x0"])
+        res = KINDS[kind].bench(bt, params[kind], cfg, rng, tgt["x0"])
         seconds = time.perf_counter() - t0
         per_chain_sec = seconds / cfg.chains
         kept = res.xs[cfg.burn_in:]
@@ -458,8 +501,9 @@ def _bench_table(rows: list[dict]) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_PARAM_FLAGS = ("eps", "k", "K", "alpha", "scale", "shift", "flow_shift",
-                "flow_scale")
+# one flag per parameter any kind takes
+_PARAM_FLAGS = tuple(dict.fromkeys(
+    name for spec in KINDS.values() for name in (*spec.ranges, *spec.defaults)))
 
 
 def _add_run_flags(sp):
@@ -477,8 +521,7 @@ def _add_run_flags(sp):
         sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=float)
 
 
-_DEFAULTS = {"steps": 20000, "burn_in": 1000, "chains": 1, "fmt": "csv",
-             "jobs": 1, "alpha": 0.8}
+_DEFAULTS = {"steps": 20000, "burn_in": 1000, "chains": 1, "jobs": 1}
 
 
 def _make_config(args, need_kind: bool = True) -> RunConfig:
@@ -508,8 +551,6 @@ def _make_config(args, need_kind: bool = True) -> RunConfig:
               for k in ("steps", "burn_in", "chains", "jobs")}
     if merged.get("dataset"):
         params["dataset"] = merged["dataset"]
-    if kind in ("irr_nice_mc",) and "alpha" not in params:
-        params["alpha"] = _DEFAULTS["alpha"]
     if merged.get("seed") is not None:
         seed = _parse_seed(merged["seed"], "seed")
     else:
@@ -538,8 +579,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_run_flags(sp)
 
     vp = sub.add_parser("verify", help="run the exact verification suites")
-    vp.add_argument("suite", choices=("involutions", "stationarity", "balance",
-                                      "reductions", "all"))
+    vp.add_argument("suite", choices=_VERIFY_SUITES)
     vp.add_argument("--mutant", action="store_true",
                     help="inject a broken kernel; the suite must then fail")
 
@@ -573,8 +613,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = _make_config(args, need_kind=False)
             if "eps" not in cfg.params:
                 cfg.params["eps"] = 0.1
-            if "alpha" not in cfg.params:
-                cfg.params["alpha"] = _DEFAULTS["alpha"]
             rows = cmd_bench(cfg, [s.strip() for s in args.samplers.split(",") if s.strip()])
             if cfg.fmt == "json":
                 text = json.dumps(rows, indent=2)

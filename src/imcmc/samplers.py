@@ -56,7 +56,6 @@ __all__ = [
     "CoordDist",
     "Model",
     "ModelSpace",
-    "SamplerSpec",
     "default_init",
     "gaussian_slot_conditional",
     "lifted_matrix",
@@ -1294,47 +1293,3 @@ def make_cdf_deterministic(target: Cdf1D, shift: Optional[float] = None,
 
     return DeterministicKernel(layout, fn, name=name,
                                target=lambda point: target.density.logpdf(point.x))
-
-
-# ---------------------------------------------------------------------------
-# CLI-facing parameter validation
-# ---------------------------------------------------------------------------
-
-_SPEC_TABLE: dict[str, dict[str, tuple[float, float]]] = {
-    # kind -> required params with inclusive ranges
-    "rwm": {"scale": (1e-12, math.inf)},
-    "mala": {"eps": (1e-12, math.inf)},
-    "irr_mala": {"eps": (1e-12, math.inf)},
-    "hmc": {"eps": (1e-12, math.inf), "k": (1, 1e9)},
-    "persistent_hmc": {"eps": (1e-12, math.inf), "k": (1, 1e9), "alpha": (0.0, 1.0)},
-    "look_ahead": {"eps": (1e-12, math.inf), "K": (1, 16), "alpha": (0.0, 1.0)},
-    "nice_mc": {},
-    "irr_nice_mc": {"alpha": (0.0, 1.0)},
-    "neutra": {"eps": (1e-12, math.inf), "k": (1, 1e9)},
-    "mtm": {"scale": (1e-12, math.inf), "k": (1, 64)},
-    "lifted_rw": {"scale": (1e-12, math.inf)},
-    "cdf": {},
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class SamplerSpec:
-    """Validated (kind, parameters) pair used by the command-line front end."""
-
-    kind: str
-    params: dict[str, float] = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in _SPEC_TABLE:
-            raise ConfigError(f"unknown sampler kind {self.kind!r}; "
-                              f"known: {', '.join(sorted(_SPEC_TABLE))}")
-        for pname, (lo, hi) in _SPEC_TABLE[self.kind].items():
-            if pname not in self.params:
-                raise ConfigError(f"{self.kind} needs parameter {pname!r}")
-            val = self.params[pname]
-            if not lo <= val <= hi:
-                raise ConfigError(f"{self.kind}: {pname}={val} outside [{lo}, {hi}]")
-
-    @staticmethod
-    def kinds() -> tuple[str, ...]:
-        return tuple(sorted(_SPEC_TABLE))

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 MODULES = ("errors", "core", "maps", "targets", "samplers", "diagnostics",
            "suite", "batch", "cli")
@@ -51,3 +53,29 @@ def test_instrumentation_installs_and_restores_every_original():
             "batch.batch_coupling_forward", "batch.logreg_batch",
             "core.ImcmcKernel.step"} <= wrapped
     assert not _changed(before, _namespaces(mods))
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_bench_finds_the_wrapped_batch_functions_when_called(full):
+    """`cmd_bench` looks its batch target, row runner and ESS up when called,
+    so rows run under the tracer are counted; a name bound at import would
+    keep the unwrapped original and count nothing."""
+    spans = _load_spans()
+    mods = {n: importlib.import_module(f"imcmc.{n}") for n in MODULES}
+    cli = mods["cli"]
+    cfg = cli.RunConfig(kind="", target="mog2", steps=50, burn_in=10, chains=3,
+                        seed=1, params={"eps": 0.1})
+    tracer = spans.Tracer()
+    inst = spans.Instrumentation(tracer)
+    try:
+        inst.install(mods, full=full)
+        for kind in cli.BENCH_KINDS:
+            tracer.label = kind
+            cli.cmd_bench(cfg, [kind])
+    finally:
+        inst.restore()
+    for kind in cli.BENCH_KINDS:
+        assert tracer.n("batch.target_rows", kind) > 0, kind
+        if full:
+            assert tracer.calls("batch.runner", kind) == 1, kind
+            assert tracer.calls("diagnostics.ess", kind) == cfg.chains, kind

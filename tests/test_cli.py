@@ -64,17 +64,13 @@ def test_sample_unknown_kind_is_config_error(tmp_path):
 
 
 def test_irr_nice_mc_alpha_defaults_to_08(tmp_path):
-    from imcmc.cli import _make_config
-
-    import argparse
-
-    ns = argparse.Namespace(config=None, kind="irr_nice_mc", target="mog2",
-                            dataset=None, steps=100, burn_in=10, chains=1,
-                            seed=1, out=None, fmt=None, jobs=None, eps=None,
-                            k=None, K=None, alpha=None, scale=None, shift=None,
-                            flow_shift=None, flow_scale=None)
-    cfg = _make_config(ns)
-    assert cfg.params["alpha"] == 0.8
+    assert cli.kind_params("irr_nice_mc", {})["alpha"] == 0.8
+    base = ["sample", "--kind", "irr_nice_mc", "--target", "mog2", "--steps", "200",
+            "--burn-in", "20", "--seed", "2"]
+    assert run_cli(base + ["--out", str(tmp_path / "default")]) == 0
+    assert run_cli(base + ["--alpha", "0.8", "--out", str(tmp_path / "set")]) == 0
+    assert ((tmp_path / "default" / "chain_000.csv").read_bytes()
+            == (tmp_path / "set" / "chain_000.csv").read_bytes())
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -242,6 +238,35 @@ def test_bench_missing_dataset_file(tmp_path):
                     "--steps", "100", "--burn-in", "10", "--eps", "0.1"]) == 2
 
 
+def test_bench_checks_every_kind_before_running_any(monkeypatch, capsys):
+    from imcmc import batch
+
+    calls = []
+    inner = batch.batch_mala
+    monkeypatch.setattr(batch, "batch_mala",
+                        lambda *args: calls.append(1) or inner(*args))
+    base = ["bench", "--target", "mog2", "--chains", "2", "--steps", "100",
+            "--burn-in", "10"]
+    for extra, line in (
+            (["--samplers", "mala,hmc"],
+             "error: bench supports mala, irr_mala, nice_mc, irr_nice_mc; got 'hmc'"),
+            (["--samplers", "mala,irr_nice_mc", "--alpha", "2"],
+             "error: irr_nice_mc: alpha=2.0 outside [0.0, 1.0]")):
+        assert run_cli(base + extra) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+    assert calls == []
+    assert run_cli(base + ["--samplers", "mala"]) == 0
+    assert calls == [1]
+
+
+def test_readme_lists_every_kind_in_table_order():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Sampler kinds for `sample`: (.*?)\.", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(cli.KINDS)
+
+
 # files written to the scratch directory before each bad-input case
 BAD_INPUT_FILES = {
     "fmt.cfg": "kind = mala\ntarget = mog2\nfmt = json\n",
@@ -326,7 +351,38 @@ BAD_INPUTS = {
         ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
          "--dataset", "{tmp}", "--out", "{tmp}"],
         "error: [Errno 21] Is a directory: '{tmp}'"),
+    "verify_unknown_suite": (
+        ["verify", "nosuch"],
+        "error: argument suite: invalid choice: 'nosuch' (choose from 'involutions', "
+        "'stationarity', 'balance', 'reductions', 'all')"),
+    "bench_no_samplers": (
+        ["bench", "--target", "mog2", "--samplers", ",", "--out", "{tmp}/bench.csv"],
+        "error: bench needs at least one sampler (--samplers)"),
 }
+
+
+def _kind_parameter_rows():
+    """Two rows for each parameter a kind needs: one leaving it out, and one
+    setting it below its range.  The kind's other needed parameters sit at
+    their lower bounds, which are inside their ranges."""
+    rows = {}
+    for kind, spec in cli.KINDS.items():
+        needed = {name: r for name, r in spec.ranges.items() if name not in spec.defaults}
+        for name, (lo, hi) in needed.items():
+            argv = ["sample", "--kind", kind, "--target", "mog2", "--out", "{tmp}"]
+            for other, (other_lo, _) in needed.items():
+                if other != name:
+                    argv += [f"--{other}", str(other_lo)]
+            below = lo - 1
+            rows[f"{kind}_without_{name}"] = (
+                argv, f"error: {kind} needs parameter {name!r}")
+            rows[f"{kind}_{name}_below_range"] = (
+                argv + [f"--{name}", str(below)],
+                f"error: {kind}: {name}={below} outside [{lo}, {hi}]")
+    return rows
+
+
+BAD_INPUTS.update(_kind_parameter_rows())
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from imcmc.cli import KINDS, kind_params
 from imcmc.core import make_rng, run_chain
 from imcmc.errors import ConfigError
 from imcmc.maps import CouplingMap, LeapfrogConfig, constant_metric, leapfrog, leapfrog_flow
@@ -12,7 +13,6 @@ from imcmc.samplers import (
     BlockConditional,
     Model,
     ModelSpace,
-    SamplerSpec,
     default_init,
     gaussian_family,
     make_cdf_deterministic,
@@ -422,14 +422,14 @@ def test_cdf_kernel_requires_cdf():
 
 
 def test_sampler_spec_validation():
-    SamplerSpec("hmc", {"eps": 0.1, "k": 10})
+    kind_params("hmc", {"eps": 0.1, "k": 10})
     with pytest.raises(ConfigError):
-        SamplerSpec("hmc", {"eps": 0.1})
+        kind_params("hmc", {"eps": 0.1})
     with pytest.raises(ConfigError):
-        SamplerSpec("hmc", {"eps": -0.1, "k": 10})
+        kind_params("hmc", {"eps": -0.1, "k": 10})
     with pytest.raises(ConfigError):
-        SamplerSpec("warp_drive", {})
-    assert "irr_nice_mc" in SamplerSpec.kinds()
+        kind_params("warp_drive", {})
+    assert "irr_nice_mc" in KINDS
 
 
 # ---------------------------------------------------------------------------
