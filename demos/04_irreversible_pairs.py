@@ -25,7 +25,7 @@ target = mog2_batch()
 scales = np.array([math.sqrt(4.5), math.sqrt(0.5)])
 coupling = CouplingMap([("swap",), ("linear", scales, 1.0 / scales),
                         ("add_v", lambda y: 0.1 * np.tanh(y / 3.0))],
-                       name="mog2_coupling", slot="v")
+                       name="mog2_coupling")
 
 CHAINS, STEPS, BURN = 20, 5000, 500
 x0 = np.array([2.0, 0.0])

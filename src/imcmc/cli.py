@@ -188,7 +188,7 @@ def default_coupling(target_name: str, dim: int) -> CouplingMap:
 
     return CouplingMap([("swap",), ("linear", scales, 1.0 / scales),
                         ("add_v", small_shift)],
-                       name=f"{target_name}_coupling", slot="v")
+                       name=f"{target_name}_coupling")
 
 
 class _Kind(NamedTuple):
@@ -243,11 +243,11 @@ KINDS: dict[str, _Kind] = {
     "persistent_hmc": _Kind(
         {"eps": _POSITIVE, "k": _STEPS, "alpha": _UNIT}, {},
         lambda density, p, name, tgt: make_persistent(density, leapfrog_flow(
-            LeapfrogConfig(p["eps"], int(p["k"])), density.grad, slot="v"), p["alpha"])),
+            LeapfrogConfig(p["eps"], int(p["k"])), density.grad), p["alpha"])),
     "look_ahead": _Kind(
         {"eps": _POSITIVE, "K": (1, 16), "alpha": _UNIT}, {},
         lambda density, p, name, tgt: make_look_ahead(density, leapfrog_flow(
-            LeapfrogConfig(p["eps"], 1), density.grad, slot="v"), int(p["K"]), p["alpha"])),
+            LeapfrogConfig(p["eps"], 1), density.grad), int(p["K"]), p["alpha"])),
     "neutra": _Kind(
         {"eps": _POSITIVE, "k": _STEPS}, {"flow_shift": 0.0, "flow_scale": 1.0},
         _neutra),
@@ -521,9 +521,6 @@ def _add_run_flags(sp):
         sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=float)
 
 
-_DEFAULTS = {"steps": 20000, "burn_in": 1000, "chains": 1, "jobs": 1}
-
-
 def _make_config(args, need_kind: bool = True) -> RunConfig:
     """Merge the config file, the flags and the defaults.
 
@@ -547,8 +544,9 @@ def _make_config(args, need_kind: bool = True) -> RunConfig:
     if not target:
         raise ConfigError("a target is required (--target)")
     params = {k: _parse_number(k, merged[k]) for k in _PARAM_FLAGS if k in merged}
-    counts = {k: _parse_number(k, merged.get(k, _DEFAULTS[k]))
-              for k in ("steps", "burn_in", "chains", "jobs")}
+    counts = {f.name: _parse_number(f.name, merged.get(f.name, f.default))
+              for f in dataclasses.fields(RunConfig)
+              if f.name in ("steps", "burn_in", "chains", "jobs")}
     if merged.get("dataset"):
         params["dataset"] = merged["dataset"]
     if merged.get("seed") is not None:

@@ -68,13 +68,24 @@ class EssReport:
         }
 
 
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) exactly: the float cube root of a cube can fall just
+    short of the integer (``1000 ** (1/3)`` is 9.999999999999998)."""
+    r = round(n ** (1.0 / 3.0))
+    while r ** 3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
 def ess_batch_means(series: np.ndarray, seconds: Optional[float] = None,
                     accept_rate: Optional[float] = None) -> EssReport:
     """Effective sample size from the ratio of batch-mean to sample variance.
 
-    Uses floor(n^(1/3)) batches of size floor(n^(2/3)); the trailing
-    remainder is dropped.  Multivariate input reports the minimum ESS across
-    dimensions.
+    Uses floor(n^(1/3)) batches of size floor(n^(2/3)), both exact integer
+    floors (n = 1000 gives 10 batches of 100); the trailing remainder is
+    dropped.  Multivariate input reports the minimum ESS across dimensions.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
@@ -82,8 +93,7 @@ def ess_batch_means(series: np.ndarray, seconds: Optional[float] = None,
     n, dims = x.shape
     if n < 27:
         raise DegenerateSeriesError("need at least 27 samples (3 batches)")
-    m = int(n ** (2.0 / 3.0))
-    n_batches = int(n ** (1.0 / 3.0))
+    n_batches, m = _icbrt(n), _icbrt(n * n)
     used = m * n_batches
     per_dim = np.empty(dims)
     for d in range(dims):

@@ -149,32 +149,30 @@ def identity_flow() -> FlowMap:
     return FlowMap(lambda z: (z, 0.0), lambda z: (z, 0.0), name="identity")
 
 
-def leapfrog_flow(cfg: LeapfrogConfig, grad_x, slot: Optional[str] = None,
-                  name: str = "leapfrog") -> FlowMap:
-    """The unit-mass integrator as a volume-preserving flow on (x, momentum
-    slot)."""
+def leapfrog_flow(cfg: LeapfrogConfig, grad_x) -> FlowMap:
+    """The unit-mass integrator as a volume-preserving flow on (x, v)."""
 
     def fwd(z):
-        x, v = leapfrog(z.x, _read_slot(z, slot), cfg, grad_x)
-        return _write_slot(z.with_x(x), slot, v), 0.0
+        x, v = leapfrog(z.x, z.slot("v"), cfg, grad_x)
+        return z.with_x(x).with_slot("v", v), 0.0
 
     def inv(z):
-        x, v = leapfrog_inverse(z.x, _read_slot(z, slot), cfg, grad_x)
-        return _write_slot(z.with_x(x), slot, v), 0.0
+        x, v = leapfrog_inverse(z.x, z.slot("v"), cfg, grad_x)
+        return z.with_x(x).with_slot("v", v), 0.0
 
-    return FlowMap(fwd, inv, name=name)
+    return FlowMap(fwd, inv, name="leapfrog")
 
 
-def affine_x_flow(shift, scale, name: str = "affine_x") -> "AffineXFlow":
+def affine_x_flow(shift, scale) -> "AffineXFlow":
     """Componentwise affine reparameterization of the target block."""
     return AffineXFlow(np.atleast_1d(np.asarray(shift, dtype=float)),
-                       np.atleast_1d(np.asarray(scale, dtype=float)), name)
+                       np.atleast_1d(np.asarray(scale, dtype=float)))
 
 
 class AffineXFlow(FlowMap):
     """x -> shift + scale * x on the target block; latent gradients derivable."""
 
-    def __init__(self, shift: np.ndarray, scale: np.ndarray, name: str = "affine_x"):
+    def __init__(self, shift: np.ndarray, scale: np.ndarray):
         if np.any(scale == 0.0):
             raise ConfigError("affine scale must be nonzero")
         self.shift = shift
@@ -187,14 +185,14 @@ class AffineXFlow(FlowMap):
         def inv(z):
             return z.with_x((z.x - self.shift) / self.scale), -ld
 
-        super().__init__(fwd, inv, name=name)
+        super().__init__(fwd, inv, name="affine_x")
 
 
 def cycle_flow(values: Sequence[float]) -> FlowMap:
     """Cyclic shift on a finite set of 1-d target-block values.
 
     A point is on the cycle within 1e-9.  A NaN value is refused, since its
-    distance would win every search.
+    distance would win every search, and so is a NaN point.
     """
     vals = np.asarray(values, dtype=float)
     if np.isnan(vals).any():
@@ -202,7 +200,8 @@ def cycle_flow(values: Sequence[float]) -> FlowMap:
 
     def locate(x):
         i = int(np.argmin(np.abs(vals - x[0])))
-        if abs(vals[i] - x[0]) > _LOOKUP_ATOL:
+        # written so that a NaN distance fails too
+        if not abs(vals[i] - x[0]) <= _LOOKUP_ATOL:
             raise ConfigError("point is not on the cycle")
         return i
 
@@ -220,40 +219,33 @@ def cycle_flow(values: Sequence[float]) -> FlowMap:
 # ---------------------------------------------------------------------------
 # elementary involutions
 # ---------------------------------------------------------------------------
+# The maps that pair x with a momentum or proposal act on the slot "v".
 
-def _read_slot(z: JointPoint, slot: Optional[str]) -> np.ndarray:
-    return z.v if slot is None else z.slot(slot)
-
-
-def _write_slot(z: JointPoint, slot: Optional[str], value: np.ndarray) -> JointPoint:
-    return z.with_v(value) if slot is None else z.with_slot(slot, value)
-
-
-def momentum_flip(slot: Optional[str] = None, name: str = "flip") -> Involution:
-    """(x, v) -> (x, -v) on the named slot (whole auxiliary block by default)."""
+def momentum_flip(name: str = "flip") -> Involution:
+    """(x, v) -> (x, -v)."""
 
     def fn(z: JointPoint):
-        w = _read_slot(z, slot)
+        w = z.slot("v")
         if w.size == 0:
             raise ConfigError("momentum flip needs an auxiliary block")
-        return _write_slot(z, slot, -w), 0.0
+        return z.with_slot("v", -w), 0.0
 
     return Involution(fn, name=name)
 
 
-def swap_blocks(slot: Optional[str] = None, name: str = "swap") -> Involution:
-    """Exchange the target block with an auxiliary slot of equal dimension."""
+def swap_blocks() -> Involution:
+    """Exchange the target block with the slot "v" of equal dimension."""
 
     def fn(z: JointPoint):
-        w = _read_slot(z, slot)
+        w = z.slot("v")
         if z.layout.x_dim != w.size:
             raise ConfigError("swap needs matching block dimensions")
-        return _write_slot(z.with_x(w.copy()), slot, z.x.copy()), 0.0
+        return z.with_x(w.copy()).with_slot("v", z.x.copy()), 0.0
 
-    return Involution(fn, name=name)
+    return Involution(fn, name="swap")
 
 
-def swap_slots(a: str, b: str, name: str = "swap_slots") -> Involution:
+def swap_slots(a: str, b: str) -> Involution:
     """Exchange two auxiliary slots of equal dimension."""
 
     def fn(z: JointPoint):
@@ -262,7 +254,7 @@ def swap_slots(a: str, b: str, name: str = "swap_slots") -> Involution:
             raise ConfigError("slots must have equal dimensions")
         return z.with_slot(a, vb).with_slot(b, va), 0.0
 
-    return Involution(fn, name=name)
+    return Involution(fn, name="swap_slots")
 
 
 def _swap_negate_fn(z: JointPoint):
@@ -274,14 +266,13 @@ def _swap_negate_fn(z: JointPoint):
 _swap_negate = Involution(_swap_negate_fn, name="swap_negate")
 
 
-def hmc_involution(cfg: LeapfrogConfig, grad_x,
-                   slot: Optional[str] = None) -> Involution:
+def hmc_involution(cfg: LeapfrogConfig, grad_x) -> Involution:
     """Flip composed with k unit-mass leapfrog steps; an involution for
     separable joints."""
 
     def fn(z: JointPoint):
-        x, v = leapfrog(z.x, _read_slot(z, slot), cfg, grad_x)
-        return _write_slot(z.with_x(x), slot, -v), 0.0
+        x, v = leapfrog(z.x, z.slot("v"), cfg, grad_x)
+        return z.with_x(x).with_slot("v", -v), 0.0
 
     return Involution(fn, name=f"flip*leapfrog^{cfg.k}")
 
@@ -495,7 +486,7 @@ class CouplingMap(FlowMap):
 
     A map built only from additive, swap, and det-one linear layers is volume
     preserving and reports a zero log-Jacobian everywhere.  The map couples
-    the target block with the named auxiliary slot (whole block by default).
+    the target block with the slot "v".
 
     ``forward_arrays``/``inverse_arrays`` take one point ``(d,)`` or rows
     ``(..., d)`` of points and return one log-det per row.  With layer
@@ -503,9 +494,7 @@ class CouplingMap(FlowMap):
     the single-point result bitwise.
     """
 
-    def __init__(self, layers: Sequence[tuple], name: str = "coupling",
-                 slot: Optional[str] = None):
-        self.slot = slot
+    def __init__(self, layers: Sequence[tuple], name: str = "coupling"):
         self.layers = tuple(layers)
         # the layers as applied: a linear layer carries its arrays and its
         # constant log-det, computed once here
@@ -576,12 +565,12 @@ class CouplingMap(FlowMap):
         return x, v, ld[()]  # a scalar for one point, an array for rows
 
     def _forward(self, z: JointPoint) -> tuple[JointPoint, float]:
-        x, v, ld = self.forward_arrays(z.x, _read_slot(z, self.slot))
-        return _write_slot(z.with_x(x), self.slot, v), ld
+        x, v, ld = self.forward_arrays(z.x, z.slot("v"))
+        return z.with_x(x).with_slot("v", v), ld
 
     def _inverse(self, z: JointPoint) -> tuple[JointPoint, float]:
-        x, v, ld = self.inverse_arrays(z.x, _read_slot(z, self.slot))
-        return _write_slot(z.with_x(x), self.slot, v), ld
+        x, v, ld = self.inverse_arrays(z.x, z.slot("v"))
+        return z.with_x(x).with_slot("v", v), ld
 
 
 def _bounded_cubic(c: tuple[float, float, float, float]):
@@ -598,20 +587,20 @@ def _bounded_cubic(c: tuple[float, float, float, float]):
 _X_SHIFT_COEFFS = (0.0, 0.4, 0.0, -0.1)
 
 
-def additive_coupling(slot: Optional[str] = None, name: str = "nice") -> CouplingMap:
+def additive_coupling() -> CouplingMap:
     """Two additive layers with fixed smooth shifts; volume preserving."""
     return CouplingMap(
         [("add_x", _bounded_cubic(_X_SHIFT_COEFFS)),
          ("add_v", _bounded_cubic((0.0, 0.3, 0.1, 0.0)))],
-        name=name, slot=slot)
+        name="nice")
 
 
-def affine_coupling(slot: Optional[str] = None, name: str = "affine") -> CouplingMap:
+def affine_coupling() -> CouplingMap:
     """Additive plus scaling layer; not volume preserving."""
     return CouplingMap(
         [("add_x", _bounded_cubic(_X_SHIFT_COEFFS)),
          ("scale_v", _bounded_cubic((0.0, 0.15, 0.0, 0.05)))],
-        name=name, slot=slot)
+        name="affine")
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +611,7 @@ DEFAULT_SHIFT = 1.0 / math.sqrt(2.0)
 
 
 def cdf_map(cdf: Callable[[float], float], icdf: Callable[[float], float],
-            shift: float = DEFAULT_SHIFT):
+            shift: float):
     """Measure-preserving 1-d map: push through the CDF, rotate, pull back.
 
     The CDF value is clamped into [1e-15, 1 - 1e-15] before inversion

@@ -3,7 +3,8 @@
 Each ``make_*`` function wires conditionals and an involution into a kernel
 (or an ordered composition for the irreversible chains) ready for
 `run_chain` and for the exact finite-state oracles.  Builders never own the
-target: densities come from the caller, hyperparameters are explicit.
+target: densities come from the caller, hyperparameters are explicit.  A
+builder names its kernels itself unless its callers give different names.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core import (
 )
 from .errors import ConfigError
 from .maps import (
-    CouplingMap,
     FlowMap,
     LeapfrogConfig,
     Metric,
@@ -48,7 +48,7 @@ from .maps import (
     swap_blocks,
     swap_slots,
 )
-from .targets import Cdf1D, _grid_logpmf, _grid_rows
+from .targets import Cdf1D, _grid_logpmf, _grid_values
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -145,8 +145,7 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
     remembered at the last two centers (see `core._LastTwo`), since a step
     asks for it at the same center to draw and to score.
     """
-    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
-    rows = _grid_rows(np.stack(vals))
+    vals, rows = _grid_values(values)
 
     def _weights(center):
         logs = np.array([logpdf_fn(u, center) for u in vals])
@@ -261,18 +260,17 @@ def tag_flip_kernel(layout: Layout, tag: str, name: str = "flip_tag",
                        name=name)
 
 
-def slot_flip_kernel(layout: Layout, slot: str, factor: AuxiliaryConditional,
+def slot_flip_kernel(layout: Layout, factor: AuxiliaryConditional,
                      name: str = "flip_v") -> ImcmcKernel:
-    """Deterministic negation of a symmetric auxiliary slot."""
+    """Deterministic negation of the symmetric momentum slot "v"."""
     from .maps import momentum_flip
 
-    return ImcmcKernel(layout, target=None, involution=momentum_flip(slot=slot, name=name),
-                       aux_static=[(slot, factor)], name=name)
+    return ImcmcKernel(layout, target=None, involution=momentum_flip(name=name),
+                       aux_static=[("v", factor)], name=name)
 
 
 def momentum_refresh_kernel(layout: Layout, alpha: float,
-                            momentum: Optional[AuxiliaryConditional] = None,
-                            name: str = "refresh") -> ImcmcKernel:
+                            momentum: Optional[AuxiliaryConditional] = None) -> ImcmcKernel:
     """Momentum update kernel for the momentum factor ``momentum`` (N(0, I)
     by default).
 
@@ -290,7 +288,7 @@ def momentum_refresh_kernel(layout: Layout, alpha: float,
     if alpha >= 1.0:
         identity = Involution(lambda z: (z, 0.0), name="identity")
         return ImcmcKernel(layout, target=None, aux_refresh=[("v", momentum)],
-                           involution=identity, name=name)
+                           involution=identity, name="refresh")
     if "a" not in layout.slots:
         raise ConfigError("partial refresh needs a scratch slot in the layout")
     keep = math.sqrt(1.0 - alpha * alpha)
@@ -303,11 +301,10 @@ def momentum_refresh_kernel(layout: Layout, alpha: float,
         layout, target=None,
         aux_refresh=[("a", a_cond)],
         aux_static=[("v", momentum)],
-        involution=swap_slots("v", "a"), name=name)
+        involution=swap_slots("v", "a"), name="refresh")
 
 
-def default_init(kernel: TransitionKernel, x0, tags: Optional[dict] = None
-                 ) -> JointPoint:
+def default_init(kernel: TransitionKernel, x0, tags: Optional[dict] = None) -> JointPoint:
     """Layout-valid starting point: zero auxiliary block, conventional tags."""
     layout = kernel.layout
     values = []
@@ -340,13 +337,12 @@ def make_mh(target: LogDensity, proposal: AuxiliaryConditional,
     with_grad = getattr(proposal, "grad_of", None) is target
     return ImcmcKernel(layout, _x_target(target, with_grad),
                        aux_refresh=[("v", proposal)],
-                       involution=swap_blocks(slot="v"),
+                       involution=swap_blocks(),
                        rule=rule, name=name)
 
 
 def make_mixture_proposal(target: LogDensity, index: TagConditional,
-                          component: AuxiliaryConditional,
-                          name: str = "mixture_proposal") -> ImcmcKernel:
+                          component: AuxiliaryConditional) -> ImcmcKernel:
     """Proposal drawn through a latent component index left fixed by the swap.
 
     ``index`` samples the component a given x; ``component`` samples v given
@@ -357,8 +353,8 @@ def make_mixture_proposal(target: LogDensity, index: TagConditional,
                        tag_values={"a": index.values})
     return ImcmcKernel(layout, _x_target(target),
                        aux_refresh=[("a", index), ("v", component)],
-                       involution=swap_blocks(slot="v"),
-                       name=name)
+                       involution=swap_blocks(),
+                       name="mixture_proposal")
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +362,8 @@ def make_mixture_proposal(target: LogDensity, index: TagConditional,
 # ---------------------------------------------------------------------------
 
 def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
-                      lam: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
-                      name: str = "mtm") -> ImcmcKernel:
+                      lam: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+                      ) -> ImcmcKernel:
     """Multiple-try Metropolis as a joint-space kernel.
 
     k trial points are drawn around x, an index j is drawn with weight
@@ -481,7 +477,7 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     return ImcmcKernel(layout, lambda point: logp(point.x),
                        aux_refresh=[("y", y_cond), ("j", j_cond), ("xstar", xstar_cond)],
                        involution=Involution(fn, name="mtm_swap"),
-                       name=name)
+                       name="mtm")
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +490,21 @@ def sorted_mean(S: np.ndarray) -> np.ndarray:
 
 
 def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
-                         aggregate: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         generalized: bool = False,
-                         name: str = "sample_adaptive") -> ImcmcKernel:
+                         aggregate: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                         ) -> ImcmcKernel:
     """Ensemble kernel that swaps one of N stored points with a fresh draw.
 
     The proposal is drawn around ``aggregate(S)`` of the current ensemble S,
     and the swap index is drawn with weight ``q(x_i | aggregate(S_-i)) / p(x_i)``;
     index N means "replace the proposal itself" (a no-op).  Every mode runs
     the same joint-density acceptance test.  With a permutation-invariant
-    aggregation that test accepts every proposed swap; with any other it
-    may reject.  ``generalized`` changes no computation: it only requires
-    ``aggregate`` to be given explicitly.
+    aggregation (the default, `sorted_mean`) that test accepts every
+    proposed swap; with any other (the generalized kernel) it may reject.
     """
     if N < 1:
         raise ConfigError("ensemble size must be at least 1")
     d = target.dim
     g = aggregate if aggregate is not None else sorted_mean
-    if generalized and aggregate is None:
-        raise ConfigError("generalized mode expects an explicit aggregation")
 
     layout = Layout(x_dim=N * d, v_dim=d, slots={"prop": slice(0, d)},
                     tags=("j",), tag_values={"j": tuple(range(N + 1))})
@@ -556,7 +548,7 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
     return ImcmcKernel(layout, joint_target,
                        aux_refresh=[("prop", prop_cond), ("j", j_cond)],
                        involution=Involution(fn, name="ensemble_swap"),
-                       name=name)
+                       name="sample_adaptive")
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +566,7 @@ class BlockConditional:
 
 
 def make_gibbs(target: LogDensity, blocks: Sequence[BlockConditional],
-               scan: str = "systematic", name: str = "gibbs") -> TransitionKernel:
+               scan: str = "systematic") -> TransitionKernel:
     """Coordinate-wise resampling from exact full conditionals.
 
     Each per-block kernel is a swap with a freshly drawn conditional value
@@ -612,9 +604,9 @@ def make_gibbs(target: LogDensity, blocks: Sequence[BlockConditional],
         kernels = [ImcmcKernel(layout, _x_target(target),
                                aux_refresh=[("g", wrap(b))],
                                involution=swap_involution(b.indices),
-                               name=f"{name}[{i}]")
+                               name=f"gibbs[{i}]")
                    for i, b in enumerate(blocks)]
-        return compose(kernels, name=name)
+        return compose(kernels, name="gibbs")
     if scan != "random":
         raise ConfigError("scan must be 'systematic' or 'random'")
 
@@ -637,7 +629,7 @@ def make_gibbs(target: LogDensity, blocks: Sequence[BlockConditional],
                            name="coord")
     return ImcmcKernel(layout, _x_target(target),
                        aux_refresh=[("coord", coord), ("g", dispatch)],
-                       involution=inv, name=name)
+                       involution=inv, name="gibbs")
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +638,10 @@ def make_gibbs(target: LogDensity, blocks: Sequence[BlockConditional],
 
 def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
                      metric: Optional[Metric] = None,
-                     momentum_cond: Optional[AuxiliaryConditional] = None,
-                     name: str = "hmc") -> ImcmcKernel:
-    """Full-refresh Hamiltonian kernel: flip-after-k-integrator-steps.
+                     momentum_cond: Optional[AuxiliaryConditional] = None) -> ImcmcKernel:
+    """Full-refresh Hamiltonian kernel ``hmc``: flip-after-k-integrator-steps.
 
-    With a metric this is the implicit-integrator variant; the momentum is
+    With a metric this is the implicit-integrator variant ``rmhmc``; the momentum is
     then drawn from N(0, G(x)) and the integrator solves the non-separable
     equations to tolerance 1e-12.  A non-unit constant mass M is
     ``metric=constant_metric(M)``.
@@ -661,9 +652,9 @@ def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
     layout = xv_layout(d)
     if metric is None:
         cond = momentum_cond if momentum_cond is not None else normal_momentum(d)
-        inv = hmc_involution(cfg, target.grad, slot="v")
+        inv = hmc_involution(cfg, target.grad)
         return ImcmcKernel(layout, _x_target(target),
-                           aux_refresh=[("v", cond)], involution=inv, name=name)
+                           aux_refresh=[("v", cond)], involution=inv, name="hmc")
 
     ham = RiemannianHamiltonian(target.logpdf, target.grad, metric)
 
@@ -681,14 +672,13 @@ def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
         AuxiliaryConditional(_sample, _logpdf, name="metric_momentum")
     inv = implicit_hmc_involution(cfg, ham)
     return ImcmcKernel(layout, _x_target(target),
-                       aux_refresh=[("v", cond)], involution=inv,
-                       name=name if name != "hmc" else "rmhmc")
+                       aux_refresh=[("v", cond)], involution=inv, name="rmhmc")
 
 
 def make_embedded_flow(target: LogDensity, flow: FlowMap, cfg: LeapfrogConfig,
                        latent_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                       momentum_cond: Optional[AuxiliaryConditional] = None,
-                       name: str = "neutra") -> ImcmcKernel:
+                       momentum_cond: Optional[AuxiliaryConditional] = None
+                       ) -> ImcmcKernel:
     """Hamiltonian kernel conjugated by a reparameterizing flow.
 
     ``flow`` transports the latent space onto the target space (its forward
@@ -712,27 +702,22 @@ def make_embedded_flow(target: LogDensity, flow: FlowMap, cfg: LeapfrogConfig,
             raise ConfigError("supply the latent gradient for a general flow")
     d = target.dim
     layout = xv_layout(d)
-    inner = hmc_involution(cfg, latent_grad, slot="v")
+    inner = hmc_involution(cfg, latent_grad)
     cond = momentum_cond if momentum_cond is not None else normal_momentum(d)
     # conjugation order: map into the latent space, integrate, map back
     return ImcmcKernel(layout, _x_target(target),
                        aux_refresh=[("v", cond)],
-                       involution=embed(flow.inverted(), inner), name=name)
+                       involution=embed(flow.inverted(), inner), name="neutra")
 
 
 def make_directional_map(target: LogDensity, T: FlowMap,
-                         volume_preserving: Optional[bool] = None,
-                         momentum_cond: Optional[AuxiliaryConditional] = None,
-                         name: str = "directional") -> ImcmcKernel:
+                         momentum_cond: Optional[AuxiliaryConditional] = None
+                         ) -> ImcmcKernel:
     """Coupling-map kernel with a freshly drawn direction each step.
 
     The acceptance picks up the map Jacobian automatically, covering both the
-    volume-preserving and the scaling variants; `volume_preserving` is only a
-    declaration check against the map.
+    volume-preserving and the scaling variants.
     """
-    if volume_preserving is not None and isinstance(T, CouplingMap):
-        if volume_preserving != T.volume_preserving:
-            raise ConfigError("volume-preserving declaration contradicts the map")
     d = target.dim
     layout = xv_layout(d, tags=("d",))
     cond = momentum_cond if momentum_cond is not None else normal_momentum(d)
@@ -740,7 +725,7 @@ def make_directional_map(target: LogDensity, T: FlowMap,
 
     return ImcmcKernel(layout, _x_target(target),
                        aux_refresh=[("v", cond), ("d", uniform_tag((-1, 1), "d"))],
-                       involution=direction_augment(T), name=name)
+                       involution=direction_augment(T), name="directional")
 
 
 def make_persistent(target: LogDensity, T: FlowMap, refresh_alpha: float,
@@ -778,7 +763,7 @@ def make_persistent(target: LogDensity, T: FlowMap, refresh_alpha: float,
     move = ImcmcKernel(layout, _x_target(target),
                        aux_static=[("v", momentum)],
                        involution=T, name=f"{name}_move")
-    flip = slot_flip_kernel(layout, "v", momentum, name=f"{name}_flip")
+    flip = slot_flip_kernel(layout, momentum, name=f"{name}_flip")
     return compose([refresh, move, flip], name=name)
 
 
@@ -883,8 +868,8 @@ def _cascade_weights(joints: list[float]) -> list[float]:
 
 
 def make_look_ahead(target: LogDensity, T: FlowMap, K: int, refresh_alpha: float,
-                    momentum_cond: Optional[AuxiliaryConditional] = None,
-                    name: str = "look_ahead") -> KernelComposition:
+                    momentum_cond: Optional[AuxiliaryConditional] = None
+                    ) -> KernelComposition:
     """Look-ahead composition: refresh, multi-step proposal cascade, flip,
     all three scoring v with one momentum factor (``momentum_cond``, N(0, I)
     by default)."""
@@ -893,9 +878,9 @@ def make_look_ahead(target: LogDensity, T: FlowMap, K: int, refresh_alpha: float
     layout = xv_layout(d, scratch=refresh_alpha < 1.0)
     refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum)
     la = LookAheadKernel(layout, _x_target(target), momentum, T, K,
-                         name=f"{name}_cascade")
-    flip = slot_flip_kernel(layout, "v", momentum, name=f"{name}_flip")
-    return compose([refresh, la, flip], name=name)
+                         name="look_ahead_cascade")
+    flip = slot_flip_kernel(layout, momentum, name="look_ahead_flip")
+    return compose([refresh, la, flip], name="look_ahead")
 
 
 # ---------------------------------------------------------------------------
@@ -946,8 +931,7 @@ def lifted_matrix(base: np.ndarray, eta: Sequence[float]) -> np.ndarray:
 
 
 def make_lifted(base: np.ndarray, values: Sequence[float], log_weights: Sequence[float],
-                eta: Optional[Sequence[float]] = None,
-                name: str = "lifted") -> KernelComposition:
+                eta: Optional[Sequence[float]] = None) -> KernelComposition:
     """Lifted chain over a finite space: split proposal, swap-negate, flip.
 
     ``base`` is a row-stochastic kernel on the listed states, split into an
@@ -982,13 +966,12 @@ def make_lifted(base: np.ndarray, values: Sequence[float], log_weights: Sequence
     t1 = ImcmcKernel(layout, lambda point: grid.logpdf(point.x),
                      aux_refresh=[("v", q_cond)],
                      involution=_swap_negate,
-                     name=f"{name}_move")
-    t2 = tag_flip_kernel(layout, "d", name=f"{name}_flip")
-    return compose([t1, t2], name=name)
+                     name="lifted_move")
+    t2 = tag_flip_kernel(layout, "d", name="lifted_flip")
+    return compose([t1, t2], name="lifted")
 
 
-def make_lifted_rw1d(target: LogDensity, scale: float,
-                     name: str = "lifted_rw") -> KernelComposition:
+def make_lifted_rw1d(target: LogDensity, scale: float) -> KernelComposition:
     """Continuous 1-d lifted walk with half-normal directional proposals."""
     if target.dim != 1:
         raise ConfigError("the split random walk is one-dimensional")
@@ -1009,9 +992,9 @@ def make_lifted_rw1d(target: LogDensity, scale: float,
     t1 = ImcmcKernel(layout, _x_target(target),
                      aux_refresh=[("v", q_cond)],
                      involution=_swap_negate,
-                     name=f"{name}_move")
-    t2 = tag_flip_kernel(layout, "d", name=f"{name}_flip")
-    return compose([t1, t2], name=name)
+                     name="lifted_rw_move")
+    t2 = tag_flip_kernel(layout, "d", name="lifted_rw_flip")
+    return compose([t1, t2], name="lifted_rw")
 
 
 # ---------------------------------------------------------------------------
@@ -1019,8 +1002,7 @@ def make_lifted_rw1d(target: LogDensity, scale: float,
 # ---------------------------------------------------------------------------
 
 def make_irr_mala(target: LogDensity, eps: float,
-                  support_values: Optional[Sequence] = None,
-                  name: str = "irr_mala") -> KernelComposition:
+                  support_values: Optional[Sequence] = None) -> KernelComposition:
     """Direction-augmented Langevin chain.
 
     The proposal mean follows the gradient with the current direction; the
@@ -1054,17 +1036,17 @@ def make_irr_mala(target: LogDensity, eps: float,
     t1 = ImcmcKernel(layout, _x_target(target),
                      aux_refresh=[("v", v_cond)],
                      involution=Involution(fn, name="grad_swap"),
-                     name=f"{name}_move")
-    t2 = tag_flip_kernel(layout, "d", name=f"{name}_flip")
-    return compose([t1, t2], name=name)
+                     name="irr_mala_move")
+    t2 = tag_flip_kernel(layout, "d", name="irr_mala_flip")
+    return compose([t1, t2], name="irr_mala")
 
 
-def make_irr_nice_mc(target: LogDensity, T: FlowMap, alpha: float = 0.8,
-                     momentum_cond: Optional[AuxiliaryConditional] = None,
-                     name: str = "irr_nice_mc") -> KernelComposition:
+def make_irr_nice_mc(target: LogDensity, T: FlowMap, alpha: float,
+                     momentum_cond: Optional[AuxiliaryConditional] = None
+                     ) -> KernelComposition:
     """Irreversible coupling-map chain: partial refresh, persistent move, flip."""
     return make_persistent(target, T, alpha, momentum_cond=momentum_cond,
-                           variant="direction_tag", name=name)
+                           variant="direction_tag", name="irr_nice_mc")
 
 
 # ---------------------------------------------------------------------------
@@ -1183,8 +1165,7 @@ def make_transdimensional(space: ModelSpace, mode: str = "reversible",
                           model_probs: Optional[Callable[[JointPoint], np.ndarray]] = None,
                           tau: float = 0.5,
                           within: Optional[AuxiliaryConditional] = None,
-                          within_dim: Optional[int] = None,
-                          name: str = "transdim") -> TransitionKernel:
+                          within_dim: Optional[int] = None) -> TransitionKernel:
     """Between-model sampler in the reversible or the non-reversible form.
 
     The reversible mode draws the next model from ``model_probs`` and
@@ -1220,7 +1201,7 @@ def make_transdimensional(space: ModelSpace, mode: str = "reversible",
         return ImcmcKernel(layout, lambda point: space.logpdf(point.tag("k"), point.x),
                            aux_refresh=[("j", j_cond), ("y", pad)],
                            involution=Involution(fn, name="jump"),
-                           name=name)
+                           name="transdim")
 
     if mode != "nonreversible":
         raise ConfigError("mode must be 'reversible' or 'nonreversible'")
@@ -1268,17 +1249,17 @@ def make_transdimensional(space: ModelSpace, mode: str = "reversible",
 
     t1 = ImcmcKernel(layout, lambda point: space.logpdf(point.tag("k"), point.x),
                      aux_refresh=[("m", m_cond), ("w", within), ("y", pad)],
-                     involution=inv, name=f"{name}_move")
-    t2 = tag_flip_kernel(layout, "nu", when="m", name=f"{name}_flip")
-    return compose([t1, t2], name=name)
+                     involution=inv, name="transdim_move")
+    t2 = tag_flip_kernel(layout, "nu", when="m", name="transdim_flip")
+    return compose([t1, t2], name="transdim")
 
 
 # ---------------------------------------------------------------------------
 # rejection-free CDF chain
 # ---------------------------------------------------------------------------
 
-def make_cdf_deterministic(target: Cdf1D, shift: Optional[float] = None,
-                           name: str = "cdf") -> DeterministicKernel:
+def make_cdf_deterministic(target: Cdf1D, shift: Optional[float] = None
+                           ) -> DeterministicKernel:
     """Deterministic measure-preserving 1-d chain through the CDF rotation."""
     if target.cdf is None or target.icdf is None:
         raise ConfigError("the deterministic chain needs a CDF and its inverse")
@@ -1291,5 +1272,5 @@ def make_cdf_deterministic(target: Cdf1D, shift: Optional[float] = None,
     def fn(point: JointPoint):
         return point.with_x(np.array([fn1(float(point.x[0]))]))
 
-    return DeterministicKernel(layout, fn, name=name,
+    return DeterministicKernel(layout, fn, name="cdf",
                                target=lambda point: target.density.logpdf(point.x))

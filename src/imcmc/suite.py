@@ -327,8 +327,7 @@ def finite_cases() -> list[FiniteCase]:
         return 0.75 * S[0] + 0.25 * S[1]
 
     fam_dep = grid_family(vals2, lambda u, c: math.log(0.35 + 0.3 * abs(u[0] - c[0])))
-    sag = make_sample_adaptive(g2.density(), 2, fam_dep, aggregate=g_ord,
-                               generalized=True)
+    sag = make_sample_adaptive(g2.density(), 2, fam_dep, aggregate=g_ord)
     sag_states = [sag.layout.point([x1, x2], [pr], (j,))
                   for x1 in (0.0, 1.0) for x2 in (0.0, 1.0)
                   for pr in (0.0, 1.0) for j in (0, 1, 2)]
@@ -376,7 +375,7 @@ def finite_cases() -> list[FiniteCase]:
     mom_r = grid_conditional(Vr, lambda pt: wv_r / wv_r.sum())
     rm = make_hamiltonian(xg_r.density(), LeapfrogConfig(2.0, 1),
                           metric=constant_metric(np.array([[c_m]])),
-                          momentum_cond=mom_r, name="rmhmc")
+                          momentum_cond=mom_r)
     rm_states = [rm.layout.point(x, v) for x in Xr for v in Vr]
 
     def rm_joint(pt):
@@ -416,7 +415,7 @@ def finite_cases() -> list[FiniteCase]:
         x_groups=[i // 3 for i in range(9)]))
 
     # directional map with fresh directions (coupling-map chain)
-    L = leapfrog_flow(cfg, xgrid.grad, slot="v")
+    L = leapfrog_flow(cfg, xgrid.grad)
     dm = make_directional_map(dens, L, momentum_cond=mom)
     dm_states = [dm.layout.point(x, v, (d,)) for x in X for v in V for d in (-1, 1)]
 
@@ -732,8 +731,8 @@ def involution_gallery() -> list[tuple[str, Involution, Layout, float]]:
     irr_mala_inv = _irr_mala_involution(m2)
 
     gallery = [
-        ("swap", swap_blocks(slot="v"), lay_xv, 1e-10),
-        ("flip", momentum_flip(slot="v"), lay_xv, 1e-10),
+        ("swap", swap_blocks(), lay_xv, 1e-10),
+        ("flip", momentum_flip(), lay_xv, 1e-10),
         ("hmc_explicit_normal", hmc_involution(cfg, sn2.grad), lay_xv, 1e-10),
         ("hmc_explicit_mog2", hmc_involution(cfg, m2.grad), lay_xv, 1e-10),
         ("hmc_implicit_metric", implicit_hmc_involution(LeapfrogConfig(0.1, 3), ham),
@@ -744,7 +743,7 @@ def involution_gallery() -> list[tuple[str, Involution, Layout, float]]:
          embed(affine_x_flow([0.5, -0.2], [1.5, 0.7]), hmc_involution(cfg, sn2.grad)),
          lay_xv, 1e-10),
         ("embedded_swap", embed(affine_x_flow([0.0, 0.0], [2.0, 0.5]),
-                                swap_blocks(slot="v")), lay_xv, 1e-10),
+                                swap_blocks()), lay_xv, 1e-10),
         ("irr_mala_map", irr_mala_inv, lay_xvd, 1e-10),
     ]
     return gallery
@@ -820,9 +819,9 @@ def _reduction_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckR
     _, _, xgrid, mom, _ = _harmonic_grid()
     cfg = LeapfrogConfig(math.sqrt(2.0), 1)
     dens = xgrid.density()
-    L = leapfrog_flow(cfg, xgrid.grad, slot="v")
+    L = leapfrog_flow(cfg, xgrid.grad)
     la1 = make_look_ahead(dens, L, 1, 1.0, momentum_cond=mom)
-    pm = make_persistent(dens, hmc_involution(cfg, xgrid.grad, slot="v"), 1.0,
+    pm = make_persistent(dens, hmc_involution(cfg, xgrid.grad), 1.0,
                          momentum_cond=mom, variant="momentum_flip")
     hmc, T_h = reg["hmc_grid"]
     record("look_ahead_k1_equals_persistent",

@@ -403,6 +403,17 @@ def _grid_rows(stacked: np.ndarray) -> _RowIndex:
     return _RowIndex(stacked, first_within)
 
 
+def _grid_values(values: Sequence) -> tuple[list[np.ndarray], _RowIndex]:
+    """A finite conditional's candidate values as 1-d arrays, and their
+    `_grid_rows` lookup.  A NaN value is refused: the support would list it
+    with positive probability while its log-probability is -inf."""
+    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
+    stacked = np.stack(vals)
+    if np.isnan(stacked).any():
+        raise ConfigError("grid values must not be NaN")
+    return vals, _grid_rows(stacked)
+
+
 def _grid_logpmf(rows: _RowIndex, p: np.ndarray, value) -> float:
     """Log probability of the grid row that ``rows`` (from `_grid_rows`)
     finds for ``value``: -inf off the grid or at probability zero, NaN at a
@@ -421,8 +432,7 @@ def grid_conditional(values: Sequence, probs: Callable[[JointPoint], np.ndarray]
     ``probs(point)`` returns the probability of each candidate value; the
     support hook makes the conditional enumerable by the matrix oracle.
     """
-    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
-    rows = _grid_rows(np.stack(vals))
+    vals, rows = _grid_values(values)
 
     def _sample(rng, point):
         p = np.asarray(probs(point), dtype=float)

@@ -225,7 +225,7 @@ def _mog2_coupling() -> CouplingMap:
     scales = np.array([math.sqrt(4.5), math.sqrt(0.5)])
     return CouplingMap([("swap",), ("linear", scales, 1.0 / scales),
                         ("add_v", lambda y: 0.1 * np.tanh(y / 3.0))],
-                       name="mog2_coupling", slot="v")
+                       name="mog2_coupling")
 
 
 def test_criterion_08_statistical_correctness():

@@ -46,7 +46,7 @@ def coupling():
     scales = np.array([math.sqrt(4.5), math.sqrt(0.5)])
     return CouplingMap([("swap",), ("linear", scales, 1.0 / scales),
                         ("add_v", lambda y: 0.1 * np.tanh(y / 3.0))],
-                       name="mog2_coupling", slot="v")
+                       name="mog2_coupling")
 
 
 def test_batch_targets_match_scalar():
@@ -84,7 +84,7 @@ def test_batch_coupling_matches_pointwise(coupling):
     X = rng.standard_normal((10, 2))
     V = rng.standard_normal((10, 2))
     # volume preserving, and one whose log-det differs from row to row
-    for cmap in (coupling, affine_coupling(slot="v")):
+    for cmap in (coupling, affine_coupling()):
         xf, vf, ld = batch_coupling_forward(cmap, X, V)
         xb, vb, ldb = batch_coupling_inverse(cmap, xf, vf)
         assert ld.shape == ldb.shape == (10,)

@@ -84,7 +84,7 @@ def test_measure_preserving_involution_always_accepts():
     layout = Layout(x_dim=1, v_dim=1, slots={"v": slice(0, 1)})
     kern = ImcmcKernel(layout, lambda pt: sn.logpdf(pt.x),
                        aux_refresh=[("v", normal_momentum(1))],
-                       involution=momentum_flip(slot="v"))
+                       involution=momentum_flip())
     rng = make_rng(1)
     pt = layout.point([0.5], [0.0])
     for _ in range(100):
@@ -209,7 +209,7 @@ def test_involution_layout_mismatch_is_config_error():
 def test_verify_involution_swap_exact():
     layout = Layout(x_dim=2, v_dim=2, slots={"v": slice(0, 2)})
     pts = random_points(layout, 50, make_rng(0))
-    rep = verify_involution(swap_blocks(slot="v"), pts)
+    rep = verify_involution(swap_blocks(), pts)
     assert rep.max_displacement == 0.0
     assert rep.passed
 
@@ -236,7 +236,7 @@ def test_verify_involution_hmc_composite():
 def test_verify_jacobian_swap():
     layout = Layout(x_dim=2, v_dim=2, slots={"v": slice(0, 2)})
     pt = random_points(layout, 1, make_rng(3))[0]
-    rep = verify_jacobian(swap_blocks(slot="v"), pt, tol=1e-6)
+    rep = verify_jacobian(swap_blocks(), pt, tol=1e-6)
     assert rep.reported_logdet == 0.0
     assert rep.passed
 

@@ -53,6 +53,38 @@ def test_ess_equal_batch_means_is_degenerate():
         ess_batch_means(np.column_stack([np.arange(100.0), window]))
 
 
+def test_ess_cube_length_uses_exact_batches():
+    # n = 1000 is 10 batches of 100, each of them 50 zeros then 50 ones, so
+    # every batch mean is 0.5; the float cube root gave 9 batches of 99
+    series = np.tile(np.r_[np.zeros(50), np.ones(50)], 10)
+    with pytest.raises(DegenerateSeriesError, match="equal batch means"):
+        ess_batch_means(series)
+
+
+def _float_batch_ess(series: np.ndarray) -> float:
+    """The ESS with the batch geometry computed in floating point, as it was
+    before the exact floors; the reference away from perfect cubes."""
+    n = series.shape[0]
+    m = int(n ** (2.0 / 3.0))
+    n_batches = int(n ** (1.0 / 3.0))
+    means = series[:m * n_batches].reshape(n_batches, m).mean(axis=1)
+    return n / (m * float(np.var(means, ddof=1)) / float(np.var(series, ddof=1)))
+
+
+def test_ess_matches_float_batches_off_cubes():
+    from imcmc.diagnostics import _icbrt
+
+    # the batch count and size, exact and in floating point
+    for n in range(27, 10 ** 5 + 1):
+        if round(n ** (1.0 / 3.0)) ** 3 != n:
+            assert (_icbrt(n), _icbrt(n * n)) == (int(n ** (1.0 / 3.0)),
+                                                  int(n ** (2.0 / 3.0))), n
+    rng = make_rng(13)
+    for n in (28, 100, 500, 999, 1001, 1350, 20000):
+        series = rng.standard_normal(n).cumsum()
+        assert ess_batch_means(series).ess == _float_batch_ess(series)
+
+
 def test_ess_multivariate_takes_minimum():
     rng = make_rng(2)
     a = rng.standard_normal(50000)

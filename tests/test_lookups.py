@@ -14,8 +14,9 @@ import pytest
 from imcmc.core import Layout
 from imcmc.diagnostics import _StateIndex, transition_matrix, transition_matrix_direct
 from imcmc.errors import ConfigError, EnumerationError
-from imcmc.samplers import make_cdf_deterministic
-from imcmc.targets import GridDensity, _grid_logpmf, _grid_rows, uniform_cdf1d
+from imcmc.samplers import grid_family, make_cdf_deterministic
+from imcmc.targets import (GridDensity, _grid_logpmf, _grid_rows, grid_conditional,
+                           uniform_cdf1d)
 
 # duplicate rows, two rows 5e-10 apart, both signed zeros and a NaN row
 ROWS = np.array([[1.0, 2.0], [0.0, 0.5], [1.0, 2.0], [1.0 + 5e-10, 2.0],
@@ -154,3 +155,17 @@ def test_transition_matrices_refuse_a_nan_state():
     for build in (transition_matrix, transition_matrix_direct):
         with pytest.raises(EnumerationError, match="state 2 has a NaN coordinate"):
             build(kernel, states)
+
+
+@pytest.mark.parametrize("build", [
+    lambda vals: grid_conditional(vals, lambda point: np.full(len(vals), 1.0 / len(vals))),
+    lambda vals: grid_family(vals, lambda u, center: 0.0),
+])
+def test_finite_conditionals_refuse_a_nan_value(build):
+    # the support listed the NaN value with positive probability while its
+    # logpdf was -inf, so the oracle would enumerate a state of no density
+    with pytest.raises(ConfigError, match="NaN"):
+        build([np.array([0.0]), np.array([np.nan])])
+    with pytest.raises(ConfigError, match="NaN"):
+        build([[0.0, 1.0], [2.0, np.nan], [1.0, 1.0]])
+    build([np.array([0.0]), np.array([1.0])])

@@ -130,9 +130,9 @@ def test_leapfrog_volume_preserving():
 
 def test_flip_and_swap_self_inverse():
     pts = random_points(LAY2, 30, make_rng(0))
-    assert verify_involution(momentum_flip(slot="v"), pts).passed
-    assert verify_involution(swap_blocks(slot="v"), pts).passed
-    flip = momentum_flip(slot="v")
+    assert verify_involution(momentum_flip(), pts).passed
+    assert verify_involution(swap_blocks(), pts).passed
+    flip = momentum_flip()
     z = LAY2.point([1.0, 2.0], [0.0, 0.0])
     z1, _ = flip.forward(z)
     assert np.array_equal(z1.v, -z.v)  # v = 0 is a fixed point
@@ -308,7 +308,7 @@ def test_direction_augment_rejects_bad_tag():
 
 
 def test_embed_identity_leaves_involution_unchanged():
-    inner = swap_blocks(slot="v")
+    inner = swap_blocks()
     emb = embed(identity_flow(), inner)
     z = LAY2.point([1.0, 2.0], [3.0, 4.0])
     a, la = inner.forward(z)
@@ -317,7 +317,7 @@ def test_embed_identity_leaves_involution_unchanged():
 
 
 def test_embed_produces_involution_and_tracks_jacobians():
-    emb = embed(affine_x_flow([0.5, -1.0], [2.0, 0.5]), swap_blocks(slot="v"))
+    emb = embed(affine_x_flow([0.5, -1.0], [2.0, 0.5]), swap_blocks())
     pts = random_points(LAY2, 50, make_rng(4))
     rep = verify_involution(emb, pts)
     assert rep.passed
@@ -391,6 +391,16 @@ def test_cycle_flow_refuses_a_nan_value():
     for move in (flow.forward, flow.inverse):
         with pytest.raises(ConfigError, match="not on the cycle"):
             move(lay.point([5.0]))
+
+
+def test_cycle_flow_refuses_a_nan_point():
+    # argmin picks the first value for a NaN point, and a NaN distance
+    # compared with ``>`` passed, so the point moved to 1.0 or 2.0
+    flow = cycle_flow([0.0, 1.0, 2.0])
+    lay = Layout(x_dim=1, v_dim=0)
+    for move in (flow.forward, flow.inverse):
+        with pytest.raises(ConfigError, match="point is not on the cycle"):
+            move(lay.point([np.nan]))
 
 
 def test_cdf_map_uniform_is_rotation():

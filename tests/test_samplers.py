@@ -137,12 +137,6 @@ def test_sample_adaptive_identity_swap_accepts_exactly():
     assert np.array_equal(proposal.x, pt.x)
 
 
-def test_sample_adaptive_generalized_requires_explicit_aggregation():
-    sn = standard_normal(1)
-    with pytest.raises(ConfigError):
-        make_sample_adaptive(sn, 2, gaussian_family(1, 1.0), generalized=True)
-
-
 def test_sample_adaptive_acceptance_identically_one():
     sn = standard_normal(1)
     kern = make_sample_adaptive(sn, 2, gaussian_family(1, 1.0))
@@ -240,20 +234,10 @@ def test_neutra_general_flow_needs_latent_gradient():
         make_embedded_flow(sn, weird, LeapfrogConfig(0.1, 1))
 
 
-def test_directional_map_volume_declaration_checked():
-    from imcmc.maps import affine_coupling
-    from imcmc.samplers import make_directional_map
-
-    sn = standard_normal(2)
-    with pytest.raises(ConfigError):
-        make_directional_map(sn, affine_coupling(slot="v"),
-                             volume_preserving=True)
-
-
 def test_look_ahead_pi_values_match_direct_recursion():
     sn = standard_normal(1)
     cfg = LeapfrogConfig(0.35, 1)
-    L = leapfrog_flow(cfg, sn.grad, slot="v")
+    L = leapfrog_flow(cfg, sn.grad)
     la = make_look_ahead(sn, L, 3, 1.0)
     cascade = la.kernels()[1]
 
@@ -284,7 +268,7 @@ def test_look_ahead_pi_values_match_direct_recursion():
 
 def test_look_ahead_pis_sum_below_one_everywhere():
     sn = standard_normal(1)
-    L = leapfrog_flow(LeapfrogConfig(0.5, 1), sn.grad, slot="v")
+    L = leapfrog_flow(LeapfrogConfig(0.5, 1), sn.grad)
     la = make_look_ahead(sn, L, 4, 1.0)
     cascade = la.kernels()[1]
     rng = make_rng(12)
@@ -337,7 +321,7 @@ def test_irr_nice_alpha_validation_and_default_layout():
     sn = standard_normal(2)
     from imcmc.maps import additive_coupling
 
-    cmap = additive_coupling(slot="v")
+    cmap = additive_coupling()
     kern = make_irr_nice_mc(sn, cmap, 0.8)
     assert "a" in kern.layout.slots  # partial refresh carries a scratch slot
     with pytest.raises(ConfigError):
@@ -593,11 +577,11 @@ def _persistent_family_with(mom, xgrid):
 
     cfg = LeapfrogConfig(math.sqrt(2.0), 1)
     dens = xgrid.density()
-    L = leapfrog_flow(cfg, xgrid.grad, slot="v")
+    L = leapfrog_flow(cfg, xgrid.grad)
     return {
         "persistent_direction_tag": (make_persistent(dens, L, 1.0, momentum_cond=mom), True),
         "persistent_momentum_flip": (
-            make_persistent(dens, hmc_involution(cfg, xgrid.grad, slot="v"), 1.0,
+            make_persistent(dens, hmc_involution(cfg, xgrid.grad), 1.0,
                             momentum_cond=mom, variant="momentum_flip"), False),
         "irr_nice_mc": (make_irr_nice_mc(dens, L, 1.0, momentum_cond=mom), True),
         "look_ahead_k3": (make_look_ahead(dens, L, 3, 1.0, momentum_cond=mom), False),
@@ -630,7 +614,7 @@ def test_persistent_with_explicit_standard_normal_momentum_is_the_default():
     from imcmc.samplers import make_persistent, normal_momentum
 
     sn = standard_normal(2)
-    L = leapfrog_flow(LeapfrogConfig(0.2, 3), sn.grad, slot="v")
+    L = leapfrog_flow(LeapfrogConfig(0.2, 3), sn.grad)
     runs = []
     for kwargs in ({}, {"momentum_cond": normal_momentum(2)}):
         kern = make_persistent(sn, L, 0.5, **kwargs)
