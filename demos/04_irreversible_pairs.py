@@ -6,8 +6,6 @@ persistent one.  All four run through the vectorized multi-chain path used
 by the benchmark command.
 """
 
-import math
-
 import numpy as np
 
 from imcmc.batch import (
@@ -17,15 +15,12 @@ from imcmc.batch import (
     batch_nice_mc,
     mog2_batch,
 )
+from imcmc.cli import default_coupling
 from imcmc.core import make_rng
 from imcmc.diagnostics import ess_batch_means
-from imcmc.maps import CouplingMap
 
 target = mog2_batch()
-scales = np.array([math.sqrt(4.5), math.sqrt(0.5)])
-coupling = CouplingMap([("swap",), ("linear", scales, 1.0 / scales),
-                        ("add_v", lambda y: 0.1 * np.tanh(y / 3.0))],
-                       name="mog2_coupling")
+coupling = default_coupling("mog2", 2)  # the map `imcmc bench` runs
 
 CHAINS, STEPS, BURN = 20, 5000, 500
 x0 = np.array([2.0, 0.0])

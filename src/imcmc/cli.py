@@ -401,7 +401,7 @@ def cmd_sample(cfg: RunConfig) -> dict:
 _VERIFY_SUITES = ("involutions", "stationarity", "balance", "reductions", "all")
 
 
-def cmd_verify(suite: str, mutant: bool = False) -> int:
+def cmd_verify(suite: str, mutant: bool) -> int:
     from . import suite as vs
 
     t0 = time.perf_counter()
@@ -424,7 +424,7 @@ def cmd_verify(suite: str, mutant: bool = False) -> int:
     return 1 if failures else 0
 
 
-def cmd_ess(trace: Optional[str] = None, cfg: Optional[RunConfig] = None) -> dict:
+def cmd_ess(trace: Optional[str], cfg: Optional[RunConfig]) -> dict:
     """ESS report from a trace file, or from running a configured chain."""
     if trace is not None:
         return ess_batch_means(read_trace_csv(Path(trace))).to_json()

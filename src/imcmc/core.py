@@ -217,13 +217,13 @@ class _LastTwo:
 
 class _GradMemo(_LastTwo):
     """The gradient's `_LastTwo`, paired with its density's ``logpdf`` memo
-    and optional fused function for `value_and_grad`.  An integrator handed
-    ``density.grad`` can then fill both memos at a trajectory's endpoint
-    (see `maps.leapfrog`)."""
+    and the density's fused function for `value_and_grad` (None if it has
+    none).  An integrator handed ``density.grad`` can then fill both memos at
+    a trajectory's endpoint (see `maps.leapfrog`)."""
 
     __slots__ = ("logpdf", "fused")
 
-    def __init__(self, fn, logpdf: _LastTwo, fused=None):
+    def __init__(self, fn, logpdf: _LastTwo, fused):
         super().__init__(fn)
         self.logpdf = logpdf
         self.fused = fused
@@ -336,7 +336,7 @@ class AuxiliaryConditional:
     proposed point.
     """
 
-    def __init__(self, sample, logpdf, support=None, name: str = ""):
+    def __init__(self, sample, logpdf, support=None, *, name: str):
         self._sample = sample
         self._logpdf = logpdf
         self._support = support
@@ -362,7 +362,7 @@ class TagConditional(AuxiliaryConditional):
     enumeration time).
     """
 
-    def __init__(self, values: Sequence[int], probs, name: str = ""):
+    def __init__(self, values: Sequence[int], probs, name: str):
         self.values = tuple(int(u) for u in values)
 
         def _sample(rng, point):
@@ -391,7 +391,7 @@ class TagConditional(AuxiliaryConditional):
         super().__init__(_sample, _logpdf, _support, name=name)
 
 
-def uniform_tag(values: Sequence[int], name: str = "") -> TagConditional:
+def uniform_tag(values: Sequence[int], name: str) -> TagConditional:
     values = tuple(values)
     w = np.full(len(values), 1.0 / len(values))
     return TagConditional(values, lambda point: w, name=name)
@@ -483,8 +483,7 @@ def fd_jacobian(f: Involution, point: JointPoint) -> np.ndarray:
     return jac
 
 
-def verify_jacobian(f: Involution, point: JointPoint, tol: float = 1e-5
-                    ) -> JacobianReport:
+def verify_jacobian(f: Involution, point: JointPoint, tol: float) -> JacobianReport:
     """Compare the reported log|det J| against a finite-difference estimate."""
     _, reported = f.forward(point)
     jac = fd_jacobian(f, point)
@@ -583,11 +582,9 @@ class ImcmcKernel(TransitionKernel):
         block negated by a flip kernel).
     """
 
-    def __init__(self, layout: Layout, target, aux_refresh=(), involution=None,
+    def __init__(self, layout: Layout, target, aux_refresh=(), *, involution: Involution,
                  rule: AcceptanceRule = AcceptanceRule.METROPOLIS,
                  aux_static=(), name: str = "imcmc"):
-        if involution is None:
-            raise ConfigError("an involution is required")
         self.layout = layout
         self.target = target
         self.aux_refresh = tuple(aux_refresh)
@@ -721,7 +718,7 @@ class DeterministicKernel(TransitionKernel):
 class KernelComposition(TransitionKernel):
     """Ordered application of kernels sharing one layout."""
 
-    def __init__(self, kernels: Sequence[TransitionKernel], name: str = "composition"):
+    def __init__(self, kernels: Sequence[TransitionKernel], name: str):
         flat: list[TransitionKernel] = []
         for k in kernels:
             flat.extend(k.kernels())

@@ -188,7 +188,7 @@ class _FamilyConditional(AuxiliaryConditional):
         return self._family.logpdf(value, self._center(point))
 
 
-def gaussian_slot_conditional(dim: int, mean_fn, var, name: str = "",
+def gaussian_slot_conditional(dim: int, mean_fn, var, name: str,
                               support_values: Optional[Sequence] = None
                               ) -> AuxiliaryConditional:
     """Componentwise normal slot conditional with a point-dependent mean.
@@ -243,7 +243,7 @@ def _x_target(density: LogDensity, with_grad: bool = False):
     return lambda point: density.logpdf(point.x)
 
 
-def tag_flip_kernel(layout: Layout, tag: str, name: str = "flip_tag",
+def tag_flip_kernel(layout: Layout, tag: str, name: str,
                     when: Optional[str] = None) -> ImcmcKernel:
     """Deterministic negation of a +-1 tag (optionally gated by a 0/1 tag).
 
@@ -261,7 +261,7 @@ def tag_flip_kernel(layout: Layout, tag: str, name: str = "flip_tag",
 
 
 def slot_flip_kernel(layout: Layout, factor: AuxiliaryConditional,
-                     name: str = "flip_v") -> ImcmcKernel:
+                     name: str) -> ImcmcKernel:
     """Deterministic negation of the symmetric momentum slot "v"."""
     from .maps import momentum_flip
 
@@ -788,7 +788,7 @@ class LookAheadKernel(TransitionKernel):
     """
 
     def __init__(self, layout: Layout, target, mom_factor: AuxiliaryConditional,
-                 T: FlowMap, K: int, name: str = "look_ahead"):
+                 T: FlowMap, K: int, name: str):
         if K < 1:
             raise ConfigError("look-ahead depth must be at least 1")
         self.layout = layout
@@ -1116,7 +1116,7 @@ class ModelSpace:
         return point, 0.0
 
     def pad_conditional(self, jump_to: Callable[[JointPoint], int],
-                        name: str = "pad") -> AuxiliaryConditional:
+                        name: str) -> AuxiliaryConditional:
         """Conditional refreshing the padding coordinates of the x block.
 
         Reads the current model from the "k" tag; refreshes nothing when the
@@ -1161,7 +1161,7 @@ class ModelSpace:
         return AuxiliaryConditional(_sample, _logpdf, _support, name=name)
 
 
-def make_transdimensional(space: ModelSpace, mode: str = "reversible",
+def make_transdimensional(space: ModelSpace, mode: str,
                           model_probs: Optional[Callable[[JointPoint], np.ndarray]] = None,
                           tau: float = 0.5,
                           within: Optional[AuxiliaryConditional] = None,

@@ -18,10 +18,10 @@ from imcmc.batch import (
     logreg_batch,
     mog2_batch,
 )
+from imcmc.cli import default_coupling
 from imcmc.core import make_rng, run_chain
 from imcmc.diagnostics import ess_batch_means, grid_chi_square
 from imcmc.maps import (
-    CouplingMap,
     LeapfrogConfig,
     RiemannianHamiltonian,
     constant_metric,
@@ -221,13 +221,6 @@ def test_criterion_07_ess_estimator():
            f"0.9: {errs[0.9]:.3f}}} < 0.2, {elapsed:.2f}s")
 
 
-def _mog2_coupling() -> CouplingMap:
-    scales = np.array([math.sqrt(4.5), math.sqrt(0.5)])
-    return CouplingMap([("swap",), ("linear", scales, 1.0 / scales),
-                        ("add_v", lambda y: 0.1 * np.tanh(y / 3.0))],
-                       name="mog2_coupling")
-
-
 def test_criterion_08_statistical_correctness():
     edges = np.linspace(-5.0, 5.0, 21)
     masses = mog2_cell_masses(edges, edges)
@@ -237,7 +230,7 @@ def test_criterion_08_statistical_correctness():
     gof_h = grid_chi_square(res_h.xs, edges, edges, masses, level=0.01)
     w_h = float((res_h.xs[:, 0] > 0).mean())
 
-    res_n = batch_irr_nice_mc(mog2_batch(), _mog2_coupling(), 0.8, 1, 100000,
+    res_n = batch_irr_nice_mc(mog2_batch(), default_coupling("mog2", 2), 0.8, 1, 100000,
                               make_rng(21), np.array([2.0, 0.0]))
     xs_n = res_n.xs[:, 0, :]
     gof_n = grid_chi_square(xs_n, edges, edges, masses, level=0.01)

@@ -10,11 +10,13 @@ coupling maps and the logistic posterior have one copy each, which takes
 rows; their tests check that a row equals a single point.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from imcmc import batch
 from imcmc.batch import (
     BatchTarget,
     batch_coupling_forward,
@@ -26,8 +28,9 @@ from imcmc.batch import (
     logreg_batch,
     mog2_batch,
 )
+from imcmc.cli import default_coupling
 from imcmc.core import make_rng, run_chain
-from imcmc.maps import CouplingMap, affine_coupling
+from imcmc.maps import affine_coupling
 from imcmc.samplers import (
     default_init,
     make_directional_map,
@@ -36,17 +39,14 @@ from imcmc.samplers import (
     make_mh,
     mala_proposal,
 )
-from imcmc.targets import LogisticPosterior, mog2
+from imcmc.targets import MOG2_MU1, MOG2_MU2, MOG2_VAR, LogisticPosterior, mog2
 
 N_STEPS = 400
 
 
 @pytest.fixture(scope="module")
 def coupling():
-    scales = np.array([math.sqrt(4.5), math.sqrt(0.5)])
-    return CouplingMap([("swap",), ("linear", scales, 1.0 / scales),
-                        ("add_v", lambda y: 0.1 * np.tanh(y / 3.0))],
-                       name="mog2_coupling")
+    return default_coupling("mog2", 2)
 
 
 def test_batch_targets_match_scalar():
@@ -149,3 +149,115 @@ def test_batch_chains_are_exchangeable_not_identical():
     pooled = got.xs[500:].reshape(-1, 2)
     assert np.max(np.abs(pooled.mean(axis=0))) < 0.1
     assert np.max(np.abs(pooled.std(axis=0) - 1.0)) < 0.1
+
+
+# sha256 over xs and accepted of each runner at 100 chains x 200 steps on
+# mog2 with the CLI's coupling, eps 0.05 and alpha 0.8; recorded before
+# the row target shared its component pass between logpdf and grad
+RUNNER_DIGESTS = {
+    "mala": "cfe936ba69300beda4b3814fc5ee0f6a543dd21a6e6f74506754d82b3b32994e",
+    "irr_mala": "478b9cef48018c5e6ca4106e1fb72ffce32c9609af8adde27a981989976c2d29",
+    "nice_mc": "21d4cab1b8d185a8a374cc410b5d022fd087a84eb234fa6b75dc7f0340137457",
+    "irr_nice_mc": "122163d662cd337bae03f936b59f5aa484ecbb6e5e62dace494ae361bd43038d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNER_DIGESTS))
+def test_batch_runners_keep_their_100_chain_bits(kind):
+    target, cmap, x0 = mog2_batch(), default_coupling("mog2", 2), np.array([2.0, 0.0])
+    runs = {
+        "mala": lambda: batch_mala(target, 0.05, 100, 200, make_rng(21), x0),
+        "irr_mala": lambda: batch_irr_mala(target, 0.05, 100, 200, make_rng(22), x0),
+        "nice_mc": lambda: batch_nice_mc(target, cmap, 100, 200, make_rng(23), x0),
+        "irr_nice_mc": lambda: batch_irr_nice_mc(target, cmap, 0.8, 100, 200,
+                                                 make_rng(24), x0),
+    }
+    res = runs[kind]()
+    h = hashlib.sha256()
+    h.update(res.xs.tobytes())
+    h.update(res.accepted.tobytes())
+    assert h.hexdigest() == RUNNER_DIGESTS[kind]
+
+
+def _two_component_reference():
+    """mog2 over rows as two separate component passes, one per function."""
+    const = -math.log(2.0 * math.pi) - math.log(MOG2_VAR) + math.log(0.5)
+
+    def comps(X):
+        d1, d2 = X - MOG2_MU1, X - MOG2_MU2
+        return (const - 0.5 * np.sum(d1 * d1, axis=1) / MOG2_VAR,
+                const - 0.5 * np.sum(d2 * d2, axis=1) / MOG2_VAR)
+
+    def logpdf(X):
+        c1, c2 = comps(X)
+        m = np.maximum(c1, c2)
+        return m + np.log(np.exp(c1 - m) + np.exp(c2 - m))
+
+    def grad(X):
+        c1, c2 = comps(X)
+        m = np.maximum(c1, c2)
+        r1, r2 = np.exp(c1 - m), np.exp(c2 - m)
+        z = r1 + r2
+        r1, r2 = (r1 / z)[:, None], (r2 / z)[:, None]
+        return (r1 * -(X - MOG2_MU1) + r2 * -(X - MOG2_MU2)) / MOG2_VAR
+
+    return logpdf, grad
+
+
+def test_mog2_batch_equals_the_two_component_formulas_bitwise():
+    ref_logpdf, ref_grad = _two_component_reference()
+    mb = mog2_batch()
+    rng = make_rng(3)
+    # out to |x| = 40 the far component's weight is lost next to the near
+    # one's (their sum rounds to 1), and at |x| = 100 it underflows to 0
+    for scale in (1.0, 4.0, 40.0):
+        X = rng.uniform(-scale, scale, (200, 2))
+        assert np.array_equal(mb.logpdf(X), ref_logpdf(X))
+        assert np.array_equal(mb.grad(X), ref_grad(X))
+        assert np.array_equal(mb.grad(X[::-1]), ref_grad(X[::-1]))
+    far = np.array([[40.0, 3.0], [-40.0, -1.0], [100.0, 0.5], [-100.0, 0.0]])
+    assert np.array_equal(mb.logpdf(far), ref_logpdf(far))
+    assert np.array_equal(mb.grad(far), ref_grad(far))
+    # c1 - c2 = 8 x[0], so the weights are exp(-320) and exp(-800)
+    assert 1.0 + math.exp(-320.0) == 1.0 and math.exp(-800.0) == 0.0
+
+
+def test_mog2_batch_sees_rows_changed_in_place():
+    """A runner's accept update edits the row array between calls; the next
+    call must see the new rows, not the ones it saw before."""
+    ref_logpdf, ref_grad = _two_component_reference()
+    mb = mog2_batch()
+    X = make_rng(4).standard_normal((6, 2)) * 2.0
+    mb.logpdf(X)
+    X[::2] = -X[::2]
+    assert np.array_equal(mb.grad(X), ref_grad(X))
+    X[1] = 7.0
+    assert np.array_equal(mb.logpdf(X), ref_logpdf(X))
+
+
+def test_mog2_batch_results_are_writable():
+    mb = mog2_batch()
+    X = make_rng(5).standard_normal((4, 2))
+    for value in (mb.logpdf(X), mb.grad(X), mb.grad(X), mb.logpdf(X)):
+        assert value.flags.writeable
+        value[0] = 0.0
+    # writing into one result leaves the next call's result untouched
+    assert mb.logpdf(X)[0] != 0.0 and mb.grad(X)[0, 0] != 0.0
+
+
+@pytest.mark.parametrize("runner", [batch_mala, batch_irr_mala])
+def test_mog2_batch_makes_one_component_pass_per_proposal(runner, monkeypatch):
+    """The Langevin runners take ``logpdf`` and then ``grad`` at each
+    proposal (and at the start); the second call reads the first one's pass.
+    With a pass per call it would be 2 per step plus 2 at the start."""
+    passes = []
+
+    def counted(X):
+        passes.append(X.shape)
+        return components(X)
+
+    components = batch._mog2_components
+    monkeypatch.setattr(batch, "_mog2_components", counted)
+    runner(mog2_batch(), 0.05, 5, 40, make_rng(6), np.array([2.0, 0.0]))
+    assert len(passes) == 40 + 1
+    assert set(passes) == {(5, 2)}

@@ -55,11 +55,9 @@ def test_instrumentation_installs_and_restores_every_original():
     assert not _changed(before, _namespaces(mods))
 
 
-@pytest.mark.parametrize("full", [False, True])
-def test_bench_finds_the_wrapped_batch_functions_when_called(full):
-    """`cmd_bench` looks its batch target, row runner and ESS up when called,
-    so rows run under the tracer are counted; a name bound at import would
-    keep the unwrapped original and count nothing."""
+def _bench_under_tracer(full):
+    """`cmd_bench` on mog2 at 3 chains x 50 steps, once per bench kind, with
+    the tracer's wrappers installed; returns the tracer and the config."""
     spans = _load_spans()
     mods = {n: importlib.import_module(f"imcmc.{n}") for n in MODULES}
     cli = mods["cli"]
@@ -74,8 +72,29 @@ def test_bench_finds_the_wrapped_batch_functions_when_called(full):
             cli.cmd_bench(cfg, [kind])
     finally:
         inst.restore()
-    for kind in cli.BENCH_KINDS:
+    return tracer, cfg, cli.BENCH_KINDS
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_bench_finds_the_wrapped_batch_functions_when_called(full):
+    """`cmd_bench` looks its batch target, row runner and ESS up when called,
+    so rows run under the tracer are counted; a name bound at import would
+    keep the unwrapped original and count nothing."""
+    tracer, cfg, kinds = _bench_under_tracer(full)
+    for kind in kinds:
         assert tracer.n("batch.target_rows", kind) > 0, kind
         if full:
             assert tracer.calls("batch.runner", kind) == 1, kind
             assert tracer.calls("diagnostics.ess", kind) == cfg.chains, kind
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_bench_counts_every_row_each_runner_asks_for(full):
+    """The benchmark's ``ess_per_1k_evals`` divides by ``batch.target_rows``:
+    a row counts once per ``logpdf`` and once per ``grad`` call, even where
+    the row target answers ``grad`` from the pass its ``logpdf`` made.  So
+    mala and irr_mala count 2 x 3 rows at the start and per step, and the
+    coupling chains 3; these are the counts from before the pass was shared."""
+    tracer, _, kinds = _bench_under_tracer(full)
+    assert {kind: tracer.n("batch.target_rows", kind) for kind in kinds} == {
+        "mala": 306, "irr_mala": 306, "nice_mc": 153, "irr_nice_mc": 153}
