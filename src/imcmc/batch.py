@@ -94,8 +94,19 @@ def mog2_batch() -> BatchTarget:
 
 
 def logreg_batch(posterior) -> BatchTarget:
-    """The logistic-regression posterior over rows (rows = chains)."""
-    return BatchTarget(posterior.dim, posterior.logpdf, posterior.grad)
+    """The logistic-regression posterior over rows (rows = chains).  Its
+    ``logpdf`` and ``grad`` are the posterior's own maths on logits
+    remembered for the last two row arrays, so the gradient at a proposal
+    whose density was just taken forms no second ``theta @ X.T``."""
+    logits = _LastTwo(posterior._logits)
+
+    def logpdf(T):
+        return posterior._value(T, logits(T))
+
+    def grad(T):
+        return posterior._grad(T, logits(T))
+
+    return BatchTarget(posterior.dim, logpdf, grad)
 
 
 # the coupling maps take rows and return one log-det per row; the runners

@@ -348,6 +348,21 @@ class RiemannianHamiltonian:
 
         return kick
 
+    def _scalar_kick_at(self, x: np.ndarray) -> Callable[[float], float]:
+        """`grad_x_at` for a one-coordinate ``x``, as ``w -> grad_x(x, [w])[0]``
+        on float64 scalars.  It makes the array path's products in the same
+        order; a 1x1 ``@`` or ``trace`` sums from 0.0, so each sum here
+        starts from 0.0 too and a zero keeps the array path's sign."""
+        ginv = np.linalg.inv(self.metric.g(x))[0, 0]
+        dg = self.metric.grad(x)[0, 0, 0]
+        base = -np.asarray(self.target_grad(x), dtype=float)[0] + 0.5 * (0.0 + ginv * dg)
+
+        def kick(w: float) -> float:
+            ginv_w = ginv * w
+            return base - 0.5 * (0.0 + ginv_w * dg * ginv_w)
+
+        return kick
+
     def grad_v(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _solve(self.metric.g(x), v)
 
@@ -360,12 +375,16 @@ def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, v)
 
 
-def _fixed_point(update, start: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    z = np.array(start, dtype=float)
+def _fixed_point(update, start, tol: float, max_iter: int):
+    """Iterate ``update`` from ``start`` until it moves by at most ``tol``
+    in the sup-norm.  A float64 scalar start is iterated as a scalar, whose
+    residual is ``abs``; any other start as a fresh float array."""
+    scalar = isinstance(start, np.float64)
+    z = start if scalar else np.array(start, dtype=float)
     resid = math.inf
     for _ in range(max_iter):
         z_new = update(z)
-        resid = float(np.abs(z_new - z).max(initial=0.0))
+        resid = abs(z_new - z) if scalar else float(np.abs(z_new - z).max(initial=0.0))
         # a non-finite iterate makes the residual non-finite too, so only
         # then is the iterate itself inspected
         if not math.isfinite(resid) and not np.all(np.isfinite(z_new)):
@@ -373,7 +392,7 @@ def _fixed_point(update, start: np.ndarray, tol: float, max_iter: int) -> np.nda
         z = z_new
         if resid <= tol:
             return z
-    raise FixedPointError("implicit integrator step did not converge", resid)
+    raise FixedPointError("implicit integrator step did not converge", float(resid))
 
 
 def implicit_leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
@@ -384,9 +403,13 @@ def implicit_leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     Each step solves two fixed-point equations (implicit half-kick and
     implicit drift) by plain iteration to a sup-norm change of 1e-12; the
     scheme is volume preserving and time reversible, so composing with a
-    momentum flip gives an involution.
+    momentum flip gives an involution.  With one coordinate the solves and
+    kicks run on float64 scalars (`_implicit_leapfrog_1d`), with the array
+    path's bits and errors.
     """
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    if x.shape == v.shape == (1,):
+        return _implicit_leapfrog_1d(x, v, cfg, ham, max_iter)
     h = 0.5 * cfg.eps
     # a step's closing kick and the next step's implicit kick share one x
     kick = ham.grad_x_at(x)
@@ -398,6 +421,28 @@ def implicit_leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
         kick = ham.grad_x_at(x)
         v = v_half - h * kick(v_half)
     return x, v
+
+
+def _implicit_leapfrog_1d(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
+                          ham: RiemannianHamiltonian, max_iter: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """`implicit_leapfrog` at a one-coordinate point.  Each iterate is a
+    float64 scalar, so an iteration makes a few scalar operations instead of
+    a dozen calls on 1-element arrays; the metric and the target gradient
+    still get 1-element arrays, as often as on the array path."""
+    h = 0.5 * cfg.eps
+    g = ham.metric.g
+    v = v[0]
+    kick = ham._scalar_kick_at(x)
+    for _ in range(cfg.k):
+        v_half = _fixed_point(lambda w: v - h * kick(w), v, 1e-12, max_iter)
+        # ``grad_v`` of a 1x1 metric is `_solve`'s division
+        x_half = x[0] + h * (v_half / g(x)[0, 0])
+        x = np.array([_fixed_point(lambda y: x_half + h * (v_half / g(np.array([y]))[0, 0]),
+                                   x_half, 1e-12, max_iter)])
+        kick = ham._scalar_kick_at(x)
+        v = v_half - h * kick(v_half)
+    return x, np.array([v])
 
 
 def implicit_leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,

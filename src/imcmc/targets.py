@@ -174,12 +174,6 @@ def mog2_cell_masses(edges_x: np.ndarray, edges_y: np.ndarray) -> np.ndarray:
 # Bayesian logistic regression
 # ---------------------------------------------------------------------------
 
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    # log(1/(1+exp(-z))), stable on both tails
-    tail = np.log1p(np.exp(-np.abs(z)))
-    return np.where(z >= 0, -tail, z - tail)
-
-
 @dataclasses.dataclass(frozen=True)
 class LogisticPosterior:
     """Posterior over (weights, bias) with a zero-mean normal prior.
@@ -219,9 +213,11 @@ class LogisticPosterior:
         return theta[..., :-1] @ self.X.T - theta[..., -1:]
 
     def _value(self, theta: np.ndarray, z: np.ndarray):
-        logsig = _log_sigmoid(z)
-        # log sigmoid(-z) = log sigmoid(z) - z
-        loglik = (self.y * logsig + self._one_minus_y * (logsig - z)).sum(axis=-1)
+        # log sigmoid(z) = min(z, 0) - log1p(exp(-|z|)), stable on both tails,
+        # and log sigmoid(-z) = log sigmoid(z) - z; the labels are 0 or 1, so
+        # each term is log sigmoid(z) less z where the label is 0
+        tail = np.log1p(np.exp(-np.abs(z)))
+        loglik = (np.minimum(z, 0.0) - tail - self._one_minus_y * z).sum(axis=-1)
         return loglik + self._prior_const - 0.5 * (theta * theta).sum(axis=-1) / self.prior_var
 
     def _grad(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:

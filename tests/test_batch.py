@@ -65,13 +65,23 @@ def test_logreg_batch_matches_scalar():
     rng = make_rng(1)
     post = LogisticPosterior(rng.standard_normal((12, 3)),
                              (rng.random(12) < 0.5).astype(float))
-    # the bench target is the posterior itself, evaluated over rows
+    # the bench target is the posterior's own maths over rows, with the
+    # logits shared: bitwise the posterior's values, in either order, and
+    # for rows changed in place since the last call
     pb = logreg_batch(post)
-    assert pb.logpdf == post.logpdf and pb.grad == post.grad
     TH = rng.standard_normal((20, 4))
     lp = post.logpdf(TH)
     g = post.grad(TH)
     assert lp.shape == (20,) and g.shape == (20, 4)
+    for rows in (TH, TH[:5], TH, 3.0 * TH):
+        want = post.logpdf(rows).tobytes(), post.grad(rows).tobytes()
+        assert (pb.logpdf(rows).tobytes(), pb.grad(rows).tobytes()) == want
+        assert (pb.grad(rows).tobytes(), pb.logpdf(rows).tobytes()) == want[::-1]
+    moved = TH.copy()
+    pb.logpdf(moved)
+    moved[3] += 1.0
+    assert pb.grad(moved).tobytes() == post.grad(moved).tobytes()
+    assert pb.logpdf(moved).flags.writeable and pb.grad(moved).flags.writeable
     # rows go through matrix-matrix products and a single point through
     # matrix-vector ones, which may sum in another order: equal to rounding
     for i in range(20):

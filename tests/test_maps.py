@@ -267,6 +267,149 @@ def test_fixed_point_nonconvergence_reports_the_last_residual():
     assert err.value.residual == 0.5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_point_on_a_scalar_non_finite_iterate_diverges(bad):
+    iterates = iter([np.float64(0.25), np.float64(bad)])
+    with pytest.raises(FixedPointError, match="diverged") as err:
+        _fixed_point(lambda z: next(iterates), np.float64(0.0), 1e-12, 10)
+    assert err.value.residual == math.inf
+
+
+def test_fixed_point_on_a_scalar_reports_the_last_residual():
+    with pytest.raises(FixedPointError, match="did not converge") as err:
+        _fixed_point(lambda z: 0.5 * z, np.float64(-4.0), 1e-12, 3)
+    assert err.value.residual == 0.5
+    # a non-finite start only means "not converged yet"
+    assert _fixed_point(lambda z: np.float64(2.0), np.float64(np.nan), 1e-12, 10) == 2.0
+
+
+def _reference_implicit_leapfrog(x, v, cfg, ham, max_iter=100):
+    """The integrator as it ran every point on arrays: ``G^-1`` by
+    `np.linalg.inv`, the kicks' products by ``@``, a 1x1 metric's solve as a
+    division and the residual as a sup-norm.  The 1-D scalar path must give
+    its bits and its errors."""
+    metric = ham.metric
+
+    def kick_at(y):
+        ginv = np.linalg.inv(metric.g(y))
+        dg = metric.grad(y)
+        base = -np.asarray(ham.target_grad(y), dtype=float)
+        for k in range(y.size):
+            base[k] += 0.5 * np.trace(ginv @ dg[k])
+
+        def kick(w):
+            out = base.copy()
+            ginv_w = ginv @ w
+            for k in range(y.size):
+                out[k] -= 0.5 * float(ginv_w @ dg[k] @ ginv_w)
+            return out
+
+        return kick
+
+    def solve(y, w):
+        g = metric.g(y)
+        return w / g[0, 0] if g.shape == (1, 1) else np.linalg.solve(g, w)
+
+    def fixed_point(update, start):
+        z = np.array(start, dtype=float)
+        resid = math.inf
+        for _ in range(max_iter):
+            z_new = update(z)
+            resid = float(np.abs(z_new - z).max(initial=0.0))
+            if not math.isfinite(resid) and not np.all(np.isfinite(z_new)):
+                raise FixedPointError("implicit integrator step diverged", math.inf)
+            z = z_new
+            if resid <= 1e-12:
+                return z
+        raise FixedPointError("implicit integrator step did not converge", resid)
+
+    x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    h = 0.5 * cfg.eps
+    kick = kick_at(x)
+    for _ in range(cfg.k):
+        v_half = fixed_point(lambda w: v - h * kick(w), v)
+        x_half = x + h * solve(x, v_half)
+        x = fixed_point(lambda y: x_half + h * solve(y, v_half), x_half)
+        kick = kick_at(x)
+        v = v_half - h * kick(v_half)
+    return x, v
+
+
+def _outcome(integrate, x, v, cfg, ham, **kw):
+    """The end point's bytes (so a zero's sign counts), or the error's
+    message and residual."""
+    try:
+        xo, vo = integrate(np.array([x]), np.array([v]), cfg, ham, **kw)
+    except FixedPointError as err:
+        return str(err), float(err.residual).hex()
+    assert xo.shape == vo.shape == (1,) and xo.dtype == vo.dtype == np.float64
+    return xo.tobytes(), vo.tobytes()
+
+
+ONE_D_METRICS = [("curved", CURVED), ("constant", constant_metric(np.array([[2.5]])))]
+
+
+@pytest.mark.parametrize("name,metric", ONE_D_METRICS)
+def test_one_coordinate_integrator_keeps_the_array_bits(name, metric):
+    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, metric)
+    rng = make_rng(15)
+    starts = [(x, v) for x in (0.0, -0.0, 1.0) for v in (0.0, -0.0, -2.0)]
+    starts += zip(rng.uniform(-5.0, 5.0, 400), 2.0 * rng.standard_normal(400))
+    for i, (x, v) in enumerate(starts):
+        cfg = LeapfrogConfig((0.05, 0.1, 0.3)[i % 3], 1 + i % 4)
+        assert (_outcome(implicit_leapfrog, x, v, cfg, ham)
+                == _outcome(_reference_implicit_leapfrog, x, v, cfg, ham)), (x, v, cfg)
+
+
+def test_one_coordinate_kick_keeps_the_array_bits():
+    # dG/dx = -2^-1074 makes half the trace term round to -0.0; with a zero
+    # target gradient and a zero momentum only the sign of a zero is left
+    tiny = Metric(g=lambda x: np.array([[1.0]]), g_logdet=lambda x: 0.0,
+                  g_grad=lambda x: np.array([[[-5e-324]]]))
+    flat = np.zeros(1)
+    hams = [RiemannianHamiltonian(SN1.logpdf, SN1.grad, met) for _, met in ONE_D_METRICS]
+    hams.append(RiemannianHamiltonian(SN1.logpdf, lambda x: flat, tiny))
+    values = (0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 0.7, -1.3, 4.0)
+    for ham in hams:
+        for x in values:
+            kick, scalar_kick = ham.grad_x_at(np.array([x])), ham._scalar_kick_at(np.array([x]))
+            for w in values:
+                got = np.float64(scalar_kick(np.float64(w)))
+                assert got.tobytes() == kick(np.array([w])).tobytes(), (x, w)
+
+
+def test_one_coordinate_integrator_reports_the_last_residual():
+    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, CURVED)
+    cfg = LeapfrogConfig(0.3, 2)
+    for x, v in ((1.7, -2.2), (-4.0, 3.0), (0.5, 0.9)):
+        got = _outcome(implicit_leapfrog, x, v, cfg, ham, max_iter=3)
+        assert got[0] == "implicit integrator step did not converge"
+        assert 0.0 < float.fromhex(got[1]) < math.inf
+        assert got == _outcome(_reference_implicit_leapfrog, x, v, cfg, ham, max_iter=3)
+    # the huge step of test_implicit_nonconvergence_reports_residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _outcome(implicit_leapfrog, 3.0, 5.0, LeapfrogConfig(40.0, 1), ham,
+                       max_iter=10)
+        assert got == _outcome(_reference_implicit_leapfrog, 3.0, 5.0,
+                               LeapfrogConfig(40.0, 1), ham, max_iter=10)
+    assert isinstance(got[0], str)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_one_coordinate_integrator_diverges_on_a_non_finite_iterate(bad):
+    # the metric leaves the real line past x = 1, so the drift's iterate
+    # turns non-finite there; the kick at the start is finite
+    g1 = np.array([[1.0]])
+    met = Metric(g=lambda x: g1 if x[0] < 1.0 else np.array([[1.0 / bad]]),
+                 g_logdet=lambda x: 0.0)
+    ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, met)
+    cfg = LeapfrogConfig(0.5, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _outcome(implicit_leapfrog, 0.9, 1.0, cfg, ham)
+        assert got == _outcome(_reference_implicit_leapfrog, 0.9, 1.0, cfg, ham)
+    assert got == ("implicit integrator step diverged", math.inf.hex())
+
+
 def test_implicit_involution_position_dependent_metric():
     ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, CURVED)
     inv = implicit_hmc_involution(LeapfrogConfig(0.1, 3), ham)

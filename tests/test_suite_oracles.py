@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from imcmc import diagnostics
+from imcmc import diagnostics, maps
 from imcmc.diagnostics import (
     check_detailed_balance,
     check_stationary,
@@ -222,6 +222,30 @@ def test_run_all_values_match_golden():
     results = run_all()
     assert len(results) == 104
     assert _oracle_digest(results) == ORACLE_GOLDEN
+
+
+def test_run_all_makes_every_fixed_point_solve(monkeypatch):
+    """A hardware-free count of the implicit integrator's work in one oracle
+    pass: how fast a pass runs may change, but not how many fixed-point
+    solves it makes, how many iterations they take or to what tolerance."""
+    counts = {"solves": 0, "iterations": 0}
+    solve = maps._fixed_point
+
+    def counted(update, start, tol, max_iter):
+        assert tol == 1e-12 and max_iter == 100
+        counts["solves"] += 1
+
+        def step(z):
+            counts["iterations"] += 1
+            return update(z)
+
+        return solve(step, start, tol, max_iter)
+
+    monkeypatch.setattr(maps, "_fixed_point", counted)
+    for _ in range(2):  # nothing carries over from one pass to the next
+        counts.update(solves=0, iterations=0)
+        run_all()
+        assert counts == {"solves": 1302, "iterations": 9089}
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,37 @@ def test_logreg_value_and_grad_equals_separate_passes_bitwise(shape, scale):
         assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
 
 
+def _where_log_sigmoid_logpdf(post, theta):
+    """The log-density with the log-sigmoid picked by ``np.where`` per
+    logit and each label's term weighted by ``y`` and ``1 - y``, as
+    `LogisticPosterior` computed it before its sum took one expression."""
+    z = theta[..., :-1] @ post.X.T - theta[..., -1:]
+    tail = np.log1p(np.exp(-np.abs(z)))
+    logsig = np.where(z >= 0, -tail, z - tail)
+    loglik = (post.y * logsig + (1.0 - post.y) * (logsig - z)).sum(axis=-1)
+    const = -0.5 * post.dim * math.log(2.0 * math.pi * post.prior_var)
+    return loglik + const - 0.5 * (theta * theta).sum(axis=-1) / post.prior_var
+
+
+def test_logreg_logpdf_equals_the_where_formula_bitwise():
+    rng = make_rng(15)
+    X = rng.standard_normal((300, 5))
+    X[:, 3:] = rng.random((300, 2)) < 0.5
+    post = LogisticPosterior(X, (rng.random(300) < 0.4).astype(float))
+    far = 0
+    for i in range(1500):
+        scale = 10.0 ** rng.uniform(-2.0, math.log10(300.0))
+        shape = (post.dim,) if i % 2 else (5, post.dim)
+        theta = scale * rng.standard_normal(shape)
+        z = theta[..., :-1] @ X.T - theta[..., -1:]
+        far += int((np.abs(z) > 745.0).any())
+        got = post.logpdf(theta)
+        assert got.tobytes() == _where_log_sigmoid_logpdf(post, theta).tobytes(), (i, scale)
+        assert np.all(np.isfinite(got))
+    # exp(-|z|) underflows to 0 in many of them
+    assert far > 100
+
+
 def _write_csv(path, rows, header=None):
     lines = ([header] if header else []) + [",".join(str(v) for v in r) for r in rows]
     path.write_text("\n".join(lines) + "\n")
