@@ -5,15 +5,15 @@ which is what makes the benchmark table affordable on one core.  Each runner
 draws the random stream in the same order as the corresponding kernel-engine
 chain.  Coupling maps and the logistic posterior are the engine's own,
 applied to rows.  The two-mode target keeps a row copy (`mog2_batch`): the
-scalar target sums ``d @ d`` through OpenBLAS's ``ddot``, whose fused
-multiply-adds can round differently from a row sum in the last bit.  Its
-``logpdf`` and ``grad`` share one pass over both components, remembered for
-the last two row arrays (see `core._LastTwo`), so the gradient at a proposal
-whose density was just taken costs no second pass.  So with a single chain
-and the same seed a runner follows the engine bitwise for hundreds of steps
-(the test suite pins 400), but over long runs on mog2 the two drift apart by
-rounding: batch MALA first differs from the engine at step 821 of 20000, by
-at most 1.3e-15.
+scalar target works in Python floats and takes its component weights with
+``math.exp``, while the row copy takes them with ``np.exp``, whose SIMD loop
+can round differently in the last bit.  Its ``logpdf`` and ``grad`` share
+one pass over both components, remembered for the last two row arrays (see
+`core._LastTwo`), so the gradient at a proposal whose density was just taken
+costs no second pass.  So with a single chain and the same seed a runner
+follows the engine bitwise for thousands of steps (the test suite pins 400),
+but over long runs on mog2 the two drift apart by rounding: batch MALA first
+differs from the engine at step 8516 of 20000, by at most 8.9e-16.
 
 At the chain counts the benchmark runs, a step costs numpy's per-call
 overhead more than arithmetic, so the runners reduce with ``np.add.reduce``

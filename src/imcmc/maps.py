@@ -352,8 +352,10 @@ class RiemannianHamiltonian:
         """`grad_x_at` for a one-coordinate ``x``, as ``w -> grad_x(x, [w])[0]``
         on float64 scalars.  It makes the array path's products in the same
         order; a 1x1 ``@`` or ``trace`` sums from 0.0, so each sum here
-        starts from 0.0 too and a zero keeps the array path's sign."""
-        ginv = np.linalg.inv(self.metric.g(x))[0, 0]
+        starts from 0.0 too and a zero keeps the array path's sign.  LAPACK
+        inverts a 1x1 matrix as ``1.0 / g``, so the division gives ``inv``'s
+        bits without its call."""
+        ginv = 1.0 / self.metric.g(x)[0, 0]
         dg = self.metric.grad(x)[0, 0, 0]
         base = -np.asarray(self.target_grad(x), dtype=float)[0] + 0.5 * (0.0 + ginv * dg)
 

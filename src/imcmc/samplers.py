@@ -10,6 +10,7 @@ builder names its kernels itself unless its callers give different names.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -104,13 +105,17 @@ class ProposalFamily:
 
     Seen from a point (`_FamilyConditional`) a family is a slot conditional;
     the multiple-try and sample-adaptive kernels also score it at centers of
-    their own.
+    their own.  ``logpdf_rows`` scores a block of rows at once: of
+    ``values`` and ``centers`` one is an (n, d) array and the other one more
+    such array or a single (d,) row, and item i of the result is
+    ``logpdf(values[i], centers[i])``, bit for bit.
     """
 
-    def __init__(self, sample, logpdf, support=None):
-        self.sample = sample          # (rng, center) -> array
-        self.logpdf = logpdf          # (value, center) -> float
-        self.support = support        # center -> [(value, prob)] or None
+    def __init__(self, sample, logpdf, logpdf_rows, support=None):
+        self.sample = sample            # (rng, center) -> array
+        self.logpdf = logpdf            # (value, center) -> float
+        self.logpdf_rows = logpdf_rows  # (values, centers) -> list of n floats
+        self.support = support          # center -> [(value, prob)] or None
 
 
 def gaussian_family(d: int, var) -> ProposalFamily:
@@ -127,6 +132,10 @@ def gaussian_family(d: int, var) -> ProposalFamily:
         def logpdf(value, center):
             diff = np.asarray(value) - center
             return const - 0.5 * float(add(diff * diff))
+
+        def logpdf_rows(values, centers):
+            diff = values - centers
+            return (const - 0.5 * add(diff * diff, axis=1)).tolist()
     else:
         def sample(rng, center):
             return center + sd * rng.standard_normal(d)
@@ -135,7 +144,13 @@ def gaussian_family(d: int, var) -> ProposalFamily:
             diff = np.asarray(value) - center
             return const - 0.5 * float(add(diff * diff / var))
 
-    return ProposalFamily(sample=sample, logpdf=logpdf)
+        def logpdf_rows(values, centers):
+            diff = values - centers
+            return (const - 0.5 * add(diff * diff / var, axis=1)).tolist()
+
+    # a row's sum along axis 1 is the pairwise sum `add` makes of that row
+    # alone, so `logpdf_rows` gives `logpdf`'s bits
+    return ProposalFamily(sample, logpdf, logpdf_rows)
 
 
 def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
@@ -160,10 +175,19 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
     def logpdf(value, center):
         return _grid_logpmf(rows, weights(center), value)
 
+    def logpdf_rows(values, centers):
+        # a single row is repeated by reference: `np.broadcast_arrays` costs
+        # more than the lookups on the small grids this family serves
+        if values.ndim == 1:
+            values = itertools.repeat(values)
+        elif centers.ndim == 1:
+            centers = itertools.repeat(centers)
+        return list(map(logpdf, values, centers))
+
     def support(center):
         return list(zip(vals, weights(center).tolist()))
 
-    return ProposalFamily(sample, logpdf, support)
+    return ProposalFamily(sample, logpdf, logpdf_rows, support)
 
 
 class _FamilyConditional(AuxiliaryConditional):
@@ -413,10 +437,8 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
                 if count else np.empty(0)
 
         def _logpdf(value, point):
-            c = center_fn(point)
-            value = np.asarray(value)
-            return math.fsum(family.logpdf(value[i * d:(i + 1) * d], c)
-                             for i in range(count))
+            rows = np.asarray(value).reshape(count, d)
+            return math.fsum(family.logpdf_rows(rows, center_fn(point)))
 
         def _support(point):
             if family.support is None:
@@ -434,14 +456,15 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
 
     def _j_probs(xy):
         nonlocal weighed
-        x, ys = xy[:d], xy[d:]
+        x, ys = xy[:d], xy[d:].reshape(k, d)
         values = {x.tobytes(): logp(x)}
+        # q(x | y_i): x is the value and the trials are the centers
+        qs = family.logpdf_rows(x, ys)
         logs = np.empty(k)
-        for i in range(k):
+        for i, y in enumerate(ys):
             # w_i = p(y_i) q(x | y_i) lambda(y_i, x)
-            y = ys[i * d:(i + 1) * d]
             lp = values[y.tobytes()] = logp(y)
-            logs[i] = lp if lp == -math.inf else lp + family.logpdf(x, y) + loglam(y, x)
+            logs[i] = lp if lp == -math.inf else lp + qs[i] + loglam(y, x)
         weighed = (values, weighed[0])
         if (logs == -math.inf).all():
             return np.full(k, 1.0 / k)

@@ -125,29 +125,30 @@ def mog2() -> LogDensity:
     log_half = math.log(0.5)
 
     def comps(x):
-        d1 = x - MOG2_MU1
-        d2 = x - MOG2_MU2
-        c1 = log_half + const - 0.5 * float(d1 @ d1) / MOG2_VAR
-        c2 = log_half + const - 0.5 * float(d2 @ d2) / MOG2_VAR
-        return c1, c2, d1, d2
+        # the offsets from MOG2_MU1 = (2, 0) and MOG2_MU2 = (-2, 0) in Python
+        # floats, each squared norm summed as a*a + b*b with no BLAS call,
+        # so it rounds the same whichever `ddot` kernel the machine has
+        a, b = float(x[0]), float(x[1])
+        a1, a2 = a - 2.0, a + 2.0
+        bb = b * b
+        c1 = log_half + const - 0.5 * (a1 * a1 + bb) / MOG2_VAR
+        c2 = log_half + const - 0.5 * (a2 * a2 + bb) / MOG2_VAR
+        return c1, c2, a1, a2, b
 
     def logpdf(x):
-        c1, c2, _, _ = comps(x)
+        c1, c2, _, _, _ = comps(x)
         m = max(c1, c2)
         return m + math.log(math.exp(c1 - m) + math.exp(c2 - m))
 
     def value_and_grad(x):
-        c1, c2, d1, d2 = comps(x)
+        c1, c2, a1, a2, b = comps(x)
         m = max(c1, c2)
         r1 = math.exp(c1 - m)
         r2 = math.exp(c2 - m)
         z = r1 + r2
         r1, r2 = r1 / z, r2 / z
-        # (r1 * -d1 + r2 * -d2) / MOG2_VAR, one coordinate at a time in
-        # Python floats: the same operations on the same doubles
-        (a1, b1), (a2, b2) = d1.tolist(), d2.tolist()
         return m + math.log(z), np.array([(r1 * -a1 + r2 * -a2) / MOG2_VAR,
-                                          (r1 * -b1 + r2 * -b2) / MOG2_VAR])
+                                          (r1 * -b + r2 * -b) / MOG2_VAR])
 
     def grad(x):
         return value_and_grad(x)[1]
@@ -413,8 +414,9 @@ def _grid_values(values: Sequence) -> tuple[list[np.ndarray], _RowIndex]:
 def _grid_logpmf(rows: _RowIndex, p: np.ndarray, value) -> float:
     """Log probability of the grid row that ``rows`` (from `_grid_rows`)
     finds for ``value``: -inf off the grid or at probability zero, NaN at a
-    NaN one."""
-    i = rows(np.atleast_1d(np.asarray(value, dtype=float)))
+    NaN one.  A float64 row goes straight to the table; the search takes any
+    other ``value`` as is, since it only broadcasts it against the rows."""
+    i = rows(value)
     if i is None:
         return -math.inf
     pi = p[i]

@@ -3,9 +3,10 @@
 With one chain and a shared seed the two paths consume the random stream in
 the same order, so over the 400 steps pinned here trajectories and accept
 decisions coincide exactly.  Over long runs on mog2 they drift apart by
-rounding, because `mog2_batch` is a second copy of the target whose sums and
-``exp`` can round differently in the last bit: with seed 11 batch MALA first
-differs from the engine at step 821 of 20000, by at most 1.3e-15.  The
+rounding, because `mog2_batch` is a second copy of the target whose
+``np.exp`` can round differently from the scalar target's ``math.exp`` in
+the last bit: with seed 11 batch MALA first differs from the engine at step
+8516 of 20000, by at most 8.9e-16.  The
 coupling maps and the logistic posterior have one copy each, which takes
 rows; their tests check that a row equals a single point.
 """

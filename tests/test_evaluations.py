@@ -10,9 +10,13 @@ stay bitwise identical to those recorded before evaluations were reused.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,21 +52,22 @@ SPECS = {
 # again when its cascade stopped re-integrating the reverse trajectories:
 # floating-point leapfrog is not exactly reversible, so its accept_prob moved
 # in the last bits; the rest of its trace is pinned by LOOK_AHEAD_TRACE.
-# The mog2 digests also pin the rounding of numpy's `d @ d` on 2-vectors,
-# which OpenBLAS's x86_64 (Haswell) `ddot` kernel computes with fused
-# multiply-adds, so a machine whose BLAS dispatches another `ddot` kernel may
-# record other digests for the kinds on mog2.
+# The ten mog2 digests were recorded again when mog2 stopped summing
+# ``d @ d`` through the BLAS's ``ddot`` and took Python floats instead; the
+# new values are the old code's under OPENBLAS_CORETYPE=Nehalem, whose
+# ``ddot`` has no fused multiply-adds, and they hold on any BLAS kernel
+# (`test_mog2_golden_holds_without_fma_or_avx2`).
 GOLDEN = {
-    "rwm": "1f21095f81f2c484",
-    "mala": "881957c8c50b6b1e",
-    "irr_mala": "69a1ae65eef424d8",
-    "hmc": "13e3fd6f2e37fc5e",
-    "persistent_hmc": "3448d41a5f68feae",
-    "look_ahead": "e72b6ab6db7d4c04",
-    "neutra": "13e3fd6f2e37fc5e",
-    "nice_mc": "a7a9fb8955eba1bb",
-    "irr_nice_mc": "56200ca2e0c75218",
-    "mtm": "69f65c6b5a433370",
+    "rwm": "ea02e0b07aad619f",
+    "mala": "5fcebcd31b552c64",
+    "irr_mala": "98df7f88d4aa6017",
+    "hmc": "888e8794cd437ae1",
+    "persistent_hmc": "067a81c69a6b1cd4",
+    "look_ahead": "f38aa85811b52a30",
+    "neutra": "888e8794cd437ae1",
+    "nice_mc": "fddbc0d5350b5aad",
+    "irr_nice_mc": "9cb079590f618d92",
+    "mtm": "8588624646656614",
     "lifted_rw": "1e50fa103afa75cf",
     "cdf": "d9af35caa0abb38e",
 }
@@ -177,6 +182,40 @@ def _counted_chain(kind):
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_seeded_trace_matches_golden(kind):
     assert _digest(_chain(kind)) == GOLDEN[kind]
+
+
+# Settings that swap the machine's arithmetic kernels, and the kinds whose
+# pins each must leave alone.  OPENBLAS_CORETYPE=Nehalem selects OpenBLAS
+# kernels without fused multiply-adds; NPY_DISABLE_CPU_FEATURES turns off
+# numpy's AVX2 and AVX-512 loops.  nice_mc's and irr_nice_mc's pins belong to
+# numpy's AVX2+ `tanh` and `exp`, which their coupling calls and whose
+# baseline loops round otherwise (ROADMAP item 3), so they are held only
+# under the first.
+KERNEL_SWAPS = {
+    "openblas_nehalem": ({"OPENBLAS_CORETYPE": "Nehalem"}, ()),
+    "numpy_without_avx2": ({"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"},
+                           ("nice_mc", "irr_nice_mc")),
+}
+
+
+@pytest.mark.parametrize("swap", sorted(KERNEL_SWAPS))
+def test_mog2_golden_holds_without_fma_or_avx2(swap):
+    overrides, exempt = KERNEL_SWAPS[swap]
+    kinds = [kind for kind, (target, _) in sorted(SPECS.items())
+             if target == "mog2" and kind not in exempt]
+    here = Path(__file__).resolve().parent
+    # each swap alone, whatever this process itself runs under
+    swapped = {key for settings, _ in KERNEL_SWAPS.values() for key in settings}
+    env = {key: value for key, value in os.environ.items() if key not in swapped}
+    env.update(overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(here.parent / "src"), str(here), env.get("PYTHONPATH")) if p)
+    script = ("import json, sys; import test_evaluations as t; "
+              "print(json.dumps({k: t._digest(t._chain(k)) for k in sys.argv[1:]}))")
+    proc = subprocess.run([sys.executable, "-c", script, *kinds], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {kind: GOLDEN[kind] for kind in kinds}
 
 
 @pytest.mark.parametrize("kind", sorted(LOGREG_GOLDEN))

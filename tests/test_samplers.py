@@ -15,6 +15,7 @@ from imcmc.samplers import (
     ModelSpace,
     default_init,
     gaussian_family,
+    grid_family,
     make_cdf_deterministic,
     make_embedded_flow,
     make_gibbs,
@@ -89,6 +90,49 @@ def test_mtm_zero_weight_proposals_rejected():
     assert prob == 0.0
     with pytest.raises(ConfigError):
         make_multiple_try(dens, gaussian_family(1, 1.0), k=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 24])
+@pytest.mark.parametrize("unit", [True, False], ids=["var1", "var"])
+def test_gaussian_family_rows_are_its_logpdf_row_by_row_bitwise(d, unit):
+    rng = make_rng(d)
+    fam = gaussian_family(d, 1.0 if unit else rng.uniform(0.2, 3.0, d))
+    values = rng.standard_normal((6, d)) * 3.0
+    centers = rng.standard_normal((6, d))
+    # a block of values at one center (mtm's trial and reference slots), a
+    # value at a block of centers (its trial weights), and row against row
+    for vs, cs in ((values, centers[0]), (values[0], centers), (values, centers)):
+        got = fam.logpdf_rows(vs, cs)
+        want = [fam.logpdf(v, c) for v, c in zip(*np.broadcast_arrays(vs, cs))]
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
+def test_mtm_weighs_trials_by_q_of_the_current_point_given_each_trial():
+    # q(u | c) on the grid {0, 1, 2} is not symmetric in u and c, so scoring
+    # q(y_i | x) instead of q(x | y_i) gives other index weights
+    vals = [np.array([float(i)]) for i in range(3)]
+    fam = grid_family(vals, lambda u, c: math.log(1.0 + u[0] + 3.0 * u[0] * c[0]))
+    x, ys = np.array([1.0]), np.array([[0.0], [2.0], [1.0]])
+    got = fam.logpdf_rows(x, ys)
+    assert got == [fam.logpdf(x, y) for y in ys]
+    assert got != [fam.logpdf(y, x) for y in ys]
+
+    from imcmc.core import LogDensity
+
+    lp = lambda y: -0.3 * float(y[0]) ** 2  # noqa: E731
+    kern = make_multiple_try(LogDensity(dim=1, logpdf=lp), fam, k=3)
+    pt = kern.layout.point(x, np.concatenate([ys.ravel(), [0.0, 2.0]]), (0,))
+    j_cond = dict(kern.aux_refresh)["j"]
+    probs = [p for _, p in j_cond.support(pt)]
+
+    def normalized(logs):
+        w = np.exp(np.array(logs) - max(logs))
+        return (w / w.sum()).tolist()
+
+    want = normalized([lp(y) + fam.logpdf(x, y) for y in ys])
+    swapped = normalized([lp(y) + fam.logpdf(y, x) for y in ys])
+    assert probs == pytest.approx(want, abs=1e-12)
+    assert max(abs(a - b) for a, b in zip(want, swapped)) > 0.05
 
 
 def test_mixture_proposal_differs_from_marginalized_mh():

@@ -15,6 +15,9 @@ from imcmc.targets import (
     exponential_cdf1d,
     gaussian,
     load_dataset,
+    MOG2_MU1,
+    MOG2_MU2,
+    MOG2_VAR,
     mixture_1d,
     mog2,
     mog2_cell_masses,
@@ -64,6 +67,38 @@ def test_mog2_symmetry_and_gradient():
         assert m2.logpdf(np.array([a, b])) == pytest.approx(
             m2.logpdf(np.array([-a, b])), abs=1e-12)
     assert m2.grad(np.array([0.0, 0.0]))[0] == pytest.approx(0.0, abs=1e-14)
+
+
+def _mog2_in_floats(x):
+    """mog2's log-density and gradient at one point as the two-component
+    formula, written out in Python floats: log-weights, their log-sum-exp
+    about the larger one, and the responsibility-weighted offsets."""
+    const = -math.log(2.0 * math.pi) - math.log(MOG2_VAR) + math.log(0.5)
+    offsets = [[float(xi) - float(mi) for xi, mi in zip(x, mu)] for mu in (MOG2_MU1, MOG2_MU2)]
+    c = [const - 0.5 * (d[0] * d[0] + d[1] * d[1]) / MOG2_VAR for d in offsets]
+    m = max(c)
+    r = [math.exp(ci - m) for ci in c]
+    z = r[0] + r[1]
+    r = [ri / z for ri in r]
+    (a1, b1), (a2, b2) = offsets
+    return m + math.log(z), [(r[0] * -a1 + r[1] * -a2) / MOG2_VAR,
+                             (r[0] * -b1 + r[1] * -b2) / MOG2_VAR]
+
+
+def test_mog2_is_the_two_component_formula_in_floats_bitwise():
+    rng = make_rng(12)
+    # out to |x| = 40 the far component's weight is lost next to the near
+    # one's, and at |x| = 100 it underflows to 0 (c1 - c2 = 8 x[0])
+    points = [rng.uniform(-scale, scale, 2) for scale in (1.0, 4.0, 40.0) for _ in range(200)]
+    points += [np.array(p) for p in ([100.0, 0.5], [-100.0, 0.0], [100.0, -3.0], [0.0, 100.0])]
+    assert math.exp(-800.0) == 0.0
+    for x in points:
+        value, grad = _mog2_in_floats(x)
+        # a fresh density per point, so no memo answers for the formula
+        for got in (mog2().logpdf(x), mog2().value_and_grad(x)[0]):
+            assert got.hex() == value.hex()
+        for got in (mog2().grad(x), mog2().value_and_grad(x)[1]):
+            assert [g.hex() for g in got.tolist()] == [g.hex() for g in grad]
 
 
 def test_mog2_cell_masses_capture_bulk():
