@@ -95,9 +95,9 @@ def mog2_batch() -> BatchTarget:
 
 def logreg_batch(posterior) -> BatchTarget:
     """The logistic-regression posterior over rows (rows = chains).  Its
-    ``logpdf`` and ``grad`` are the posterior's own maths on logits
+    ``logpdf`` and ``grad`` are the posterior's own maths on half-logits
     remembered for the last two row arrays, so the gradient at a proposal
-    whose density was just taken forms no second ``theta @ X.T``."""
+    whose density was just taken makes no second product with the design."""
     logits = _LastTwo(posterior._logits)
 
     def logpdf(T):

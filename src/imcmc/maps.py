@@ -348,14 +348,15 @@ class RiemannianHamiltonian:
 
         return kick
 
-    def _scalar_kick_at(self, x: np.ndarray) -> Callable[[float], float]:
+    def _scalar_kick_at(self, x: np.ndarray) -> tuple[Callable[[float], float], float]:
         """`grad_x_at` for a one-coordinate ``x``, as ``w -> grad_x(x, [w])[0]``
-        on float64 scalars.  It makes the array path's products in the same
-        order; a 1x1 ``@`` or ``trace`` sums from 0.0, so each sum here
-        starts from 0.0 too and a zero keeps the array path's sign.  LAPACK
-        inverts a 1x1 matrix as ``1.0 / g``, so the division gives ``inv``'s
-        bits without its call."""
-        ginv = 1.0 / self.metric.g(x)[0, 0]
+        on float64 scalars, and the metric ``g(x)`` it read.  It makes the
+        array path's products in the same order; a 1x1 ``@`` or ``trace``
+        sums from 0.0, so each sum here starts from 0.0 too and a zero keeps
+        the array path's sign.  LAPACK inverts a 1x1 matrix as ``1.0 / g``,
+        so the division gives ``inv``'s bits without its call."""
+        g = self.metric.g(x)[0, 0]
+        ginv = 1.0 / g
         dg = self.metric.grad(x)[0, 0, 0]
         base = -np.asarray(self.target_grad(x), dtype=float)[0] + 0.5 * (0.0 + ginv * dg)
 
@@ -363,7 +364,7 @@ class RiemannianHamiltonian:
             ginv_w = ginv * w
             return base - 0.5 * (0.0 + ginv_w * dg * ginv_w)
 
-        return kick
+        return kick, g
 
     def grad_v(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _solve(self.metric.g(x), v)
@@ -431,18 +432,19 @@ def _implicit_leapfrog_1d(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     """`implicit_leapfrog` at a one-coordinate point.  Each iterate is a
     float64 scalar, so an iteration makes a few scalar operations instead of
     a dozen calls on 1-element arrays; the metric and the target gradient
-    still get 1-element arrays, as often as on the array path."""
+    still get 1-element arrays.  The kick at a step's start position hands
+    back the metric it read there, so the first drift term reuses it."""
     h = 0.5 * cfg.eps
     g = ham.metric.g
     v = v[0]
-    kick = ham._scalar_kick_at(x)
+    kick, g_x = ham._scalar_kick_at(x)
     for _ in range(cfg.k):
         v_half = _fixed_point(lambda w: v - h * kick(w), v, 1e-12, max_iter)
         # ``grad_v`` of a 1x1 metric is `_solve`'s division
-        x_half = x[0] + h * (v_half / g(x)[0, 0])
+        x_half = x[0] + h * (v_half / g_x)
         x = np.array([_fixed_point(lambda y: x_half + h * (v_half / g(np.array([y]))[0, 0]),
                                    x_half, 1e-12, max_iter)])
-        kick = ham._scalar_kick_at(x)
+        kick, g_x = ham._scalar_kick_at(x)
         v = v_half - h * kick(v_half)
     return x, np.array([v])
 

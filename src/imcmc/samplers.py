@@ -460,17 +460,23 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
         values = {x.tobytes(): logp(x)}
         # q(x | y_i): x is the value and the trials are the centers
         qs = family.logpdf_rows(x, ys)
-        logs = np.empty(k)
+        logs = []
         for i, y in enumerate(ys):
             # w_i = p(y_i) q(x | y_i) lambda(y_i, x)
             lp = values[y.tobytes()] = logp(y)
-            logs[i] = lp if lp == -math.inf else lp + qs[i] + loglam(y, x)
+            logs.append(lp if lp == -math.inf else lp + qs[i] + loglam(y, x))
         weighed = (values, weighed[0])
-        if (logs == -math.inf).all():
+        finite = [lw for lw in logs if math.isfinite(lw)]
+        if not finite and all(lw == -math.inf for lw in logs):
             return np.full(k, 1.0 / k)
-        w = np.exp(logs - logs[np.isfinite(logs)].max())
-        w[~np.isfinite(logs)] = 0.0
-        return w / w.sum()
+        top = max(finite)
+        w = [math.exp(lw - top) if math.isfinite(lw) else 0.0 for lw in logs]
+        # left to right, as ``np.sum`` adds fewer than 8 terms; from k = 8 on
+        # it unrolls the sum, so the last bit may differ from it
+        total = 0.0
+        for wi in w:
+            total += wi
+        return np.array([wi / total for wi in w])
 
     # a step asks for the index weights of its refreshed point twice (draw
     # and joint density) and of its proposal once; x and the trials key them

@@ -179,19 +179,29 @@ def mog2_cell_masses(edges_x: np.ndarray, edges_y: np.ndarray) -> np.ndarray:
 class LogisticPosterior:
     """Posterior over (weights, bias) with a zero-mean normal prior.
 
-    The success logit is ``x'w - b`` and the prior variance on every
+    The success logit is ``z = x'w - b`` and the prior variance on every
     coordinate is ``prior_var`` = 0.1 (the reference formulation writes the
     prior scale ambiguously and we read it as a variance).  ``logpdf``,
     ``grad`` and ``value_and_grad`` take one parameter vector ``(d,)`` or
     rows ``(..., d)`` of them; ``value_and_grad`` forms the logits once for
     both.
+
+    With ``a = [x, -1]`` and ``u = z / 2``, two exact identities carry the
+    likelihood: ``y log sigmoid(z) + (1 - y) log sigmoid(-z) =
+    (y - 1/2) z - log(2 cosh u)`` and ``y - sigmoid(z) = (y - 1/2) -
+    tanh(u) / 2``.  So the log-likelihood is ``theta . c - sum log(2 cosh u)``
+    and its gradient ``c - tanh(u) @ A / 2``, with ``c = A'(y - 1/2)`` formed
+    once; ``log(2 cosh u) = |u| + log1p(exp(-2|u|))`` never takes ``exp`` of
+    a positive number.
     """
 
     X: np.ndarray
     y: np.ndarray
     prior_var: ClassVar[float] = 0.1
-    # computed once from the fields above
-    _one_minus_y: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    # computed once from the fields above: the half design A'/2 with the
+    # bias column folded in, shape (d, n), and c = A'(y - 1/2)
+    _ht: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _c: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _prior_const: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -199,7 +209,9 @@ class LogisticPosterior:
             raise ConfigError("design matrix and labels do not align")
         if not set(np.unique(self.y)) <= {0.0, 1.0}:
             raise ConfigError("labels must be 0/1")
-        object.__setattr__(self, "_one_minus_y", 1.0 - self.y)
+        at = np.vstack([self.X.T, -np.ones(self.X.shape[0])])
+        object.__setattr__(self, "_ht", np.ascontiguousarray(0.5 * at))
+        object.__setattr__(self, "_c", at @ (self.y - 0.5))
         object.__setattr__(self, "_prior_const",
                            -0.5 * self.dim * math.log(2.0 * math.pi * self.prior_var))
 
@@ -208,25 +220,20 @@ class LogisticPosterior:
         return self.X.shape[1] + 1
 
     def _logits(self, theta: np.ndarray) -> np.ndarray:
+        """Half the logits, ``u = z / 2``."""
         if theta.shape[-1] != self.dim:
             raise ConfigError(
                 f"parameter must have {self.dim} coordinates, got {theta.shape[-1]}")
-        return theta[..., :-1] @ self.X.T - theta[..., -1:]
+        return theta @ self._ht
 
-    def _value(self, theta: np.ndarray, z: np.ndarray):
-        # log sigmoid(z) = min(z, 0) - log1p(exp(-|z|)), stable on both tails,
-        # and log sigmoid(-z) = log sigmoid(z) - z; the labels are 0 or 1, so
-        # each term is log sigmoid(z) less z where the label is 0
-        tail = np.log1p(np.exp(-np.abs(z)))
-        loglik = (np.minimum(z, 0.0) - tail - self._one_minus_y * z).sum(axis=-1)
+    def _value(self, theta: np.ndarray, u: np.ndarray):
+        a = np.abs(u)
+        tail = np.log1p(np.exp(-2.0 * a))
+        loglik = theta @ self._c - a.sum(axis=-1) - tail.sum(axis=-1)
         return loglik + self._prior_const - 0.5 * (theta * theta).sum(axis=-1) / self.prior_var
 
-    def _grad(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        resid = self.y - 1.0 / (1.0 + np.exp(-z))
-        g = np.empty(theta.shape)
-        g[..., :-1] = resid @ self.X
-        g[..., -1] = -resid.sum(axis=-1)
-        return g - theta / self.prior_var
+    def _grad(self, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self._c - np.tanh(u) @ self._ht.T - theta / self.prior_var
 
     def logpdf(self, theta: np.ndarray):
         return self._value(theta, self._logits(theta))
@@ -235,8 +242,8 @@ class LogisticPosterior:
         return self._grad(theta, self._logits(theta))
 
     def value_and_grad(self, theta: np.ndarray):
-        z = self._logits(theta)
-        return self._value(theta, z), self._grad(theta, z)
+        u = self._logits(theta)
+        return self._value(theta, u), self._grad(theta, u)
 
     def density(self) -> LogDensity:
         return LogDensity(dim=self.dim, logpdf=self.logpdf, grad=self.grad,

@@ -5,6 +5,7 @@ criterion; each test also prints an explicit summary line.  Tolerances are
 pinned here and nowhere else.
 """
 
+import itertools
 import math
 import time
 
@@ -236,26 +237,28 @@ def test_criterion_08_statistical_correctness():
     gof_n = grid_chi_square(xs_n, edges, edges, masses, level=0.01)
     w_n = float((xs_n[:, 0] > 0).mean())
 
-    # ten-point logistic posterior: both gradient walks against a long
-    # Hamiltonian reference
+    # ten-point logistic posterior: a long Hamiltonian chain and both
+    # gradient walks against its exact mean
     rng = np.random.default_rng(3)
     Xd = rng.standard_normal((10, 2))
     logits = Xd @ np.array([1.0, -0.5]) - 0.2
     yd = (rng.random(10) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
     post = LogisticPosterior(Xd, yd)
-    ref = make_hamiltonian(post.density(), LeapfrogConfig(0.25, 10))
-    res_ref = run_chain(ref, default_init(ref, np.zeros(3)), 150000, seed=100)
-    mu_ref = res_ref.xs.mean(axis=0)
-    se_ref = res_ref.xs.std(axis=0) / math.sqrt(ess_batch_means(res_ref.xs).ess)
+    mu = _posterior_mean_by_quadrature(post, 20)
+    assert np.max(np.abs(mu - _posterior_mean_by_quadrature(post, 30))) < 1e-9
 
-    pb = logreg_batch(post)
+    def zmax_of(xs):
+        se = xs.std(axis=0) / math.sqrt(ess_batch_means(xs).ess)
+        return float((np.abs(xs.mean(axis=0) - mu) / se).max())
+
     zmax = {}
+    hmc_lr = make_hamiltonian(post.density(), LeapfrogConfig(0.25, 10))
+    zmax["hmc"] = zmax_of(run_chain(hmc_lr, default_init(hmc_lr, np.zeros(3)), 150000,
+                                    seed=100).xs)
+    pb = logreg_batch(post)
     for name, runner, seed in (("mala", batch_mala, 31), ("irr_mala", batch_irr_mala, 32)):
         res = runner(pb, 0.02, 1, 100000, make_rng(seed), np.zeros(3))
-        xs = res.xs[:, 0, :]
-        se = xs.std(axis=0) / math.sqrt(ess_batch_means(xs).ess)
-        z = np.abs(xs.mean(axis=0) - mu_ref) / np.sqrt(se ** 2 + se_ref ** 2)
-        zmax[name] = float(z.max())
+        zmax[name] = zmax_of(res.xs[:, 0, :])
 
     ok = (gof_h.passed and gof_n.passed
           and abs(w_h - 0.5) < 0.02 and abs(w_n - 0.5) < 0.02
@@ -263,8 +266,38 @@ def test_criterion_08_statistical_correctness():
     report("criterion 8 (statistical correctness)", ok,
            f"chi2 HMC {gof_h.statistic:.0f}<{gof_h.critical:.0f}, "
            f"IrrNICE {gof_n.statistic:.0f}<{gof_n.critical:.0f}; mode weights "
-           f"{w_h:.3f}/{w_n:.3f} in 0.5+-0.02; posterior-mean z "
-           f"{zmax['mala']:.2f}/{zmax['irr_mala']:.2f} < 3")
+           f"{w_h:.3f}/{w_n:.3f} in 0.5+-0.02; posterior-mean z against the exact "
+           f"mean {zmax['hmc']:.2f}/{zmax['mala']:.2f}/{zmax['irr_mala']:.2f} < 3")
+
+
+def _posterior_mean_by_quadrature(post: LogisticPosterior, nodes: int) -> np.ndarray:
+    """The posterior mean by Gauss-Hermite quadrature around the Laplace
+    mode (Naylor & Smith 1982).
+
+    Newton's method finds the mode; the Cholesky factor L of the inverse
+    Hessian there maps a product rule of ``nodes`` points per axis onto
+    theta = mode + sqrt(2) L t, and each node is weighed by the posterior
+    over the Laplace Gaussian, exp(logpdf(theta) + |t|^2).  The log-density
+    is taken at all nodes in one call on rows.  On criterion 8's ten-point
+    posterior, 20 nodes per axis agree with 60 to 2e-12.
+    """
+    A = np.column_stack([post.X, -np.ones(post.X.shape[0])])
+    mode = np.zeros(post.dim)
+    for _ in range(100):
+        s = 1.0 / (1.0 + np.exp(-(A @ mode)))
+        hess = (A.T * (s * (1.0 - s))) @ A + np.eye(post.dim) / post.prior_var
+        step = np.linalg.solve(hess, post.grad(mode))
+        mode = mode + step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    L = np.linalg.cholesky(np.linalg.inv(hess))
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    T = np.array(list(itertools.product(t, repeat=post.dim)))
+    log_w = np.log(np.array(list(itertools.product(w, repeat=post.dim)))).sum(axis=1)
+    rows = mode + math.sqrt(2.0) * T @ L.T
+    lw = post.logpdf(rows) + (T * T).sum(axis=1) + log_w
+    p = np.exp(lw - lw.max())
+    return p @ rows / p.sum()
 
 
 def _nested_gaussians() -> ModelSpace:

@@ -86,15 +86,42 @@ LOGREG_SPECS = {
     "persistent_hmc": {"eps": 0.1, "k": 1, "alpha": 0.8},
 }
 
-# `_digest` of 300 steps from seed 11 on `_logreg_target`, recorded while
-# the posterior computed its log-density and gradient in separate passes
+# `_digest` of 300 steps from seed 11 on `_logreg_target`, recorded again
+# when the posterior took its log-cosh form (one product with the half
+# design, a `tanh` gradient).  Its bits belong to the BLAS's products and to
+# numpy's SIMD `exp`, `log1p` and `tanh`, so they hold only on the
+# configuration below; `_arithmetic_config` reads the running one.
 LOGREG_GOLDEN = {
-    "rwm": "30d11dab68a6c876",
-    "mala": "8afa1ad460a624e6",
-    "irr_mala": "e34ba2e109fc82e8",
-    "hmc": "96155286cb5da7a5",
-    "persistent_hmc": "04fff105fe81cef8",
+    "rwm": "5c696fad4af6a982",
+    "mala": "1acccbb6513381f5",
+    "irr_mala": "4c22b4316d7325e0",
+    "hmc": "080b5aba14e268a5",
+    "persistent_hmc": "b534156f189a0e5e",
 }
+LOGREG_GOLDEN_CONFIG = {
+    "simd": ["AVX512_ICL", "X86_V2", "X86_V3", "X86_V4"],
+    "blas": "scipy-openblas 0.3.31.188.0 (OpenBLAS 0.3.31.188.0  USE64BITINT "
+            "DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64)",
+    "OPENBLAS_CORETYPE": None,
+}
+
+
+def _arithmetic_config() -> dict:
+    """What picks this process's floating-point kernels: the SIMD levels
+    numpy dispatches on that the CPU has and numpy has not been told to
+    skip (``__cpu_features__``), the BLAS numpy was built with
+    (``np.show_config``) and OpenBLAS's kernel override."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    build = np.show_config(mode="dicts")
+    simd, blas = build["SIMD Extensions"], build["Build Dependencies"]["blas"]
+    levels = simd["baseline"] + simd["found"] + simd["not found"]
+    return {
+        "simd": sorted(level for level in levels if __cpu_features__.get(level)),
+        "blas": f"{blas['name']} {blas['version']} ({blas.get('openblas configuration')})",
+        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
+    }
+
 
 # `_digest` of 2000 steps from seed 11 and each case's first state, for
 # finite cases whose proposals are finite conditionals (a Langevin grid, grid
@@ -225,7 +252,8 @@ def test_seeded_logreg_trace_matches_golden(kind):
     kernel = build_kernel(config, tgt)
     res = run_chain(kernel, default_init(kernel, tgt["x0"]), 300, seed=11,
                     record_tags=True)
-    assert _digest(res) == LOGREG_GOLDEN[kind]
+    assert _digest(res) == LOGREG_GOLDEN[kind], (
+        f"recorded on {LOGREG_GOLDEN_CONFIG}, running on {_arithmetic_config()}")
 
 
 def test_seeded_finite_case_traces_match_golden():

@@ -6,6 +6,7 @@ compositions must measurably violate detailed balance; the shipped
 involutions must verify; the reduction identities must hold exactly.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -246,6 +247,26 @@ def test_run_all_makes_every_fixed_point_solve(monkeypatch):
         counts.update(solves=0, iterations=0)
         run_all()
         assert counts == {"solves": 1302, "iterations": 9089}
+
+
+def test_run_all_reads_each_metric_once_per_position(monkeypatch):
+    """The one-coordinate implicit integrator reads the metric at a step's
+    start position once, for its kick and its first drift term alike."""
+    calls = [0]
+    init = maps.RiemannianHamiltonian.__init__
+
+    def counted_init(self, target_logpdf, target_grad, metric):
+        g = metric.g
+
+        def counted_g(x):
+            calls[0] += 1
+            return g(x)
+
+        init(self, target_logpdf, target_grad, dataclasses.replace(metric, g=counted_g))
+
+    monkeypatch.setattr(maps.RiemannianHamiltonian, "__init__", counted_init)
+    run_all()
+    assert calls[0] == 5412
 
 
 # ---------------------------------------------------------------------------

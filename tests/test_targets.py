@@ -144,73 +144,70 @@ def test_logreg_grad_checks_the_parameter_length():
                 method(theta)
 
 
-def _reference_logreg(post, theta):
-    """The posterior's log-density and gradient as two separate passes,
-    each forming its own logits."""
-    z = theta[..., :-1] @ post.X.T - theta[..., -1:]
-    logsig = np.where(z >= 0, -np.log1p(np.exp(-np.abs(z))),
-                      z - np.log1p(np.exp(-np.abs(z))))
-    loglik = np.sum(post.y * logsig + (1.0 - post.y) * (logsig - z), axis=-1)
-    const = -0.5 * post.dim * math.log(2.0 * math.pi * post.prior_var)
-    value = loglik + const - 0.5 * np.sum(theta * theta, axis=-1) / post.prior_var
-    resid = post.y - 1.0 / (1.0 + np.exp(-(theta[..., :-1] @ post.X.T - theta[..., -1:])))
-    g = np.empty(theta.shape)
-    g[..., :-1] = resid @ post.X
-    g[..., -1] = -np.sum(resid, axis=-1)
-    return value, g - theta / post.prior_var
+def _logreg_post(seed, n, p):
+    """A logistic posterior on n rows: half the covariates normal, half 0/1."""
+    rng = make_rng(seed)
+    X = rng.standard_normal((n, p))
+    X[:, p // 2:] = rng.random((n, p - p // 2)) < 0.5
+    return LogisticPosterior(X, (rng.random(n) < 0.4).astype(float)), rng
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
 @pytest.mark.parametrize("scale", [0.3, 300.0])
 def test_logreg_value_and_grad_equals_separate_passes_bitwise(shape, scale):
-    rng = make_rng(14)
-    X = rng.standard_normal((200, 6))
-    X[:, 3:] = rng.random((200, 3)) < 0.5
-    post = LogisticPosterior(X, (rng.random(200) < 0.4).astype(float))
+    post, rng = _logreg_post(14, 200, 6)
     theta = scale * rng.standard_normal((*shape, post.dim))
-    with np.errstate(over="ignore"):
-        want_value, want_grad = _reference_logreg(post, theta)
-        z = theta[..., :-1] @ X.T - theta[..., -1:]
-        if scale > 1.0:
-            # exp overflows in the gradient and underflows in the log-sigmoid
-            assert np.isinf(np.exp(-z)).any() and (np.exp(-np.abs(z)) == 0.0).any()
-        value, g = post.value_and_grad(theta)
-        separate = post.logpdf(theta), post.grad(theta)
+    value, g = post.value_and_grad(theta)
     assert np.shape(value) == shape and g.shape == theta.shape
-    for got in ((value, g), separate):
-        assert np.array_equal(got[0], want_value) and np.array_equal(got[1], want_grad)
-        assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+    assert np.array_equal(value, post.logpdf(theta))
+    assert np.array_equal(g, post.grad(theta))
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(g))
 
 
-def _where_log_sigmoid_logpdf(post, theta):
-    """The log-density with the log-sigmoid picked by ``np.where`` per
-    logit and each label's term weighted by ``y`` and ``1 - y``, as
-    `LogisticPosterior` computed it before its sum took one expression."""
-    z = theta[..., :-1] @ post.X.T - theta[..., -1:]
-    tail = np.log1p(np.exp(-np.abs(z)))
-    logsig = np.where(z >= 0, -tail, z - tail)
-    loglik = (post.y * logsig + (1.0 - post.y) * (logsig - z)).sum(axis=-1)
-    const = -0.5 * post.dim * math.log(2.0 * math.pi * post.prior_var)
-    return loglik + const - 0.5 * (theta * theta).sum(axis=-1) / post.prior_var
+def _log_sigmoid(z: float) -> float:
+    return -math.log1p(math.exp(-z)) if z >= 0.0 else z - math.log1p(math.exp(z))
 
 
-def test_logreg_logpdf_equals_the_where_formula_bitwise():
-    rng = make_rng(15)
-    X = rng.standard_normal((300, 5))
-    X[:, 3:] = rng.random((300, 2)) < 0.5
-    post = LogisticPosterior(X, (rng.random(300) < 0.4).astype(float))
-    far = 0
-    for i in range(1500):
-        scale = 10.0 ** rng.uniform(-2.0, math.log10(300.0))
-        shape = (post.dim,) if i % 2 else (5, post.dim)
-        theta = scale * rng.standard_normal(shape)
-        z = theta[..., :-1] @ X.T - theta[..., -1:]
-        far += int((np.abs(z) > 745.0).any())
-        got = post.logpdf(theta)
-        assert got.tobytes() == _where_log_sigmoid_logpdf(post, theta).tobytes(), (i, scale)
-        assert np.all(np.isfinite(got))
-    # exp(-|z|) underflows to 0 in many of them
-    assert far > 100
+def _sigmoid(z: float) -> float:
+    return 1.0 / (1.0 + math.exp(-z)) if z >= 0.0 else math.exp(z) / (1.0 + math.exp(z))
+
+
+def _exact_logreg(post, theta):
+    """The log-density and gradient at one point from each row's logit and
+    log-sigmoid in Python floats, every sum taken by `math.fsum`."""
+    th = theta.tolist()
+    w, b = th[:-1], th[-1]
+    rows = post.X.tolist()
+    terms, resid = [], []
+    for x, y in zip(rows, post.y.tolist()):
+        z = math.fsum([*(xj * wj for xj, wj in zip(x, w)), -b])
+        terms.append(_log_sigmoid(z) if y == 1.0 else _log_sigmoid(-z))
+        resid.append(y - _sigmoid(z))
+    const = -0.5 * len(th) * math.log(2.0 * math.pi * post.prior_var)
+    value = math.fsum([*terms, const, *(-0.5 * t * t / post.prior_var for t in th)])
+    g = [math.fsum(r * x[j] for r, x in zip(resid, rows)) for j in range(len(w))]
+    g.append(-math.fsum(resid))
+    return value, np.array([gj - t / post.prior_var for gj, t in zip(g, th)])
+
+
+def test_logreg_matches_an_exact_fsum_reference():
+    post, rng = _logreg_post(15, 200, 6)
+    underflowed = 0
+    for i, scale in enumerate(np.geomspace(0.03, 300.0, 40)):
+        rows = scale * rng.standard_normal((2, post.dim))
+        u = post._logits(rows)
+        underflowed += int((np.exp(-2.0 * np.abs(u)) == 0.0).any())
+        value, g = post.value_and_grad(rows)
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(g)), scale
+        for theta, got_value, got_g in zip(rows, value, g):
+            want_value, want_g = _exact_logreg(post, theta)
+            assert abs(got_value - want_value) <= 1e-14 * abs(want_value), (i, scale)
+            # relative to the gradient's largest coordinate: a coordinate
+            # near zero is a difference of large sums
+            assert (np.max(np.abs(got_g - want_g))
+                    <= 1e-14 * np.max(np.abs(want_g))), (i, scale)
+    # exp(-2|u|) underflows to 0 at the larger scales
+    assert underflowed >= 4
 
 
 def _write_csv(path, rows, header=None):
