@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class BatchTarget:
 
     dim: int
     logpdf: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad: Callable[[np.ndarray], np.ndarray]
 
 
 _MOG2_MUS = np.stack([MOG2_MU1, MOG2_MU2])[:, None, :]  # (component, 1, dim)
@@ -134,8 +134,6 @@ def _norm_logpdf(diff: np.ndarray, var: float) -> np.ndarray:
 def batch_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
                rng: np.random.Generator, x0: np.ndarray) -> BatchResult:
     """Langevin-proposal Metropolis chains, all stepped together."""
-    if target.grad is None:
-        raise ConfigError("batch MALA needs a gradient")
     d = target.dim
     var = 2.0 * eps
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
@@ -163,8 +161,6 @@ def batch_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
 def batch_irr_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
                    rng: np.random.Generator, x0: np.ndarray) -> BatchResult:
     """Direction-augmented Langevin chains with the trailing direction flip."""
-    if target.grad is None:
-        raise ConfigError("batch irr-MALA needs a gradient")
     d = target.dim
     var = 2.0 * eps
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import batch
-from .core import make_rng, run_chain
+from .core import chain_rngs, run_chain
 from .diagnostics import acceptance_rate, ess_batch_means
 from .errors import ConfigError, DegenerateSeriesError, DensityError, ImcmcError
 from .maps import (CouplingMap, LeapfrogConfig, affine_x_flow, identity_flow,
@@ -95,7 +95,7 @@ class RunConfig:
     out: Optional[str] = None
     fmt: str = "csv"
     jobs: int = 1
-    params: dict = dataclasses.field(default_factory=dict)
+    params: dict = dataclasses.field(kw_only=True)
 
     def __post_init__(self):
         if self.chains < 1:
@@ -338,13 +338,12 @@ def _aggregate(values: list[float]) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _chain_worker(cfg: RunConfig, index: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _chain_worker(cfg: RunConfig, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
     tgt = build_target(cfg.target, cfg.params.get("dataset"))
     kernel = build_kernel(cfg, tgt)
-    rngs = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
     t0 = time.perf_counter()
-    res = run_chain(kernel, default_init(kernel, tgt["x0"]), cfg.steps,
-                    rng=make_rng(rngs[index]))
+    res = run_chain(kernel, default_init(kernel, tgt["x0"]), cfg.steps, rng=rng)
     return res.xs, res.accepted_all(), time.perf_counter() - t0
 
 
@@ -367,14 +366,14 @@ def cmd_sample(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    rngs = chain_rngs(cfg.seed, cfg.chains)
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_chain_worker, [cfg] * cfg.chains,
-                                    range(cfg.chains)))
+            results = list(pool.map(_chain_worker, [cfg] * cfg.chains, rngs))
     else:
-        results = [_chain_worker(cfg, i) for i in range(cfg.chains)]
+        results = [_chain_worker(cfg, rng) for rng in rngs]
 
     # every report before any file, so a chain without an ESS leaves no output
     reports = [_chain_report(cfg, i, xs, accepted, seconds)
@@ -433,7 +432,7 @@ def cmd_ess(trace: Optional[str], cfg: Optional[RunConfig]) -> dict:
     if cfg.chains != 1:
         raise ConfigError("ess from a config runs a single chain; "
                           "use `sample` for multi-chain summaries")
-    return _chain_report(cfg, 0, *_chain_worker(cfg, 0)).to_json()
+    return _chain_report(cfg, 0, *_chain_worker(cfg, chain_rngs(cfg.seed, 1)[0])).to_json()
 
 
 def cmd_bench(cfg: RunConfig, samplers: list[str]) -> list[dict]:
@@ -460,7 +459,7 @@ def cmd_bench(cfg: RunConfig, samplers: list[str]) -> list[dict]:
 
     rows = []
     for kind in samplers:
-        rng = make_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        rng = chain_rngs(cfg.seed, 1)[0]
         t0 = time.perf_counter()
         res = KINDS[kind].bench(bt, params[kind], cfg, rng, tgt["x0"])
         seconds = time.perf_counter() - t0

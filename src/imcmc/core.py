@@ -318,9 +318,6 @@ class LogDensity:
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "value_and_grad", grad.value_and_grad)
 
-    def __call__(self, x: np.ndarray) -> float:
-        return self.logpdf(x)
-
 
 class AuxiliaryConditional:
     """Sampler plus log-density for one auxiliary slot.
@@ -775,10 +772,6 @@ class ChainResult:
     accept_prob: np.ndarray     # (n, n_kernels)
     tags: Optional[np.ndarray]  # (n, n_tags) int, when recorded
     final: Optional[JointPoint]
-
-    @property
-    def n(self) -> int:
-        return self.xs.shape[0]
 
     def accepted_all(self) -> np.ndarray:
         """Per-step flag: every sub-kernel proposal accepted."""

@@ -54,8 +54,8 @@ class EssReport:
     n: int
     dims: int
     per_dim: np.ndarray
-    ess_per_sec: Optional[float] = None
-    accept_rate: Optional[float] = None
+    ess_per_sec: Optional[float]
+    accept_rate: Optional[float]
 
     def to_json(self) -> dict:
         return {
@@ -335,8 +335,9 @@ class ChiSquareReport:
 
 
 def grid_chi_square(xs: np.ndarray, edges_x: np.ndarray, edges_y: np.ndarray,
-                    cell_masses: np.ndarray, level: float = 0.01) -> ChiSquareReport:
-    """Chi-square test of a planar trace against exact grid-cell masses.
+                    cell_masses: np.ndarray) -> ChiSquareReport:
+    """Chi-square test, at level 0.01, of a planar trace against exact
+    grid-cell masses.
 
     Correlated chain output is thinned to roughly one sample per effective
     sample before binning, so the statistic has its nominal null
@@ -359,5 +360,5 @@ def grid_chi_square(xs: np.ndarray, edges_x: np.ndarray, edges_y: np.ndarray,
     if pooled_exp > 0.0:
         stat += float((pooled_obs - pooled_exp) ** 2 / pooled_exp)
     return ChiSquareReport(statistic=stat,
-                           critical=float(chi2.ppf(1.0 - level, dof)),
+                           critical=float(chi2.ppf(1.0 - 0.01, dof)),
                            dof=dof, n_used=n, thin=thin)

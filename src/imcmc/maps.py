@@ -323,7 +323,7 @@ class RiemannianHamiltonian:
         self.metric = metric
 
     def value(self, x: np.ndarray, v: np.ndarray) -> float:
-        ginv_v = _solve(self.metric.g(x), v)
+        ginv_v = np.linalg.solve(self.metric.g(x), v)
         return (-float(self.logpdf(x)) + 0.5 * self.metric.logdet(x)
                 + 0.5 * float(v @ ginv_v))
 
@@ -367,15 +367,7 @@ class RiemannianHamiltonian:
         return kick, g
 
     def grad_v(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _solve(self.metric.g(x), v)
-
-
-def _solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``G^-1 v``.  A 1x1 metric is a division, which gives LAPACK's
-    ``solve`` bits without its call overhead."""
-    if g.shape == (1, 1):
-        return v / g[0, 0]
-    return np.linalg.solve(g, v)
+        return np.linalg.solve(self.metric.g(x), v)
 
 
 def _fixed_point(update, start, tol: float, max_iter: int):
@@ -440,7 +432,7 @@ def _implicit_leapfrog_1d(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     kick, g_x = ham._scalar_kick_at(x)
     for _ in range(cfg.k):
         v_half = _fixed_point(lambda w: v - h * kick(w), v, 1e-12, max_iter)
-        # ``grad_v`` of a 1x1 metric is `_solve`'s division
+        # ``grad_v`` of a 1x1 metric: LAPACK solves it as this division
         x_half = x[0] + h * (v_half / g_x)
         x = np.array([_fixed_point(lambda y: x_half + h * (v_half / g(np.array([y]))[0, 0]),
                                    x_half, 1e-12, max_iter)])
@@ -528,7 +520,6 @@ class CouplingMap(FlowMap):
 
     - ``("add_x", s)``: x += s(v), volume preserving
     - ``("add_v", s)``: v += s(x), volume preserving
-    - ``("scale_x", s)``: x *= exp(s(v)), logdet sum(s(v))
     - ``("scale_v", s)``: v *= exp(s(x)), logdet sum(s(x))
     - ``("swap",)``: exchange the blocks (equal dims)
     - ``("linear", a_x, a_v)``: componentwise rescale of each block
@@ -551,7 +542,7 @@ class CouplingMap(FlowMap):
         vp = True
         for layer in self.layers:
             kind = layer[0]
-            if kind in ("scale_x", "scale_v"):
+            if kind == "scale_v":
                 vp = False
             elif kind == "linear":
                 ax, av = (np.asarray(a, dtype=float) for a in layer[1:])
@@ -574,10 +565,6 @@ class CouplingMap(FlowMap):
                 x = x + layer[1](v)
             elif kind == "add_v":
                 v = v + layer[1](x)
-            elif kind == "scale_x":
-                s = layer[1](v)
-                x = x * np.exp(s)
-                ld += s.sum(axis=-1)
             elif kind == "scale_v":
                 s = layer[1](x)
                 v = v * np.exp(s)
@@ -598,10 +585,6 @@ class CouplingMap(FlowMap):
                 x = x - layer[1](v)
             elif kind == "add_v":
                 v = v - layer[1](x)
-            elif kind == "scale_x":
-                s = layer[1](v)
-                x = x * np.exp(-s)
-                ld -= s.sum(axis=-1)
             elif kind == "scale_v":
                 s = layer[1](x)
                 v = v * np.exp(-s)

@@ -38,7 +38,6 @@ from .maps import (
     LeapfrogConfig,
     Metric,
     RiemannianHamiltonian,
-    _solve,
     _swap_negate,
     cdf_map,
     direction_augment,
@@ -694,7 +693,7 @@ def make_hamiltonian(target: LogDensity, cfg: LeapfrogConfig,
     def _logpdf(value, point):
         g = metric.g(point.x)
         value = np.asarray(value)
-        return (-0.5 * float(value @ _solve(g, value))
+        return (-0.5 * float(value @ np.linalg.solve(g, value))
                 - 0.5 * metric.logdet(point.x) - 0.5 * d * _LOG_2PI)
 
     cond = momentum_cond if momentum_cond is not None else \

@@ -754,12 +754,13 @@ def _irr_mala_involution(density) -> Involution:
     return kernel.kernels()[0].involution
 
 
-def run_involutions(n_points: int = 100) -> list[CheckResult]:
-    """Displacement and log-Jacobian antisymmetry over seeded random points."""
+def run_involutions() -> list[CheckResult]:
+    """Displacement and log-Jacobian antisymmetry over 100 seeded random
+    points per involution."""
     rng = make_rng(2024)
     out = []
     for name, inv, layout, tol in involution_gallery():
-        pts = random_points(layout, n_points, rng)
+        pts = random_points(layout, 100, rng)
         rep = verify_involution(inv, pts, tol=tol)
         out.append(CheckResult(name, "involution", rep.max_displacement, tol,
                                rep.max_displacement <= tol and rep.tags_restored))

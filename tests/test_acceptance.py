@@ -72,7 +72,7 @@ def report(criterion: str, passed: bool, detail: str):
 
 def test_criterion_01_involution_suite():
     t0 = time.perf_counter()
-    results = run_involutions(n_points=100)
+    results = run_involutions()
     elapsed = time.perf_counter() - t0
     names = {r.case for r in results}
     required = {"swap", "flip", "hmc_explicit_normal", "hmc_implicit_metric",
@@ -228,13 +228,13 @@ def test_criterion_08_statistical_correctness():
 
     hmc = make_hamiltonian(mog2(), LeapfrogConfig(0.3, 16))
     res_h = run_chain(hmc, default_init(hmc, [2.0, 0.0]), 100000, seed=2)
-    gof_h = grid_chi_square(res_h.xs, edges, edges, masses, level=0.01)
+    gof_h = grid_chi_square(res_h.xs, edges, edges, masses)
     w_h = float((res_h.xs[:, 0] > 0).mean())
 
     res_n = batch_irr_nice_mc(mog2_batch(), default_coupling("mog2", 2), 0.8, 1, 100000,
                               make_rng(21), np.array([2.0, 0.0]))
     xs_n = res_n.xs[:, 0, :]
-    gof_n = grid_chi_square(xs_n, edges, edges, masses, level=0.01)
+    gof_n = grid_chi_square(xs_n, edges, edges, masses)
     w_n = float((xs_n[:, 0] > 0).mean())
 
     # ten-point logistic posterior: a long Hamiltonian chain and both

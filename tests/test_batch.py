@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from arithmetic import recorded_on
 from imcmc import batch
 from imcmc.batch import (
     BatchTarget,
@@ -164,7 +165,10 @@ def test_batch_chains_are_exchangeable_not_identical():
 
 # sha256 over xs and accepted of each runner at 100 chains x 200 steps on
 # mog2 with the CLI's coupling, eps 0.05 and alpha 0.8; recorded before
-# the row target shared its component pass between logpdf and grad
+# the row target shared its component pass between logpdf and grad.  The
+# row target's `np.exp` and the coupling's `tanh` are numpy's SIMD loops, so
+# the bits hold only on the SIMD level below.
+RUNNER_DIGESTS_CONFIG = {"simd": ["AVX512_ICL", "X86_V2", "X86_V3", "X86_V4"]}
 RUNNER_DIGESTS = {
     "mala": "cfe936ba69300beda4b3814fc5ee0f6a543dd21a6e6f74506754d82b3b32994e",
     "irr_mala": "478b9cef48018c5e6ca4106e1fb72ffce32c9609af8adde27a981989976c2d29",
@@ -187,7 +191,7 @@ def test_batch_runners_keep_their_100_chain_bits(kind):
     h = hashlib.sha256()
     h.update(res.xs.tobytes())
     h.update(res.accepted.tobytes())
-    assert h.hexdigest() == RUNNER_DIGESTS[kind]
+    assert h.hexdigest() == RUNNER_DIGESTS[kind], recorded_on(RUNNER_DIGESTS_CONFIG)
 
 
 def _two_component_reference():

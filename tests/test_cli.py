@@ -422,3 +422,96 @@ def test_density_error_mid_chain_exits_1(tmp_path, capsys, monkeypatch):
     assert len(err) == 1
     assert re.fullmatch(r"error: hmc step \d+: hmc: joint log-density is NaN", err[0])
     assert not list(tmp_path.glob("chain_*.csv"))
+
+
+@pytest.mark.parametrize("kind, target, flags, dims", [
+    ("rwm", "normal", ["--scale", "0.8"], 2),
+    ("cdf", "exponential", [], 1),
+    ("cdf", "uniform", [], 1),
+    # the coupling's unit scales, which every target but mog2 gets
+    ("nice_mc", "normal", [], 2),
+    # an affine flow instead of the identity
+    ("neutra", "mog2", ["--eps", "0.3", "--k", "4", "--flow-shift", "0.5",
+                        "--flow-scale", "2.0"], 2),
+])
+def test_sample_runs_each_target_and_the_affine_flow(tmp_path, kind, target, flags, dims):
+    out = tmp_path / "run"
+    assert run_cli(["sample", "--kind", kind, "--target", target, *flags,
+                    "--steps", "1000", "--burn-in", "100", "--seed", "6",
+                    "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["kind"], summary["target"], summary["dims"]) == (kind, target, dims)
+    assert read_trace_csv(out / "chain_000.csv").shape == (1000, dims)
+
+
+def test_sample_chain_i_runs_on_the_ith_split_stream(tmp_path):
+    from imcmc.core import chain_rngs, run_chain
+    from imcmc.samplers import default_init
+
+    out = tmp_path / "run"
+    assert run_cli(["sample", "--kind", "rwm", "--target", "normal", "--scale", "0.8",
+                    "--steps", "300", "--burn-in", "30", "--chains", "3", "--seed", "7",
+                    "--out", str(out)]) == 0
+    tgt = cli.build_target("normal")
+    kernel = cli.build_kernel(cli.RunConfig(kind="rwm", target="normal",
+                                            params={"scale": 0.8}), tgt)
+    for i, rng in enumerate(chain_rngs(7, 3)):
+        res = run_chain(kernel, default_init(kernel, tgt["x0"]), 300, rng=rng)
+        assert np.array_equal(read_trace_csv(out / f"chain_{i:03d}.csv"), res.xs), i
+
+
+def test_config_file_quoted_string_values(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = \"rwm\"\ntarget = 'normal1d'\nscale = 0.5\n"
+                   "steps = 300\nburn_in = 30\n")
+    assert parse_config_file(cfg) == {"kind": "rwm", "target": "normal1d", "scale": 0.5,
+                                      "steps": 300, "burn_in": 30}
+    assert run_cli(["sample", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert read_trace_csv(tmp_path / "run" / "chain_000.csv").shape == (300, 1)
+
+
+def test_ess_writes_the_printed_report_to_out(tmp_path, capsys):
+    from imcmc.core import make_rng
+
+    trace, out = tmp_path / "iid.csv", tmp_path / "ess.json"
+    s = make_rng(2).standard_normal(1000)
+    trace.write_text("\n".join(["step,accepted,x_0"]
+                               + [f"{i},1,{float(v)!r}" for i, v in enumerate(s)]) + "\n")
+    assert run_cli(["ess", "--trace", str(trace), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert json.loads(printed)["n"] == 1000
+
+
+def test_bench_json_format(capsys):
+    assert run_cli(["bench", "--target", "mog2", "--chains", "2", "--steps", "300",
+                    "--burn-in", "30", "--seed", "5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["sampler"] for r in rows] == ["mala", "irr_mala", "nice_mc", "irr_nice_mc"]
+    assert all(r["chains"] == 2 and r["n"] == 270 for r in rows)
+
+
+def test_bench_on_a_logreg_dataset(tmp_path, capsys):
+    from imcmc.core import make_rng
+
+    rng = make_rng(8)
+    X = rng.standard_normal((60, 3))
+    y = (rng.random(60) < 1.0 / (1.0 + np.exp(-X @ [1.0, -0.5, 0.25]))).astype(int)
+    data = tmp_path / "toy.csv"
+    data.write_text("a,b,c,label\n" + "".join(
+        f"{a!r},{b!r},{c!r},{label}\n" for (a, b, c), label in zip(X.tolist(), y)))
+    assert run_cli(["bench", "--target", "logreg", "--dataset", str(data),
+                    "--chains", "2", "--steps", "400", "--burn-in", "40", "--seed", "5",
+                    "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["sampler"], r["target"]) for r in rows] == [
+        (kind, "logreg") for kind in cli.BENCH_KINDS]
+
+
+def test_verify_mutant_on_a_suite_without_the_mutant_row(capsys):
+    assert run_cli(["verify", "involutions", "--mutant"]) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[")]
+    assert [row[:3] for row in rows if row[0] == "[FAIL]"] == [
+        ["[FAIL]", "injected_mutant", "stationarity"]]
+    assert "mutant_mh" not in {row[1] for row in rows}

@@ -192,6 +192,31 @@ def test_single_kernel_composition_matches_kernel():
     assert np.array_equal(a.xs, b.xs)
 
 
+def test_composition_step_is_its_kernels_steps_in_turn():
+    """`compose(...).step`, a composition's own `TransitionKernel` step,
+    lands where its kernels' steps in turn land, accepts when each of them
+    accepts, and reports the smallest of their acceptance probabilities."""
+    sn = standard_normal(1)
+    kernels = [make_mh(sn, random_walk_proposal(1, 0.5), name="near"),
+               make_mh(sn, random_walk_proposal(1, 3.0), name="far")]
+    comp = compose(kernels)
+    point = kernels[0].layout.point([0.3], [0.0])
+    rng, rng_parts = make_rng(4), make_rng(4)
+    accepted = set()
+    for _ in range(200):
+        out = comp.step(point, rng)
+        end, parts = point, []
+        for k in kernels:
+            parts.append(k.step(end, rng_parts))
+            end = parts[-1].point
+        assert np.array_equal(out.point.x, end.x) and np.array_equal(out.point.v, end.v)
+        assert out.accepted == all(p.accepted for p in parts)
+        assert out.prob == min(p.prob for p in parts)
+        accepted.add(out.accepted)
+        point = out.point
+    assert accepted == {True, False}
+
+
 def test_involution_layout_mismatch_is_config_error():
     sn = standard_normal(1)
     layout = Layout(x_dim=1, v_dim=1, slots={"v": slice(0, 1)})

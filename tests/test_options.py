@@ -1,7 +1,8 @@
 """Every option a library function declares is one some caller varies.
 
 An AST scan over each defaulted parameter of a function (or of a class's
-``__init__``) whose name is defined once in ``src/imcmc``, against the calls
+``__init__``) and each defaulted field of a ``@dataclass`` or a
+``NamedTuple`` whose name is defined once in ``src/imcmc``, against the calls
 in ``src/``, ``tests/``, ``demos/`` and ``perfbench/``:
 
 - at least one call must set it, by position or by keyword: a default that
@@ -9,12 +10,17 @@ in ``src/``, ``tests/``, ``demos/`` and ``perfbench/``:
 - at least one call must leave it out: a default that every call overrides
   is never used, and the parameter should be required.
 
-Parameters whose names start with ``_`` (default-argument binders such as
-``_q=mala_q``) are skipped.
+A call that passes the default's own expression (``n=100`` against
+``n=100``) leaves the default in effect.  A field is a parameter of its
+class's constructor: ``ClassVar`` and ``field(init=False)`` fields are
+skipped, a field's position is its place among the positional init fields,
+a ``kw_only`` field has no position, and a ``field(default_factory=f)``
+default is ``f()``.  Parameters whose names start with ``_``
+(default-argument binders such as ``_q=mala_q``) are skipped.
 
 Run as a script (``python3 tests/test_options.py``) it prints the number of
-defaulted parameters of the ``def``s in ``src/imcmc`` and each unset and
-each always-set one.
+defaulted parameters of the ``def``s and of defaulted fields in
+``src/imcmc``, then each unset and each always-set one.
 """
 
 import ast
@@ -38,6 +44,14 @@ def _callers():
             for _, tree in _trees(sorted((ROOT / top).rglob("*.py")))]
 
 
+def _name(node):
+    """The last name of ``a``, ``a.b`` or a call of either, else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
 def _defs(library):
     """``(callable name, node, bound, where)`` for each ``def``.  An
     ``__init__`` is called by its class name, and a method's first parameter
@@ -52,71 +66,132 @@ def _defs(library):
                 yield name, node, 0 if cls is None else 1, f"{label}:{node.lineno}"
 
 
-def defaulted_parameters(library):
-    """``(callable name, parameter, positional index or None, where)`` for
-    each defaulted parameter of each ``def``; a keyword-only parameter has
-    no positional index."""
-    out = []
+def _records(library):
+    """The ``@dataclass`` and ``NamedTuple`` classes, as ``(file label,
+    class node, every field keyword-only)``."""
+    for label, tree in library:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(_name(b) == "NamedTuple" for b in cls.bases):
+                yield label, cls, False
+            for d in cls.decorator_list:
+                if _name(d) == "dataclass":
+                    yield label, cls, any(
+                        k.arg == "kw_only" and getattr(k.value, "value", False)
+                        for k in getattr(d, "keywords", ()))
+
+
+def _fields(cls, kw_only):
+    """``(field, positional index or None, default or None, line)`` for each
+    init field of a record class."""
+    index = 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        annotation = node.annotation
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        if _name(annotation) == "ClassVar":
+            continue
+        if _name(annotation) == "KW_ONLY":
+            kw_only = True
+            continue
+        default, field_kw_only = node.value, kw_only
+        if isinstance(default, ast.Call) and _name(default) == "field":
+            options = {k.arg: k.value for k in default.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            field_kw_only = getattr(options.get("kw_only"), "value", kw_only)
+            default = (options["default"] if "default" in options
+                       else ast.Call(options["default_factory"], [], [])
+                       if "default_factory" in options else None)
+        yield node.target.id, None if field_kw_only else index, default, node.lineno
+        index += not field_kw_only
+
+
+def _signatures(library):
+    """``(callable name, kind, [(parameter, positional index or None, default
+    node, where)])`` for each ``def`` (kind ``"def"``) and each record class
+    (kind ``"field"``); only defaulted parameters are listed."""
     for name, node, bound, where in _defs(library):
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
-        for i, a in enumerate(positional[first:], start=first):
-            out.append((name, a.arg, i - bound, where))
-        for a, d in zip(args.kwonlyargs, args.kw_defaults):
-            if d is not None:
-                out.append((name, a.arg, None, where))
-    return out
+        params = [(a.arg, i - bound, d, where) for i, (a, d) in
+                  enumerate(zip(positional[first:], args.defaults), start=first)]
+        params += [(a.arg, None, d, where)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        yield name, "def", params
+    for label, cls, kw_only in _records(library):
+        yield cls.name, "field", [(f, i, d, f"{label}:{line}")
+                                  for f, i, d, line in _fields(cls, kw_only) if d is not None]
+
+
+def defaulted_parameters(library, kind):
+    """``(callable name, parameter, positional index or None, default,
+    where)`` for each defaulted parameter of the given kind (``"def"`` or
+    ``"field"``)."""
+    return [(name, param, index, default, where)
+            for name, k, params in _signatures(library) if k == kind
+            for param, index, default, where in params]
 
 
 def _calls(callers):
-    """``callee -> [(positional count, keywords)]``.  A starred argument
-    sets every positional slot from its place on (count ``inf``) and a
-    ``**`` argument every keyword (keywords ``None``)."""
+    """``callee -> [(positional arguments before any starred one, starred,
+    keywords, double-starred)]``; keywords map each name to its value."""
     out: dict = {}
     for tree in callers:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            callee = (func.id if isinstance(func, ast.Name)
-                      else func.attr if isinstance(func, ast.Attribute) else None)
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            kws = {k.arg for k in node.keywords}
-            out.setdefault(callee, []).append(
-                (float("inf") if starred else len(node.args),
-                 None if None in kws else kws))
+            starred = [isinstance(a, ast.Starred) for a in node.args]
+            n = starred.index(True) if any(starred) else len(starred)
+            kws = {k.arg: k.value for k in node.keywords}
+            out.setdefault(_name(node.func), []).append(
+                (node.args[:n], any(starred), kws, kws.pop(None, None) is not None))
     return out
+
+
+def _sets(call, param, index, default):
+    """Whether a call sets a parameter to something other than its default:
+    True, False, or None where a starred or ``**`` argument may."""
+    args, starred, kws, double_starred = call
+    if param in kws:
+        value = kws[param]
+    elif index is not None and index < len(args):
+        value = args[index]
+    elif (index is not None and starred) or double_starred:
+        return None
+    else:
+        return False
+    return ast.dump(value) != ast.dump(default)
 
 
 def _scan(library, callers, flagged):
     """``where name(param=...)`` for each defaulted parameter of a callable
     defined once in ``library`` whose calls in ``callers`` (a list of
-    ``(positional count, keywords)``) satisfy ``flagged``."""
-    defined = Counter(name for name, *_ in _defs(library))
+    `_sets` results, one per call) satisfy ``flagged``."""
+    signatures = list(_signatures(library))
+    defined = Counter(name for name, *_ in signatures)
     calls = _calls(callers)
     return [f"{where} {name}({param}=...)"
-            for name, param, index, where in defaulted_parameters(library)
-            if defined[name] == 1 and not param.startswith("_")
-            and flagged(param, index, calls.get(name, []))]
+            for name, _, params in signatures if defined[name] == 1
+            for param, index, default, where in params if not param.startswith("_")
+            and flagged([_sets(c, param, index, default) for c in calls.get(name, [])])]
 
 
 def unset_options(library, callers):
     """The defaulted parameters that no call sets.  A starred or ``**``
     argument may set anything, so it counts as setting."""
-    return _scan(library, callers, lambda param, index, calls: not any(
-        kws is None or param in kws or (index is not None and index < n)
-        for n, kws in calls))
+    return _scan(library, callers, lambda sets: all(s is False for s in sets))
 
 
 def always_set_options(library, callers):
     """The defaulted parameters that every call sets, where there is a call.
     A starred or ``**`` argument may leave anything out, so it counts as not
     setting."""
-    return _scan(library, callers, lambda param, index, calls: calls and all(
-        (kws is not None and param in kws)
-        or (index is not None and index < n < float("inf"))
-        for n, kws in calls))
+    return _scan(library, callers, lambda sets: sets and all(s is True for s in sets))
 
 
 def test_every_option_is_set_by_some_caller():
@@ -134,7 +209,7 @@ def test_the_scan_flags_an_option_no_call_sets():
         "    def m(self, h=6, _i=7):\n        pass\n"
         "def twice(j=8):\n    pass\n"
         "def twice(j=8):\n    pass\n"))]
-    callers = [ast.parse("f(0, 1)\nf(0, d=1)\nK(1)\nK(**kw)\nobj.m()\n")]
+    callers = [ast.parse("f(0, 0)\nf(0, d=1)\nK(1)\nK(**kw)\nobj.m()\n")]
     assert sorted(unset_options(library, callers)) == ["lib.py:1 f(c=...)",
                                                        "lib.py:6 m(h=...)"]
     callers.append(ast.parse("f(*args)\nobj.m(1)\n"))
@@ -147,7 +222,7 @@ def test_the_scan_flags_an_option_every_call_sets():
         "class K:\n    def __init__(self, e=4, g=5):\n        pass\n"
         "    def m(self, h=6):\n        pass\n"
         "def unused(j=8):\n    pass\n"))]
-    callers = [ast.parse("f(0, 1, d=2)\nf(0, 1, 2, d=3)\nK(1, g=2)\nK(2, g=3)\n"
+    callers = [ast.parse("f(0, 2, d=2)\nf(0, 2, 3, d=4)\nK(1, g=2)\nK(2, g=3)\n"
                          "obj.m(h=1)\nobj.m(2)\n")]
     assert sorted(always_set_options(library, callers)) == [
         "lib.py:1 f(b=...)", "lib.py:1 f(d=...)", "lib.py:4 K(e=...)",
@@ -157,9 +232,73 @@ def test_the_scan_flags_an_option_every_call_sets():
     assert always_set_options(library, callers) == ["lib.py:1 f(d=...)"]
 
 
+_RECORDS = ("import dataclasses\nfrom dataclasses import KW_ONLY, dataclass, field\n"
+            "from typing import ClassVar, NamedTuple\n"
+            "@dataclasses.dataclass(frozen=True)\nclass D:\n"
+            "    a: int\n    b: int = 1\n    c: dict = field(default_factory=dict)\n"
+            "    s: ClassVar[int] = 2\n    t: int = field(init=False, default=3)\n"
+            "    k: int = field(default=4, kw_only=True)\n    e: int = 5\n"
+            "@dataclass\nclass W:\n    p: int = 1\n    _: KW_ONLY\n    q: int = 2\n"
+            "class N(NamedTuple):\n    x: int\n    y: int = 0\n")
+
+
+def test_the_scan_flags_a_dataclass_field_every_call_sets():
+    library = [("lib.py", ast.parse(_RECORDS))]
+    # ``e`` is the fourth positional field: the kw_only ``k`` has no place;
+    # a keyword beside a ``**`` argument sets its parameter all the same
+    callers = [ast.parse("D(0, 2, {}, 6, k=1)\nD(0, b=2, c={1: 2}, e=6, k=7)\n"
+                         "W(p=3, q=4, **kw)\nW(5, q=6)\nN(1, 2)\nN(x=1, y=3)\n")]
+    assert set(always_set_options(library, callers)) == {
+        "lib.py:7 D(b=...)", "lib.py:8 D(c=...)", "lib.py:11 D(k=...)",
+        "lib.py:12 D(e=...)", "lib.py:15 W(p=...)", "lib.py:17 W(q=...)",
+        "lib.py:20 N(y=...)"}
+    assert unset_options(library, callers) == []
+
+
+def test_the_scan_flags_a_namedtuple_field_no_call_sets():
+    library = [("lib.py", ast.parse(_RECORDS))]
+    callers = [ast.parse("N(1)\nN(x=2)\n")]
+    assert "lib.py:20 N(y=...)" in unset_options(library, callers)
+    callers.append(ast.parse("N(1, 2)\n"))
+    assert "lib.py:20 N(y=...)" not in unset_options(library, callers)
+
+
+def test_the_scan_skips_classvar_and_init_false_fields():
+    library = [("lib.py", ast.parse(_RECORDS))]
+    # neither ``s`` nor ``t`` is a parameter of D's constructor
+    fields = {p for name, p, *_ in defaulted_parameters(library, "field")}
+    assert fields == {"b", "c", "k", "e", "p", "q", "y"}
+
+
+def test_the_scan_matches_a_kw_only_field_by_keyword_only():
+    library = [("lib.py", ast.parse(_RECORDS))]
+    # five positional arguments would be a TypeError for D; the fifth
+    # position is not ``k``'s
+    callers = [ast.parse("D(0, 2, {}, 6, 9)\nW(3, 4)\n")]
+    unset = unset_options(library, callers)
+    assert "lib.py:11 D(k=...)" in unset and "lib.py:17 W(q=...)" in unset
+    assert "lib.py:12 D(e=...)" not in unset and "lib.py:15 W(p=...)" not in unset
+
+
+def test_a_call_that_restates_the_default_leaves_it_out():
+    library = [("lib.py", ast.parse("def f(a, n=100, m=(1, 2)):\n    pass\n" + _RECORDS))]
+    callers = [ast.parse("f(0, 100, m=(1, 2))\nf(1, n=100)\nD(0, c=dict())\n"
+                         "N(1, y=0)\n")]
+    unset = unset_options(library, callers)
+    assert {"lib.py:1 f(n=...)", "lib.py:1 f(m=...)", "lib.py:10 D(c=...)",
+            "lib.py:22 N(y=...)"} <= set(unset)
+    callers = [ast.parse("f(0, 101, m=(1, 3))\nf(1, n=101, m=(2,))\n")]
+    assert always_set_options(library, callers) == ["lib.py:1 f(n=...)",
+                                                    "lib.py:1 f(m=...)"]
+    callers.append(ast.parse("f(0, n=100, m=(1, 2))\n"))
+    assert always_set_options(library, callers) == []
+
+
 if __name__ == "__main__":
     library, callers = _library(), _callers()
-    print(f"{len(defaulted_parameters(library))} defaulted parameters in src/imcmc")
+    print(f"{len(defaulted_parameters(library, 'def'))} defaulted def parameters"
+          " in src/imcmc")
+    print(f"{len(defaulted_parameters(library, 'field'))} defaulted fields in src/imcmc")
     for line in unset_options(library, callers):
         print("unset:", line)
     for line in always_set_options(library, callers):

@@ -8,7 +8,8 @@ import pytest
 from imcmc.cli import KINDS, kind_params
 from imcmc.core import make_rng, run_chain
 from imcmc.errors import ConfigError
-from imcmc.maps import CouplingMap, LeapfrogConfig, constant_metric, leapfrog, leapfrog_flow
+from imcmc.maps import (CouplingMap, LeapfrogConfig, Metric, constant_metric, leapfrog,
+                        leapfrog_flow)
 from imcmc.samplers import (
     BlockConditional,
     Model,
@@ -32,6 +33,7 @@ from imcmc.samplers import (
     mala_proposal,
     random_walk_proposal,
 )
+from imcmc.suite import finite_cases
 from imcmc.targets import (
     bivariate_normal,
     exponential_cdf1d,
@@ -213,6 +215,18 @@ def test_gibbs_acceptance_identically_one_and_correlation():
     assert abs(corr - rho) < 0.02
 
 
+def test_random_scan_gibbs_chain_matches_the_table():
+    """The random-scan Gibbs case that the exact oracle certifies on a 2x2
+    table P, run as a sampled chain: its state frequencies match P."""
+    case = next(c for c in finite_cases() if c.name == "gibbs_random_2x2")
+    res = run_chain(case.kernel, case.states[0], 40000, seed=3)
+    assert res.accepted.all()
+    freq = [np.mean((res.xs[:, 0] == i) & (res.xs[:, 1] == j))
+            for i in range(2) for j in range(2)]
+    # each frequency's batch-means standard error is at most 0.005
+    assert np.max(np.abs(np.subtract(freq, case.check_pmf))) < 0.02
+
+
 def test_gibbs_block_size_mismatch():
     bn = bivariate_normal(0.5)
     b0 = BlockConditional((0,), lambda rng, x: np.zeros(1), lambda v, x: 0.0)
@@ -246,6 +260,51 @@ def test_rmhmc_constant_metric_matches_mass_scaled_hmc_trajectories():
     xe, ve = leapfrog(x, v, LeapfrogConfig(0.1, 5), sn.grad, grad_v=lambda w: -w / c)
     assert np.max(np.abs(z1.x - xe)) <= 1e-10
     assert np.max(np.abs(z1.v + ve)) <= 1e-10
+
+
+# the Riemannian kernel's default momentum N(0, G(x)) at a few positions:
+# d = 1 with G = 1 + x^2 and its log-determinant given, and d = 2 with no
+# ``g_logdet``, so that `Metric.logdet` takes its ``slogdet`` branch
+METRIC_MOMENTA = {
+    1: (Metric(g=lambda x: np.array([[1.0 + x[0] ** 2]]),
+               g_logdet=lambda x: math.log1p(x[0] ** 2),
+               g_grad=lambda x: np.array([[[2.0 * x[0]]]])),
+        [[-1.5], [0.0], [0.7]]),
+    2: (Metric(g=lambda x: np.array([[2.0 + 0.25 * x[0] ** 2, -0.3],
+                                     [-0.3, 2.0 + 0.25 * x[1] ** 2]])),
+        [[1.0, 0.0], [-0.5, 1.2]]),
+}
+
+
+def _metric_momentum(d):
+    metric, xs = METRIC_MOMENTA[d]
+    kernel = make_hamiltonian(standard_normal(d), LeapfrogConfig(0.2, 3), metric=metric)
+    (_, momentum), = kernel.aux_refresh
+    return momentum, [kernel.layout.point(x, np.zeros(d)) for x in xs], metric.g
+
+
+@pytest.mark.parametrize("d", sorted(METRIC_MOMENTA))
+def test_metric_momentum_density_integrates_to_one(d):
+    from scipy import integrate
+
+    momentum, points, _ = _metric_momentum(d)
+    for pt in points:
+        total, _ = integrate.nquad(
+            lambda *v: math.exp(momentum.logpdf(np.array(v), pt)),
+            [(-np.inf, np.inf)] * d)
+        assert abs(total - 1.0) < 1e-8, pt.x
+
+
+@pytest.mark.parametrize("d", sorted(METRIC_MOMENTA))
+def test_metric_momentum_draws_have_covariance_g(d):
+    momentum, points, g = _metric_momentum(d)
+    rng, n = make_rng(5), 20000
+    for pt in points:
+        draws = np.array([momentum.sample(rng, pt) for _ in range(n)])
+        cov, want = np.cov(draws.T).reshape(d, d), g(pt.x)
+        # within four standard errors of a normal sample's covariance entry
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want * want) / n)
+        assert np.all(np.abs(cov - want) <= 4.0 * se), (pt.x, cov)
 
 
 def test_neutra_affine_acceptance_matches_latent():
