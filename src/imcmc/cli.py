@@ -340,8 +340,14 @@ def _aggregate(values: list[float]) -> dict:
 
 def _chain_worker(cfg: RunConfig, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray, float]:
+    """One chain on a target and kernel built for it alone, as a process-pool
+    worker needs."""
     tgt = build_target(cfg.target, cfg.params.get("dataset"))
-    kernel = build_kernel(cfg, tgt)
+    return _timed_chain(cfg, tgt, build_kernel(cfg, tgt), rng)
+
+
+def _timed_chain(cfg: RunConfig, tgt: dict, kernel, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
     t0 = time.perf_counter()
     res = run_chain(kernel, default_init(kernel, tgt["x0"]), cfg.steps, rng=rng)
     return res.xs, res.accepted_all(), time.perf_counter() - t0
@@ -373,7 +379,11 @@ def cmd_sample(cfg: RunConfig) -> dict:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_chain_worker, [cfg] * cfg.chains, rngs))
     else:
-        results = [_chain_worker(cfg, rng) for rng in rngs]
+        # every chain on one target and kernel: their memos only ever hand
+        # back what the functions would compute, so the chains are unchanged
+        tgt = build_target(cfg.target, cfg.params.get("dataset"))
+        kernel = build_kernel(cfg, tgt)
+        results = [_timed_chain(cfg, tgt, kernel, rng) for rng in rngs]
 
     # every report before any file, so a chain without an ESS leaves no output
     reports = [_chain_report(cfg, i, xs, accepted, seconds)

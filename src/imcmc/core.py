@@ -365,17 +365,25 @@ class TagConditional(AuxiliaryConditional):
         def _sample(rng, point):
             # inverse-CDF draw: exactly one uniform consumed per sample
             p = np.asarray(probs(point), dtype=float)
-            u = rng.random() * p.sum()
+            ps = p.tolist()
+            if len(ps) < 8:
+                # `np.add.reduce` adds fewer than 8 values left to right, so
+                # this sum has ``p.sum()``'s bits
+                total = 0.0
+                for pi in ps:
+                    total += pi
+            else:
+                total = float(p.sum())
+            u = rng.random() * total
             acc = 0.0
-            for value, pi in zip(self.values, p):
+            for value, pi in zip(self.values, ps):
                 acc += pi
                 if u < acc:
                     return value
             return self.values[-1]
 
         def _logpdf(value, point):
-            p = np.asarray(probs(point), dtype=float)
-            pi = p[self.values.index(int(value))]
+            pi = float(probs(point)[self.values.index(int(value))])
             return -math.inf if pi <= 0.0 else math.log(pi)
 
         def _support(point):

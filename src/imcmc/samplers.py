@@ -122,15 +122,12 @@ def gaussian_family(d: int, var) -> ProposalFamily:
     const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
     sd = np.sqrt(var)
     add = np.add.reduce
+    unit = bool(np.all(var == 1.0))
 
-    if np.all(var == 1.0):
+    if unit:
         # x / 1.0 == x and 1.0 * x == x exactly, so both are skipped
         def sample(rng, center):
             return center + rng.standard_normal(d)
-
-        def logpdf(value, center):
-            diff = np.asarray(value) - center
-            return const - 0.5 * float(add(diff * diff))
 
         def logpdf_rows(values, centers):
             diff = values - centers
@@ -139,16 +136,34 @@ def gaussian_family(d: int, var) -> ProposalFamily:
         def sample(rng, center):
             return center + sd * rng.standard_normal(d)
 
-        def logpdf(value, center):
-            diff = np.asarray(value) - center
-            return const - 0.5 * float(add(diff * diff / var))
-
         def logpdf_rows(values, centers):
             diff = values - centers
             return (const - 0.5 * add(diff * diff / var, axis=1)).tolist()
 
-    # a row's sum along axis 1 is the pairwise sum `add` makes of that row
-    # alone, so `logpdf_rows` gives `logpdf`'s bits
+    if d < 8:
+        # `add` sums fewer than 8 values left to right (from 8 on it unrolls
+        # into partial sums), so this loop over Python floats makes numpy's
+        # operations in numpy's order; t * t / 1.0 == t * t, so it serves
+        # both variances
+        var_list = var.tolist()
+
+        def logpdf(value, center):
+            s = 0.0
+            for a, c, vi in zip(value.tolist(), center.tolist(), var_list):
+                t = a - c
+                s += t * t / vi
+            return const - 0.5 * s
+    elif unit:
+        def logpdf(value, center):
+            diff = np.asarray(value) - center
+            return const - 0.5 * float(add(diff * diff))
+    else:
+        def logpdf(value, center):
+            diff = np.asarray(value) - center
+            return const - 0.5 * float(add(diff * diff / var))
+
+    # a row's sum along axis 1 is the sum `add` makes of that row alone,
+    # so `logpdf_rows` gives `logpdf`'s bits
     return ProposalFamily(sample, logpdf, logpdf_rows)
 
 

@@ -100,10 +100,18 @@ def mixture_1d(means: Sequence[float], sigma: float) -> LogDensity:
         d = float(x[0]) - mu
         return logw + const - 0.5 * d * d / var
 
+    # `components` in Python floats, each term the same operations in the
+    # same order as numpy's, and the exponentials summed left to right
+    terms = list(zip((logw + const).tolist(), mu.tolist()))
+
     def logpdf(x):
-        c = components(x)
-        m = c.max()
-        return float(m + np.log(np.exp(c - m).sum()))
+        a = float(x[0])
+        c = [lc - 0.5 * (a - m) * (a - m) / var for lc, m in terms]
+        top = max(c)
+        s = 0.0
+        for ci in c:
+            s += math.exp(ci - top)
+        return top + math.log(s)
 
     def grad(x):
         c = components(x)

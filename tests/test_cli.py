@@ -460,6 +460,32 @@ def test_sample_chain_i_runs_on_the_ith_split_stream(tmp_path):
         assert np.array_equal(read_trace_csv(out / f"chain_{i:03d}.csv"), res.xs), i
 
 
+def test_sample_in_process_builds_the_target_once(tmp_path, monkeypatch):
+    from imcmc.core import make_rng
+
+    rng = make_rng(9)
+    X = rng.standard_normal((40, 2))
+    y = (rng.random(40) < 1.0 / (1.0 + np.exp(-X @ [1.0, -0.5]))).astype(int)
+    data = tmp_path / "toy.csv"
+    data.write_text("a,b,label\n" + "".join(
+        f"{a!r},{b!r},{label}\n" for (a, b), label in zip(X.tolist(), y)))
+    reads = []
+    load = cli.load_dataset
+
+    def counting_load(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_dataset", counting_load)
+    assert run_cli(["sample", "--kind", "rwm", "--target", "logreg",
+                    "--dataset", str(data), "--scale", "0.1", "--steps", "200",
+                    "--burn-in", "20", "--chains", "4", "--jobs", "1", "--seed", "3",
+                    "--out", str(tmp_path / "run")]) == 0
+    assert len(reads) == 1
+    assert sorted(p.name for p in (tmp_path / "run").glob("chain_*.csv")) == [
+        f"chain_{i:03d}.csv" for i in range(4)]
+
+
 def test_config_file_quoted_string_values(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kind = \"rwm\"\ntarget = 'normal1d'\nscale = 0.5\n"

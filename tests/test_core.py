@@ -13,6 +13,7 @@ from imcmc.core import (
     Involution,
     Layout,
     LogDensity,
+    TagConditional,
     chain_rngs,
     compose,
     log_accept,
@@ -26,6 +27,57 @@ from imcmc.errors import ConfigError, DensityError
 from imcmc.maps import LeapfrogConfig, hmc_involution, leapfrog_flow, swap_blocks
 from imcmc.samplers import make_mh, normal_momentum, random_walk_proposal
 from imcmc.targets import GridDensity, grid_conditional, standard_normal
+
+
+def _numpy_tag_draw(values, p, r):
+    """The inverse-CDF tag draw with numpy's sum, for the uniform ``r``."""
+    u = r * p.sum()
+    acc = 0.0
+    for value, pi in zip(values, p):
+        acc += pi
+        if u < acc:
+            return value
+    return values[-1]
+
+
+class _Uniforms:
+    """Hands out given uniforms in turn, as ``Generator.random`` would."""
+
+    def __init__(self, rs):
+        self._rs = iter(rs)
+
+    def random(self):
+        return next(self._rs)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_tag_draws_are_the_numpy_sum_inverse_cdf_draws(n):
+    # below 8 values the tag sum is in Python floats, from 8 on numpy's
+    # unrolled one; either way the draws are those of ``p.sum()``
+    rng = make_rng(200 + n)
+    values = tuple(range(10, 10 + n))
+    ps = [rng.dirichlet(np.full(n, 0.5)) for _ in range(40)]
+    ps += [rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(40)]
+    lay = Layout(x_dim=1, tags=("t",), tag_values={"t": values})
+    z = lay.point([0.0], tags=(values[0],))
+    for p in ps:
+        cond = TagConditional(values, lambda point: p, name="t")
+        # a seeded stream: one uniform per draw
+        got_rng, want_rng = make_rng(7), make_rng(7)
+        got = [cond.sample(got_rng, z) for _ in range(50)]
+        want = [_numpy_tag_draw(values, p, want_rng.random()) for _ in range(50)]
+        assert got == want
+        assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+        # uniforms on either side of each cumulative boundary, where a sum
+        # one bit off would move the draw
+        rs = []
+        for acc in np.cumsum(p)[:-1].tolist():
+            r = acc / float(p.sum())
+            rs += [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)]
+        rs = [float(r) for r in rs if 0.0 <= r < 1.0]
+        stub = _Uniforms(rs)
+        assert [cond.sample(stub, z) for _ in rs] == [
+            _numpy_tag_draw(values, p, r) for r in rs]
 
 
 def test_log_accept_equal_densities():

@@ -138,6 +138,22 @@ def test_flip_and_swap_self_inverse():
     assert np.array_equal(z1.v, -z.v)  # v = 0 is a fixed point
 
 
+def test_swap_blocks_makes_the_point_the_slot_writes_would():
+    # a v block that is the slot takes x outright; a layout with more in v
+    # (the scratch slot "a") writes the slot into a copy of v
+    rng = make_rng(4)
+    for lay in (LAY2, Layout(x_dim=2, v_dim=4,
+                             slots={"v": slice(0, 2), "a": slice(2, 4)})):
+        for z in random_points(lay, 20, rng):
+            got, ld = swap_blocks().forward(z)
+            want = z.with_x(z.slot("v").copy()).with_slot("v", z.x.copy())
+            assert ld == 0.0 and got.tags == want.tags and got.layout is lay
+            for a, b in ((got.x, want.x), (got.v, want.v)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not np.shares_memory(got.x, z.v)
+            assert not np.shares_memory(got.v, z.x)
+
+
 def test_swap_slots():
     lay = Layout(x_dim=1, v_dim=2, slots={"a": slice(0, 1), "b": slice(1, 2)})
     z = lay.point([0.0], [1.0, 2.0])

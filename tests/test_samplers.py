@@ -109,6 +109,24 @@ def test_gaussian_family_rows_are_its_logpdf_row_by_row_bitwise(d, unit):
         assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("unit", [True, False], ids=["var1", "var"])
+def test_gaussian_family_logpdf_is_the_numpy_reduction_bitwise(d, unit):
+    # below d = 8 the family sums in Python floats, from 8 on through numpy;
+    # either way it gives the bits of the numpy formula it replaced
+    rng = make_rng(100 + d)
+    var = np.ones(d) if unit else rng.uniform(0.2, 3.0, d)
+    fam = gaussian_family(d, 1.0 if unit else var)
+    const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
+    for _ in range(5000):
+        value, center = (rng.standard_normal((2, d))
+                         * 10.0 ** rng.uniform(-3.0, 3.0, (2, d)))
+        diff = value - center
+        terms = diff * diff if unit else diff * diff / var
+        want = const - 0.5 * float(np.add.reduce(terms))
+        assert fam.logpdf(value, center).hex() == want.hex()
+
+
 def test_mtm_weighs_trials_by_q_of_the_current_point_given_each_trial():
     # q(u | c) on the grid {0, 1, 2} is not symmetric in u and c, so scoring
     # q(y_i | x) instead of q(x | y_i) gives other index weights
