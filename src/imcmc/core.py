@@ -158,6 +158,21 @@ def _joint_point(x, v, tags, layout) -> JointPoint:
 # ---------------------------------------------------------------------------
 
 _FLOAT64 = np.dtype(np.float64)
+# `np.add.reduce` adds fewer than this many float64 values left to right,
+# starting from 0.0; from this many on it unrolls into partial sums
+_NUMPY_SERIAL_SUM = 8
+
+
+def _numpy_order_sum(xs: list) -> float:
+    """The sum ``np.add.reduce`` makes of the floats ``xs``, bit for bit."""
+    if len(xs) < _NUMPY_SERIAL_SUM:
+        s = 0.0
+        for x in xs:
+            s += x
+        return s
+    return float(np.add.reduce(np.array(xs, dtype=float)))
+
+
 _MISS = object()  # what `_LastTwo.get` returns for a key it does not hold
 
 
@@ -364,17 +379,8 @@ class TagConditional(AuxiliaryConditional):
 
         def _sample(rng, point):
             # inverse-CDF draw: exactly one uniform consumed per sample
-            p = np.asarray(probs(point), dtype=float)
-            ps = p.tolist()
-            if len(ps) < 8:
-                # `np.add.reduce` adds fewer than 8 values left to right, so
-                # this sum has ``p.sum()``'s bits
-                total = 0.0
-                for pi in ps:
-                    total += pi
-            else:
-                total = float(p.sum())
-            u = rng.random() * total
+            ps = np.asarray(probs(point), dtype=float).tolist()
+            u = rng.random() * _numpy_order_sum(ps)
             acc = 0.0
             for value, pi in zip(self.values, ps):
                 acc += pi

@@ -240,10 +240,9 @@ def swap_blocks() -> Involution:
         w = z.slot("v")
         if z.layout.x_dim != w.size:
             raise ConfigError("swap needs matching block dimensions")
-        if w.size == z.v.size and "v" in z.layout.slots:
-            # the slot is the whole v block, so x becomes the new v outright
-            return _joint_point(w.copy(), z.x.copy(), z.tags, z.layout), 0.0
-        return z.with_x(w.copy()).with_slot("v", z.x.copy()), 0.0
+        v = z.v.copy()
+        v[z.layout.slots["v"]] = z.x
+        return _joint_point(w.copy(), v, z.tags, z.layout), 0.0
 
     return Involution(fn, name="swap")
 

@@ -29,7 +29,9 @@ from .core import (
     StepOutcome,
     TagConditional,
     TransitionKernel,
+    _NUMPY_SERIAL_SUM,
     _LastTwo,
+    _numpy_order_sum,
     compose,
 )
 from .errors import ConfigError
@@ -107,7 +109,8 @@ class ProposalFamily:
     their own.  ``logpdf_rows`` scores a block of rows at once: of
     ``values`` and ``centers`` one is an (n, d) array and the other one more
     such array or a single (d,) row, and item i of the result is
-    ``logpdf(values[i], centers[i])``, bit for bit.
+    ``logpdf(values[i], centers[i])``, bit for bit.  ``logpdf`` takes a
+    value and a center that are both (d,) float arrays.
     """
 
     def __init__(self, sample, logpdf, logpdf_rows, support=None):
@@ -140,16 +143,21 @@ def gaussian_family(d: int, var) -> ProposalFamily:
             diff = values - centers
             return (const - 0.5 * add(diff * diff / var, axis=1)).tolist()
 
-    if d < 8:
-        # `add` sums fewer than 8 values left to right (from 8 on it unrolls
-        # into partial sums), so this loop over Python floats makes numpy's
-        # operations in numpy's order; t * t / 1.0 == t * t, so it serves
-        # both variances
+    if d < _NUMPY_SERIAL_SUM:
+        # where `add` sums left to right, Python floats make numpy's
+        # operations in numpy's order; t * t / 1.0 == t * t, so this serves
+        # both variances.  The loop is `_numpy_order_sum` of the terms fused
+        # with their computation: the call and its list doubled this
+        # logpdf's cost at d = 2 (0.28 -> 0.60 us, BENCH_19.json)
         var_list = var.tolist()
 
         def logpdf(value, center):
+            vs, cs = value.tolist(), center.tolist()
+            # zip would cut a value or center of another length short
+            if len(vs) != d or len(cs) != d:
+                raise ValueError(f"gaussian_family({d}) scores (d,) arrays")
             s = 0.0
-            for a, c, vi in zip(value.tolist(), center.tolist(), var_list):
+            for a, c, vi in zip(vs, cs, var_list):
                 t = a - c
                 s += t * t / vi
             return const - 0.5 * s
@@ -485,11 +493,7 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
             return np.full(k, 1.0 / k)
         top = max(finite)
         w = [math.exp(lw - top) if math.isfinite(lw) else 0.0 for lw in logs]
-        # left to right, as ``np.sum`` adds fewer than 8 terms; from k = 8 on
-        # it unrolls the sum, so the last bit may differ from it
-        total = 0.0
-        for wi in w:
-            total += wi
+        total = _numpy_order_sum(w)
         return np.array([wi / total for wi in w])
 
     # a step asks for the index weights of its refreshed point twice (draw

@@ -15,7 +15,14 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import AuxiliaryConditional, JointPoint, LogDensity, _LOOKUP_ATOL, _RowIndex
+from .core import (
+    AuxiliaryConditional,
+    JointPoint,
+    LogDensity,
+    _LOOKUP_ATOL,
+    _RowIndex,
+    _numpy_order_sum,
+)
 from .errors import ConfigError, DensityError
 
 __all__ = [
@@ -96,28 +103,26 @@ def mixture_1d(means: Sequence[float], sigma: float) -> LogDensity:
     var = sigma * sigma
     const = -0.5 * math.log(2.0 * math.pi * var)
 
-    def components(x):
-        d = float(x[0]) - mu
-        return logw + const - 0.5 * d * d / var
-
-    # `components` in Python floats, each term the same operations in the
-    # same order as numpy's, and the exponentials summed left to right
+    # each component in Python floats, with numpy's operations in numpy's
+    # order, and its exponential taken against the largest
     terms = list(zip((logw + const).tolist(), mu.tolist()))
 
-    def logpdf(x):
-        a = float(x[0])
+    def exps(a):
         c = [lc - 0.5 * (a - m) * (a - m) / var for lc, m in terms]
         top = max(c)
-        s = 0.0
-        for ci in c:
-            s += math.exp(ci - top)
+        e = [math.exp(ci - top) for ci in c]
+        return top, e, _numpy_order_sum(e)
+
+    def logpdf(x):
+        top, _, s = exps(float(x[0]))
         return top + math.log(s)
 
     def grad(x):
-        c = components(x)
-        r = np.exp(c - c.max())
-        r /= r.sum()
-        return np.array([float((r * -(float(x[0]) - mu) / var).sum())])
+        # the responsibility-weighted component gradients
+        a = float(x[0])
+        _, e, s = exps(a)
+        return np.array([_numpy_order_sum(
+            [ei / s * -(a - m) / var for ei, (_, m) in zip(e, terms)])])
 
     return LogDensity(dim=1, logpdf=logpdf, grad=grad)
 

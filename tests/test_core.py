@@ -22,11 +22,24 @@ from imcmc.core import (
     run_chain,
     verify_involution,
     verify_jacobian,
+    _numpy_order_sum,
 )
 from imcmc.errors import ConfigError, DensityError
 from imcmc.maps import LeapfrogConfig, hmc_involution, leapfrog_flow, swap_blocks
 from imcmc.samplers import make_mh, normal_momentum, random_walk_proposal
 from imcmc.targets import GridDensity, grid_conditional, standard_normal
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_numpy_order_sum_is_numpys_sum_bitwise(n):
+    # left to right below 8 values, numpy's unrolled sum from 8 on
+    rng = make_rng(300 + n)
+    lists = [[-0.0] * n]
+    lists += [(rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)).tolist()
+              for _ in range(2000)]
+    for xs in lists:
+        want = float(np.add.reduce(np.array(xs, dtype=float)))
+        assert _numpy_order_sum(xs).hex() == want.hex()
 
 
 def _numpy_tag_draw(values, p, r):

@@ -139,8 +139,8 @@ def test_flip_and_swap_self_inverse():
 
 
 def test_swap_blocks_makes_the_point_the_slot_writes_would():
-    # a v block that is the slot takes x outright; a layout with more in v
-    # (the scratch slot "a") writes the slot into a copy of v
+    # on a v block that is the slot and on one with more in v (the scratch
+    # slot "a"), the swap writes x into a copy of v and keeps the rest
     rng = make_rng(4)
     for lay in (LAY2, Layout(x_dim=2, v_dim=4,
                              slots={"v": slice(0, 2), "a": slice(2, 4)})):

@@ -125,6 +125,9 @@ def test_gaussian_family_logpdf_is_the_numpy_reduction_bitwise(d, unit):
         terms = diff * diff if unit else diff * diff / var
         want = const - 0.5 * float(np.add.reduce(terms))
         assert fam.logpdf(value, center).hex() == want.hex()
+    # a value or center of the wrong length is an error, not a shorter sum
+    with pytest.raises(ValueError):
+        fam.logpdf(np.zeros(d + 1), np.zeros(d))
 
 
 def test_mtm_weighs_trials_by_q_of_the_current_point_given_each_trial():

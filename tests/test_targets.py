@@ -131,6 +131,26 @@ def test_mixture_1d_logpdf_is_the_log_sum_of_its_components():
           f"{mismatches} of {points.size} points")
 
 
+@pytest.mark.parametrize("means", [[-1.5, 1.5], np.linspace(-4.0, 4.0, 9).tolist()],
+                         ids=["2", "9"])
+def test_mixture_1d_grad_is_the_responsibility_weighted_sum(means):
+    sigma = 0.6
+    var = sigma * sigma
+    rng = make_rng(14)
+    density = mixture_1d(means, sigma)
+    for a in np.concatenate([rng.uniform(-s, s, 500) for s in (1.0, 5.0, 40.0)]).tolist():
+        c = [-0.5 * (a - m) ** 2 / var for m in means]
+        e = [math.exp(ci - max(c)) for ci in c]
+        s = math.fsum(e)
+        want = math.fsum(ei / s * -(a - m) / var for ei, m in zip(e, means))
+        got = density.grad(np.array([a]))
+        scale = max(abs(a - m) for m in means) / var
+        assert got.shape == (1,) and abs(float(got[0]) - want) <= 1e-14 * scale
+        assert abs(density.logpdf(np.array([a])) - (max(c) + math.log(s)
+                   - 0.5 * math.log(2.0 * math.pi * var) - math.log(len(means)))) \
+            <= 1e-14 * max(1.0, abs(max(c)))
+
+
 def test_mog2_cell_masses_capture_bulk():
     edges = np.linspace(-5.0, 5.0, 21)
     masses = mog2_cell_masses(edges, edges)
