@@ -62,7 +62,6 @@ class Layout:
     x_dim: int
     v_dim: int = 0
     slots: dict[str, slice] = dataclasses.field(default_factory=dict)
-    x_slots: dict[str, slice] = dataclasses.field(default_factory=dict)
     tags: tuple[str, ...] = ()
     tag_values: dict[str, tuple[int, ...]] = dataclasses.field(default_factory=dict)
     # tag name -> its first position in ``tags``, computed once
@@ -78,9 +77,6 @@ class Layout:
         for name, sl in self.slots.items():
             if sl.stop > self.v_dim:
                 raise ConfigError(f"slot {name!r} exceeds the v block")
-        for name, sl in self.x_slots.items():
-            if name in self.slots or sl.stop > self.x_dim:
-                raise ConfigError(f"x slot {name!r} is invalid")
 
     def tag_index(self, name: str) -> int:
         i = self._tag_pos.get(name)
@@ -109,9 +105,7 @@ class JointPoint:
     layout: Layout
 
     def slot(self, name: str) -> np.ndarray:
-        if name in self.layout.slots:
-            return self.v[self.layout.slots[name]]
-        return self.x[self.layout.x_slots[name]]
+        return self.v[self.layout.slots[name]]
 
     def tag(self, name: str) -> int:
         return self.tags[self.layout.tag_index(name)]
@@ -123,13 +117,9 @@ class JointPoint:
         return _joint_point(self.x, np.asarray(v, dtype=float), self.tags, self.layout)
 
     def with_slot(self, name: str, value) -> "JointPoint":
-        if name in self.layout.slots:
-            v = self.v.copy()
-            v[self.layout.slots[name]] = value
-            return _joint_point(self.x, v, self.tags, self.layout)
-        x = self.x.copy()
-        x[self.layout.x_slots[name]] = value
-        return _joint_point(x, self.v, self.tags, self.layout)
+        v = self.v.copy()
+        v[self.layout.slots[name]] = value
+        return _joint_point(self.x, v, self.tags, self.layout)
 
     def with_tag(self, name: str, value: int) -> "JointPoint":
         i = self.layout.tag_index(name)
@@ -270,34 +260,61 @@ _LOOKUP_ATOL = 1e-9
 
 
 class _RowIndex:
-    """An exact-bytes table in front of a search over fixed float64 rows.
+    """The first of fixed float64 rows nearest to a query in the sup norm.
 
-    ``search(query)`` runs once per distinct row at construction and its
-    result is kept under the row's bytes.  A float64 query of a row's shape
-    whose bytes equal a row's gets that stored result; any other query
-    (the other signed zero, a NaN, an off-grid point, another dtype) runs
-    ``search``.  So every result is bitwise the search's.  The table is
-    bounded by the row count and never changes, so threads may share it.
+    ``nearest(query)`` gives ``(row index, distance)``, ties going to the
+    lowest index; a row with no coordinates is at distance 0 from any query
+    of its shape.  Calling the index gives that row's index if the distance
+    is within ``_LOOKUP_ATOL``, else None.  A NaN row is refused, since its
+    distance would win every search.
+
+    The search runs once per distinct row at construction, and each row it
+    finds at distance 0 (every row of finite values) is kept under its
+    bytes: a float64 query of a row's shape whose bytes equal such a row's
+    costs one dict lookup.  Any other query (the other signed zero, a NaN,
+    an off-grid point, another dtype) runs the search, so every answer is
+    the search's.  The table never changes, so threads may share it.
     """
 
-    __slots__ = ("search", "_shape", "_known")
+    __slots__ = ("_rows", "_shape", "_known")
 
-    def __init__(self, rows: np.ndarray, search: Callable[[np.ndarray], object]):
-        self.search = search
+    def __init__(self, rows: np.ndarray):
+        bad = np.flatnonzero(np.isnan(rows).any(axis=1))
+        if bad.size:
+            raise ConfigError(f"row {bad[0]} has a NaN coordinate")
+        self._rows = rows
         self._shape = rows.shape[1:]
-        self._known: dict[bytes, object] = {}
+        self._known: dict[bytes, int] = {}
         for row in rows:
             key = row.tobytes()
             if key not in self._known:
-                self._known[key] = search(row)
+                i, d = self._search(row)
+                if d == 0.0:
+                    self._known[key] = i
 
-    def __call__(self, query):
+    def _search(self, query) -> tuple[int, float]:
+        dist = np.abs(self._rows - query).max(axis=1, initial=0.0)
+        i = int(np.argmin(dist))
+        return i, float(dist[i])
+
+    def nearest(self, query) -> tuple[int, float]:
         if (type(query) is np.ndarray and query.dtype == _FLOAT64
                 and query.shape == self._shape):
-            result = self._known.get(query.tobytes(), _MISS)
-            if result is not _MISS:
-                return result
-        return self.search(query)
+            i = self._known.get(query.tobytes())
+            if i is not None:
+                return i, 0.0
+        return self._search(query)
+
+    def __call__(self, query) -> Optional[int]:
+        # the table test is written out, not a call of `nearest`: a grid
+        # density runs it at every evaluation
+        if (type(query) is np.ndarray and query.dtype == _FLOAT64
+                and query.shape == self._shape):
+            i = self._known.get(query.tobytes())
+            if i is not None:
+                return i
+        i, d = self._search(query)
+        return i if d <= _LOOKUP_ATOL else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -615,6 +632,8 @@ class ImcmcKernel(TransitionKernel):
     def _set(self, point: JointPoint, slot: str, value) -> JointPoint:
         if slot in self.layout.tags:
             return point.with_tag(slot, value)
+        if slot == "x":
+            return point.with_x(value)
         return point.with_slot(slot, value)
 
     def joint_logpdf(self, point: JointPoint) -> float:
@@ -697,16 +716,16 @@ class ImcmcKernel(TransitionKernel):
 
 
 def _reader(layout: Layout, slot: str) -> Callable[[JointPoint], object]:
-    """``point ->`` the value of the named tag, v slot or x slot."""
+    """``point ->`` the value of the named tag or v slot, or the whole
+    target block for the reserved name ``"x"``."""
     if slot in layout.tags:
         i = layout.tag_index(slot)
         return lambda point: point.tags[i]
+    if slot == "x":
+        return lambda point: point.x
     if slot in layout.slots:
         sl = layout.slots[slot]
         return lambda point: point.v[sl]
-    if slot in layout.x_slots:
-        sl = layout.x_slots[slot]
-        return lambda point: point.x[sl]
     raise ConfigError(f"unknown auxiliary slot {slot!r}")
 
 

@@ -138,12 +138,11 @@ def moment_estimates(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _StateIndex:
     """Nearest-point lookup over an enumerated joint space.
 
-    States are grouped by tag tuple once; a lookup is then one sup-norm
-    distance over the matching group, and ties go to the lowest index.  A
-    point whose continuous coordinates are bitwise an enumerated state's
-    gets that search's answer from a table built here (see
-    `core._RowIndex`).  A state with a NaN coordinate is refused, since its
-    distance would win every search among its tags.
+    States are grouped by tag tuple once; a lookup is then the first
+    nearest state of the matching group in the sup norm (see
+    `core._RowIndex`), which must lie within ``atol``.  A state with a NaN
+    coordinate is refused, since its distance would win every search among
+    its tags.
     """
 
     def __init__(self, states: Sequence[JointPoint], atol: float):
@@ -156,35 +155,23 @@ class _StateIndex:
         members: dict[tuple, list[int]] = {}
         for i, s in enumerate(self.states):
             members.setdefault(s.tags, []).append(i)
-        self._groups = {tags: _RowIndex(cont[ids], _nearest_of(np.array(ids), cont[ids]))
-                        for tags, ids in members.items()}
+        self._groups = {tags: (ids, _RowIndex(cont[ids])) for tags, ids in members.items()}
 
     def __len__(self):
         return len(self.states)
 
     def locate(self, point: JointPoint) -> int:
-        nearest = self._groups.get(point.tags)
-        if nearest is None:
+        group = self._groups.get(point.tags)
+        if group is None:
             raise EnumerationError(
                 f"step landed on tags {point.tags} outside the enumerated space")
-        i, best_d = nearest(point.continuous())
+        ids, rows = group
+        j, best_d = rows.nearest(point.continuous())
         # written so that a NaN distance fails too
         if not best_d <= self.atol:
             raise EnumerationError(
                 f"step landed outside the enumerated space (distance {best_d:.3g})")
-        return i
-
-
-def _nearest_of(ids: np.ndarray, cont: np.ndarray):
-    """``z -> (state index, distance)`` of the first of ``cont``'s rows
-    nearest to ``z`` in the sup norm."""
-
-    def nearest(z):
-        dist = np.abs(cont - z).max(axis=1, initial=0.0)
-        j = int(np.argmin(dist))
-        return int(ids[j]), float(dist[j])
-
-    return nearest
+        return ids[j]
 
 
 def _kernel_matrix(kernel: TransitionKernel, index: _StateIndex) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Involution, JointPoint, _LOOKUP_ATOL, _joint_point
+from .core import Involution, JointPoint, _RowIndex, _joint_point
 from .errors import ConfigError, FixedPointError
 
 __all__ = [
@@ -191,17 +191,16 @@ class AffineXFlow(FlowMap):
 def cycle_flow(values: Sequence[float]) -> FlowMap:
     """Cyclic shift on a finite set of 1-d target-block values.
 
-    A point is on the cycle within 1e-9.  A NaN value is refused, since its
-    distance would win every search, and so is a NaN point.
+    A point is on the cycle at the first value nearest to it within 1e-9
+    (see `core._RowIndex`), which refuses a NaN value; a NaN point is on no
+    cycle.
     """
     vals = np.asarray(values, dtype=float)
-    if np.isnan(vals).any():
-        raise ConfigError("cycle values must not be NaN")
+    nearest = _RowIndex(vals[:, None])
 
     def locate(x):
-        i = int(np.argmin(np.abs(vals - x[0])))
-        # written so that a NaN distance fails too
-        if not abs(vals[i] - x[0]) <= _LOOKUP_ATOL:
+        i = nearest(x)
+        if i is None:
             raise ConfigError("point is not on the cycle")
         return i
 

@@ -1164,7 +1164,8 @@ class ModelSpace:
 
     def pad_conditional(self, jump_to: Callable[[JointPoint], int],
                         name: str) -> AuxiliaryConditional:
-        """Conditional refreshing the padding coordinates of the x block.
+        """Conditional refreshing the padding coordinates of the x block;
+        its value is the whole block, refreshed under the slot name "x".
 
         Reads the current model from the "k" tag; refreshes nothing when the
         proposed move is invalid so boundary jumps die on the density.
@@ -1227,8 +1228,7 @@ def make_transdimensional(space: ModelSpace, mode: str,
     ids = space.ids()
 
     if mode == "reversible":
-        layout = Layout(x_dim=d, v_dim=0, x_slots={"y": slice(0, d)},
-                        tags=("k", "j"), tag_values={"k": ids, "j": ids})
+        layout = Layout(x_dim=d, v_dim=0, tags=("k", "j"), tag_values={"k": ids, "j": ids})
 
         if model_probs is None:
             def model_probs(point):
@@ -1246,7 +1246,7 @@ def make_transdimensional(space: ModelSpace, mode: str,
             return z1.with_tag("k", j).with_tag("j", k), ld
 
         return ImcmcKernel(layout, lambda point: space.logpdf(point.tag("k"), point.x),
-                           aux_refresh=[("j", j_cond), ("y", pad)],
+                           aux_refresh=[("j", j_cond), ("x", pad)],
                            involution=Involution(fn, name="jump"),
                            name="transdim")
 
@@ -1257,7 +1257,6 @@ def make_transdimensional(space: ModelSpace, mode: str,
 
     w_dim = d if within_dim is None else within_dim
     layout = Layout(x_dim=d, v_dim=w_dim, slots={"w": slice(0, w_dim)},
-                    x_slots={"y": slice(0, d)},
                     tags=("k", "nu", "m"),
                     tag_values={"k": ids, "nu": (-1, 1), "m": (0, 1)})
 
@@ -1295,7 +1294,7 @@ def make_transdimensional(space: ModelSpace, mode: str,
     inv = mixture_involution(lambda m: family[m], "m", name="nrj_mix")
 
     t1 = ImcmcKernel(layout, lambda point: space.logpdf(point.tag("k"), point.x),
-                     aux_refresh=[("m", m_cond), ("w", within), ("y", pad)],
+                     aux_refresh=[("m", m_cond), ("w", within), ("x", pad)],
                      involution=inv, name="transdim_move")
     t2 = tag_flip_kernel(layout, "nu", when="m", name="transdim_flip")
     return compose([t1, t2], name="transdim")

@@ -354,13 +354,10 @@ class GridDensity:
     """Log-density supported on a finite set of target-block values.
 
     Evaluation snaps to the nearest grid point within ``atol`` (1e-9, sup
-    norm) and returns the stored log-weight; anywhere else the density is
-    zero.  ``grad`` optionally delegates to a smooth envelope so
-    integrator-based kernels can run on the grid.  ``values`` are fixed at
-    construction: a query that is bitwise a grid row gets the nearest-point
-    search's answer for that row from a table built then (see
-    `core._RowIndex`).  A NaN in ``values`` is refused, since its distance
-    would win every search.
+    norm, see `core._RowIndex`) and returns the stored log-weight; anywhere
+    else the density is zero.  ``grad`` optionally delegates to a smooth
+    envelope so integrator-based kernels can run on the grid.  ``values``
+    are fixed at construction, and a NaN among them is refused.
     """
 
     atol = _LOOKUP_ATOL
@@ -369,14 +366,12 @@ class GridDensity:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        if np.isnan(values).any():
-            raise ConfigError("grid values must not be NaN")
         self.values = values
         self.log_weights = np.asarray(log_weights, dtype=float)
         if self.values.shape[0] != self.log_weights.size:
             raise ConfigError("grid values and weights do not align")
         self._grad = grad
-        self._index = _RowIndex(values, self._nearest)
+        self._index = _RowIndex(values)
 
     @property
     def dim(self) -> int:
@@ -385,11 +380,6 @@ class GridDensity:
     def pmf(self) -> np.ndarray:
         w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
-
-    def _nearest(self, x) -> Optional[int]:
-        d = np.max(np.abs(self.values - np.asarray(x)), axis=1)
-        i = int(np.argmin(d))
-        return i if d[i] <= self.atol else None
 
     def index(self, x: np.ndarray) -> Optional[int]:
         return self._index(x)
@@ -408,34 +398,20 @@ class GridDensity:
                           grad=self.grad if self._grad is not None else None)
 
 
-def _grid_rows(stacked: np.ndarray) -> _RowIndex:
-    """``value ->`` the index of the first row of ``stacked`` within 1e-9 of
-    ``value`` (sup norm), or None; a value bitwise equal to a row hits a
-    table built here."""
-
-    def first_within(value):
-        hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= _LOOKUP_ATOL)
-        return int(hits[0]) if hits.size else None
-
-    return _RowIndex(stacked, first_within)
-
-
 def _grid_values(values: Sequence) -> tuple[list[np.ndarray], _RowIndex]:
     """A finite conditional's candidate values as 1-d arrays, and their
-    `_grid_rows` lookup.  A NaN value is refused: the support would list it
+    `core._RowIndex`.  A NaN value is refused: the support would list it
     with positive probability while its log-probability is -inf."""
     vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
-    stacked = np.stack(vals)
-    if np.isnan(stacked).any():
-        raise ConfigError("grid values must not be NaN")
-    return vals, _grid_rows(stacked)
+    return vals, _RowIndex(np.stack(vals))
 
 
 def _grid_logpmf(rows: _RowIndex, p: np.ndarray, value) -> float:
-    """Log probability of the grid row that ``rows`` (from `_grid_rows`)
-    finds for ``value``: -inf off the grid or at probability zero, NaN at a
-    NaN one.  A float64 row goes straight to the table; the search takes any
-    other ``value`` as is, since it only broadcasts it against the rows."""
+    """Log probability of the first grid row nearest to ``value``, if it
+    lies within 1e-9, so that each listed candidate scores its own
+    probability: -inf off the grid or at probability zero, NaN at a NaN
+    one.  ``value`` may be any array-like, since the
+    search only broadcasts it against the rows."""
     i = rows(value)
     if i is None:
         return -math.inf

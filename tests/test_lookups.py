@@ -1,9 +1,10 @@
-"""Grid and state lookups: an exact-bytes table in front of the tolerance
-search answers bitwise as the search alone does.
+"""Grid and state lookups: one nearest-row index answers every finite space.
 
-Each lookup keeps a table from a grid row's (or an enumerated state's)
-bytes to the search's answer for that row.  The references below are the
-searches as they were written before the tables, run on every query.
+`core._RowIndex` finds the first row nearest to a query in the sup norm.
+Grids, finite conditionals, the cycle and the matrix oracle's state lookup
+all use it, and it keeps a table from each row's bytes to the search's
+answer for that row.  The references below are the searches written out,
+run on every query; the table must answer as they do, without a search.
 """
 
 import math
@@ -11,12 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from imcmc.core import Layout
+from imcmc import core
+from imcmc.core import Layout, _RowIndex
 from imcmc.diagnostics import _StateIndex, transition_matrix, transition_matrix_direct
 from imcmc.errors import ConfigError, EnumerationError
+from imcmc.maps import cycle_flow
 from imcmc.samplers import grid_family, make_cdf_deterministic
-from imcmc.targets import (GridDensity, _grid_logpmf, _grid_rows, grid_conditional,
-                           uniform_cdf1d)
+from imcmc.targets import GridDensity, _grid_logpmf, grid_conditional, uniform_cdf1d
 
 # duplicate rows, two rows 5e-10 apart, both signed zeros and a NaN row
 ROWS = np.array([[1.0, 2.0], [0.0, 0.5], [1.0, 2.0], [1.0 + 5e-10, 2.0],
@@ -39,10 +41,10 @@ def _bits(value) -> bytes:
 
 def _reference_grid_logpmf(stacked, p, value) -> float:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    hits = np.flatnonzero(np.abs(stacked - value).max(axis=1) <= 1e-9)
-    if hits.size == 0:
+    i = _reference_index(stacked, 1e-9, value)
+    if i is None:
         return -math.inf
-    pi = p[hits[0]]
+    pi = p[i]
     return -math.inf if pi <= 0.0 else math.log(pi)
 
 
@@ -77,12 +79,18 @@ def _outcome(fn, *args):
         return ("raised", str(err))
 
 
+# a NaN row would win every search (argmin picks a NaN distance), so the
+# index refuses it when it is built
 @pytest.mark.parametrize("rows", [ROWS, ROWS[:6], ROWS[::-1].copy()])
 def test_grid_logpmf_equals_the_search_bitwise(rows):
+    if np.isnan(rows).any():
+        with pytest.raises(ConfigError, match="row [0-9] has a NaN coordinate"):
+            _RowIndex(rows)
+        rows = rows[~np.isnan(rows).any(axis=1)]
     # a zero and a NaN probability take the two special branches
     p = np.linspace(0.0, 1.0, len(rows))
     p[1] = np.nan
-    table = _grid_rows(rows)
+    table = _RowIndex(rows)
     for q in _queries(rows):
         for value in (q, list(q)):
             got = _grid_logpmf(table, p, value)
@@ -147,6 +155,10 @@ def test_locate_finds_the_nearest_state_and_ties_go_to_the_first():
     # is the second's duplicate, the fourth is 5e-10 from it and the fifth
     # is the first's other signed zero
     assert [index.locate(s) for s in states] == [0, 1, 1, 3, 0]
+    # states with no continuous coordinate go to their tags' first state
+    lay = Layout(x_dim=0, tags=("a",), tag_values={"a": (0, 1)})
+    states = [lay.point([], tags=(a,)) for a in (0, 1, 0, 1)]
+    assert [_StateIndex(states, 1e-9).locate(s) for s in states] == [0, 1, 0, 1]
 
 
 def test_transition_matrices_refuse_a_nan_state():
@@ -169,3 +181,70 @@ def test_finite_conditionals_refuse_a_nan_value(build):
     with pytest.raises(ConfigError, match="NaN"):
         build([[0.0, 1.0], [2.0, np.nan], [1.0, 1.0]])
     build([np.array([0.0]), np.array([1.0])])
+
+
+def _counting_search(monkeypatch):
+    """Count the calls of the index's search from here on."""
+    calls = []
+    search = core._RowIndex._search
+
+    def counted(self, query):
+        calls.append(query)
+        return search(self, query)
+
+    monkeypatch.setattr(core._RowIndex, "_search", counted)
+    return calls
+
+
+def test_a_rows_own_bytes_cost_no_search(monkeypatch):
+    # duplicate rows and both signed zeros of a row; the table is built
+    # before the count starts
+    rows = np.array([[1.0, 2.0], [0.0, 0.5], [1.0, 2.0], [-0.0, 0.5],
+                     [0.0, -0.0], [-0.0, 0.0]])
+    grid = GridDensity(rows, np.log(np.arange(1.0, 7.0)))
+    cond = grid_conditional(list(rows), lambda point: np.full(6, 1.0 / 6.0))
+    flow = cycle_flow([0.0, 1.5, 3.0])
+    lay = Layout(x_dim=2, v_dim=1, slots={"v": slice(0, 1)},
+                 tags=("d",), tag_values={"d": (-1, 1)})
+    states = [lay.point(row, [v], (d,)) for row in rows
+              for v in (0.0, -0.0) for d in (-1, 1)]
+    index = _StateIndex(states, 1e-9)
+    point = lay.point([0.0, 0.0], [0.0], (1,))
+    want = [_reference_locate(states, 1e-9, s) for s in states]
+    calls = _counting_search(monkeypatch)
+    logs = [grid.logpdf(row) for row in grid.values]
+    assert logs == [0.0, math.log(2.0), 0.0, math.log(2.0), math.log(5.0), math.log(5.0)]
+    for value, p in cond.support(point):
+        assert cond.logpdf(value, point) == math.log(p)
+    cycle = Layout(x_dim=1)
+    assert [flow.forward(cycle.point([u]))[0].x[0] for u in (0.0, 1.5, 3.0)] == [
+        1.5, 3.0, 0.0]
+    assert [index.locate(s) for s in states] == want
+    assert calls == []
+    # a query off the table runs the search once
+    assert grid.logpdf(np.array([1.0 + 5e-10, 2.0])) == 0.0
+    assert len(calls) == 1
+
+
+def _scored_support(kind, vals, probs):
+    """``(support, logpdf)`` of a finite conditional or proposal family over
+    ``vals`` with the probabilities ``probs[u[0]]``."""
+    if kind == "conditional":
+        point = Layout(x_dim=1).point([0.0])
+        cond = grid_conditional(vals, lambda pt: np.array([probs[u[0]] for u in vals]))
+        return cond.support(point), lambda u: cond.logpdf(u, point)
+    family = grid_family(vals, lambda u, center: math.log(probs[u[0]]))
+    center = np.zeros(2)
+    return family.support(center), lambda u: family.logpdf(u, center)
+
+
+@pytest.mark.parametrize("kind", ["conditional", "family"])
+def test_near_duplicate_candidates_score_what_support_lists(kind):
+    # the second candidate lies 5e-10 from the first: support listed it at
+    # 0.5, and a first-within-1e-9 rule scored it as the first, at 0.2
+    vals = [np.array([1.0, 2.0]), np.array([1.0 + 5e-10, 2.0]), np.array([3.0, 0.0])]
+    probs = {1.0: 0.2, 1.0 + 5e-10: 0.5, 3.0: 0.3}
+    support, logpdf = _scored_support(kind, vals, probs)
+    assert [p for _, p in support] == pytest.approx([0.2, 0.5, 0.3], rel=1e-12)
+    for value, p in support:
+        assert math.exp(logpdf(value)) == pytest.approx(p, rel=1e-12)

@@ -11,11 +11,14 @@ in ``src/``, ``tests/``, ``demos/`` and ``perfbench/``:
   is never used, and the parameter should be required.
 
 A call that passes the default's own expression (``n=100`` against
-``n=100``) leaves the default in effect.  A field is a parameter of its
-class's constructor: ``ClassVar`` and ``field(init=False)`` fields are
-skipped, a field's position is its place among the positional init fields,
-a ``kw_only`` field has no position, and a ``field(default_factory=f)``
-default is ``f()``.  Parameters whose names start with ``_``
+``n=100``) leaves the default in effect.  A ``replace(obj, f=...)`` call
+(``dataclasses.replace`` too) or a ``type(obj)(f=...)`` call may set field
+``f`` of any record that declares it, so it counts as setting that field
+in the unset check and not at all in the always-set check.  A field is a
+parameter of its class's constructor: ``ClassVar`` and ``field(init=False)``
+fields are skipped, a field's position is its place among the positional
+init fields, a ``kw_only`` field has no position, and a
+``field(default_factory=f)`` default is ``f()``.  Parameters whose names start with ``_``
 (default-argument binders such as ``_q=mala_q``) are skipped.
 
 Run as a script (``python3 tests/test_options.py``) it prints the number of
@@ -153,6 +156,20 @@ def _calls(callers):
     return out
 
 
+def _replaced_fields(callers):
+    """The keywords of each ``replace(obj, ...)`` and ``type(obj)(...)``
+    call: the fields such a call may set, whatever the record."""
+    out = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, (ast.Name, ast.Attribute))
+                    and _name(node.func) == "replace"
+                    or isinstance(node.func, ast.Call) and _name(node.func) == "type"):
+                out.update(k.arg for k in node.keywords if k.arg is not None)
+    return out
+
+
 def _sets(call, param, index, default):
     """Whether a call sets a parameter to something other than its default:
     True, False, or None where a starred or ``**`` argument may."""
@@ -168,23 +185,26 @@ def _sets(call, param, index, default):
     return ast.dump(value) != ast.dump(default)
 
 
-def _scan(library, callers, flagged):
+def _scan(library, callers, flagged, replaced=frozenset()):
     """``where name(param=...)`` for each defaulted parameter of a callable
     defined once in ``library`` whose calls in ``callers`` (a list of
-    `_sets` results, one per call) satisfy ``flagged``."""
+    `_sets` results, one per call) satisfy ``flagged``.  A field named in
+    ``replaced`` has one more call, which sets it."""
     signatures = list(_signatures(library))
     defined = Counter(name for name, *_ in signatures)
     calls = _calls(callers)
     return [f"{where} {name}({param}=...)"
-            for name, _, params in signatures if defined[name] == 1
+            for name, kind, params in signatures if defined[name] == 1
             for param, index, default, where in params if not param.startswith("_")
-            and flagged([_sets(c, param, index, default) for c in calls.get(name, [])])]
+            and flagged([_sets(c, param, index, default) for c in calls.get(name, [])]
+                        + [True] * (kind == "field" and param in replaced))]
 
 
 def unset_options(library, callers):
     """The defaulted parameters that no call sets.  A starred or ``**``
     argument may set anything, so it counts as setting."""
-    return _scan(library, callers, lambda sets: all(s is False for s in sets))
+    return _scan(library, callers, lambda sets: all(s is False for s in sets),
+                 _replaced_fields(callers))
 
 
 def always_set_options(library, callers):
@@ -278,6 +298,27 @@ def test_the_scan_matches_a_kw_only_field_by_keyword_only():
     unset = unset_options(library, callers)
     assert "lib.py:11 D(k=...)" in unset and "lib.py:17 W(q=...)" in unset
     assert "lib.py:12 D(e=...)" not in unset and "lib.py:15 W(p=...)" not in unset
+
+
+def test_the_scan_counts_a_replace_call_as_setting_its_fields():
+    library = [("lib.py", ast.parse("def f(a, b=1):\n    pass\n" + _RECORDS))]
+    callers = [ast.parse("D(0)\nW()\nN(1)\nf(0)\n")]
+    unset = set(unset_options(library, callers))
+    assert {"lib.py:9 D(b=...)", "lib.py:14 D(e=...)", "lib.py:19 W(q=...)",
+            "lib.py:22 N(y=...)", "lib.py:1 f(b=...)"} <= unset
+    # ``replace`` by either name and ``type(obj)(...)`` set the fields they
+    # name in every record; a function's parameter and ``type(obj)`` itself
+    # are not fields, and a string's ``replace`` sets nothing
+    callers.append(ast.parse("dataclasses.replace(d, b=2)\nreplace(n, y=3)\n"
+                             "type(w)(q=4, **kw)\ntype(d)\ntype(obj)(b=5)\n"
+                             "replace(obj, b=6)\n's'.replace('a', 'b')\n"))
+    unset = set(unset_options(library, callers))
+    assert {"lib.py:9 D(b=...)", "lib.py:19 W(q=...)", "lib.py:22 N(y=...)"} & unset == set()
+    assert {"lib.py:14 D(e=...)", "lib.py:1 f(b=...)"} <= unset
+    # the calls do not count in the always-set check
+    callers = [ast.parse("D(0, 2)\nD(0, b=3)\nreplace(d, e=6)\nW(5)\ntype(w)(p=1)\n")]
+    always = always_set_options(library, callers)
+    assert "lib.py:9 D(b=...)" in always and "lib.py:17 W(p=...)" in always
 
 
 def test_a_call_that_restates_the_default_leaves_it_out():

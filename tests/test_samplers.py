@@ -583,12 +583,17 @@ def _reference_gaussian_slot(dim, mean_fn, var, support_values=None):
 
 
 def _reference_grid_logpdf(vals, p, value):
-    """The grid lookup as a loop over the candidate values."""
+    """The grid lookup as a loop over the candidate values: the first one
+    nearest to ``value``, if it lies within 1e-9."""
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    for u, pi in zip(vals, p):
-        if np.max(np.abs(u - value)) <= 1e-9:
-            return -math.inf if pi <= 0.0 else math.log(pi)
-    return -math.inf
+    best, best_d = None, math.inf
+    for i, u in enumerate(vals):
+        d = np.max(np.abs(u - value))
+        if d < best_d:
+            best, best_d = i, d
+    if best is None or not best_d <= 1e-9:
+        return -math.inf
+    return -math.inf if p[best] <= 0.0 else math.log(p[best])
 
 
 def _same_floats(a, b):
@@ -651,7 +656,8 @@ def test_grid_conditional_logpdf_is_bitwise_the_loop():
     from imcmc.samplers import xv_layout
     from imcmc.targets import grid_conditional
 
-    # the second and fourth candidates tie with the first and the third
+    # the second candidate duplicates the first, and the fourth lies 1e-10
+    # from the third
     vals = [np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([2.0, -1.0]),
             np.array([2.0, -1.0 + 1e-10]), np.array([3.0, 3.0])]
     p = np.array([0.1, 0.2, 0.0, 0.3, 0.4])
@@ -663,7 +669,7 @@ def test_grid_conditional_logpdf_is_bitwise_the_loop():
         assert float(cond.logpdf(u, pt)).hex() == float(_reference_grid_logpdf(vals, p, u)).hex()
     assert cond.logpdf(vals[1], pt) == math.log(0.1)         # first tie wins
     assert cond.logpdf(vals[2], pt) == -math.inf             # zero probability
-    assert cond.logpdf(vals[3], pt) == -math.inf             # ties with vals[2]
+    assert cond.logpdf(vals[3], pt) == math.log(0.3)         # nearest is itself
     assert cond.logpdf(off_grid[1], pt) == -math.inf
 
 

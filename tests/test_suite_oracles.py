@@ -15,6 +15,7 @@ import pytest
 
 from arithmetic import recorded_on
 from imcmc import diagnostics, maps
+from imcmc.core import ImcmcKernel
 from imcmc.diagnostics import (
     check_detailed_balance,
     check_stationary,
@@ -104,6 +105,28 @@ def test_all_matrices_are_row_stochastic():
         T = case.matrix()
         assert np.max(np.abs(T.sum(axis=1) - 1.0)) <= 1e-12, case.name
         assert T.min() >= 0.0, case.name
+
+
+def test_each_finite_support_scores_what_it_lists():
+    # sampler/density agreement (Grosse & Duvenaud 2014): at every
+    # enumerated state, each value a refreshed conditional lists with
+    # p > 0 scores p, with the value in place as the joint density reads it
+    checked = {}
+    for case in CASES:
+        for kernel in case.kernel.kernels():
+            if not isinstance(kernel, ImcmcKernel):
+                continue
+            for slot, cond in kernel.aux_refresh:
+                for state in case.states:
+                    support = cond.support(state)
+                    for value, p in support or ():
+                        if p > 0.0:
+                            lp = cond.logpdf(value, kernel._set(state, slot, value))
+                            assert math.exp(lp) == pytest.approx(p, rel=1e-12, abs=0), (
+                                case.name, cond.name, state)
+                            checked[case.name] = checked.get(case.name, 0) + 1
+    assert sorted(checked) == sorted(c.name for c in CASES if any(
+        isinstance(k, ImcmcKernel) and k.aux_refresh for k in c.kernel.kernels()))
 
 
 @pytest.mark.parametrize("result", run_involutions(), ids=lambda r: f"{r.case}-{r.check}")
