@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from imcmc.core import run_chain
-from imcmc.samplers import Model, ModelSpace, default_init, make_transdimensional
+from imcmc.core import LogDensity, run_chain
+from imcmc.samplers import ModelSpace, default_init, make_transdimensional
 
 
 def model1(y):
@@ -24,7 +24,7 @@ def model2(y):
             - 0.5 * y[1] ** 2 / v2 - 0.5 * math.log(2 * math.pi * v2))
 
 
-space = ModelSpace(2, {1: Model(1, model1), 2: Model(2, model2)})
+space = ModelSpace(2, {1: LogDensity(1, model1), 2: LogDensity(2, model2)})
 
 rj = make_transdimensional(space, mode="reversible")
 res = run_chain(rj, default_init(rj, np.zeros(2), tags={"k": 1, "j": 2}),

@@ -1,19 +1,19 @@
 """Vectorized multi-chain runners for the benchmark samplers.
 
 These step every chain of a batch simultaneously with (chains, dim) arrays,
-which is what makes the benchmark table affordable on one core.  Each runner
-draws the random stream in the same order as the corresponding kernel-engine
-chain.  Coupling maps and the logistic posterior are the engine's own,
-applied to rows.  The two-mode target keeps a row copy (`mog2_batch`): the
-scalar target works in Python floats and takes its component weights with
-``math.exp``, while the row copy takes them with ``np.exp``, whose SIMD loop
-can round differently in the last bit.  Its ``logpdf`` and ``grad`` share
-one pass over both components, remembered for the last two row arrays (see
-`core._LastTwo`), so the gradient at a proposal whose density was just taken
-costs no second pass.  So with a single chain and the same seed a runner
-follows the engine bitwise for thousands of steps (the test suite pins 400),
-but over long runs on mog2 the two drift apart by rounding: batch MALA first
-differs from the engine at step 8516 of 20000, by at most 8.9e-16.
+which is what makes the benchmark table affordable on one core.  A target is
+a `core.LogDensity` over rows: its memos remember each row array's results
+and hand them out read-only, so a runner copies the arrays it updates.  Each
+runner draws the random stream in the same order as the corresponding
+kernel-engine chain.  Coupling maps and the logistic posterior are the
+engine's own, applied to rows, and on the logistic target a single chain
+follows the engine bitwise for 100 000 steps.  The two-mode target keeps a
+row copy (`mog2_batch`): the scalar target works in Python floats and takes
+its component weights with ``math.exp``, while the row copy takes them with
+``np.exp``, whose SIMD loop can round differently in the last bit.  So on
+mog2 the two paths drift apart by rounding over long runs: batch MALA
+(seed 11) first differs from the engine at step 8516 of 20000, by at most
+8.9e-16 (the test suite pins the first 400 steps).
 
 At the chain counts the benchmark runs, a step costs numpy's per-call
 overhead more than arithmetic, so the runners reduce with ``np.add.reduce``
@@ -25,18 +25,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 
-from .core import _LastTwo
+from .core import LogDensity
 from .errors import ConfigError
 from .maps import CouplingMap
 from .targets import MOG2_MU1, MOG2_MU2, MOG2_VAR
 
 __all__ = [
     "BatchResult",
-    "BatchTarget",
     "batch_coupling_forward",
     "batch_coupling_inverse",
     "batch_irr_mala",
@@ -49,16 +47,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-
-@dataclasses.dataclass(frozen=True)
-class BatchTarget:
-    """Log-density and gradient over rows of a (chains, dim) array."""
-
-    dim: int
-    logpdf: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
 _MOG2_MUS = np.stack([MOG2_MU1, MOG2_MU2])[:, None, :]  # (component, 1, dim)
 _MOG2_CONST = -_LOG_2PI - math.log(MOG2_VAR) + math.log(0.5)
 
@@ -66,47 +54,35 @@ _MOG2_CONST = -_LOG_2PI - math.log(MOG2_VAR) + math.log(0.5)
 def _mog2_components(X):
     """Both components of mog2 at rows ``X`` in one stacked pass: the offsets
     ``D`` from each mean (component, chain, dim), the rows' larger log-weight
-    ``m``, the weights ``E`` scaled by ``exp(-m)`` and their sum ``s``.  The
-    arrays are read-only, since `mog2_batch` remembers them."""
+    ``m``, the weights ``E`` scaled by ``exp(-m)`` and their sum ``s``."""
     D = X - _MOG2_MUS
     C = _MOG2_CONST - 0.5 * np.add.reduce(D * D, axis=2) / MOG2_VAR
     m = np.maximum(C[0], C[1])
     E = np.exp(C - m)
-    s = E[0] + E[1]
-    for a in (D, m, E, s):
-        a.flags.writeable = False
-    return D, m, E, s
+    return D, m, E, E[0] + E[1]
 
 
-def mog2_batch() -> BatchTarget:
-    passes = _LastTwo(_mog2_components)
+def mog2_batch() -> LogDensity:
+    """mog2 over rows ``(chains, 2)``.  Its ``logpdf``, ``grad`` and fused
+    ``value_and_grad`` each make one `_mog2_components` pass."""
 
     def logpdf(X):
-        _, m, _, s = passes(X)
+        _, m, _, s = _mog2_components(X)
         return m + np.log(s)
 
-    def grad(X):
-        D, _, E, s = passes(X)
+    def value_and_grad(X):
+        D, m, E, s = _mog2_components(X)
         W = (E / s)[:, :, None]
-        return (W[0] * -D[0] + W[1] * -D[1]) / MOG2_VAR
+        return m + np.log(s), (W[0] * -D[0] + W[1] * -D[1]) / MOG2_VAR
 
-    return BatchTarget(dim=2, logpdf=logpdf, grad=grad)
+    return LogDensity(dim=2, logpdf=logpdf, grad=lambda X: value_and_grad(X)[1],
+                      value_and_grad=value_and_grad)
 
 
-def logreg_batch(posterior) -> BatchTarget:
-    """The logistic-regression posterior over rows (rows = chains).  Its
-    ``logpdf`` and ``grad`` are the posterior's own maths on half-logits
-    remembered for the last two row arrays, so the gradient at a proposal
-    whose density was just taken makes no second product with the design."""
-    logits = _LastTwo(posterior._logits)
-
-    def logpdf(T):
-        return posterior._value(T, logits(T))
-
-    def grad(T):
-        return posterior._grad(T, logits(T))
-
-    return BatchTarget(posterior.dim, logpdf, grad)
+def logreg_batch(posterior) -> LogDensity:
+    """The logistic-regression posterior over rows (rows = chains): its own
+    density, whose ``value_and_grad`` forms the rows' half-logits once."""
+    return posterior.density()
 
 
 # the coupling maps take rows and return one log-det per row; the runners
@@ -131,20 +107,18 @@ def _norm_logpdf(diff: np.ndarray, var: float) -> np.ndarray:
             - 0.5 * d * math.log(2.0 * math.pi * var))
 
 
-def batch_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
+def batch_mala(target: LogDensity, eps: float, n_chains: int, n_steps: int,
                rng: np.random.Generator, x0: np.ndarray) -> BatchResult:
     """Langevin-proposal Metropolis chains, all stepped together."""
     d = target.dim
     var = 2.0 * eps
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
-    lp = target.logpdf(x)
-    gx = target.grad(x)
+    lp, gx = (a.copy() for a in target.value_and_grad(x))
     xs = np.empty((n_steps, n_chains, d))
     acc = np.empty((n_steps, n_chains), dtype=bool)
     for t in range(n_steps):
         v = x + eps * gx + math.sqrt(var) * rng.standard_normal((n_chains, d))
-        lpv = target.logpdf(v)
-        gv = target.grad(v)
+        lpv, gv = target.value_and_grad(v)
         fwd = _norm_logpdf(v - x - eps * gx, var)
         rev = _norm_logpdf(x - v - eps * gv, var)
         delta = lpv + rev - lp - fwd
@@ -158,21 +132,19 @@ def batch_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
     return BatchResult(xs=xs, accepted=acc)
 
 
-def batch_irr_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
+def batch_irr_mala(target: LogDensity, eps: float, n_chains: int, n_steps: int,
                    rng: np.random.Generator, x0: np.ndarray) -> BatchResult:
     """Direction-augmented Langevin chains with the trailing direction flip."""
     d = target.dim
     var = 2.0 * eps
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
     dirs = np.ones(n_chains)
-    lp = target.logpdf(x)
-    gx = target.grad(x)
+    lp, gx = (a.copy() for a in target.value_and_grad(x))
     xs = np.empty((n_steps, n_chains, d))
     acc = np.empty((n_steps, n_chains), dtype=bool)
     for t in range(n_steps):
         v = x + dirs[:, None] * eps * gx + math.sqrt(var) * rng.standard_normal((n_chains, d))
-        lpv = target.logpdf(v)
-        gv = target.grad(v)
+        lpv, gv = target.value_and_grad(v)
         sign = np.where(np.add.reduce(gx * gv, axis=1) >= 0.0, 1.0, -1.0)
         d_new = -dirs * sign
         fwd = _norm_logpdf(v - x - dirs[:, None] * eps * gx, var)
@@ -191,12 +163,12 @@ def batch_irr_mala(target: BatchTarget, eps: float, n_chains: int, n_steps: int,
     return BatchResult(xs=xs, accepted=acc)
 
 
-def batch_nice_mc(target: BatchTarget, cmap: CouplingMap, n_chains: int,
+def batch_nice_mc(target: LogDensity, cmap: CouplingMap, n_chains: int,
                   n_steps: int, rng: np.random.Generator, x0: np.ndarray) -> BatchResult:
     """Coupling-map chains with freshly drawn momentum and direction."""
     d = target.dim
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
-    lp = target.logpdf(x)
+    lp = target.logpdf(x).copy()
     xs = np.empty((n_steps, n_chains, d))
     acc = np.empty((n_steps, n_chains), dtype=bool)
     for t in range(n_steps):
@@ -221,7 +193,7 @@ def batch_nice_mc(target: BatchTarget, cmap: CouplingMap, n_chains: int,
     return BatchResult(xs=xs, accepted=acc)
 
 
-def batch_irr_nice_mc(target: BatchTarget, cmap: CouplingMap, alpha: float,
+def batch_irr_nice_mc(target: LogDensity, cmap: CouplingMap, alpha: float,
                       n_chains: int, n_steps: int, rng: np.random.Generator,
                       x0: np.ndarray) -> BatchResult:
     """Persistent-direction coupling chains with partial momentum refresh."""
@@ -232,7 +204,7 @@ def batch_irr_nice_mc(target: BatchTarget, cmap: CouplingMap, alpha: float,
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)).copy()
     v = np.zeros((n_chains, d))
     dirs = np.ones(n_chains)
-    lp = target.logpdf(x)
+    lp = target.logpdf(x).copy()
     xs = np.empty((n_steps, n_chains, d))
     acc = np.empty((n_steps, n_chains), dtype=bool)
     for t in range(n_steps):

@@ -45,6 +45,8 @@ from .samplers import (
 )
 from .targets import (
     LogisticPosterior,
+    _csv_lines,
+    _finite_csv_rows,
     exponential_cdf1d,
     load_dataset,
     mixture_1d,
@@ -163,8 +165,6 @@ def build_target(name: str, dataset: Optional[str] = None):
             ds = load_dataset(dataset)
         except (DensityError, OSError) as exc:
             raise ConfigError(str(exc)) from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{dataset}: not UTF-8 text ({exc.reason})") from None
         post = LogisticPosterior(ds.X, ds.y)
         return {"density": post.density(), "x0": np.zeros(post.dim),
                 "posterior": post}
@@ -201,7 +201,7 @@ class _Kind(NamedTuple):
     ranges: dict
     defaults: dict
     build: Callable  # (density, params, target_name, target) -> kernel
-    bench: Optional[Callable] = None  # (batch_target, params, cfg, rng, x0) -> BatchResult
+    bench: Optional[Callable] = None  # (row density, params, cfg, rng, x0) -> BatchResult
 
 
 _POSITIVE, _STEPS, _UNIT = (1e-12, math.inf), (1, 1e9), (0.0, 1.0)
@@ -319,13 +319,19 @@ def write_trace_csv(path: Path, xs: np.ndarray, accepted: np.ndarray):
 
 
 def read_trace_csv(path: Path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    """The ``x_*`` columns of a trace file, (steps, dims).  A file that is
+    not UTF-8 text, a row with another number of fields than the header, a
+    field that is not a number or a NaN or infinite value is a ConfigError
+    naming the row (the header is row 1), as is a file that cannot be read."""
+    try:
+        lines = _csv_lines(path)
+        header = lines[0].split(",") if lines else []
         cols = [i for i, name in enumerate(header) if name.startswith("x_")]
         if not cols:
             raise ConfigError(f"{path}: no x_* columns found")
-        data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
-    return data
+        return _finite_csv_rows(path, lines[1:], 2, len(header))[:, cols]
+    except (DensityError, OSError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _aggregate(values: list[float]) -> dict:

@@ -265,32 +265,40 @@ class _RowIndex:
     ``nearest(query)`` gives ``(row index, distance)``, ties going to the
     lowest index; a row with no coordinates is at distance 0 from any query
     of its shape.  Calling the index gives that row's index if the distance
-    is within ``_LOOKUP_ATOL``, else None.  A NaN row is refused, since its
-    distance would win every search.
+    is within ``_LOOKUP_ATOL``, else None.  A row with a NaN or infinite
+    coordinate is refused: a NaN row's distance would win every search, and
+    an infinite row is at distance NaN from itself, so no query finds it.
 
-    The search runs once per distinct row at construction, and each row it
-    finds at distance 0 (every row of finite values) is kept under its
-    bytes: a float64 query of a row's shape whose bytes equal such a row's
-    costs one dict lookup.  Any other query (the other signed zero, a NaN,
-    an off-grid point, another dtype) runs the search, so every answer is
-    the search's.  The table never changes, so threads may share it.
+    The search runs once per distinct row at construction, and its answer
+    for each row (the row, or an earlier one at distance 0 such as the other
+    signed zero) is kept under the row's bytes: a float64 query of a row's
+    shape whose bytes equal a row's costs one dict lookup.  Any other query
+    (a signed zero that no row holds, a NaN, an off-grid point, another
+    dtype) runs the search, so every answer is the search's.  The table never changes, so threads may share it.
     """
 
     __slots__ = ("_rows", "_shape", "_known")
 
-    def __init__(self, rows: np.ndarray):
-        bad = np.flatnonzero(np.isnan(rows).any(axis=1))
+    @staticmethod
+    def refuse_non_finite(rows: np.ndarray, noun: str, error: type) -> None:
+        """Raise ``error`` naming the first of 2-d ``rows`` that has a NaN or
+        infinite coordinate, and that coordinate."""
+        bad = np.argwhere(~np.isfinite(rows))
         if bad.size:
-            raise ConfigError(f"row {bad[0]} has a NaN coordinate")
+            i, j = bad[0]
+            value = float(rows[i, j])
+            kind = "a NaN" if math.isnan(value) else "an infinite"
+            raise error(f"{noun} {i} has {kind} coordinate ({value!r} at index {j})")
+
+    def __init__(self, rows: np.ndarray):
+        self.refuse_non_finite(rows, "row", ConfigError)
         self._rows = rows
         self._shape = rows.shape[1:]
         self._known: dict[bytes, int] = {}
         for row in rows:
             key = row.tobytes()
             if key not in self._known:
-                i, d = self._search(row)
-                if d == 0.0:
-                    self._known[key] = i
+                self._known[key] = self._search(row)[0]
 
     def _search(self, query) -> tuple[int, float]:
         dist = np.abs(self._rows - query).max(axis=1, initial=0.0)
@@ -324,6 +332,8 @@ class LogDensity:
     ``logpdf`` and ``grad`` must be pure functions of ``x``: each remembers
     its results at the two points it was last called on (see `_LastTwo`),
     so a point is evaluated once however many parts of a step ask for it.
+    The bench's targets take rows ``(chains, dim)`` and give one value per
+    row, remembered per row array.
 
     ``value_and_grad`` returns ``(logpdf(x), grad(x))`` and fills both
     memos.  A density may supply a fused function that computes the pair in

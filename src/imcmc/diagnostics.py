@@ -141,17 +141,14 @@ class _StateIndex:
     States are grouped by tag tuple once; a lookup is then the first
     nearest state of the matching group in the sup norm (see
     `core._RowIndex`), which must lie within ``atol``.  A state with a NaN
-    coordinate is refused, since its distance would win every search among
-    its tags.
+    or infinite coordinate is refused, as the index refuses such a row.
     """
 
     def __init__(self, states: Sequence[JointPoint], atol: float):
         self.states = list(states)
         self.atol = atol
         cont = np.stack([s.continuous() for s in self.states])
-        bad = np.flatnonzero(np.isnan(cont).any(axis=1))
-        if bad.size:
-            raise EnumerationError(f"enumerated state {bad[0]} has a NaN coordinate")
+        _RowIndex.refuse_non_finite(cont, "enumerated state", EnumerationError)
         members: dict[tuple, list[int]] = {}
         for i, s in enumerate(self.states):
             members.setdefault(s.tags, []).append(i)

@@ -192,8 +192,8 @@ def cycle_flow(values: Sequence[float]) -> FlowMap:
     """Cyclic shift on a finite set of 1-d target-block values.
 
     A point is on the cycle at the first value nearest to it within 1e-9
-    (see `core._RowIndex`), which refuses a NaN value; a NaN point is on no
-    cycle.
+    (see `core._RowIndex`), which refuses a NaN or infinite value; a NaN
+    point is on no cycle.
     """
     vals = np.asarray(values, dtype=float)
     nearest = _RowIndex(vals[:, None])

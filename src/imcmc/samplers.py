@@ -56,7 +56,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 __all__ = [
     "CoordDist",
-    "Model",
     "ModelSpace",
     "default_init",
     "gaussian_slot_conditional",
@@ -1101,12 +1100,6 @@ def make_irr_nice_mc(target: LogDensity, T: FlowMap, alpha: float,
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class Model:
-    dim: int
-    logpdf: Callable[[np.ndarray], float]  # over the active coordinates
-
-
-@dataclasses.dataclass(frozen=True)
 class CoordDist:
     """Distribution of one padding coordinate."""
 
@@ -1124,14 +1117,14 @@ def normal_coord() -> CoordDist:
 class ModelSpace:
     """Dimension-matched family of models with smooth between-model maps.
 
-    All states live in one d-dimensional vector; model k occupies the first
-    ``models[k].dim`` coordinates and the rest are padding governed by
-    ``coord_dist``.  ``flows[(k, j)]`` maps the full vector for the k->j
-    move (identity padding by default); the reverse move applies the exact
-    inverse.
+    All states live in one d-dimensional vector; model k is a `LogDensity`
+    over the first ``models[k].dim`` coordinates, and the rest are padding
+    governed by ``coord_dist``.  ``flows[(k, j)]`` maps the full vector for
+    the k->j move (identity padding by default); the reverse move applies
+    the exact inverse.
     """
 
-    def __init__(self, total_dim: int, models: dict[int, Model],
+    def __init__(self, total_dim: int, models: dict[int, LogDensity],
                  flows: Optional[dict[tuple[int, int], FlowMap]] = None,
                  coord_dist: Optional[CoordDist] = None):
         if not models:

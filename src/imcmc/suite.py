@@ -30,6 +30,7 @@ from .core import (
     Involution,
     JointPoint,
     Layout,
+    LogDensity,
     TagConditional,
     TransitionKernel,
     make_rng,
@@ -66,7 +67,6 @@ from .maps import (
 from .samplers import (
     BlockConditional,
     CoordDist,
-    Model,
     ModelSpace,
     grid_family,
     lifted_matrix,
@@ -595,7 +595,7 @@ def _bit_model_space() -> ModelSpace:
     bit = CoordDist(sample=lambda rng: float(rng.choice(2, p=[0.6, 0.4])),
                     logpdf=lambda u: math.log(0.6 if u < 0.5 else 0.4),
                     support=[(0.0, 0.6), (1.0, 0.4)])
-    return ModelSpace(2, {1: Model(1, model1), 2: Model(2, model2)},
+    return ModelSpace(2, {1: LogDensity(1, model1), 2: LogDensity(2, model2)},
                       coord_dist=bit)
 
 

@@ -277,19 +277,49 @@ class Dataset:
     name: str
 
 
+def _csv_lines(path: Path) -> list[str]:
+    """The non-blank lines of a UTF-8 text file, stripped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DensityError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _finite_csv_rows(path: Path, lines: list[str], first: int, width: int) -> np.ndarray:
+    """Comma-separated ``lines`` of ``path`` as a (rows, width) array, the
+    first of them row ``first`` of the file.  A row with another number of
+    fields, a field that is not a number or a NaN or infinite value is a
+    DensityError naming the row."""
+    rows = []
+    for i, ln in enumerate(lines, start=first):
+        toks = ln.split(",")
+        if len(toks) != width:
+            raise DensityError(f"{path}: malformed row {i} (expected {width} fields)")
+        try:
+            row = [float(tok) for tok in toks]
+        except ValueError:
+            raise DensityError(f"{path}: malformed row {i}") from None
+        for value in row:
+            if not math.isfinite(value):
+                raise DensityError(f"{path}: non-finite value {value!r} in row {i}")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
 def load_dataset(path) -> Dataset:
     """Read a CSV with the label in the last column; standardize covariates.
 
     An optional header row is detected by a non-numeric first row.  Labels
-    must take exactly the values {0, 1}.  The dataset is named by the
+    must take exactly the values {0, 1}, and every value must be finite.  A
+    file that is not UTF-8 text or breaks one of these rules is a
+    DensityError naming the row.  The dataset is named by the
     lower-cased file stem; when that is a known benchmark, the shape is
     validated against the expected (rows, covariates).
     """
     path = Path(path)
     name = path.stem.lower()
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _csv_lines(path)
     if not lines:
         raise DensityError(f"{path}: empty dataset")
     start = 0
@@ -297,20 +327,10 @@ def load_dataset(path) -> Dataset:
         [float(tok) for tok in lines[0].split(",")]
     except ValueError:
         start = 1  # header row
-    width = None
-    for i, ln in enumerate(lines[start:], start=start + 1):
-        toks = ln.split(",")
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
-            raise DensityError(f"{path}: malformed row {i} (expected {width} fields)")
-        try:
-            rows.append([float(tok) for tok in toks])
-        except ValueError:
-            raise DensityError(f"{path}: malformed row {i}") from None
-    if not rows:
+    body = lines[start:]
+    if not body:
         raise DensityError(f"{path}: no data rows")
-    data = np.asarray(rows)
+    data = _finite_csv_rows(path, body, start + 1, len(body[0].split(",")))
     if data.shape[1] < 2:
         raise DensityError(f"{path}: need at least one covariate and a label")
     X, y = data[:, :-1], data[:, -1]
@@ -357,7 +377,7 @@ class GridDensity:
     norm, see `core._RowIndex`) and returns the stored log-weight; anywhere
     else the density is zero.  ``grad`` optionally delegates to a smooth
     envelope so integrator-based kernels can run on the grid.  ``values``
-    are fixed at construction, and a NaN among them is refused.
+    are fixed at construction, and a NaN or infinite one is refused.
     """
 
     atol = _LOOKUP_ATOL
@@ -400,8 +420,8 @@ class GridDensity:
 
 def _grid_values(values: Sequence) -> tuple[list[np.ndarray], _RowIndex]:
     """A finite conditional's candidate values as 1-d arrays, and their
-    `core._RowIndex`.  A NaN value is refused: the support would list it
-    with positive probability while its log-probability is -inf."""
+    `core._RowIndex`.  A NaN or infinite value is refused: the support would
+    list it with positive probability while its log-probability is -inf."""
     vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
     return vals, _RowIndex(np.stack(vals))
 

@@ -12,15 +12,8 @@ import time
 import numpy as np
 from scipy.stats import kstest
 
-from imcmc.batch import (
-    batch_irr_mala,
-    batch_irr_nice_mc,
-    batch_mala,
-    logreg_batch,
-    mog2_batch,
-)
 from imcmc.cli import default_coupling
-from imcmc.core import make_rng, run_chain
+from imcmc.core import LogDensity, make_rng, run_chain
 from imcmc.diagnostics import ess_batch_means, grid_chi_square
 from imcmc.maps import (
     LeapfrogConfig,
@@ -33,15 +26,18 @@ from imcmc.maps import (
 )
 from imcmc.samplers import (
     BlockConditional,
-    Model,
     ModelSpace,
     default_init,
     gaussian_family,
     make_cdf_deterministic,
     make_gibbs,
     make_hamiltonian,
+    make_irr_mala,
+    make_irr_nice_mc,
+    make_mh,
     make_sample_adaptive,
     make_transdimensional,
+    mala_proposal,
     momentum_refresh_kernel,
     xv_layout,
 )
@@ -231,9 +227,8 @@ def test_criterion_08_statistical_correctness():
     gof_h = grid_chi_square(res_h.xs, edges, edges, masses)
     w_h = float((res_h.xs[:, 0] > 0).mean())
 
-    res_n = batch_irr_nice_mc(mog2_batch(), default_coupling("mog2", 2), 0.8, 1, 100000,
-                              make_rng(21), np.array([2.0, 0.0]))
-    xs_n = res_n.xs[:, 0, :]
+    nice = make_irr_nice_mc(mog2(), default_coupling("mog2", 2), 0.8)
+    xs_n = run_chain(nice, default_init(nice, [2.0, 0.0]), 100000, rng=make_rng(21)).xs
     gof_n = grid_chi_square(xs_n, edges, edges, masses)
     w_n = float((xs_n[:, 0] > 0).mean())
 
@@ -252,13 +247,15 @@ def test_criterion_08_statistical_correctness():
         return float((np.abs(xs.mean(axis=0) - mu) / se).max())
 
     zmax = {}
-    hmc_lr = make_hamiltonian(post.density(), LeapfrogConfig(0.25, 10))
+    density = post.density()
+    hmc_lr = make_hamiltonian(density, LeapfrogConfig(0.25, 10))
     zmax["hmc"] = zmax_of(run_chain(hmc_lr, default_init(hmc_lr, np.zeros(3)), 150000,
                                     seed=100).xs)
-    pb = logreg_batch(post)
-    for name, runner, seed in (("mala", batch_mala, 31), ("irr_mala", batch_irr_mala, 32)):
-        res = runner(pb, 0.02, 1, 100000, make_rng(seed), np.zeros(3))
-        zmax[name] = zmax_of(res.xs[:, 0, :])
+    walks = (("mala", make_mh(density, mala_proposal(density, 0.02)), 31),
+             ("irr_mala", make_irr_mala(density, 0.02), 32))
+    for name, kern, seed in walks:
+        zmax[name] = zmax_of(run_chain(kern, default_init(kern, np.zeros(3)), 100000,
+                                       rng=make_rng(seed)).xs)
 
     ok = (gof_h.passed and gof_n.passed
           and abs(w_h - 0.5) < 0.02 and abs(w_n - 0.5) < 0.02
@@ -309,7 +306,7 @@ def _nested_gaussians() -> ModelSpace:
         return (math.log(0.5) - 0.5 * y[0] ** 2 - 0.5 * math.log(2 * math.pi)
                 - 0.5 * y[1] ** 2 / v2 - 0.5 * math.log(2 * math.pi * v2))
 
-    return ModelSpace(2, {1: Model(1, model1), 2: Model(2, model2)})
+    return ModelSpace(2, {1: LogDensity(1, model1), 2: LogDensity(2, model2)})
 
 
 def test_criterion_09_transdimensional():

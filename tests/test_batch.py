@@ -20,7 +20,6 @@ import pytest
 from arithmetic import recorded_on
 from imcmc import batch
 from imcmc.batch import (
-    BatchTarget,
     batch_coupling_forward,
     batch_coupling_inverse,
     batch_irr_mala,
@@ -31,7 +30,7 @@ from imcmc.batch import (
     mog2_batch,
 )
 from imcmc.cli import default_coupling
-from imcmc.core import make_rng, run_chain
+from imcmc.core import LogDensity, make_rng, run_chain
 from imcmc.maps import affine_coupling
 from imcmc.samplers import (
     default_init,
@@ -67,9 +66,9 @@ def test_logreg_batch_matches_scalar():
     rng = make_rng(1)
     post = LogisticPosterior(rng.standard_normal((12, 3)),
                              (rng.random(12) < 0.5).astype(float))
-    # the bench target is the posterior's own maths over rows, with the
-    # logits shared: bitwise the posterior's values, in either order, and
-    # for rows changed in place since the last call
+    # the bench target is the posterior's own density over rows: bitwise
+    # the posterior's values, in either order, and for rows changed in
+    # place since the last call
     pb = logreg_batch(post)
     TH = rng.standard_normal((20, 4))
     lp = post.logpdf(TH)
@@ -83,7 +82,7 @@ def test_logreg_batch_matches_scalar():
     pb.logpdf(moved)
     moved[3] += 1.0
     assert pb.grad(moved).tobytes() == post.grad(moved).tobytes()
-    assert pb.logpdf(moved).flags.writeable and pb.grad(moved).flags.writeable
+    assert not (pb.logpdf(moved).flags.writeable or pb.grad(moved).flags.writeable)
     # rows go through matrix-matrix products and a single point through
     # matrix-vector ones, which may sum in another order: equal to rounding
     for i in range(20):
@@ -152,8 +151,8 @@ def test_batch_irr_nice_mc_equals_engine(coupling):
 
 def test_batch_chains_are_exchangeable_not_identical():
     const = -math.log(2.0 * math.pi)
-    mb = BatchTarget(dim=2, logpdf=lambda X: const - 0.5 * np.sum(X * X, axis=1),
-                     grad=lambda X: -X)
+    mb = LogDensity(dim=2, logpdf=lambda X: const - 0.5 * np.sum(X * X, axis=1),
+                    grad=lambda X: -X)
     got = batch_mala(mb, 0.2, 8, 3000, make_rng(15), np.zeros(2))
     # different chains see different noise
     assert not np.array_equal(got.xs[:, 0, :], got.xs[:, 1, :])
@@ -177,9 +176,8 @@ RUNNER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(RUNNER_DIGESTS))
-def test_batch_runners_keep_their_100_chain_bits(kind):
-    target, cmap, x0 = mog2_batch(), default_coupling("mog2", 2), np.array([2.0, 0.0])
+def _runner_digest(kind, target):
+    cmap, x0 = default_coupling("mog2", 2), np.array([2.0, 0.0])
     runs = {
         "mala": lambda: batch_mala(target, 0.05, 100, 200, make_rng(21), x0),
         "irr_mala": lambda: batch_irr_mala(target, 0.05, 100, 200, make_rng(22), x0),
@@ -191,7 +189,37 @@ def test_batch_runners_keep_their_100_chain_bits(kind):
     h = hashlib.sha256()
     h.update(res.xs.tobytes())
     h.update(res.accepted.tobytes())
-    assert h.hexdigest() == RUNNER_DIGESTS[kind], recorded_on(RUNNER_DIGESTS_CONFIG)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(RUNNER_DIGESTS))
+def test_batch_runners_keep_their_100_chain_bits(kind):
+    assert _runner_digest(kind, mog2_batch()) == RUNNER_DIGESTS[kind], \
+        recorded_on(RUNNER_DIGESTS_CONFIG)
+
+
+# perfbench rebuilds each bench target from its ``logpdf`` and ``grad`` alone
+# (wrapped to count rows), so a traced run takes the pair from two calls
+# where the plain target makes one fused call; `bench_batch` checks each
+# timed row against a traced one, which holds only if both give the same bits
+@pytest.mark.parametrize("kind", sorted(RUNNER_DIGESTS))
+def test_a_target_rebuilt_without_its_fused_function_keeps_the_runner_bits(kind):
+    target = mog2_batch()
+    rebuilt = LogDensity(target.dim, target.logpdf, target.grad)
+    assert _runner_digest(kind, rebuilt) == RUNNER_DIGESTS[kind], \
+        recorded_on(RUNNER_DIGESTS_CONFIG)
+
+
+def test_value_and_grad_on_rows_is_logpdf_and_grad_bitwise():
+    rng = make_rng(7)
+    post = LogisticPosterior(rng.standard_normal((30, 4)),
+                             (rng.random(30) < 0.5).astype(float))
+    for make in (mog2_batch, post.density):
+        X = 3.0 * rng.standard_normal((50, make().dim))
+        # a fresh density each time, so no memo answers for another path
+        value, g = make().value_and_grad(X)
+        assert value.tobytes() == make().logpdf(X).tobytes()
+        assert g.tobytes() == make().grad(X).tobytes()
 
 
 def _two_component_reference():
@@ -250,21 +278,33 @@ def test_mog2_batch_sees_rows_changed_in_place():
     assert np.array_equal(mb.logpdf(X), ref_logpdf(X))
 
 
-def test_mog2_batch_results_are_writable():
+def test_bench_targets_hand_out_read_only_results_and_runners_copy_their_state(coupling):
+    """The bench targets are `LogDensity`s, whose memos hand results out
+    read-only.  Each runner copies the start values it updates in place, so
+    runs that accept moves, and so write their state, raise nothing."""
+    rng = make_rng(5)
+    post = LogisticPosterior(rng.standard_normal((12, 3)),
+                             (rng.random(12) < 0.5).astype(float))
     mb = mog2_batch()
-    X = make_rng(5).standard_normal((4, 2))
-    for value in (mb.logpdf(X), mb.grad(X), mb.grad(X), mb.logpdf(X)):
-        assert value.flags.writeable
-        value[0] = 0.0
-    # writing into one result leaves the next call's result untouched
-    assert mb.logpdf(X)[0] != 0.0 and mb.grad(X)[0, 0] != 0.0
+    for target in (mb, logreg_batch(post)):
+        X = rng.standard_normal((4, target.dim))
+        for value in (target.logpdf(X), target.grad(X), *target.value_and_grad(X)):
+            assert not value.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0.0
+    x0 = np.array([2.0, 0.0])
+    for run in (lambda: batch_mala(mb, 0.05, 4, 20, make_rng(8), x0),
+                lambda: batch_irr_mala(mb, 0.05, 4, 20, make_rng(8), x0),
+                lambda: batch_nice_mc(mb, coupling, 4, 20, make_rng(8), x0),
+                lambda: batch_irr_nice_mc(mb, coupling, 0.8, 4, 20, make_rng(8), x0)):
+        assert run().accepted.any()
 
 
 @pytest.mark.parametrize("runner", [batch_mala, batch_irr_mala])
 def test_mog2_batch_makes_one_component_pass_per_proposal(runner, monkeypatch):
-    """The Langevin runners take ``logpdf`` and then ``grad`` at each
-    proposal (and at the start); the second call reads the first one's pass.
-    With a pass per call it would be 2 per step plus 2 at the start."""
+    """The Langevin runners take ``value_and_grad`` at each proposal (and at
+    the start), which makes one pass.  With a pass for the value and another
+    for the gradient it would be 2 per step plus 2 at the start."""
     passes = []
 
     def counted(X):

@@ -57,7 +57,8 @@ def test_instrumentation_installs_and_restores_every_original():
 
 def _bench_under_tracer(full):
     """`cmd_bench` on mog2 at 3 chains x 50 steps, once per bench kind, with
-    the tracer's wrappers installed; returns the tracer and the config."""
+    the tracer's wrappers installed; returns the tracer, the config, the
+    kinds and each kind's row."""
     spans = _load_spans()
     mods = {n: importlib.import_module(f"imcmc.{n}") for n in MODULES}
     cli = mods["cli"]
@@ -65,14 +66,15 @@ def _bench_under_tracer(full):
                         seed=1, params={"eps": 0.1})
     tracer = spans.Tracer()
     inst = spans.Instrumentation(tracer)
+    rows = {}
     try:
         inst.install(mods, full=full)
         for kind in cli.BENCH_KINDS:
             tracer.label = kind
-            cli.cmd_bench(cfg, [kind])
+            rows[kind] = cli.cmd_bench(cfg, [kind])[0]
     finally:
         inst.restore()
-    return tracer, cfg, cli.BENCH_KINDS
+    return tracer, cfg, cli.BENCH_KINDS, rows
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -80,7 +82,7 @@ def test_bench_finds_the_wrapped_batch_functions_when_called(full):
     """`cmd_bench` looks its batch target, row runner and ESS up when called,
     so rows run under the tracer are counted; a name bound at import would
     keep the unwrapped original and count nothing."""
-    tracer, cfg, kinds = _bench_under_tracer(full)
+    tracer, cfg, kinds, _ = _bench_under_tracer(full)
     for kind in kinds:
         assert tracer.n("batch.target_rows", kind) > 0, kind
         if full:
@@ -91,10 +93,26 @@ def test_bench_finds_the_wrapped_batch_functions_when_called(full):
 @pytest.mark.parametrize("full", [False, True])
 def test_bench_counts_every_row_each_runner_asks_for(full):
     """The benchmark's ``ess_per_1k_evals`` divides by ``batch.target_rows``:
-    a row counts once per ``logpdf`` and once per ``grad`` call, even where
-    the row target answers ``grad`` from the pass its ``logpdf`` made.  So
-    mala and irr_mala count 2 x 3 rows at the start and per step, and the
-    coupling chains 3; these are the counts from before the pass was shared."""
-    tracer, _, kinds = _bench_under_tracer(full)
+    a row counts once per ``logpdf`` and once per ``grad`` call.  The tracer
+    rebuilds the target without its fused ``value_and_grad``, so a Langevin
+    runner's ``value_and_grad`` call counts each row twice, where the plain
+    target makes one component pass.  So mala and irr_mala count 2 x 3 rows
+    at the start and per step, and the coupling chains 3; these are the
+    counts from before the pass was shared."""
+    tracer, _, kinds, _ = _bench_under_tracer(full)
     assert {kind: tracer.n("batch.target_rows", kind) for kind in kinds} == {
         "mala": 306, "irr_mala": 306, "nice_mc": 153, "irr_nice_mc": 153}
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_bench_rows_under_the_tracer_are_the_plain_rows(full):
+    """The tracer rebuilds each bench target as ``LogDensity(dim, logpdf,
+    grad)`` without its fused ``value_and_grad``, and the benchmark checks
+    each timed row against one taken under the tracer: so both must give
+    the same ESS and acceptance, bit for bit."""
+    _, cfg, kinds, traced = _bench_under_tracer(full)
+    cli = importlib.import_module("imcmc.cli")
+    for kind in kinds:
+        row = cli.cmd_bench(cfg, [kind])[0]
+        assert (row["ess"], row["accept_rate"]) == (
+            traced[kind]["ess"], traced[kind]["accept_rate"]), kind

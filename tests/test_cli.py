@@ -278,6 +278,13 @@ BAD_INPUT_FILES = {
     "ragged.csv": "1.0,2.0,0\n1.0,1\n",
     "empty.csv": "",
     "latin1.csv": "caf\u00e9,label\n1.0,0\n",
+    "nan.csv": "a,b,label\n1.0,2.0,0\n3.0,nan,1\n",
+    "inf.csv": "-inf,2.0,0\n3.0,1.0,1\n",
+    "trace_ragged.csv": "step,accepted,x_0,x_1\n0,1,0.5,0.25\n1,1,0.5\n",
+    "trace_text.csv": "step,accepted,x_0\n0,1,0.5\n1,1,half\n",
+    "trace_latin1.csv": "step,accepted,x_0\n0,1,0.5\n1,1,caf\u00e9\n",
+    "trace_nan.csv": "step,accepted,x_0\n0,1,0.5\n1,1,NaN\n",
+    "trace_inf.csv": "step,accepted,x_0\n0,1,inf\n1,1,0.5\n",
 }
 
 # argv and the one line the CLI writes to stderr, with {tmp} for the
@@ -347,6 +354,32 @@ BAD_INPUTS = {
         ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
          "--dataset", "{tmp}/latin1.csv", "--out", "{tmp}"],
         "error: {tmp}/latin1.csv: not UTF-8 text (invalid continuation byte)"),
+    "dataset_nan_covariate": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}/nan.csv", "--out", "{tmp}"],
+        "error: {tmp}/nan.csv: non-finite value nan in row 3"),
+    "dataset_inf_covariate": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
+         "--dataset", "{tmp}/inf.csv", "--out", "{tmp}"],
+        "error: {tmp}/inf.csv: non-finite value -inf in row 1"),
+    "trace_ragged_row": (
+        ["ess", "--trace", "{tmp}/trace_ragged.csv"],
+        "error: {tmp}/trace_ragged.csv: malformed row 3 (expected 4 fields)"),
+    "trace_not_a_number": (
+        ["ess", "--trace", "{tmp}/trace_text.csv"],
+        "error: {tmp}/trace_text.csv: malformed row 3"),
+    "trace_not_utf8": (
+        ["ess", "--trace", "{tmp}/trace_latin1.csv"],
+        "error: {tmp}/trace_latin1.csv: not UTF-8 text (invalid continuation byte)"),
+    "trace_nan": (
+        ["ess", "--trace", "{tmp}/trace_nan.csv"],
+        "error: {tmp}/trace_nan.csv: non-finite value nan in row 3"),
+    "trace_inf": (
+        ["ess", "--trace", "{tmp}/trace_inf.csv"],
+        "error: {tmp}/trace_inf.csv: non-finite value inf in row 2"),
+    "trace_is_a_directory": (
+        ["ess", "--trace", "{tmp}"],
+        "error: [Errno 21] Is a directory: '{tmp}'"),
     "dataset_is_a_directory": (
         ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1",
          "--dataset", "{tmp}", "--out", "{tmp}"],

@@ -163,23 +163,36 @@ def test_locate_finds_the_nearest_state_and_ties_go_to_the_first():
 
 def test_transition_matrices_refuse_a_nan_state():
     kernel = make_cdf_deterministic(uniform_cdf1d(), shift=0.25)
-    states = [kernel.layout.point([u]) for u in (0.0, 0.25, np.nan, 0.75)]
-    for build in (transition_matrix, transition_matrix_direct):
-        with pytest.raises(EnumerationError, match="state 2 has a NaN coordinate"):
-            build(kernel, states)
+    # an infinite state is at distance NaN from itself, so no step found it
+    for bad, kind in ((np.nan, "a NaN"), (np.inf, "an infinite")):
+        states = [kernel.layout.point([u]) for u in (0.0, 0.25, bad, 0.75)]
+        for build in (transition_matrix, transition_matrix_direct):
+            with pytest.raises(EnumerationError,
+                               match=rf"state 2 has {kind} coordinate \({bad} at index 0\)"):
+                build(kernel, states)
 
 
 @pytest.mark.parametrize("build", [
     lambda vals: grid_conditional(vals, lambda point: np.full(len(vals), 1.0 / len(vals))),
     lambda vals: grid_family(vals, lambda u, center: 0.0),
+    lambda vals: GridDensity(np.array(vals), np.zeros(len(vals))),
 ])
 def test_finite_conditionals_refuse_a_nan_value(build):
     # the support listed the NaN value with positive probability while its
-    # logpdf was -inf, so the oracle would enumerate a state of no density
-    with pytest.raises(ConfigError, match="NaN"):
-        build([np.array([0.0]), np.array([np.nan])])
-    with pytest.raises(ConfigError, match="NaN"):
-        build([[0.0, 1.0], [2.0, np.nan], [1.0, 1.0]])
+    # logpdf was -inf, so the oracle would enumerate a state of no density;
+    # an infinite value is at distance NaN from itself, so the same held
+    # for it, and a grid scored its own infinite row at -inf
+    for vals, message in (
+            ([np.array([0.0]), np.array([np.nan])],
+             r"row 1 has a NaN coordinate \(nan at index 0\)"),
+            ([[0.0, 1.0], [2.0, np.nan], [1.0, 1.0]],
+             r"row 1 has a NaN coordinate \(nan at index 1\)"),
+            ([np.array([0.0]), np.array([np.inf])],
+             r"row 1 has an infinite coordinate \(inf at index 0\)"),
+            ([[0.0, 1.0], [1.0, 1.0], [-np.inf, 2.0]],
+             r"row 2 has an infinite coordinate \(-inf at index 0\)")):
+        with pytest.raises(ConfigError, match=message):
+            build(vals)
     build([np.array([0.0]), np.array([1.0])])
 
 

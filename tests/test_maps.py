@@ -544,9 +544,12 @@ def test_cycle_flow():
 
 def test_cycle_flow_refuses_a_nan_value():
     # a NaN value's distance would win every search, so that every point,
-    # even the off-cycle 5.0, was mapped to the first value
+    # even the off-cycle 5.0, was mapped to the first value; an infinite
+    # value is at distance NaN from itself, so no point was ever on it
     with pytest.raises(ConfigError, match="NaN"):
         cycle_flow([0.0, 1.0, np.nan])
+    with pytest.raises(ConfigError, match=r"row 2 has an infinite coordinate \(-inf"):
+        cycle_flow([0.0, 1.5, -np.inf])
     flow = cycle_flow([0.0, 1.0, 2.0])
     lay = Layout(x_dim=1, v_dim=0)
     for move in (flow.forward, flow.inverse):

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from imcmc.cli import KINDS, kind_params
-from imcmc.core import make_rng, run_chain
+from imcmc.core import LogDensity, make_rng, run_chain
 from imcmc.errors import ConfigError
 from imcmc.maps import (CouplingMap, LeapfrogConfig, Metric, constant_metric, leapfrog,
                         leapfrog_flow)
 from imcmc.samplers import (
     BlockConditional,
-    Model,
     ModelSpace,
     default_init,
     gaussian_family,
@@ -61,7 +60,6 @@ def test_mala_stationary_point_accepts():
 
 
 def test_mala_requires_gradient():
-    from imcmc.core import LogDensity
 
     flat = LogDensity(dim=1, logpdf=lambda x: 0.0)
     with pytest.raises(ConfigError):
@@ -79,7 +77,6 @@ def test_mtm_all_equal_weights_accepts():
 
 
 def test_mtm_zero_weight_proposals_rejected():
-    from imcmc.core import LogDensity
 
     # support only near zero: far-away trials carry zero weight
     def logpdf(x):
@@ -140,7 +137,6 @@ def test_mtm_weighs_trials_by_q_of_the_current_point_given_each_trial():
     assert got == [fam.logpdf(x, y) for y in ys]
     assert got != [fam.logpdf(y, x) for y in ys]
 
-    from imcmc.core import LogDensity
 
     lp = lambda y: -0.3 * float(y[0]) ** 2  # noqa: E731
     kern = make_multiple_try(LogDensity(dim=1, logpdf=lp), fam, k=3)
@@ -264,7 +260,6 @@ def test_hamiltonian_high_acceptance_on_normal():
 
 
 def test_hamiltonian_requires_gradient():
-    from imcmc.core import LogDensity
 
     with pytest.raises(ConfigError):
         make_hamiltonian(LogDensity(dim=1, logpdf=lambda x: 0.0),
@@ -495,7 +490,7 @@ def nested_gaussian_space() -> ModelSpace:
         return (math.log(0.5) - 0.5 * y[0] ** 2 - 0.5 * math.log(2 * math.pi)
                 - 0.5 * y[1] ** 2 / v2 - 0.5 * math.log(2 * math.pi * v2))
 
-    return ModelSpace(2, {1: Model(1, model1), 2: Model(2, model2)})
+    return ModelSpace(2, {1: LogDensity(1, model1), 2: LogDensity(2, model2)})
 
 
 def test_cdf_kernel_orbit_statistics():
