@@ -361,10 +361,11 @@ def _timed_chain(cfg: RunConfig, tgt: dict, kernel, rng: np.random.Generator
 
 def _chain_report(cfg: RunConfig, index: int, xs: np.ndarray,
                   accepted: np.ndarray, seconds: float):
-    """Batch-means ESS of one chain's steps after burn-in."""
+    """Batch-means ESS of one chain's steps after burn-in; ESS/s divides it
+    by the ``seconds`` of the whole run, burn-in included, as `bench` does."""
     kept = xs[cfg.burn_in:]
     try:
-        return ess_batch_means(kept, seconds=seconds * kept.shape[0] / xs.shape[0],
+        return ess_batch_means(kept, seconds=seconds,
                                accept_rate=acceptance_rate(accepted))
     except DegenerateSeriesError:
         if np.any(accepted[cfg.burn_in:]):

@@ -163,6 +163,25 @@ def _numpy_order_sum(xs: list) -> float:
     return float(np.add.reduce(np.array(xs, dtype=float)))
 
 
+def _draw_index(rng: np.random.Generator, weights) -> int:
+    """An index drawn in proportion to ``weights`` by the inverse CDF of one
+    ``rng.random()``.  The weights need not sum to one; a NaN or negative
+    weight, or a total that is not positive and finite, is refused."""
+    ws = np.asarray(weights, dtype=float).tolist()
+    total = _numpy_order_sum(ws)
+    # a NaN weight makes the total NaN
+    if not 0.0 < total < math.inf or min(ws) < 0.0:
+        raise DensityError(f"cannot draw from the finite weights {ws!r}: they "
+                           "must be non-negative with a positive finite sum")
+    u = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(ws):
+        acc += w
+        if u < acc:
+            return i
+    return len(ws) - 1
+
+
 _MISS = object()  # what `_LastTwo.get` returns for a key it does not hold
 
 
@@ -397,23 +416,15 @@ class TagConditional(AuxiliaryConditional):
     """Conditional over a finite set of integer tag values.
 
     ``probs`` maps a conditioning point to a probability vector over
-    ``values``; the vector must sum to one (checked within 1e-12 at
-    enumeration time).
+    ``values``, drawn from by `_draw_index`; the vector must sum to one
+    (checked within 1e-12 at enumeration time).
     """
 
     def __init__(self, values: Sequence[int], probs, name: str):
         self.values = tuple(int(u) for u in values)
 
         def _sample(rng, point):
-            # inverse-CDF draw: exactly one uniform consumed per sample
-            ps = np.asarray(probs(point), dtype=float).tolist()
-            u = rng.random() * _numpy_order_sum(ps)
-            acc = 0.0
-            for value, pi in zip(self.values, ps):
-                acc += pi
-                if u < acc:
-                    return value
-            return self.values[-1]
+            return self.values[_draw_index(rng, probs(point))]
 
         def _logpdf(value, point):
             pi = float(probs(point)[self.values.index(int(value))])

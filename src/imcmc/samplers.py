@@ -50,7 +50,7 @@ from .maps import (
     swap_blocks,
     swap_slots,
 )
-from .targets import Cdf1D, _grid_logpmf, _grid_values
+from .targets import Cdf1D, _finite_law
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -181,20 +181,13 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
     remembered at the last two centers (see `core._LastTwo`), since a step
     asks for it at the same center to draw and to score.
     """
-    vals, rows = _grid_values(values)
-
     def _weights(center):
+        # ``vals`` is bound below, before any call
         logs = np.array([logpdf_fn(u, center) for u in vals])
         w = np.exp(logs - logs.max())
         return w / w.sum()
 
-    weights = _LastTwo(_weights)
-
-    def sample(rng, center):
-        return vals[rng.choice(len(vals), p=weights(center))]
-
-    def logpdf(value, center):
-        return _grid_logpmf(rows, weights(center), value)
+    vals, sample, logpdf, support = _finite_law(values, _LastTwo(_weights))
 
     def logpdf_rows(values, centers):
         # a single row is repeated by reference: `np.broadcast_arrays` costs
@@ -204,9 +197,6 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
         elif centers.ndim == 1:
             centers = itertools.repeat(centers)
         return list(map(logpdf, values, centers))
-
-    def support(center):
-        return list(zip(vals, weights(center).tolist()))
 
     return ProposalFamily(sample, logpdf, logpdf_rows, support)
 
@@ -774,42 +764,33 @@ def make_directional_map(target: LogDensity, T: FlowMap,
                        involution=direction_augment(T), name="directional")
 
 
-def make_persistent(target: LogDensity, T: FlowMap, refresh_alpha: float,
+def make_persistent(target: LogDensity, T: FlowMap | Involution, refresh_alpha: float,
                     momentum_cond: Optional[AuxiliaryConditional] = None,
-                    variant: str = "direction_tag",
                     name: str = "persistent") -> KernelComposition:
     """Persistent-direction composition: refresh, directional move, flip.
 
-    ``variant="direction_tag"`` keeps an explicit direction tag that only
-    net-flips on rejection.  ``variant="momentum_flip"`` is the classical
-    persistent-momentum form: the map must then be the flip-after-integrator
-    involution and the momentum sign plays the direction role.  The
-    composition preserves p(x) q(v) only if every kernel in it scores v with
-    the same q, so one momentum factor (``momentum_cond``, N(0, I) by
-    default) serves the refresh, the move and the flip.
+    The form follows ``T``.  A `FlowMap` gets an explicit direction tag that
+    only net-flips on rejection.  An `Involution`, the flip-after-integrator
+    map, gives the classical persistent-momentum form, in which the momentum
+    sign plays the direction role.  The composition preserves p(x) q(v) only
+    if every kernel in it scores v with the same q, so one momentum factor
+    (``momentum_cond``, N(0, I) by default) serves the refresh, the move and
+    the flip.
     """
+    if not isinstance(T, (FlowMap, Involution)):
+        raise ConfigError(f"make_persistent needs a FlowMap or an Involution, "
+                          f"not {type(T).__name__}")
+    tagged = isinstance(T, FlowMap)
     d = target.dim
     momentum = momentum_cond if momentum_cond is not None else normal_momentum(d)
-    scratch = refresh_alpha < 1.0
-    if variant == "direction_tag":
-        layout = xv_layout(d, tags=("d",), scratch=scratch)
-        refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum)
-        move = ImcmcKernel(layout, _x_target(target),
-                           aux_static=[("v", momentum)],
-                           involution=direction_augment(T),
-                           name=f"{name}_move")
-        flip = tag_flip_kernel(layout, "d", name=f"{name}_flip")
-        return compose([refresh, move, flip], name=name)
-    if variant != "momentum_flip":
-        raise ConfigError("variant must be 'direction_tag' or 'momentum_flip'")
-    if not isinstance(T, Involution):
-        raise ConfigError("momentum_flip variant expects an involution")
-    layout = xv_layout(d, scratch=scratch)
+    layout = xv_layout(d, tags=("d",) if tagged else (), scratch=refresh_alpha < 1.0)
     refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum)
     move = ImcmcKernel(layout, _x_target(target),
                        aux_static=[("v", momentum)],
-                       involution=T, name=f"{name}_move")
-    flip = slot_flip_kernel(layout, momentum, name=f"{name}_flip")
+                       involution=direction_augment(T) if tagged else T,
+                       name=f"{name}_move")
+    flip = (tag_flip_kernel(layout, "d", name=f"{name}_flip") if tagged
+            else slot_flip_kernel(layout, momentum, name=f"{name}_flip"))
     return compose([refresh, move, flip], name=name)
 
 
@@ -1092,7 +1073,7 @@ def make_irr_nice_mc(target: LogDensity, T: FlowMap, alpha: float,
                      ) -> KernelComposition:
     """Irreversible coupling-map chain: partial refresh, persistent move, flip."""
     return make_persistent(target, T, alpha, momentum_cond=momentum_cond,
-                           variant="direction_tag", name="irr_nice_mc")
+                           name="irr_nice_mc")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .core import (
     LogDensity,
     TagConditional,
     TransitionKernel,
+    _draw_index,
     make_rng,
     random_points,
     verify_involution,
@@ -108,7 +109,6 @@ class FiniteCase:
     check_pmf: Optional[np.ndarray] = None      # stationary law on the check space
     groups: Optional[list[int]] = None          # lump enumerated -> check space
     joint_logpdf: Optional[Callable] = None     # product-form law on the full space
-    single: bool = False                        # Prop-2 reversibility applies
     expect_irreversible: bool = False           # must violate detailed balance
     x_groups: Optional[list[int]] = None        # grouping for the marginal chain
     # the normalized joint law on the enumerated space, computed once
@@ -123,6 +123,12 @@ class FiniteCase:
             if self._joint_pmf is None:
                 raise ConfigError(f"{self.name}: give a check_pmf or a joint_logpdf")
             self.check_pmf = self._joint_pmf
+
+    @property
+    def single(self) -> bool:
+        """Whether Prop-2 reversibility applies: one involutive kernel whose
+        joint law is given."""
+        return isinstance(self.kernel, ImcmcKernel) and self.joint_logpdf is not None
 
     def matrix(self) -> np.ndarray:
         return transition_matrix(self.kernel, self.states)
@@ -239,13 +245,12 @@ def finite_cases() -> list[FiniteCase]:
                        name=f"mh_{rule_name}")
         states = [kern.layout.point([x], [v]) for x in (0.0, 1.0) for v in (0.0, 1.0)]
 
-        def mh_joint(pt, _q=q2, _g=g2):
-            return _g.logpdf(pt.x) + _q.logpdf(pt.slot("v"), pt)
+        def mh_joint(pt):
+            return g2.logpdf(pt.x) + q2.logpdf(pt.slot("v"), pt)
 
         add(FiniteCase(
             name=f"mh_2state_{rule_name}", kernel=kern, states=states,
-            joint_logpdf=mh_joint, single=True,
-            x_groups=[0, 0, 1, 1]))
+            joint_logpdf=mh_joint, x_groups=[0, 0, 1, 1]))
 
     # -- Langevin proposal on a four-point grid -----------------------------
     xs4 = np.array([-1.5, -0.5, 0.5, 1.5])
@@ -255,13 +260,12 @@ def finite_cases() -> list[FiniteCase]:
     mala_k = make_mh(g4.density(), mala_q, name="mala")
     mala_states = [mala_k.layout.point([x], [v]) for x in xs4 for v in xs4]
 
-    def mala_joint(pt, _q=mala_q, _g=g4):
-        return _g.logpdf(pt.x) + _q.logpdf(pt.slot("v"), pt)
+    def mala_joint(pt):
+        return g4.logpdf(pt.x) + mala_q.logpdf(pt.slot("v"), pt)
 
     add(FiniteCase(
         name="mala_grid", kernel=mala_k, states=mala_states,
-        joint_logpdf=mala_joint, single=True,
-        x_groups=[i // 4 for i in range(16)]))
+        joint_logpdf=mala_joint, x_groups=[i // 4 for i in range(16)]))
 
     # -- mixture proposal, discrete component index -------------------------
     idx = TagConditional((0, 1), lambda pt: np.array([0.7, 0.3])
@@ -272,14 +276,13 @@ def finite_cases() -> list[FiniteCase]:
     mp_states = [mp.layout.point([x], [v], (a,))
                  for x in (0.0, 1.0) for v in (0.0, 1.0) for a in (0, 1)]
 
-    def mp_joint(pt, _g=g2, _i=idx, _c=comp):
-        return (_g.logpdf(pt.x) + _i.logpdf(pt.tag("a"), pt)
-                + _c.logpdf(pt.slot("v"), pt))
+    def mp_joint(pt):
+        return (g2.logpdf(pt.x) + idx.logpdf(pt.tag("a"), pt)
+                + comp.logpdf(pt.slot("v"), pt))
 
     add(FiniteCase(
         name="mixture_proposal_2x2", kernel=mp, states=mp_states,
-        joint_logpdf=mp_joint, single=True,
-        x_groups=[0, 0, 0, 0, 1, 1, 1, 1]))
+        joint_logpdf=mp_joint, x_groups=[0, 0, 0, 0, 1, 1, 1, 1]))
 
     # -- multiple-try, two trials on two states -----------------------------
     fam2 = grid_family(vals2, _qlog2)
@@ -288,17 +291,17 @@ def finite_cases() -> list[FiniteCase]:
                   for x in (0.0, 1.0) for y1 in (0.0, 1.0) for y2 in (0.0, 1.0)
                   for xsr in (0.0, 1.0) for j in (0, 1)]
 
-    def mtm_joint(pt, _g=g2):
+    def mtm_joint(pt):
         x = pt.x
         ys = [pt.slot("y")[0:1], pt.slot("y")[1:2]]
-        lp = _g.logpdf(x) + _qlog2(ys[0], x) + _qlog2(ys[1], x)
-        w = np.array([math.exp(_g.logpdf(y) + _qlog2(x, y)) for y in ys])
+        lp = g2.logpdf(x) + _qlog2(ys[0], x) + _qlog2(ys[1], x)
+        w = np.array([math.exp(g2.logpdf(y) + _qlog2(x, y)) for y in ys])
         lp += math.log(w[pt.tag("j")] / w.sum())
         return lp + _qlog2(pt.slot("xstar"), ys[pt.tag("j")])
 
     add(FiniteCase(
         name="mtm_2state_k2", kernel=mtm, states=mtm_states,
-        joint_logpdf=mtm_joint, single=True,
+        joint_logpdf=mtm_joint,
         x_groups=[0 if pt.x[0] == 0.0 else 1 for pt in mtm_states]))
 
     # -- sample-adaptive, one stored point on three states ------------------
@@ -310,17 +313,16 @@ def finite_cases() -> list[FiniteCase]:
     sa_states = [sa.layout.point([x], [pr], (j,))
                  for x in (0.0, 1.0, 2.0) for pr in (0.0, 1.0, 2.0) for j in (0, 1)]
 
-    def sa_joint(pt, _g=g3, _f=fam3):
+    def sa_joint(pt):
         x, pr = pt.x, pt.slot("prop")
-        lp = _g.logpdf(x) + _f.logpdf(pr, x)
-        lam = np.array([math.exp(_f.logpdf(x, pr) - _g.logpdf(x)),
-                        math.exp(_f.logpdf(pr, x) - _g.logpdf(pr))])
+        lp = g3.logpdf(x) + fam3.logpdf(pr, x)
+        lam = np.array([math.exp(fam3.logpdf(x, pr) - g3.logpdf(x)),
+                        math.exp(fam3.logpdf(pr, x) - g3.logpdf(pr))])
         return lp + math.log(lam[pt.tag("j")] / lam.sum())
 
     add(FiniteCase(
         name="sample_adaptive_3state", kernel=sa, states=sa_states,
-        joint_logpdf=sa_joint, single=True,
-        x_groups=[int(pt.x[0]) for pt in sa_states]))
+        joint_logpdf=sa_joint, x_groups=[int(pt.x[0]) for pt in sa_states]))
 
     # -- generalized sample-adaptive, order-dependent aggregation -----------
     def g_ord(S):
@@ -332,22 +334,22 @@ def finite_cases() -> list[FiniteCase]:
                   for x1 in (0.0, 1.0) for x2 in (0.0, 1.0)
                   for pr in (0.0, 1.0) for j in (0, 1, 2)]
 
-    def sag_joint(pt, _g=g2, _f=fam_dep):
+    def sag_joint(pt):
         S = pt.x.reshape(2, 1)
         pr = pt.slot("prop")
-        lp = _g.logpdf(S[0]) + _g.logpdf(S[1]) + _f.logpdf(pr, g_ord(S))
+        lp = g2.logpdf(S[0]) + g2.logpdf(S[1]) + fam_dep.logpdf(pr, g_ord(S))
         lams = []
         for i in range(2):
             S_i = S.copy()
             S_i[i] = pr
-            lams.append(math.exp(_f.logpdf(S[i], g_ord(S_i)) - _g.logpdf(S[i])))
-        lams.append(math.exp(_f.logpdf(pr, g_ord(S)) - _g.logpdf(pr)))
+            lams.append(math.exp(fam_dep.logpdf(S[i], g_ord(S_i)) - g2.logpdf(S[i])))
+        lams.append(math.exp(fam_dep.logpdf(pr, g_ord(S)) - g2.logpdf(pr)))
         lams = np.array(lams)
         return lp + math.log(lams[pt.tag("j")] / lams.sum())
 
     add(FiniteCase(
         name="sample_adaptive_generalized", kernel=sag, states=sag_states,
-        joint_logpdf=sag_joint, single=True,
+        joint_logpdf=sag_joint,
         x_groups=[2 * int(pt.x[0]) + int(pt.x[1]) for pt in sag_states]))
 
     # -- Hamiltonian family on the rotation-closed grid ---------------------
@@ -362,8 +364,7 @@ def finite_cases() -> list[FiniteCase]:
     hmc_states = [hmc.layout.point(x, v) for x in X for v in V]
     add(FiniteCase(
         name="hmc_grid", kernel=hmc, states=hmc_states,
-        joint_logpdf=hmc_joint, single=True,
-        x_groups=[i // 3 for i in range(9)]))
+        joint_logpdf=hmc_joint, x_groups=[i // 3 for i in range(9)]))
 
     # constant-metric implicit integrator: eps^2 = 2c makes an exact rotation
     c_m = 2.0
@@ -388,15 +389,13 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="rmhmc_grid", kernel=rm, states=rm_states,
-        joint_logpdf=rm_joint, single=True,
-        x_groups=[i // 3 for i in range(9)]))
+        joint_logpdf=rm_joint, x_groups=[i // 3 for i in range(9)]))
 
     # embedded flow, identity and dyadic affine
     neutra_id = make_embedded_flow(dens, identity_flow(), cfg, momentum_cond=mom)
     add(FiniteCase(
         name="neutra_identity_grid", kernel=neutra_id, states=hmc_states,
-        joint_logpdf=hmc_joint, single=True,
-        x_groups=[i // 3 for i in range(9)]))
+        joint_logpdf=hmc_joint, x_groups=[i // 3 for i in range(9)]))
 
     flow = affine_x_flow([0.0], [2.0])
     X2 = [2.0 * x for x in X]
@@ -411,8 +410,7 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="neutra_affine_grid", kernel=neutra, states=n_states,
-        joint_logpdf=n_joint, single=True,
-        x_groups=[i // 3 for i in range(9)]))
+        joint_logpdf=n_joint, x_groups=[i // 3 for i in range(9)]))
 
     # directional map with fresh directions (coupling-map chain)
     L = leapfrog_flow(cfg, xgrid.grad)
@@ -424,8 +422,7 @@ def finite_cases() -> list[FiniteCase]:
 
     add(FiniteCase(
         name="directional_map_grid", kernel=dm, states=dm_states,
-        joint_logpdf=dm_joint, single=True,
-        x_groups=[i // 6 for i in range(18)]))
+        joint_logpdf=dm_joint, x_groups=[i // 6 for i in range(18)]))
 
     # persistent direction (full momentum refresh keeps it enumerable)
     pers = make_persistent(dens, L, 1.0, momentum_cond=mom, name="persistent_hmc")
@@ -471,10 +468,10 @@ def finite_cases() -> list[FiniteCase]:
 
         return BlockConditional(
             (k,),
-            sample=lambda rng, x, _p=probs: np.array([float(rng.choice(2, p=_p(x)))]),
-            logpdf=lambda v, x, _p=probs: math.log(_p(x)[int(v[0])]),
-            support=lambda x, _p=probs: [(np.array([0.0]), float(_p(x)[0])),
-                                         (np.array([1.0]), float(_p(x)[1]))])
+            sample=lambda rng, x: np.array([float(_draw_index(rng, probs(x)))]),
+            logpdf=lambda v, x: math.log(probs(x)[int(v[0])]),
+            support=lambda x: [(np.array([0.0]), float(probs(x)[0])),
+                               (np.array([1.0]), float(probs(x)[1]))])
 
     sweep = make_gibbs(tgt.density(), [cond_k(0), cond_k(1)], scan="systematic")
     sw_states = [sweep.layout.point([i, j], [v])
@@ -514,10 +511,10 @@ def finite_cases() -> list[FiniteCase]:
                  for a in (0.0, 1.0) for b in (0.0, 1.0)
                  for k in (1, 2) for j in (1, 2) if j != k]
 
-    def rj_joint(pt, _s=space):
-        lp = _s.logpdf(pt.tag("k"), pt.x)
+    def rj_joint(pt):
+        lp = space.logpdf(pt.tag("k"), pt.x)
         if pt.tag("k") == 1:
-            lp += _s.coord_dist.logpdf(pt.x[1])
+            lp += space.coord_dist.logpdf(pt.x[1])
         return lp
 
     # chain coordinates are (model, active block); padding is auxiliary
@@ -525,8 +522,7 @@ def finite_cases() -> list[FiniteCase]:
                for pt in rj_states]
     add(FiniteCase(
         name="rjmcmc_bits", kernel=rj, states=rj_states,
-        joint_logpdf=rj_joint, single=True,
-        x_groups=_group_ids(rj_keys)))
+        joint_logpdf=rj_joint, x_groups=_group_ids(rj_keys)))
 
     # non-reversible jump with a persistent ladder direction
     within = AuxiliaryConditional(
@@ -592,7 +588,7 @@ def _bit_model_space() -> ModelSpace:
         tab = np.array([[0.4, 0.1], [0.2, 0.3]])
         return math.log(0.5) + math.log(tab[int(y[0]), int(y[1])])
 
-    bit = CoordDist(sample=lambda rng: float(rng.choice(2, p=[0.6, 0.4])),
+    bit = CoordDist(sample=lambda rng: float(_draw_index(rng, [0.6, 0.4])),
                     logpdf=lambda u: math.log(0.6 if u < 0.5 else 0.4),
                     support=[(0.0, 0.6), (1.0, 0.4)])
     return ModelSpace(2, {1: LogDensity(1, model1), 2: LogDensity(2, model2)},
@@ -632,8 +628,7 @@ def mutant_case() -> FiniteCase:
         return g2.logpdf(pt.x) + q2.logpdf(pt.slot("v"), pt)
 
     return FiniteCase(name="mutant_mh", kernel=bad, states=states,
-                      joint_logpdf=joint, single=True,
-                      x_groups=[0, 0, 1, 1])
+                      joint_logpdf=joint, x_groups=[0, 0, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +673,7 @@ def _mutant_check() -> CheckResult:
 def _balance_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:
     out = []
     for case, T in built:
-        if case.single and isinstance(case.kernel, ImcmcKernel):
+        if case.single:
             p_joint = case._joint_pmf
             frozen = transition_matrix(case.kernel.frozen_aux(), case.states)
             rep = check_detailed_balance(frozen, p_joint, BALANCE_TOL)
@@ -823,7 +818,7 @@ def _reduction_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckR
     L = leapfrog_flow(cfg, xgrid.grad)
     la1 = make_look_ahead(dens, L, 1, 1.0, momentum_cond=mom)
     pm = make_persistent(dens, hmc_involution(cfg, xgrid.grad), 1.0,
-                         momentum_cond=mom, variant="momentum_flip")
+                         momentum_cond=mom)
     hmc, T_h = reg["hmc_grid"]
     record("look_ahead_k1_equals_persistent",
            float(np.max(np.abs(transition_matrix(la1, hmc.states)

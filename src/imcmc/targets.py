@@ -21,6 +21,7 @@ from .core import (
     LogDensity,
     _LOOKUP_ATOL,
     _RowIndex,
+    _draw_index,
     _numpy_order_sum,
 )
 from .errors import ConfigError, DensityError
@@ -418,14 +419,6 @@ class GridDensity:
                           grad=self.grad if self._grad is not None else None)
 
 
-def _grid_values(values: Sequence) -> tuple[list[np.ndarray], _RowIndex]:
-    """A finite conditional's candidate values as 1-d arrays, and their
-    `core._RowIndex`.  A NaN or infinite value is refused: the support would
-    list it with positive probability while its log-probability is -inf."""
-    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
-    return vals, _RowIndex(np.stack(vals))
-
-
 def _grid_logpmf(rows: _RowIndex, p: np.ndarray, value) -> float:
     """Log probability of the first grid row nearest to ``value``, if it
     lies within 1e-9, so that each listed candidate scores its own
@@ -439,27 +432,36 @@ def _grid_logpmf(rows: _RowIndex, p: np.ndarray, value) -> float:
     return -math.inf if pi <= 0.0 else math.log(pi)
 
 
+def _finite_law(values: Sequence, weights: Callable[[object], np.ndarray]):
+    """``(vals, sample, logpdf, support)`` of the law over ``values``, as
+    1-d arrays ``vals``, with weights ``weights(c)`` given ``c``.  A NaN or
+    infinite value is refused: the support would list it with positive
+    probability while its log-probability is -inf."""
+    vals = [np.atleast_1d(np.asarray(u, dtype=float)) for u in values]
+    rows = _RowIndex(np.stack(vals))
+
+    def sample(rng, c):
+        return vals[_draw_index(rng, weights(c))]
+
+    def logpdf(value, c):
+        return _grid_logpmf(rows, weights(c), value)
+
+    def support(c):
+        return list(zip(vals, weights(c).tolist()))
+
+    return vals, sample, logpdf, support
+
+
 def grid_conditional(values: Sequence, probs: Callable[[JointPoint], np.ndarray],
                      name: str = "") -> AuxiliaryConditional:
     """Finite-support conditional over vector slot values.
 
-    ``probs(point)`` returns the probability of each candidate value; the
+    ``probs(point)`` returns the weight of each candidate value; the
     support hook makes the conditional enumerable by the matrix oracle.
     """
-    vals, rows = _grid_values(values)
-
-    def _sample(rng, point):
-        p = np.asarray(probs(point), dtype=float)
-        return vals[rng.choice(len(vals), p=p / p.sum())]
-
-    def _logpdf(value, point):
-        return _grid_logpmf(rows, np.asarray(probs(point), dtype=float), value)
-
-    def _support(point):
-        p = np.asarray(probs(point), dtype=float)
-        return [(u, float(pi)) for u, pi in zip(vals, p)]
-
-    return AuxiliaryConditional(_sample, _logpdf, _support, name=name)
+    _, sample, logpdf, support = _finite_law(
+        values, lambda point: np.asarray(probs(point), dtype=float))
+    return AuxiliaryConditional(sample, logpdf, support, name=name)
 
 
 # ---------------------------------------------------------------------------

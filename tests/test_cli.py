@@ -148,6 +148,22 @@ def test_ess_from_run_config(capsys):
                     "--steps", "2000", "--burn-in", "200", "--chains", "3"]) == 2
 
 
+def test_sample_and_ess_divide_by_the_whole_runs_seconds(tmp_path, capsys, monkeypatch):
+    # ESS/s is the kept steps' ESS over the seconds of the whole run, burn-in
+    # included, as in `bench`; dividing by the kept fraction of the time read
+    # n / (n - burn_in) higher
+    timed = cli._timed_chain
+    monkeypatch.setattr(cli, "_timed_chain", lambda *a: timed(*a)[:2] + (2.0,))
+    flags = ["--kind", "mala", "--target", "mog2", "--eps", "0.05",
+             "--steps", "2000", "--burn-in", "500", "--seed", "3"]
+    assert run_cli(["ess", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ess_per_sec"] == report["ess"] / 2.0
+    assert run_cli(["sample", *flags, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["ess_per_sec"]["mean"] == summary["ess"]["mean"] / 2.0
+
+
 def test_ess_iid_fixture(tmp_path, capsys):
     from imcmc.core import make_rng
 

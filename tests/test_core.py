@@ -26,7 +26,14 @@ from imcmc.core import (
 )
 from imcmc.errors import ConfigError, DensityError
 from imcmc.maps import LeapfrogConfig, hmc_involution, leapfrog_flow, swap_blocks
-from imcmc.samplers import make_mh, normal_momentum, random_walk_proposal
+from imcmc.samplers import (
+    grid_family,
+    make_mh,
+    make_mixture_proposal,
+    make_multiple_try,
+    normal_momentum,
+    random_walk_proposal,
+)
 from imcmc.targets import GridDensity, grid_conditional, standard_normal
 
 
@@ -63,34 +70,112 @@ class _Uniforms:
         return next(self._rs)
 
 
+def _finite_draws(values, p):
+    """``(name, draw, weights)`` for each finite conditional over
+    ``values`` built on the weights ``p``: ``draw(rng)`` is the value drawn
+    and ``weights`` the vector the draw is made from.  The family's
+    weights are ``exp(log p)`` renormalized, as its support lists them."""
+    lay = Layout(x_dim=1, tags=("t",), tag_values={"t": values})
+    z = lay.point([0.0], tags=(values[0],))
+    tag = TagConditional(values, lambda point: p, name="t")
+    grid = grid_conditional([[v] for v in values], lambda point: p)
+    logs = {v: math.log(pi) if pi > 0.0 else -math.inf for v, pi in zip(values, p)}
+    fam = grid_family([[v] for v in values], lambda u, c: logs[int(u[0])])
+    c = np.zeros(1)
+    return [("tag", lambda rng: tag.sample(rng, z), p),
+            ("grid_conditional", lambda rng: int(grid.sample(rng, z)[0]), p),
+            ("grid_family", lambda rng: int(fam.sample(rng, c)[0]),
+             np.array([w for _, w in fam.support(c)]))]
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_tag_draws_are_the_numpy_sum_inverse_cdf_draws(n):
     # below 8 values the tag sum is in Python floats, from 8 on numpy's
-    # unrolled one; either way the draws are those of ``p.sum()``
+    # unrolled one; either way the draws are those of ``p.sum()``, and the
+    # grid conditional and grid family draw the same way from their weights
     rng = make_rng(200 + n)
     values = tuple(range(10, 10 + n))
     ps = [rng.dirichlet(np.full(n, 0.5)) for _ in range(40)]
     ps += [rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(40)]
-    lay = Layout(x_dim=1, tags=("t",), tag_values={"t": values})
-    z = lay.point([0.0], tags=(values[0],))
     for p in ps:
-        cond = TagConditional(values, lambda point: p, name="t")
-        # a seeded stream: one uniform per draw
-        got_rng, want_rng = make_rng(7), make_rng(7)
-        got = [cond.sample(got_rng, z) for _ in range(50)]
-        want = [_numpy_tag_draw(values, p, want_rng.random()) for _ in range(50)]
-        assert got == want
-        assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
-        # uniforms on either side of each cumulative boundary, where a sum
-        # one bit off would move the draw
-        rs = []
-        for acc in np.cumsum(p)[:-1].tolist():
-            r = acc / float(p.sum())
-            rs += [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)]
-        rs = [float(r) for r in rs if 0.0 <= r < 1.0]
-        stub = _Uniforms(rs)
-        assert [cond.sample(stub, z) for _ in rs] == [
-            _numpy_tag_draw(values, p, r) for r in rs]
+        for name, draw, w in _finite_draws(values, p):
+            # a seeded stream: one uniform per draw
+            got_rng, want_rng = make_rng(7), make_rng(7)
+            got = [draw(got_rng) for _ in range(50)]
+            want = [_numpy_tag_draw(values, w, want_rng.random()) for _ in range(50)]
+            assert got == want, name
+            assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+            # uniforms on either side of each cumulative boundary, where a
+            # sum one bit off would move the draw
+            rs = []
+            for acc in np.cumsum(w)[:-1].tolist():
+                r = acc / float(w.sum())
+                rs += [np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)]
+            rs = [float(r) for r in rs if 0.0 <= r < 1.0]
+            stub = _Uniforms(rs)
+            assert [draw(stub) for _ in rs] == [
+                _numpy_tag_draw(values, w, r) for r in rs], name
+
+
+@pytest.mark.parametrize("family", [False, True], ids=["grid_conditional", "grid_family"])
+def test_grid_draws_are_numpys_choice_draws(family):
+    # the grid builders drew with ``rng.choice(n, p=...)``, which takes one
+    # uniform and searches numpy's normalized cumulative sum; the shared
+    # inverse-CDF draw picks the same index from the same uniform
+    rng = make_rng(41 + family)
+    draws = 0
+    for n in range(2, 10):
+        values = tuple(range(n))
+        for _ in range(20):
+            p = rng.dirichlet(np.full(n, 0.5))
+            _, draw, w = _finite_draws(values, p)[1 + family]
+            want_p = w if family else p / p.sum()
+            got_rng, want_rng = make_rng(draws), make_rng(draws)
+            got = [draw(got_rng) for _ in range(70)]
+            assert got == [int(want_rng.choice(n, p=want_p)) for _ in range(70)]
+            assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+            draws += 70
+    assert draws >= 10000
+
+
+def _bad_weight_kernel(builder, weights):
+    """A kernel whose first step draws from a finite conditional of the
+    named builder with the given weights (a grid family's log-weights)."""
+    g2 = GridDensity(np.array([0.0, 1.0]), np.log(np.array([0.6, 0.4])))
+    vals = [[0.0], [1.0]]
+    if builder == "tag":
+        idx = TagConditional((0, 1), lambda point: weights, name="a")
+        comp = grid_conditional(vals, lambda point: np.array([0.5, 0.5]))
+        return make_mixture_proposal(g2.density(), idx, comp)
+    if builder == "grid_conditional":
+        return make_mh(g2.density(), grid_conditional(vals, lambda point: weights))
+    logs = dict(zip((0.0, 1.0), weights))
+    return make_multiple_try(g2.density(), grid_family(vals, lambda u, c: logs[u[0]]), k=2)
+
+
+_BAD_WEIGHTS = [
+    pytest.param(b, w, id=f"{b}-{k}") for b in ("tag", "grid_conditional")
+    for k, w in (("nan", [math.nan, 1.0]), ("negative", [-0.25, 1.25]),
+                 ("zero", [0.0, 0.0]), ("infinite", [math.inf, 1.0]))]
+# a family's weights are exponentials of its log-weights: never negative,
+# and all zero when every log-weight is -inf
+_BAD_WEIGHTS += [
+    pytest.param("grid_family", w, id=f"grid_family-{k}")
+    for k, w in (("nan", [math.nan, 0.0]), ("infinite", [math.inf, 0.0]),
+                 ("zero", [-math.inf, -math.inf]))]
+
+
+@pytest.mark.parametrize("builder, weights", _BAD_WEIGHTS)
+def test_finite_draws_refuse_bad_weights(builder, weights):
+    # the tag draw returned its last value for these weights and the grid
+    # draws raised numpy's ValueError
+    kernel = _bad_weight_kernel(builder, weights)
+    init = kernel.layout.point([0.0], np.zeros(kernel.layout.v_dim),
+                               (0,) * len(kernel.layout.tags))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            DensityError, match=rf"^{kernel.name} step 0: cannot draw from the "
+            r"finite weights \[.*\]: they must be non-negative"):
+        run_chain(kernel, init, 5, seed=1)
 
 
 def test_log_accept_equal_densities():

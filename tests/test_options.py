@@ -21,9 +21,13 @@ init fields, a ``kw_only`` field has no position, and a
 ``field(default_factory=f)`` default is ``f()``.  Parameters whose names start with ``_``
 (default-argument binders such as ``_q=mala_q``) are skipped.
 
+Beside it, a scan for ``.choice`` calls given weights in ``src/imcmc``:
+every finite draw goes through `core._draw_index`.
+
 Run as a script (``python3 tests/test_options.py``) it prints the number of
 defaulted parameters of the ``def``s and of defaulted fields in
-``src/imcmc``, then each unset and each always-set one.
+``src/imcmc``, then each unset and each always-set one, and each weighted
+``.choice`` call.
 """
 
 import ast
@@ -214,6 +218,28 @@ def always_set_options(library, callers):
     return _scan(library, callers, lambda sets: sets and all(s is True for s in sets))
 
 
+def weighted_choices(library):
+    """``where`` for each ``.choice`` call given weights (``p=`` or the
+    fourth positional argument).  Every finite conditional draws through
+    `core._draw_index` and its one weight check, so such a call would be a
+    second categorical draw."""
+    return [f"{label}:{node.lineno}" for label, tree in library for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"
+            and (len(node.args) >= 4 or any(k.arg == "p" for k in node.keywords))]
+
+
+def test_no_weighted_choice_in_the_library():
+    assert weighted_choices(_library()) == []
+
+
+def test_the_scan_flags_a_weighted_choice():
+    library = [("lib.py", ast.parse(
+        "rng.choice(2)\nrng.choice(values)\nchoice(2, p=w)\n"
+        "rng.choice(2, p=w)\nnp.random.choice(3, 1, True, w)\n"))]
+    assert weighted_choices(library) == ["lib.py:4", "lib.py:5"]
+
+
 def test_every_option_is_set_by_some_caller():
     assert unset_options(_library(), _callers()) == []
 
@@ -344,3 +370,5 @@ if __name__ == "__main__":
         print("unset:", line)
     for line in always_set_options(library, callers):
         print("always set:", line)
+    for line in weighted_choices(library):
+        print("weighted choice:", line)

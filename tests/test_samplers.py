@@ -707,7 +707,7 @@ def _persistent_family_with(mom, xgrid):
         "persistent_direction_tag": (make_persistent(dens, L, 1.0, momentum_cond=mom), True),
         "persistent_momentum_flip": (
             make_persistent(dens, hmc_involution(cfg, xgrid.grad), 1.0,
-                            momentum_cond=mom, variant="momentum_flip"), False),
+                            momentum_cond=mom), False),
         "irr_nice_mc": (make_irr_nice_mc(dens, L, 1.0, momentum_cond=mom), True),
         "look_ahead_k3": (make_look_ahead(dens, L, 3, 1.0, momentum_cond=mom), False),
     }
@@ -750,3 +750,25 @@ def test_persistent_with_explicit_standard_normal_momentum_is_the_default():
     assert a.accepted.tobytes() == b.accepted.tobytes()
     assert a.accept_prob.tobytes() == b.accept_prob.tobytes()
     assert a.final.v.tobytes() == b.final.v.tobytes()
+
+
+def test_persistent_takes_its_form_from_the_map():
+    """An involution gives the momentum-flip form, a flow map the
+    direction-tag one, and anything else is refused.  An involution with
+    the old default form crashed at the first step after a rejection."""
+    from imcmc.maps import hmc_involution
+    from imcmc.samplers import make_persistent
+
+    sn = standard_normal(1)
+    cfg = LeapfrogConfig(1.9, 3)
+    flip = make_persistent(sn, hmc_involution(cfg, sn.grad), 1.0)
+    tag = make_persistent(sn, leapfrog_flow(cfg, sn.grad), 1.0)
+    assert flip.layout.tags == () and tag.layout.tags == ("d",)
+    assert [k.name for k in flip.kernels()] == [
+        "refresh", "persistent_move", "persistent_flip"]
+    res = run_chain(flip, default_init(flip, [0.5]), 200, seed=3)
+    moves = res.accepted[:, 1]
+    assert 0 < moves.sum() < moves.size and np.all(np.isfinite(res.xs))
+    for T in (cfg, sn.grad, None):
+        with pytest.raises(ConfigError, match="needs a FlowMap or an Involution"):
+            make_persistent(sn, T, 1.0)
