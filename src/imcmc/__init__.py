@@ -14,6 +14,7 @@ from .core import (
     TagConditional,
     chain_rngs,
     compose,
+    float_density,
     log_accept,
     make_rng,
     random_points,

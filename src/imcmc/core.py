@@ -36,6 +36,7 @@ __all__ = [
     "LogDensity",
     "TagConditional",
     "chain_rngs",
+    "float_density",
     "log_accept",
     "make_rng",
     "random_points",
@@ -240,17 +241,19 @@ class _LastTwo:
 
 
 class _GradMemo(_LastTwo):
-    """The gradient's `_LastTwo`, paired with its density's ``logpdf`` memo
-    and the density's fused function for `value_and_grad` (None if it has
-    none).  An integrator handed ``density.grad`` can then fill both memos at
-    a trajectory's endpoint (see `maps.leapfrog`)."""
+    """The gradient's `_LastTwo`, paired with its density's ``logpdf`` memo,
+    the density's fused function for `value_and_grad` and its float form
+    (each None if it has none).  An integrator handed ``density.grad`` can
+    then fill both memos at a trajectory's endpoint and step on floats in
+    between (see `maps.leapfrog`)."""
 
-    __slots__ = ("logpdf", "fused")
+    __slots__ = ("logpdf", "fused", "floats")
 
-    def __init__(self, fn, logpdf: _LastTwo, fused):
+    def __init__(self, fn, logpdf: _LastTwo, fused, floats):
         super().__init__(fn)
         self.logpdf = logpdf
         self.fused = fused
+        self.floats = floats
 
     def value_and_grad(self, x):
         """``(logpdf(x), grad(x))`` through both memos.
@@ -360,6 +363,13 @@ class LogDensity:
     since a density rebuilt without it must give the same chains.  Without
     one, the pair comes from the memoized ``logpdf`` and ``grad``.  A density
     with a gradient always has ``value_and_grad``.
+
+    ``floats``, the float form, is the same pair on Python floats:
+    ``floats(coords) -> (value, gradient)`` for a list of float coordinates,
+    with the gradient a sequence of floats.  It must not keep the list it
+    is handed.  A density that computes in floats (see `float_density`)
+    wraps this one function as its array callables, so its results equal
+    theirs bitwise; `maps.leapfrog` then steps on floats.
     """
 
     dim: int
@@ -367,17 +377,36 @@ class LogDensity:
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     value_and_grad: Optional[
         Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
+    floats: Optional[Callable[[list], tuple[float, Sequence[float]]]] = None
 
     def __post_init__(self):
         logpdf = _LastTwo(self.logpdf)
         object.__setattr__(self, "logpdf", logpdf)
         if self.grad is None:
-            if self.value_and_grad is not None:
-                raise ConfigError("a fused value_and_grad needs the gradient too")
+            if self.value_and_grad is not None or self.floats is not None:
+                raise ConfigError("a fused value_and_grad or a float form "
+                                  "needs the gradient too")
             return
-        grad = _GradMemo(self.grad, logpdf, self.value_and_grad)
+        grad = _GradMemo(self.grad, logpdf, self.value_and_grad, self.floats)
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "value_and_grad", grad.value_and_grad)
+
+
+def float_density(dim: int, floats) -> LogDensity:
+    """The `LogDensity` whose maths is the float form ``floats`` alone: its
+    ``logpdf``, ``grad`` and fused ``value_and_grad`` hand the point's
+    coordinates to ``floats`` as a list of floats."""
+
+    def coords(x):
+        return np.asarray(x, dtype=float).tolist()
+
+    def value_and_grad(x):
+        value, g = floats(coords(x))
+        return value, np.array(g)
+
+    return LogDensity(dim=dim, logpdf=lambda x: floats(coords(x))[0],
+                      grad=lambda x: value_and_grad(x)[1],
+                      value_and_grad=value_and_grad, floats=floats)
 
 
 class AuxiliaryConditional:

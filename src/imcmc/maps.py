@@ -83,8 +83,13 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     goes through its memo: the interior positions are new points that
     nothing asks for again, and the endpoint goes through the density's
     ``value_and_grad``, since an acceptance test asks for its log-density
-    next.
+    next.  When that density also has a float form (`core.float_density`)
+    and the momentum is standard normal, the kicks and drifts run on Python
+    floats (`_leapfrog_floats`) with the same bits.
     """
+    if grad_v is None and getattr(grad_x, "floats", None) is not None:
+        x, v = _leapfrog_floats(x, np.asarray(v, dtype=float).tolist(), cfg, grad_x)
+        return x, np.array(v)
     interior = endpoint = grad_x
     fused = getattr(grad_x, "value_and_grad", None)
     if fused is not None:
@@ -113,9 +118,50 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     return x, v
 
 
+def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
+                     grad_x) -> tuple[np.ndarray, list]:
+    """The unit-mass `leapfrog` on the float form of ``grad_x``'s density,
+    with the momentum ``v`` a list of floats, which it updates and returns
+    beside the endpoint array.
+
+    Each coordinate gets the array path's operations in its order, ``v +
+    half * g`` and ``x + eps * v`` as a separate multiply and add, and a
+    Python float rounds each as numpy does, so the bits are the same.  The
+    start gradient comes through the memo and the endpoint through
+    ``value_and_grad``, as on the array path; the ``k - 1`` interior
+    positions call the float form.
+    """
+    floats = grad_x.floats
+    half, eps = 0.5 * cfg.eps, cfg.eps
+    x = np.asarray(x, dtype=float)
+    g = grad_x(x).tolist()
+    x = x.tolist()
+    coords = range(len(x))
+    for step in range(1, cfg.k + 1):
+        for i in coords:
+            w = v[i] + half * g[i]
+            v[i] = w
+            x[i] = x[i] + eps * w
+        if step < cfg.k:
+            g = floats(x)[1]
+        else:
+            x = np.array(x)
+            g = grad_x.value_and_grad(x)[1].tolist()
+        for i in coords:
+            v[i] += half * g[i]
+    if not all(map(math.isfinite, v)):
+        raise ConfigError("non-finite gradient in leapfrog")
+    return x, v
+
+
 def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
                      grad_x) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the unit-mass `leapfrog`: flip, integrate, flip."""
+    """Inverse of the unit-mass `leapfrog`: flip, integrate, flip.  On a
+    float form, as `leapfrog` takes it, both flips negate floats."""
+    if getattr(grad_x, "floats", None) is not None:
+        x, v = _leapfrog_floats(
+            x, [-w for w in np.asarray(v, dtype=float).tolist()], cfg, grad_x)
+        return x, np.array([-w for w in v])
     x, v = leapfrog(x, -np.asarray(v, dtype=float), cfg, grad_x)
     return x, -v
 

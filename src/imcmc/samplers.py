@@ -34,7 +34,7 @@ from .core import (
     _numpy_order_sum,
     compose,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DensityError
 from .maps import (
     FlowMap,
     LeapfrogConfig,
@@ -179,12 +179,18 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
 
     ``logpdf_fn(u, center)`` must be a pure function: the weight vector is
     remembered at the last two centers (see `core._LastTwo`), since a step
-    asks for it at the same center to draw and to score.
+    asks for it at the same center to draw and to score.  Log-weights with
+    a NaN, a +inf or no finite value are a DensityError quoting them.
     """
     def _weights(center):
         # ``vals`` is bound below, before any call
         logs = np.array([logpdf_fn(u, center) for u in vals])
-        w = np.exp(logs - logs.max())
+        top = logs.max()  # NaN if any log-weight is NaN
+        if not math.isfinite(top):
+            raise DensityError(f"cannot weigh the grid values by the log-weights "
+                               f"{logs.tolist()!r}: none may be NaN or +inf, and "
+                               "one must be finite")
+        w = np.exp(logs - top)
         return w / w.sum()
 
     vals, sample, logpdf, support = _finite_law(values, _LastTwo(_weights))

@@ -23,6 +23,7 @@ from .core import (
     _RowIndex,
     _draw_index,
     _numpy_order_sum,
+    float_density,
 )
 from .errors import ConfigError, DensityError
 
@@ -108,24 +109,17 @@ def mixture_1d(means: Sequence[float], sigma: float) -> LogDensity:
     # order, and its exponential taken against the largest
     terms = list(zip((logw + const).tolist(), mu.tolist()))
 
-    def exps(a):
+    def floats(x):
+        (a,) = x
         c = [lc - 0.5 * (a - m) * (a - m) / var for lc, m in terms]
         top = max(c)
         e = [math.exp(ci - top) for ci in c]
-        return top, e, _numpy_order_sum(e)
-
-    def logpdf(x):
-        top, _, s = exps(float(x[0]))
-        return top + math.log(s)
-
-    def grad(x):
+        s = _numpy_order_sum(e)
         # the responsibility-weighted component gradients
-        a = float(x[0])
-        _, e, s = exps(a)
-        return np.array([_numpy_order_sum(
-            [ei / s * -(a - m) / var for ei, (_, m) in zip(e, terms)])])
+        return top + math.log(s), (_numpy_order_sum(
+            [ei / s * -(a - m) / var for ei, (_, m) in zip(e, terms)]),)
 
-    return LogDensity(dim=1, logpdf=logpdf, grad=grad)
+    return float_density(1, floats)
 
 
 MOG2_MU1 = np.array([2.0, 0.0])
@@ -135,39 +129,29 @@ MOG2_VAR = 0.5
 
 def mog2() -> LogDensity:
     """Equal-weight mixture of two round planar normals at (+-2, 0)."""
-    const = -_LOG_2PI - math.log(MOG2_VAR)
-    log_half = math.log(0.5)
+    # a component's log-weight plus its normalizing constant, summed once:
+    # ``log_half + const - t`` adds these two first, so the bits are the same
+    lc = math.log(0.5) + (-_LOG_2PI - math.log(MOG2_VAR))
+    var = MOG2_VAR
 
-    def comps(x):
-        # the offsets from MOG2_MU1 = (2, 0) and MOG2_MU2 = (-2, 0) in Python
-        # floats, each squared norm summed as a*a + b*b with no BLAS call,
-        # so it rounds the same whichever `ddot` kernel the machine has
-        a, b = float(x[0]), float(x[1])
+    def floats(x):
+        # the offsets from MOG2_MU1 = (2, 0) and MOG2_MU2 = (-2, 0), each
+        # squared norm summed as a*a + b*b with no BLAS call, so it rounds
+        # the same whichever `ddot` kernel the machine has
+        a, b = x
         a1, a2 = a - 2.0, a + 2.0
         bb = b * b
-        c1 = log_half + const - 0.5 * (a1 * a1 + bb) / MOG2_VAR
-        c2 = log_half + const - 0.5 * (a2 * a2 + bb) / MOG2_VAR
-        return c1, c2, a1, a2, b
-
-    def logpdf(x):
-        c1, c2, _, _, _ = comps(x)
-        m = max(c1, c2)
-        return m + math.log(math.exp(c1 - m) + math.exp(c2 - m))
-
-    def value_and_grad(x):
-        c1, c2, a1, a2, b = comps(x)
-        m = max(c1, c2)
+        c1 = lc - 0.5 * (a1 * a1 + bb) / var
+        c2 = lc - 0.5 * (a2 * a2 + bb) / var
+        m = c2 if c2 > c1 else c1  # max(c1, c2), NaN included, without the call
         r1 = math.exp(c1 - m)
         r2 = math.exp(c2 - m)
         z = r1 + r2
         r1, r2 = r1 / z, r2 / z
-        return m + math.log(z), np.array([(r1 * -a1 + r2 * -a2) / MOG2_VAR,
-                                          (r1 * -b + r2 * -b) / MOG2_VAR])
+        return m + math.log(z), ((r1 * -a1 + r2 * -a2) / var,
+                                 (r1 * -b + r2 * -b) / var)
 
-    def grad(x):
-        return value_and_grad(x)[1]
-
-    return LogDensity(dim=2, logpdf=logpdf, grad=grad, value_and_grad=value_and_grad)
+    return float_density(2, floats)
 
 
 def mog2_cell_masses(edges_x: np.ndarray, edges_y: np.ndarray) -> np.ndarray:

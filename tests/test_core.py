@@ -165,16 +165,19 @@ _BAD_WEIGHTS += [
                  ("zero", [-math.inf, -math.inf]))]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("builder, weights", _BAD_WEIGHTS)
 def test_finite_draws_refuse_bad_weights(builder, weights):
     # the tag draw returned its last value for these weights and the grid
-    # draws raised numpy's ValueError
+    # draws raised numpy's ValueError; a grid family refuses its log-weights
+    # before it weighs by them, with no warning on the way
     kernel = _bad_weight_kernel(builder, weights)
     init = kernel.layout.point([0.0], np.zeros(kernel.layout.v_dim),
                                (0,) * len(kernel.layout.tags))
-    with np.errstate(invalid="ignore"), pytest.raises(
-            DensityError, match=rf"^{kernel.name} step 0: cannot draw from the "
-            r"finite weights \[.*\]: they must be non-negative"):
+    cause = ("cannot weigh the grid values by the log-weights" if builder == "grid_family"
+             else "cannot draw from the finite weights")
+    with pytest.raises(DensityError, match=rf"^{kernel.name} step 0: {cause} "
+                       rf"{re.escape(repr(weights))}: "):
         run_chain(kernel, init, 5, seed=1)
 
 

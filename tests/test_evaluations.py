@@ -481,6 +481,8 @@ def test_value_and_grad_passes_other_inputs_through():
     assert counts == {"logpdf": 0, "grad": 0, "value_and_grad": 3}
     with pytest.raises(ConfigError):
         LogDensity(dim=4, logpdf=post.logpdf, value_and_grad=post.value_and_grad)
+    with pytest.raises(ConfigError, match="a float form needs the gradient"):
+        LogDensity(dim=2, logpdf=mog2().logpdf, floats=mog2().floats)
 
 
 @pytest.mark.parametrize("kind,want", [

@@ -1,11 +1,21 @@
 """Integrators, flows, combinators, coupling layers, CDF rotation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from imcmc.core import Layout, make_rng, random_points, verify_involution, verify_jacobian
+from imcmc.core import (
+    _MISS,
+    Layout,
+    LogDensity,
+    make_rng,
+    random_points,
+    run_chain,
+    verify_involution,
+    verify_jacobian,
+)
 from imcmc.errors import ConfigError, FixedPointError
 from imcmc.maps import (
     CouplingMap,
@@ -34,7 +44,8 @@ from imcmc.maps import (
     swap_blocks,
     swap_slots,
 )
-from imcmc.targets import mog2, normal_cdf1d, standard_normal
+from imcmc.samplers import default_init, make_hamiltonian
+from imcmc.targets import mixture_1d, mog2, normal_cdf1d, standard_normal
 
 SN1 = standard_normal(1)
 LAY1 = Layout(x_dim=1, v_dim=1, slots={"v": slice(0, 1)})
@@ -119,6 +130,102 @@ def test_leapfrog_non_finite_gradient_partway_raises(bad):
             integrate(np.array([0.0]), np.array([v0]), LeapfrogConfig(0.1, 20), g)
         # the first gradients were finite: the failure came mid-trajectory
         assert calls[0] == 0.0 and sum(c <= 0.5 for c in calls) > 3
+
+
+# the targets with a float form: mog2, and mixture_1d as the CLI's bimodal1d
+FLOAT_TARGETS = {"mog2": mog2, "bimodal1d": lambda: mixture_1d([-1.5, 1.5], 0.6)}
+
+
+def _without_float_form(density):
+    """The same density with its array callables alone, which `leapfrog`
+    integrates on arrays."""
+    return LogDensity(dim=density.dim, logpdf=density.logpdf.fn, grad=density.grad.fn,
+                      value_and_grad=density.grad.fused)
+
+
+def _trajectory_bits(integrate, density, x, v, cfg):
+    """The end point's x and v and the log-density the memo holds there, as
+    bits."""
+    x1, v1 = integrate(x, v, cfg, density.grad)
+    value = density.logpdf.get((x1.shape, x1.tobytes()))
+    assert value is not _MISS  # the endpoint was evaluated through the memo
+    return x1.dtype, x1.tobytes(), v1.dtype, v1.tobytes(), value.hex()
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_TARGETS))
+def test_float_leapfrog_keeps_the_array_bits(name):
+    floats = FLOAT_TARGETS[name]()
+    arrays = _without_float_form(floats)
+    assert floats.grad.floats is not None and arrays.grad.floats is None
+    rng = make_rng(23)
+    starts = 0
+    for scale in (0.5, 2.0, 8.0):
+        for _ in range(3400):
+            x = scale * rng.standard_normal(floats.dim)
+            v = rng.standard_normal(floats.dim)
+            eps = float(rng.uniform(0.02, 0.6))
+            for k in (1, 16):
+                for integrate in (leapfrog, leapfrog_inverse):
+                    cfg = LeapfrogConfig(eps, k)
+                    assert (_trajectory_bits(integrate, floats, x, v, cfg)
+                            == _trajectory_bits(integrate, arrays, x, v, cfg))
+            starts += 1
+    assert starts >= 10000
+    # far out the float gradient goes NaN: at the start, and after a few
+    # steps of an unstable step size (3.0 against the modes' period)
+    far, unstable = np.full(floats.dim, 0.0), np.full(floats.dim, 0.0)
+    far[0], unstable[0] = 1e200, 1e150
+    assert np.isfinite(floats.grad(unstable)).all()
+    for x, eps in ((far, 0.3), (unstable, 3.0)):
+        for density in (floats, arrays):
+            for integrate in (leapfrog, leapfrog_inverse):
+                with pytest.raises(ConfigError, match="^non-finite gradient in leapfrog$"):
+                    integrate(x, np.zeros(floats.dim), LeapfrogConfig(eps, 16), density.grad)
+
+
+def _counting_float_mog2():
+    """mog2 with every callable counted, its float form included."""
+    base, counts = mog2(), Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapper
+
+    density = LogDensity(dim=2, logpdf=counted("logpdf", base.logpdf.fn),
+                         grad=counted("grad", base.grad.fn),
+                         value_and_grad=counted("value_and_grad", base.grad.fused),
+                         floats=counted("floats", base.floats))
+    return density, counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+def test_float_leapfrog_evaluates_k_plus_one_gradients(k):
+    density, counts = _counting_float_mog2()
+    cfg = LeapfrogConfig(0.1, k)
+    for i, integrate in enumerate((leapfrog, leapfrog_inverse)):
+        counts.clear()
+        x = np.array([0.3 + i, -1.1])
+        x1, _ = integrate(x, np.array([0.2, 0.4]), cfg, density.grad)
+        # the start through the gradient memo, k - 1 interior positions on
+        # floats and the endpoint's value and gradient in one fused call
+        assert +counts == +Counter(grad=1, floats=k - 1, value_and_grad=1)
+        density.logpdf(x1)
+        density.grad(x)
+        assert sum(counts.values()) == k + 1
+
+
+def test_hmc_on_a_float_form_evaluates_each_trajectory_once():
+    density, counts = _counting_float_mog2()
+    k, n = 16, 200
+    kernel = make_hamiltonian(density, LeapfrogConfig(0.3, k))
+    res = run_chain(kernel, default_init(kernel, [2.0, 0.0]), n, seed=5)
+    assert res.accepted.any() and not res.accepted.all()
+    # the start point's value and gradient once, then per step k - 1 float
+    # calls and one fused endpoint: an accepted endpoint is the next start,
+    # and a rejected step starts where it did, both still in the memo
+    assert counts == Counter(logpdf=1, grad=1, floats=(k - 1) * n, value_and_grad=n)
 
 
 def test_leapfrog_volume_preserving():
