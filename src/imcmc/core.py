@@ -167,8 +167,10 @@ def _numpy_order_sum(xs: list) -> float:
 def _draw_index(rng: np.random.Generator, weights) -> int:
     """An index drawn in proportion to ``weights`` by the inverse CDF of one
     ``rng.random()``.  The weights need not sum to one; a NaN or negative
-    weight, or a total that is not positive and finite, is refused."""
-    ws = np.asarray(weights, dtype=float).tolist()
+    weight, or a total that is not positive and finite, is refused.  A list
+    is read as it is, so it must hold Python floats; anything else is read
+    as a float64 array."""
+    ws = weights if type(weights) is list else np.asarray(weights, dtype=float).tolist()
     total = _numpy_order_sum(ws)
     # a NaN weight makes the total NaN
     if not 0.0 < total < math.inf or min(ws) < 0.0:
@@ -392,19 +394,23 @@ class LogDensity:
         object.__setattr__(self, "value_and_grad", grad.value_and_grad)
 
 
-def float_density(dim: int, floats) -> LogDensity:
-    """The `LogDensity` whose maths is the float form ``floats`` alone: its
-    ``logpdf``, ``grad`` and fused ``value_and_grad`` hand the point's
-    coordinates to ``floats`` as a list of floats."""
+def float_density(dim: int, value, floats) -> LogDensity:
+    """The `LogDensity` whose maths is on Python floats: ``value(coords)``
+    is the log-density alone and ``floats(coords)`` the float form, the
+    value and the gradient, for the coordinates as a list of floats.  Its
+    ``logpdf`` hands the point's coordinates to ``value``, and its ``grad``
+    and fused ``value_and_grad`` to ``floats``; the two functions must give
+    the same value bitwise, so they should share the target's component
+    maths, with ``value`` skipping the gradient."""
 
     def coords(x):
         return np.asarray(x, dtype=float).tolist()
 
     def value_and_grad(x):
-        value, g = floats(coords(x))
-        return value, np.array(g)
+        lp, g = floats(coords(x))
+        return lp, np.array(g)
 
-    return LogDensity(dim=dim, logpdf=lambda x: floats(coords(x))[0],
+    return LogDensity(dim=dim, logpdf=lambda x: value(coords(x)),
                       grad=lambda x: value_and_grad(x)[1],
                       value_and_grad=value_and_grad, floats=floats)
 
@@ -671,20 +677,17 @@ class ImcmcKernel(TransitionKernel):
         self.rule = rule
         self.name = name
         self._factors = self.aux_refresh + self.aux_static
-        # each factor as (reader of its coordinates, its logpdf), bound once
+        # each factor as (reader of its coordinates, its logpdf), and each
+        # refreshed one as (writer of its coordinates, its conditional),
+        # bound once
         self._scored = tuple((_reader(layout, slot), cond.logpdf)
                              for slot, cond in self._factors)
+        self._written = tuple((_writer(layout, slot), cond)
+                              for slot, cond in self.aux_refresh)
         # no target and no factors: the joint density is identically 1
         self._flat = target is None and not self._factors
 
     # -- density bookkeeping -------------------------------------------------
-
-    def _set(self, point: JointPoint, slot: str, value) -> JointPoint:
-        if slot in self.layout.tags:
-            return point.with_tag(slot, value)
-        if slot == "x":
-            return point.with_x(value)
-        return point.with_slot(slot, value)
 
     def joint_logpdf(self, point: JointPoint) -> float:
         # a None target contributes nothing: factors the involution never
@@ -699,8 +702,8 @@ class ImcmcKernel(TransitionKernel):
         return total
 
     def refresh(self, point: JointPoint, rng: np.random.Generator) -> JointPoint:
-        for slot, cond in self.aux_refresh:
-            point = self._set(point, slot, cond.sample(rng, point))
+        for write, cond in self._written:
+            point = write(point, cond.sample(rng, point))
         return point
 
     def frozen_aux(self) -> "ImcmcKernel":
@@ -743,16 +746,16 @@ class ImcmcKernel(TransitionKernel):
         if idx == len(self.aux_refresh):
             yield point, 1.0
             return
-        slot, cond = self.aux_refresh[idx]
+        write, cond = self._written[idx]
         sup = cond.support(point)
         if sup is None:
-            raise EnumerationError(
-                f"{self.name}: conditional for slot {slot!r} has no finite support")
+            raise EnumerationError(f"{self.name}: conditional for slot "
+                                   f"{self.aux_refresh[idx][0]!r} has no finite support")
         for value, p in sup:
             if p == 0.0:
                 continue
             yield from ((pt, p * w)
-                        for pt, w in self._expand(self._set(point, slot, value), idx + 1))
+                        for pt, w in self._expand(write(point, value), idx + 1))
 
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
         out = []
@@ -776,6 +779,25 @@ def _reader(layout: Layout, slot: str) -> Callable[[JointPoint], object]:
     if slot in layout.slots:
         sl = layout.slots[slot]
         return lambda point: point.v[sl]
+    raise ConfigError(f"unknown auxiliary slot {slot!r}")
+
+
+def _writer(layout: Layout, slot: str) -> Callable[[JointPoint, object], JointPoint]:
+    """``(point, value) ->`` the point with the named tag, v slot or, for
+    the reserved name ``"x"``, target block set to ``value``."""
+    if slot in layout.tags:
+        return lambda point, value: point.with_tag(slot, value)
+    if slot == "x":
+        return lambda point, value: point.with_x(value)
+    if slot in layout.slots:
+        sl = layout.slots[slot]
+
+        def write(point, value):
+            v = point.v.copy()
+            v[sl] = value
+            return _joint_point(point.x, v, point.tags, point.layout)
+
+        return write
     raise ConfigError(f"unknown auxiliary slot {slot!r}")
 
 

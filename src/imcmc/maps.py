@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Involution, JointPoint, _RowIndex, _joint_point
+from .core import _MISS, Involution, JointPoint, _RowIndex, _joint_point
 from .errors import ConfigError, FixedPointError
 
 __all__ = [
@@ -127,9 +127,9 @@ def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
     Each coordinate gets the array path's operations in its order, ``v +
     half * g`` and ``x + eps * v`` as a separate multiply and add, and a
     Python float rounds each as numpy does, so the bits are the same.  The
-    start gradient comes through the memo and the endpoint through
-    ``value_and_grad``, as on the array path; the ``k - 1`` interior
-    positions call the float form.
+    start gradient comes through the memo, the ``k - 1`` interior positions
+    call the float form, and so does the endpoint, whose value and gradient
+    then fill both memos as ``value_and_grad`` would (`_float_endpoint`).
     """
     floats = grad_x.floats
     half, eps = 0.5 * cfg.eps, cfg.eps
@@ -145,13 +145,29 @@ def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
         if step < cfg.k:
             g = floats(x)[1]
         else:
-            x = np.array(x)
-            g = grad_x.value_and_grad(x)[1].tolist()
+            x, g = _float_endpoint(grad_x, x)
         for i in coords:
             v[i] += half * g[i]
     if not all(map(math.isfinite, v)):
         raise ConfigError("non-finite gradient in leapfrog")
     return x, v
+
+
+def _float_endpoint(grad_x, x: list) -> tuple[np.ndarray, Sequence[float]]:
+    """A trajectory's endpoint ``x`` as an array, and the gradient there as
+    floats, with the value and the gradient remembered in ``grad_x``'s
+    memos.  A point that misses both memos costs one call of the float form,
+    whose results go into the memos as they are; a point that hits one goes
+    through ``value_and_grad``."""
+    arr = np.array(x)
+    key = (arr.shape, arr.tobytes())
+    logpdf = grad_x.logpdf
+    if logpdf.get(key) is _MISS and grad_x.get(key) is _MISS:
+        value, g = grad_x.floats(x)
+        logpdf.put(key, value)
+        grad_x.put(key, np.array(g))
+        return arr, g
+    return arr, grad_x.value_and_grad(arr)[1].tolist()
 
 
 def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
@@ -296,10 +312,15 @@ def swap_slots(a: str, b: str) -> Involution:
     """Exchange two auxiliary slots of equal dimension."""
 
     def fn(z: JointPoint):
-        va, vb = z.slot(a).copy(), z.slot(b).copy()
+        sa, sb = z.layout.slots[a], z.layout.slots[b]
+        va, vb = z.v[sa], z.v[sb]
         if va.size != vb.size:
             raise ConfigError("slots must have equal dimensions")
-        return z.with_slot(a, vb).with_slot(b, va), 0.0
+        # one copy of the block, whose slots are then written from the
+        # unchanged original
+        v = z.v.copy()
+        v[sa], v[sb] = vb, va
+        return _joint_point(z.x, v, z.tags, z.layout), 0.0
 
     return Involution(fn, name="swap_slots")
 

@@ -31,6 +31,7 @@ from .core import (
     TransitionKernel,
     _NUMPY_SERIAL_SUM,
     _LastTwo,
+    _joint_point,
     _numpy_order_sum,
     compose,
 )
@@ -105,15 +106,18 @@ class ProposalFamily:
 
     Seen from a point (`_FamilyConditional`) a family is a slot conditional;
     the multiple-try and sample-adaptive kernels also score it at centers of
-    their own.  ``logpdf_rows`` scores a block of rows at once: of
-    ``values`` and ``centers`` one is an (n, d) array and the other one more
-    such array or a single (d,) row, and item i of the result is
-    ``logpdf(values[i], centers[i])``, bit for bit.  ``logpdf`` takes a
-    value and a center that are both (d,) float arrays.
+    their own.  ``sample_rows(rng, center, n)`` draws n values as an (n, d)
+    array with the bits of n calls of ``sample``, leaving ``rng`` where they
+    would.  ``logpdf_rows`` scores a block of rows at once: of ``values``
+    and ``centers`` one is an (n, d) array and the other one more such array
+    or a single (d,) row, and item i of the result is ``logpdf(values[i],
+    centers[i])``, bit for bit.  ``logpdf`` takes a value and a center that
+    are both (d,) float arrays.
     """
 
-    def __init__(self, sample, logpdf, logpdf_rows, support=None):
+    def __init__(self, sample, sample_rows, logpdf, logpdf_rows, support=None):
         self.sample = sample            # (rng, center) -> array
+        self.sample_rows = sample_rows  # (rng, center, n) -> (n, d) array
         self.logpdf = logpdf            # (value, center) -> float
         self.logpdf_rows = logpdf_rows  # (values, centers) -> list of n floats
         self.support = support          # center -> [(value, prob)] or None
@@ -126,52 +130,74 @@ def gaussian_family(d: int, var) -> ProposalFamily:
     add = np.add.reduce
     unit = bool(np.all(var == 1.0))
 
+    # a block of standard normals is the row-by-row draws, bit for bit and
+    # in stream position, and the center and scale act elementwise
     if unit:
         # x / 1.0 == x and 1.0 * x == x exactly, so both are skipped
         def sample(rng, center):
             return center + rng.standard_normal(d)
 
-        def logpdf_rows(values, centers):
-            diff = values - centers
-            return (const - 0.5 * add(diff * diff, axis=1)).tolist()
+        def sample_rows(rng, center, n):
+            return center + rng.standard_normal((n, d))
     else:
         def sample(rng, center):
             return center + sd * rng.standard_normal(d)
 
-        def logpdf_rows(values, centers):
-            diff = values - centers
-            return (const - 0.5 * add(diff * diff / var, axis=1)).tolist()
+        def sample_rows(rng, center, n):
+            return center + sd * rng.standard_normal((n, d))
 
     if d < _NUMPY_SERIAL_SUM:
         # where `add` sums left to right, Python floats make numpy's
         # operations in numpy's order; t * t / 1.0 == t * t, so this serves
         # both variances.  The loop is `_numpy_order_sum` of the terms fused
         # with their computation: the call and its list doubled this
-        # logpdf's cost at d = 2 (0.28 -> 0.60 us, BENCH_19.json)
+        # logpdf's cost at d = 2 (0.28 -> 0.60 us, BENCH_19.json).  A block
+        # of rows is turned into lists once and scored row by row.
         var_list = var.tolist()
+
+        def score(vs, cs):
+            s = 0.0
+            for a, c, vi in zip(vs, cs, var_list):
+                t = a - c
+                s += t * t / vi
+            return const - 0.5 * s
 
         def logpdf(value, center):
             vs, cs = value.tolist(), center.tolist()
             # zip would cut a value or center of another length short
             if len(vs) != d or len(cs) != d:
                 raise ValueError(f"gaussian_family({d}) scores (d,) arrays")
-            s = 0.0
-            for a, c, vi in zip(vs, cs, var_list):
-                t = a - c
-                s += t * t / vi
-            return const - 0.5 * s
+            return score(vs, cs)
+
+        def logpdf_rows(values, centers):
+            if values.shape[-1] != d or centers.shape[-1] != d:
+                raise ValueError(f"gaussian_family({d}) scores rows of d values")
+            vs, cs = values.tolist(), centers.tolist()
+            if values.ndim == 1:
+                return [score(vs, c) for c in cs]
+            if centers.ndim == 1:
+                return [score(v, cs) for v in vs]
+            return list(map(score, vs, cs))
     elif unit:
+        # from d = 8 numpy sums; a row's sum along axis 1 is the sum `add`
+        # makes of that row alone, so `logpdf_rows` gives `logpdf`'s bits
         def logpdf(value, center):
             diff = np.asarray(value) - center
             return const - 0.5 * float(add(diff * diff))
+
+        def logpdf_rows(values, centers):
+            diff = values - centers
+            return (const - 0.5 * add(diff * diff, axis=1)).tolist()
     else:
         def logpdf(value, center):
             diff = np.asarray(value) - center
             return const - 0.5 * float(add(diff * diff / var))
 
-    # a row's sum along axis 1 is the sum `add` makes of that row alone,
-    # so `logpdf_rows` gives `logpdf`'s bits
-    return ProposalFamily(sample, logpdf, logpdf_rows)
+        def logpdf_rows(values, centers):
+            diff = values - centers
+            return (const - 0.5 * add(diff * diff / var, axis=1)).tolist()
+
+    return ProposalFamily(sample, sample_rows, logpdf, logpdf_rows)
 
 
 def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
@@ -195,6 +221,10 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
 
     vals, sample, logpdf, support = _finite_law(values, _LastTwo(_weights))
 
+    def sample_rows(rng, center, n):
+        # one inverse-CDF draw per row
+        return np.array([sample(rng, center) for _ in range(n)]).reshape(n, vals[0].size)
+
     def logpdf_rows(values, centers):
         # a single row is repeated by reference: `np.broadcast_arrays` costs
         # more than the lookups on the small grids this family serves
@@ -204,7 +234,7 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
             centers = itertools.repeat(centers)
         return list(map(logpdf, values, centers))
 
-    return ProposalFamily(sample, logpdf, logpdf_rows, support)
+    return ProposalFamily(sample, sample_rows, logpdf, logpdf_rows, support)
 
 
 class _FamilyConditional(AuxiliaryConditional):
@@ -415,15 +445,21 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     density scores the drawn index with it, so the acceptance test accounts
     for it (symmetry is needed only by the classical MTM acceptance formula,
     which this kernel does not use).  The default is identically one.
+
+    The trials and the reference points are (k, d) and (k - 1, d) blocks of
+    the v block: each is drawn with one `ProposalFamily.sample_rows` call
+    and scored with one ``logpdf_rows`` call, and the swap builds the new v
+    block with one concatenation.
     """
     if k < 1:
         raise ConfigError("need at least one trial")
     d = target.dim
+    kd = k * d
     loglam = (lambda a, b: 0.0) if lam is None else (lambda a, b: math.log(lam(a, b)))
 
     layout = Layout(
         x_dim=d, v_dim=(2 * k - 1) * d,
-        slots={"y": slice(0, k * d), "xstar": slice(k * d, (2 * k - 1) * d)},
+        slots={"y": slice(0, kd), "xstar": slice(kd, (2 * k - 1) * d)},
         tags=("j",), tag_values={"j": tuple(range(k))})
 
     # log p at the centre and the trials of the last two trial sets weighed,
@@ -434,6 +470,12 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     # log p is a pure function of the point's bytes, so threads sharing the
     # kernel that overwrite each other's dicts only cost re-evaluations.
     weighed = ({}, {})
+    # A continuous family's trial that no weighing holds is new, so it skips
+    # the density's two-entry memo, which the k + 1 points of a weighing
+    # would only churn; a finite family's trials repeat points, which the
+    # memo may still hold.  The centre goes through the memo either way, as
+    # run_chain's initial check leaves it there for the first step.
+    value_at = target.logpdf.fn if family.support is None else target.logpdf
 
     def logp(y):
         key = y.tobytes()
@@ -443,15 +485,9 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
                 return lp
         return target.logpdf(y)
 
-    def trials(point):
-        y = point.slot("y")
-        return [y[i * d:(i + 1) * d] for i in range(k)]
-
     def _iid_slot(count, center_fn, slot_name):
         def _sample(rng, point):
-            c = center_fn(point)
-            return np.concatenate([family.sample(rng, c) for _ in range(count)]) \
-                if count else np.empty(0)
+            return family.sample_rows(rng, center_fn(point), count).reshape(count * d)
 
         def _logpdf(value, point):
             rows = np.asarray(value).reshape(count, d)
@@ -474,47 +510,54 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     def _j_probs(xy):
         nonlocal weighed
         x, ys = xy[:d], xy[d:].reshape(k, d)
+        newer, older = weighed
         values = {x.tobytes(): logp(x)}
         # q(x | y_i): x is the value and the trials are the centers
         qs = family.logpdf_rows(x, ys)
         logs = []
-        for i, y in enumerate(ys):
+        for y, q in zip(ys, qs):
             # w_i = p(y_i) q(x | y_i) lambda(y_i, x)
-            lp = values[y.tobytes()] = logp(y)
-            logs.append(lp if lp == -math.inf else lp + qs[i] + loglam(y, x))
-        weighed = (values, weighed[0])
+            key = y.tobytes()
+            lp = newer.get(key)
+            if lp is None:
+                lp = older.get(key)
+            if lp is None:
+                lp = value_at(y)
+            values[key] = lp
+            logs.append(lp if lp == -math.inf else lp + q + loglam(y, x))
+        weighed = (values, newer)
         finite = [lw for lw in logs if math.isfinite(lw)]
         if not finite and all(lw == -math.inf for lw in logs):
-            return np.full(k, 1.0 / k)
+            return [1.0 / k] * k
         top = max(finite)
         w = [math.exp(lw - top) if math.isfinite(lw) else 0.0 for lw in logs]
         total = _numpy_order_sum(w)
-        return np.array([wi / total for wi in w])
+        # a list, which `_draw_index` reads as it is
+        return [wi / total for wi in w]
 
     # a step asks for the index weights of its refreshed point twice (draw
     # and joint density) and of its proposal once; x and the trials key them
     j_weights = _LastTwo(_j_probs)
 
     def j_probs(point):
-        return j_weights(np.concatenate([point.x, point.slot("y")]))
+        return j_weights(np.concatenate([point.x, point.v[:kd]]))
 
     j_cond = TagConditional(tuple(range(k)), j_probs, name="trial_index")
 
-    xstar_cond = _iid_slot(k - 1, lambda point: trials(point)[point.tag("j")], "reference")
+    def selected(point):
+        j = point.tags[0]
+        return point.v[j * d:(j + 1) * d]
+
+    xstar_cond = _iid_slot(k - 1, selected, "reference")
 
     def fn(z: JointPoint):
-        j = z.tag("j")
-        ys = trials(z)
-        xstar = z.slot("xstar")
-        xs = [xstar[i * d:(i + 1) * d] for i in range(k - 1)]
-        new_x = ys[j].copy()
-        new_ys = xs[:j] + [z.x.copy()] + xs[j:]
-        new_xs = ys[:j] + ys[j + 1:]
-        out = z.with_x(new_x)
-        out = out.with_slot("y", np.concatenate(new_ys) if new_ys else np.empty(0))
-        if k > 1:
-            out = out.with_slot("xstar", np.concatenate(new_xs))
-        return out, 0.0
+        # trial j becomes x; the new trials are the reference points with x
+        # in place j, and the new reference points the other trials
+        v = z.v
+        lo = z.tags[0] * d
+        hi = lo + d
+        new_v = np.concatenate([v[kd:kd + lo], z.x, v[kd + lo:], v[:lo], v[hi:kd]])
+        return _joint_point(v[lo:hi].copy(), new_v, z.tags, z.layout), 0.0
 
     return ImcmcKernel(layout, lambda point: logp(point.x),
                        aux_refresh=[("y", y_cond), ("j", j_cond), ("xstar", xstar_cond)],
@@ -542,6 +585,8 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
     the same joint-density acceptance test.  With a permutation-invariant
     aggregation (the default, `sorted_mean`) that test accepts every
     proposed swap; with any other (the generalized kernel) it may reject.
+    ``aggregate`` must be a pure function: the swap weights are remembered
+    at the last two (ensemble, proposal) pairs (see `core._LastTwo`).
     """
     if N < 1:
         raise ConfigError("ensemble size must be at least 1")
@@ -559,21 +604,27 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
 
     prop_cond = _FamilyConditional(family, lambda point: g(ensemble(point)), "prop")
 
-    def log_lams(point):
-        S = ensemble(point)
-        prop = point.slot("prop")
+    def _j_probs(xp):
+        S, prop = xp[:N * d].reshape(N, d), xp[N * d:]
+        # log lambda_i = log q(x_i | aggregate(S_-i)) - log p(x_i), with
+        # S_-i the ensemble with the proposal in place i
         out = []
         for i in range(N):
             S_i = S.copy()
             S_i[i] = prop
             out.append(family.logpdf(S[i], g(S_i)) - target.logpdf(S[i]))
         out.append(family.logpdf(prop, g(S)) - target.logpdf(prop))
-        return np.array(out)
-
-    def j_probs(point):
-        logs = log_lams(point)
+        logs = np.array(out)
         w = np.exp(logs - logs.max())
         return w / math.fsum(w.tolist())
+
+    # a step asks for the swap weights of its refreshed point twice (draw
+    # and joint density) and of its proposal once; the ensemble and the
+    # proposal key them
+    j_weights = _LastTwo(_j_probs)
+
+    def j_probs(point):
+        return j_weights(np.concatenate([point.x, point.v]))
 
     j_cond = TagConditional(tuple(range(N + 1)), j_probs, name="swap_index")
 
@@ -581,11 +632,11 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
         j = z.tag("j")
         if j == N:
             return z, 0.0
-        x = z.x.copy()
-        prop = z.slot("prop").copy()
+        # the v block is the proposal alone
         block = slice(j * d, (j + 1) * d)
-        x[block], prop = prop, x[block].copy()
-        return z.with_x(x).with_slot("prop", prop), 0.0
+        x = z.x.copy()
+        x[block] = z.v
+        return _joint_point(x, z.x[block].copy(), z.tags, z.layout), 0.0
 
     return ImcmcKernel(layout, joint_target,
                        aux_refresh=[("prop", prop_cond), ("j", j_cond)],

@@ -109,17 +109,24 @@ def mixture_1d(means: Sequence[float], sigma: float) -> LogDensity:
     # order, and its exponential taken against the largest
     terms = list(zip((logw + const).tolist(), mu.tolist()))
 
-    def floats(x):
-        (a,) = x
+    def components(a):
         c = [lc - 0.5 * (a - m) * (a - m) / var for lc, m in terms]
         top = max(c)
-        e = [math.exp(ci - top) for ci in c]
+        return top, [math.exp(ci - top) for ci in c]
+
+    def value(x):
+        top, e = components(x[0])
+        return top + math.log(_numpy_order_sum(e))
+
+    def floats(x):
+        (a,) = x
+        top, e = components(a)
         s = _numpy_order_sum(e)
         # the responsibility-weighted component gradients
         return top + math.log(s), (_numpy_order_sum(
             [ei / s * -(a - m) / var for ei, (_, m) in zip(e, terms)]),)
 
-    return float_density(1, floats)
+    return float_density(1, value, floats)
 
 
 MOG2_MU1 = np.array([2.0, 0.0])
@@ -134,16 +141,27 @@ def mog2() -> LogDensity:
     lc = math.log(0.5) + (-_LOG_2PI - math.log(MOG2_VAR))
     var = MOG2_VAR
 
-    def floats(x):
+    def components(x):
         # the offsets from MOG2_MU1 = (2, 0) and MOG2_MU2 = (-2, 0), each
         # squared norm summed as a*a + b*b with no BLAS call, so it rounds
-        # the same whichever `ddot` kernel the machine has
+        # the same whichever `ddot` kernel the machine has; the two
+        # components' log-densities, then the offsets
         a, b = x
         a1, a2 = a - 2.0, a + 2.0
         bb = b * b
-        c1 = lc - 0.5 * (a1 * a1 + bb) / var
-        c2 = lc - 0.5 * (a2 * a2 + bb) / var
-        m = c2 if c2 > c1 else c1  # max(c1, c2), NaN included, without the call
+        return (lc - 0.5 * (a1 * a1 + bb) / var, lc - 0.5 * (a2 * a2 + bb) / var,
+                a1, a2, b)
+
+    # each takes the log-sum-exp against the larger component, max(c1, c2)
+    # with NaN included, written out without the call
+    def value(x):
+        c1, c2, _, _, _ = components(x)
+        m = c2 if c2 > c1 else c1
+        return m + math.log(math.exp(c1 - m) + math.exp(c2 - m))
+
+    def floats(x):
+        c1, c2, a1, a2, b = components(x)
+        m = c2 if c2 > c1 else c1
         r1 = math.exp(c1 - m)
         r2 = math.exp(c2 - m)
         z = r1 + r2
@@ -151,7 +169,7 @@ def mog2() -> LogDensity:
         return m + math.log(z), ((r1 * -a1 + r2 * -a2) / var,
                                  (r1 * -b + r2 * -b) / var)
 
-    return float_density(2, floats)
+    return float_density(2, value, floats)
 
 
 def mog2_cell_masses(edges_x: np.ndarray, edges_y: np.ndarray) -> np.ndarray:

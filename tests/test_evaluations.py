@@ -29,7 +29,7 @@ from imcmc.errors import ConfigError
 from imcmc.maps import LeapfrogConfig, leapfrog
 from imcmc.samplers import default_init
 from imcmc.suite import finite_cases
-from imcmc.targets import GridDensity, LogisticPosterior, mog2
+from imcmc.targets import GridDensity, LogisticPosterior, mog2, standard_normal
 
 # every CLI kind on its default target
 SPECS = {
@@ -318,6 +318,90 @@ def test_mtm_computes_trial_weights_once_per_point():
     # weight memo last weighed, so each point is evaluated once.
     assert (res.accepted.all(axis=1)).any() and (~res.accepted.all(axis=1)).any()
     assert counts["logpdf"] == 1 + (2 * k - 1) * N
+
+
+def test_mtm_on_a_grid_evaluates_repeated_trials_through_the_memo():
+    # On a finite grid the trials repeat points, and the density's memo
+    # holds some that neither of the last two weighings does; a continuous
+    # family's trials skip it.  The count was recorded while every trial
+    # went through the memo: without it this chain makes 970 evaluations.
+    counts = [0]
+    grid = GridDensity(np.arange(4.0), np.log(np.array([0.4, 0.3, 0.2, 0.1])))
+
+    def logpdf(x):
+        counts[0] += 1
+        return grid.logpdf(x)
+
+    family = samplers.grid_family([np.array([float(i)]) for i in range(4)],
+                                  lambda u, c: -abs(u[0] - c[0]))
+    kernel = samplers.make_multiple_try(LogDensity(dim=1, logpdf=logpdf), family, k=2)
+    res = run_chain(kernel, kernel.layout.point([0.0], [0.0] * 3, (0,)), 2000, seed=11)
+    assert res.accepted.any() and not res.accepted.all()
+    assert counts[0] == 606
+
+
+def _counted_sample_adaptive(family, N, target, aggregate=None):
+    """A sample-adaptive kernel whose family counts its ``logpdf`` calls,
+    and whose joint density records the (ensemble, proposal) pairs it is
+    asked about."""
+    calls, pairs = [0], []
+
+    def logpdf(value, center):
+        calls[0] += 1
+        return family.logpdf(value, center)
+
+    counted = samplers.ProposalFamily(family.sample, family.sample_rows, logpdf,
+                                      family.logpdf_rows, family.support)
+    kernel = samplers.make_sample_adaptive(target, N, counted, aggregate=aggregate)
+    joint = kernel.joint_logpdf
+
+    def recording(point):
+        pairs.append(point.x.tobytes() + point.v.tobytes())
+        return joint(point)
+
+    kernel.joint_logpdf = recording
+    return kernel, calls, pairs
+
+
+def _weighings(N, calls, pairs):
+    """Swap-weight computations, from the family's ``logpdf`` calls: each
+    weighs N + 1 points, and each joint density scores the proposal once."""
+    weighed = calls - len(pairs)
+    assert weighed % (N + 1) == 0
+    return weighed // (N + 1)
+
+
+def test_sample_adaptive_weighs_each_ensemble_and_proposal_once():
+    # A step asks for the swap weights of its refreshed point to draw the
+    # index and to score it, and of its proposal to score it; the weights
+    # are computed once per distinct (ensemble, proposal)
+    N = 2
+    kernel, calls, pairs = _counted_sample_adaptive(
+        samplers.gaussian_family(1, 1.0), N, standard_normal(1))
+    point, rng = kernel.layout.point([0.4, -0.3], [0.0], (0,)), np.random.default_rng(3)
+    identities = 0
+    for _ in range(300):
+        calls[0], pairs[:] = 0, []
+        out = kernel.step(point, rng)
+        point = out.point
+        assert len(pairs) == 2
+        identities += pairs[0] == pairs[1]
+        assert _weighings(N, calls[0], pairs) == len(set(pairs))
+    # the index N (swap the proposal with itself) came up, and so did others
+    assert 0 < identities < 300
+    # an enumeration asks for the weights of each refreshed point for its
+    # support and then for each index it lists, and of each proposal once;
+    # a fresh kernel per state, so that no pair is remembered from another
+    vals = [np.array([0.0]), np.array([1.0])]
+    family = samplers.grid_family(vals, lambda u, c: math.log(0.35 + 0.3 * abs(u[0] - c[0])))
+    grid = GridDensity(np.array([0.0, 1.0]), np.log(np.array([0.6, 0.4])))
+    for x1 in (0.0, 1.0):
+        for x2 in (0.0, 1.0):
+            kernel, calls, pairs = _counted_sample_adaptive(
+                family, N, grid.density(), aggregate=lambda S: 0.75 * S[0] + 0.25 * S[1])
+            kernel.enumerate_step(kernel.layout.point([x1, x2], [0.0], (0,)))
+            assert len(pairs) == 2 * len(vals) * (N + 1)
+            assert _weighings(N, calls[0], pairs) == len(set(pairs))
 
 
 def test_grid_family_weighs_each_center_once(monkeypatch):

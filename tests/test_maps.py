@@ -208,9 +208,10 @@ def test_float_leapfrog_evaluates_k_plus_one_gradients(k):
         counts.clear()
         x = np.array([0.3 + i, -1.1])
         x1, _ = integrate(x, np.array([0.2, 0.4]), cfg, density.grad)
-        # the start through the gradient memo, k - 1 interior positions on
-        # floats and the endpoint's value and gradient in one fused call
-        assert +counts == +Counter(grad=1, floats=k - 1, value_and_grad=1)
+        # the start through the gradient memo, then k - 1 interior positions
+        # and the endpoint on floats, the endpoint's value and gradient from
+        # its one call
+        assert +counts == +Counter(grad=1, floats=k)
         density.logpdf(x1)
         density.grad(x)
         assert sum(counts.values()) == k + 1
@@ -222,10 +223,11 @@ def test_hmc_on_a_float_form_evaluates_each_trajectory_once():
     kernel = make_hamiltonian(density, LeapfrogConfig(0.3, k))
     res = run_chain(kernel, default_init(kernel, [2.0, 0.0]), n, seed=5)
     assert res.accepted.any() and not res.accepted.all()
-    # the start point's value and gradient once, then per step k - 1 float
-    # calls and one fused endpoint: an accepted endpoint is the next start,
-    # and a rejected step starts where it did, both still in the memo
-    assert counts == Counter(logpdf=1, grad=1, floats=(k - 1) * n, value_and_grad=n)
+    # the start point's value and gradient once, then per step k float
+    # calls, the last at the endpoint, whose value and gradient fill the
+    # memos: an accepted endpoint is the next start, and a rejected step
+    # starts where it did, both still in the memo
+    assert counts == Counter(logpdf=1, grad=1, floats=k * n)
 
 
 def test_leapfrog_volume_preserving():

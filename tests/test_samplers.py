@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from imcmc.cli import KINDS, kind_params
+from imcmc.cli import KINDS, RunConfig, build_kernel, build_target, kind_params
 from imcmc.core import LogDensity, make_rng, run_chain
+from imcmc.diagnostics import check_stationary, stationary_pmf, transition_matrix
 from imcmc.errors import ConfigError
 from imcmc.maps import (CouplingMap, LeapfrogConfig, Metric, constant_metric, leapfrog,
                         leapfrog_flow)
@@ -32,8 +33,9 @@ from imcmc.samplers import (
     mala_proposal,
     random_walk_proposal,
 )
-from imcmc.suite import finite_cases
+from imcmc.suite import STATIONARY_TOL, finite_cases
 from imcmc.targets import (
+    GridDensity,
     bivariate_normal,
     exponential_cdf1d,
     mixture_1d,
@@ -152,6 +154,91 @@ def test_mtm_weighs_trials_by_q_of_the_current_point_given_each_trial():
     swapped = normalized([lp(y) + fam.logpdf(y, x) for y in ys])
     assert probs == pytest.approx(want, abs=1e-12)
     assert max(abs(a - b) for a, b in zip(want, swapped)) > 0.05
+
+
+def _state(rng):
+    """The generator's position: Philox's counter, key and buffer, as text."""
+    return repr(rng.bit_generator.state)
+
+
+def test_block_draws_are_the_row_by_row_draws_bitwise():
+    # mtm draws its trials and reference points as one (n, d) block; on
+    # Philox a block of normals is the row-by-row draws, bit for bit, and
+    # leaves the generator where they would
+    normals = 0
+    for seed in range(40):
+        for n, d in ((1, 1), (4, 2), (63, 2), (7, 5), (3, 9)):
+            a, b = make_rng(seed), make_rng(seed)
+            block = a.standard_normal((n, d))
+            rows = np.array([b.standard_normal(d) for _ in range(n)])
+            assert block.tobytes() == rows.tobytes()
+            assert _state(a) == _state(b)
+            assert a.random() == b.random()
+            normals += block.size
+    a, b = make_rng(99), make_rng(99)
+    block = a.standard_normal((40000, 2))
+    assert block.tobytes() == np.concatenate(
+        [b.standard_normal(2) for _ in range(40000)]).tobytes()
+    assert _state(a) == _state(b)
+    normals += block.size
+    assert normals >= 80000
+    # and each family's block draw is its own draws row by row, as mtm's
+    # slots took them one `sample` call at a time
+    vals = [np.array([float(i)]) for i in range(3)]
+    families = [(gaussian_family(1, 1.0), np.array([0.5])),
+                (gaussian_family(2, 1.0), np.array([0.5, -1.0])),
+                (gaussian_family(2, [0.3, 2.0]), np.array([0.5, -1.0])),
+                (gaussian_family(9, 1.7), np.linspace(-1.0, 1.0, 9)),
+                (grid_family(vals, lambda u, c: -abs(u[0] - c[0])), np.array([1.0]))]
+    for fam, center in families:
+        for seed in range(50):
+            for n in (0, 1, 4):
+                a, b = make_rng(seed), make_rng(seed)
+                block = fam.sample_rows(a, center, n)
+                assert block.shape == (n, center.size)
+                rows = [fam.sample(b, center) for _ in range(n)]
+                assert block.tobytes() == b"".join(r.tobytes() for r in rows)
+                assert _state(a) == _state(b)
+
+
+def test_mtm_with_one_trial_leaves_its_target_invariant():
+    # at k = 1 the reference slot is empty and the swap exchanges x with
+    # the one trial; q is not symmetric, so the index weights are not flat
+    vals = [np.array([float(i)]) for i in range(3)]
+    q = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]]
+    fam = grid_family(vals, lambda u, c: math.log(q[int(c[0])][int(u[0])]))
+    g3 = GridDensity(np.array([0.0, 1.0, 2.0]), np.log(np.array([0.5, 0.3, 0.2])))
+    kern = make_multiple_try(g3.density(), fam, k=1)
+    assert kern.layout.v_dim == 1 and kern.layout.slots["xstar"] == slice(1, 1)
+    states = [kern.layout.point([x], [y], (0,)) for x in (0.0, 1.0, 2.0)
+              for y in (0.0, 1.0, 2.0)]
+    T = transition_matrix(kern, states)
+    p = stationary_pmf(states, lambda pt: g3.logpdf(pt.x) + fam.logpdf(pt.slot("y"), pt.x))
+    assert check_stationary(T, p, STATIONARY_TOL).passed
+    # the swap is an involution on the one-trial layout
+    swap = kern.involution
+    for pt in states:
+        there, _ = swap.forward(pt)
+        assert (there.x[0], there.v[0]) == (pt.v[0], pt.x[0])
+        back, _ = swap.forward(there)
+        assert back.x.tobytes() == pt.x.tobytes() and back.v.tobytes() == pt.v.tobytes()
+    # a sampled chain on a continuous target runs too
+    res = run_chain(make_multiple_try(standard_normal(1), gaussian_family(1, 1.0), k=1),
+                    kern.layout.point([0.0], [0.0], (0,)), 500, seed=3)
+    assert np.isfinite(res.xs).all() and 0.0 < res.accepted.mean() < 1.0
+
+
+def test_mtm_with_the_most_trials_the_cli_allows_runs():
+    tgt = build_target("mog2")
+    kernel = build_kernel(RunConfig(kind="mtm", target="mog2",
+                                    params={"scale": 1.0, "k": KINDS["mtm"].ranges["k"][1]}),
+                          tgt)
+    k = kernel.layout.tag_values["j"][-1] + 1
+    assert k == 64 and kernel.layout.v_dim == (2 * k - 1) * 2
+    res = run_chain(kernel, default_init(kernel, tgt["x0"]), 100, seed=4, record_tags=True)
+    assert np.isfinite(res.xs).all() and np.isfinite(res.final.v).all()
+    assert 0.0 < res.accepted.mean() < 1.0
+    assert set(res.tags[:, 0].tolist()) <= set(range(k)) and len(set(res.tags[:, 0])) > 10
 
 
 def test_mixture_proposal_differs_from_marginalized_mh():

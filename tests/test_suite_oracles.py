@@ -15,7 +15,7 @@ import pytest
 
 from arithmetic import recorded_on
 from imcmc import diagnostics, maps
-from imcmc.core import ImcmcKernel
+from imcmc.core import ImcmcKernel, _writer
 from imcmc.diagnostics import (
     check_detailed_balance,
     check_stationary,
@@ -117,11 +117,12 @@ def test_each_finite_support_scores_what_it_lists():
             if not isinstance(kernel, ImcmcKernel):
                 continue
             for slot, cond in kernel.aux_refresh:
+                write = _writer(kernel.layout, slot)
                 for state in case.states:
                     support = cond.support(state)
                     for value, p in support or ():
                         if p > 0.0:
-                            lp = cond.logpdf(value, kernel._set(state, slot, value))
+                            lp = cond.logpdf(value, write(state, value))
                             assert math.exp(lp) == pytest.approx(p, rel=1e-12, abs=0), (
                                 case.name, cond.name, state)
                             checked[case.name] = checked.get(case.name, 0) + 1

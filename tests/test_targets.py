@@ -131,6 +131,26 @@ def test_mixture_1d_logpdf_is_the_log_sum_of_its_components():
           f"{mismatches} of {points.size} points")
 
 
+@pytest.mark.parametrize("name", ["mog2", "mixture_1d", "mixture_1d_9"])
+def test_value_only_logpdf_is_the_float_forms_value_bitwise(name):
+    # a float-form density's logpdf skips the gradient but shares the
+    # component maths, so it must give the float form's value bit for bit
+    density = {"mog2": mog2, "mixture_1d": lambda: mixture_1d([-1.5, 1.5], 0.6),
+               "mixture_1d_9": lambda: mixture_1d(np.linspace(-4.0, 4.0, 9), 0.6)}[name]()
+    rng = make_rng(15)
+    points = [scale * rng.standard_normal(density.dim)
+              for scale in (0.5, 2.0, 8.0, 60.0) for _ in range(2600)]
+    # far out a component's weight underflows, and at 1e200 the squares
+    # overflow to inf and the value is NaN
+    points += [np.full(density.dim, t) for t in (100.0, -100.0, 1e200, -1e200, 0.0)]
+    assert len(points) >= 10000
+    for x in points:
+        want = density.floats(x.tolist())[0]
+        assert density.logpdf.fn(x).hex() == want.hex()
+        assert density.logpdf(x).hex() == want.hex()
+    assert math.isnan(density.logpdf(np.full(density.dim, 1e200)))
+
+
 @pytest.mark.parametrize("means", [[-1.5, 1.5], np.linspace(-4.0, 4.0, 9).tolist()],
                          ids=["2", "9"])
 def test_mixture_1d_grad_is_the_responsibility_weighted_sum(means):
