@@ -643,6 +643,12 @@ class TransitionKernel:
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
         raise EnumerationError(f"{self.name} does not support exact enumeration")
 
+    def enumerate_steps(self, points: Sequence[JointPoint]
+                        ) -> list[list[tuple[JointPoint, float]]]:
+        """Each point's ``(dest, prob)`` branches, in order: one matrix
+        build's enumeration, for kernels that share work across its rows."""
+        return [self.enumerate_step(point) for point in points]
+
     def kernels(self) -> list["TransitionKernel"]:
         return [self]
 
@@ -758,14 +764,34 @@ class ImcmcKernel(TransitionKernel):
                         for pt, w in self._expand(write(point, value), idx + 1))
 
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
-        out = []
-        for refreshed, w in self._expand(point, 0):
-            prob, proposal = self.acceptance(refreshed)
-            if prob > 0.0:
-                out.append((proposal, w * prob))
-            if prob < 1.0:
-                out.append((refreshed, w * (1.0 - prob)))
-        return out
+        return self.enumerate_steps([point])[0]
+
+    def enumerate_steps(self, points: Sequence[JointPoint]
+                        ) -> list[list[tuple[JointPoint, float]]]:
+        """Each point's branches, with one acceptance test per distinct
+        refreshed point.
+
+        States that differ only in refreshed coordinates land on the same
+        refreshed points, and the test is a pure function of a point's bits,
+        so a table local to the call, keyed by those bits, answers repeats
+        with the same numbers.
+        """
+        scored: dict[tuple, tuple[float, JointPoint]] = {}
+        rows = []
+        for point in points:
+            out = []
+            for refreshed, w in self._expand(point, 0):
+                key = (refreshed.x.tobytes(), refreshed.v.tobytes(), refreshed.tags)
+                hit = scored.get(key)
+                if hit is None:
+                    hit = scored[key] = self.acceptance(refreshed)
+                prob, proposal = hit
+                if prob > 0.0:
+                    out.append((proposal, w * prob))
+                if prob < 1.0:
+                    out.append((refreshed, w * (1.0 - prob)))
+            rows.append(out)
+        return rows
 
 
 def _reader(layout: Layout, slot: str) -> Callable[[JointPoint], object]:

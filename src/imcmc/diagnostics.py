@@ -174,8 +174,8 @@ class _StateIndex:
 def _kernel_matrix(kernel: TransitionKernel, index: _StateIndex) -> np.ndarray:
     n = len(index)
     T = np.zeros((n, n))
-    for i, state in enumerate(index.states):
-        for dest, prob in kernel.enumerate_step(state):
+    for i, branches in enumerate(kernel.enumerate_steps(index.states)):
+        for dest, prob in branches:
             T[i, index.locate(dest)] += prob
     rows = T.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > 1e-12:
@@ -191,8 +191,10 @@ def transition_matrix(kernel: TransitionKernel, states: Sequence[JointPoint],
 
     Probabilities are obtained by summing over all auxiliary draws and
     accept/reject branches; a composition is the ordered product of its
-    component matrices.  Raises if the space exceeds ``max_states`` or a
-    destination falls outside the enumeration.
+    component matrices.  Each component enumerates all states in one
+    `enumerate_steps` call, so an iMCMC kernel scores each distinct
+    refreshed point once per build.  Raises if the space exceeds
+    ``max_states`` or a destination falls outside the enumeration.
     """
     if len(states) > max_states:
         raise EnumerationError(
@@ -211,6 +213,10 @@ def transition_matrix_direct(kernel: TransitionKernel,
 
     Exists to cross-check that the matrix product route agrees with direct
     path enumeration, at `transition_matrix`'s default tolerance and cap.
+    It enumerates one state at a time (`enumerate_step`), sharing no
+    acceptance test between states, so the suite's
+    ``composition_product_equals_direct`` compares the shared route with an
+    unshared one.
     """
     if len(states) > DEFAULT_MAX_STATES:
         raise EnumerationError(

@@ -36,6 +36,7 @@ from imcmc.suite import (
     FiniteCase,
     _bit_model_space,
     _grid_2state,
+    _reduction_checks,
     finite_cases,
     mutant_case,
     run_all,
@@ -261,7 +262,10 @@ def test_run_all_values_match_golden():
 def test_run_all_makes_every_fixed_point_solve(monkeypatch):
     """A hardware-free count of the implicit integrator's work in one oracle
     pass: how fast a pass runs may change, but not how many fixed-point
-    solves it makes, how many iterations they take or to what tolerance."""
+    solves it makes, how many iterations they take or to what tolerance.
+    Each distinct refreshed point is solved once per matrix build (scoring
+    every auxiliary draw of every state again made 1302 solves and 9089
+    iterations)."""
     counts = {"solves": 0, "iterations": 0}
     solve = maps._fixed_point
 
@@ -279,12 +283,14 @@ def test_run_all_makes_every_fixed_point_solve(monkeypatch):
     for _ in range(2):  # nothing carries over from one pass to the next
         counts.update(solves=0, iterations=0)
         run_all()
-        assert counts == {"solves": 1302, "iterations": 9089}
+        assert counts == {"solves": 1266, "iterations": 9029}
 
 
 def test_run_all_reads_each_metric_once_per_position(monkeypatch):
     """The one-coordinate implicit integrator reads the metric at a step's
-    start position once, for its kick and its first drift term alike."""
+    start position once, for its kick and its first drift term alike, and
+    each distinct refreshed point is integrated once per matrix build
+    (scoring every auxiliary draw of every state again made 5412 reads)."""
     calls = [0]
     init = maps.RiemannianHamiltonian.__init__
 
@@ -298,8 +304,96 @@ def test_run_all_reads_each_metric_once_per_position(monkeypatch):
         init(self, target_logpdf, target_grad, dataclasses.replace(metric, g=counted_g))
 
     monkeypatch.setattr(maps.RiemannianHamiltonian, "__init__", counted_init)
-    run_all()
-    assert calls[0] == 5412
+    for _ in range(2):  # nothing carries over from one pass to the next
+        calls[0] = 0
+        run_all()
+        assert calls[0] == 5346
+
+
+def _point_bits(point):
+    return (point.x.tobytes(), point.v.tobytes(), point.tags)
+
+
+def _branch_bits(branches):
+    return [(_point_bits(dest), float(prob).hex()) for dest, prob in branches]
+
+
+def test_shared_builds_equal_per_state_rows(monkeypatch):
+    """A matrix build enumerates its states together, scoring each distinct
+    refreshed point once; every build of the registry, the reductions and the
+    mutant equals, bit for bit, the matrix assembled from each state's own
+    `enumerate_step` rows."""
+    builds = []
+    build = diagnostics._kernel_matrix
+
+    def recorded(kernel, index):
+        T = build(kernel, index)
+        builds.append((kernel, index, T))
+        return T
+
+    monkeypatch.setattr(diagnostics, "_kernel_matrix", recorded)
+    registry = [(case, case.matrix()) for case in CASES]
+    n_registry = len(builds)
+    _reduction_checks(registry)
+    # mtm1, la1, pm and lift0 are built only by the reductions
+    assert {k.name for k, _, _ in builds[n_registry:]} >= {
+        "mtm", "refresh", "look_ahead_cascade", "look_ahead_flip",
+        "persistent_move", "persistent_flip", "lifted_move", "lifted_flip"}
+    mutant_case().matrix()
+    assert builds[-1][0].name == "mutant_mh"
+
+    for kernel, index, T in builds:
+        shared = kernel.enumerate_steps(index.states)
+        per_state = np.zeros_like(T)
+        for i, state in enumerate(index.states):
+            branches = kernel.enumerate_step(state)
+            assert _branch_bits(branches) == _branch_bits(shared[i]), kernel.name
+            assert (_branch_bits(branches)
+                    == _branch_bits(kernel.enumerate_steps([state])[0])), kernel.name
+            for dest, prob in branches:
+                per_state[i, index.locate(dest)] += prob
+        assert np.array_equal(T, per_state), kernel.name
+
+
+def test_run_all_scores_each_refreshed_point_once_per_build(monkeypatch):
+    """A hardware-free count of the oracle's acceptance tests: a matrix build
+    runs `ImcmcKernel.acceptance` once per distinct refreshed point of its
+    states (scoring every auxiliary draw of every state made 2351 tests),
+    while `transition_matrix_direct` stays per state."""
+    counts = {"built": 0, "direct": 0, "other": 0, "distinct": 0}
+    where = ["other"]
+    acceptance = ImcmcKernel.acceptance
+    build = diagnostics._kernel_matrix
+    direct = diagnostics.transition_matrix_direct
+
+    def counted(self, point):
+        counts[where[0]] += 1
+        return acceptance(self, point)
+
+    def inside(name, fn):
+        def run(*args):
+            where[0] = name
+            try:
+                return fn(*args)
+            finally:
+                where[0] = "other"
+        return run
+
+    def counted_build(kernel, index):
+        if isinstance(kernel, ImcmcKernel):
+            counts["distinct"] += len({_point_bits(r) for s in index.states
+                                       for r, _ in kernel._expand(s, 0)})
+        return inside("built", build)(kernel, index)
+
+    monkeypatch.setattr(ImcmcKernel, "acceptance", counted)
+    monkeypatch.setattr(diagnostics, "_kernel_matrix", counted_build)
+    monkeypatch.setattr(diagnostics, "transition_matrix_direct",
+                        inside("direct", direct))
+    for _ in range(2):  # nothing carries over from one build to the next
+        counts.update(built=0, direct=0, other=0, distinct=0)
+        run_all()
+        assert counts["built"] == counts["distinct"]
+        assert counts == {"built": 817, "direct": 174, "other": 0, "distinct": 817}
 
 
 # ---------------------------------------------------------------------------
