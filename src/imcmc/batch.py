@@ -2,7 +2,7 @@
 
 These step every chain of a batch simultaneously with (chains, dim) arrays,
 which is what makes the benchmark table affordable on one core.  A target is
-a `core.LogDensity` over rows: its memos remember each row array's results
+a `core.LogDensity` over rows: its memo remembers each row array's results
 and hand them out read-only, so a runner copies the arrays it updates.  Each
 runner draws the random stream in the same order as the corresponding
 kernel-engine chain.  Coupling maps and the logistic posterior are the

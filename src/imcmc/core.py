@@ -185,98 +185,95 @@ def _draw_index(rng: np.random.Generator, weights) -> int:
     return len(ws) - 1
 
 
-_MISS = object()  # what `_LastTwo.get` returns for a key it does not hold
+def _read_only(result):
+    """``result``, as a read-only view if it is an array: a caller editing a
+    remembered array gets an error instead of corrupting a memo."""
+    if isinstance(result, np.ndarray):
+        result = result.view()
+        result.flags.writeable = False
+    return result
 
 
-class _LastTwo:
-    """A pure function of a float64 array that remembers its last two points.
+class _Memo:
+    """The last two float64 points asked about, each with one record
+    ``[key, value, gradient]``: its key (shape and bytes) and two fields that
+    are None until something computes them.  A hit on the older point makes
+    it the newer.  A step asks for its current point (the previous step's
+    proposal or current point) and its proposal: two records serve every
+    repeat.  A field is only ever set to the one value a pure function
+    gives, so threads sharing the memo read that value or None (and compute
+    it).  A density's ``logpdf`` and ``grad`` are `_Field`s of one memo."""
 
-    A step needs the target at the current point and at the proposal, and
-    the current point is the previous step's proposal (on acceptance) or
-    current point (on rejection); so two entries serve every repeated
-    evaluation.  A hit on the older entry makes it the newer one.  Each entry
-    is one ``(key, result)`` tuple replaced whole, so threads sharing the
-    memo see a consistent pair or miss.  Array results are handed out as
-    read-only views: a caller editing one in place gets an error instead of
-    corrupting the memo.
-    """
+    __slots__ = ("logpdf_fn", "grad_fn", "fused", "floats", "_new", "_old")
 
-    __slots__ = ("fn", "_new", "_old")
+    def __init__(self, logpdf_fn, grad_fn, fused, floats):
+        self.logpdf_fn, self.grad_fn, self.fused, self.floats = logpdf_fn, grad_fn, fused, floats
+        self._new = self._old = (None,)
 
-    def __init__(self, fn: Callable[[np.ndarray], object]):
-        self.fn = fn
-        self._new = self._old = (None, None)
+    def record(self, x) -> list:
+        """``x``'s record, a new empty one (the newer) if the memo does not
+        hold it; a point that is not a float64 array gets one of its own."""
+        if type(x) is not np.ndarray or x.dtype != _FLOAT64:
+            return [None, None, None]
+        key = (x.shape, x.tobytes())
+        new, old = self._new, self._old
+        if new[0] == key:
+            return new
+        if old[0] == key:
+            self._new, self._old = old, new
+            return old
+        record = [key, None, None]
+        self._new, self._old = record, new
+        return record
+
+    def value_and_grad(self, x):
+        """``(logpdf(x), grad(x))`` from ``x``'s record: one call of
+        ``fused`` (if the density has one) when both fields are empty, else
+        one call for each empty field."""
+        record = self.record(x)
+        if record[1] is None and record[2] is None and self.fused is not None:
+            record[1], record[2] = map(_read_only, self.fused(x))
+        if record[1] is None:
+            record[1] = _read_only(self.logpdf_fn(x))
+        if record[2] is None:
+            record[2] = _read_only(self.grad_fn(x))
+        return record[1], record[2]
+
+    def endpoint(self, coords: list) -> tuple[np.ndarray, Sequence[float]]:
+        """A float trajectory's endpoint ``coords`` as an array, and the
+        gradient there as floats: one call of the float form fills an empty
+        record, and any other goes through `value_and_grad`."""
+        x = np.array(coords)
+        record = self.record(x)
+        if record[1] is None and record[2] is None:
+            value, g = self.floats(coords)
+            record[1], record[2] = value, _read_only(np.array(g))
+            return x, g
+        return x, self.value_and_grad(x)[1].tolist()
+
+
+class _Field:
+    """A density's ``logpdf`` (field 1) or ``grad`` (field 2): that field
+    of a point's record in ``memo``, computed by ``fn``, the density's own
+    function, when the record lacks it."""
+
+    __slots__ = ("fn", "memo", "_index", "_record")
+
+    def __init__(self, memo: _Memo, index: int):
+        self.fn = memo.grad_fn if index == 2 else memo.logpdf_fn
+        self.memo, self._index, self._record = memo, index, memo.record
 
     def __call__(self, x):
-        # `get` inlined: this runs several times a step
-        if type(x) is not np.ndarray or x.dtype != _FLOAT64:
-            return self.fn(x)
-        key = (x.shape, x.tobytes())
-        new = self._new
-        if new[0] == key:
-            return new[1]
-        old = self._old
-        if old[0] == key:
-            self._new, self._old = old, new
-            return old[1]
-        return self.put(key, self.fn(x))
-
-    def get(self, key):
-        """The result remembered for ``key``, or ``_MISS``."""
-        new = self._new
-        if new[0] == key:
-            return new[1]
-        old = self._old
-        if old[0] == key:
-            self._new, self._old = old, new
-            return old[1]
-        return _MISS
-
-    def put(self, key, result):
-        """Remember ``result`` for ``key`` as the newer entry; return it as
-        the memo hands it out."""
-        if isinstance(result, np.ndarray):
-            result = result.view()
-            result.flags.writeable = False
-        self._new, self._old = (key, result), self._new
+        record = self._record(x)
+        result = record[self._index]
+        if result is None:
+            result = record[self._index] = _read_only(self.fn(x))
         return result
 
 
-class _GradMemo(_LastTwo):
-    """The gradient's `_LastTwo`, paired with its density's ``logpdf`` memo,
-    the density's fused function for `value_and_grad` and its float form
-    (each None if it has none).  An integrator handed ``density.grad`` can
-    then fill both memos at a trajectory's endpoint and step on floats in
-    between (see `maps.leapfrog`)."""
-
-    __slots__ = ("logpdf", "fused", "floats")
-
-    def __init__(self, fn, logpdf: _LastTwo, fused, floats):
-        super().__init__(fn)
-        self.logpdf = logpdf
-        self.fused = fused
-        self.floats = floats
-
-    def value_and_grad(self, x):
-        """``(logpdf(x), grad(x))`` through both memos.
-
-        A point that misses both memos costs one call of ``fused`` when the
-        density supplies one, and one ``logpdf`` and one ``grad`` otherwise;
-        a point that hits one memo costs only the other function.
-        """
-        logpdf, fused = self.logpdf, self.fused
-        if type(x) is not np.ndarray or x.dtype != _FLOAT64:
-            return fused(x) if fused is not None else (logpdf.fn(x), self.fn(x))
-        key = (x.shape, x.tobytes())
-        value, g = logpdf.get(key), self.get(key)
-        if value is _MISS and g is _MISS and fused is not None:
-            value, g = fused(x)
-            return logpdf.put(key, value), self.put(key, g)
-        if value is _MISS:
-            value = logpdf.put(key, logpdf.fn(x))
-        if g is _MISS:
-            g = self.put(key, self.fn(x))
-        return value, g
+def _last_two(fn) -> _Field:
+    """``fn``, a pure function of a float64 array, remembered at its last two points."""
+    return _Field(_Memo(fn, None, None, None), 1)
 
 
 # the sup-norm distance within which a query matches a grid row or a state
@@ -353,18 +350,18 @@ class _RowIndex:
 class LogDensity:
     """Unnormalized log-density with an optional analytic gradient.
 
-    ``logpdf`` and ``grad`` must be pure functions of ``x``: each remembers
-    its results at the two points it was last called on (see `_LastTwo`),
-    so a point is evaluated once however many parts of a step ask for it.
-    The bench's targets take rows ``(chains, dim)`` and give one value per
-    row, remembered per row array.
+    ``logpdf`` and ``grad`` must be pure functions of ``x``: a density
+    remembers one record per point, its value and its gradient, at the last
+    two points it was asked about (`_Memo`), so a point is evaluated once
+    however many parts of a step ask for it.  The bench's targets take rows
+    ``(chains, dim)`` and give one value per row, remembered per row array.
 
     ``value_and_grad`` returns ``(logpdf(x), grad(x))`` and fills both
-    memos.  A density may supply a fused function that computes the pair in
+    fields.  A density may supply a fused function that computes the pair in
     one pass; its results must equal ``logpdf``'s and ``grad``'s bitwise,
     since a density rebuilt without it must give the same chains.  Without
-    one, the pair comes from the memoized ``logpdf`` and ``grad``.  A density
-    with a gradient always has ``value_and_grad``.
+    one, the pair comes from ``logpdf`` and ``grad``.  A density with a
+    gradient always has ``value_and_grad``.
 
     ``floats``, the float form, is the same pair on Python floats:
     ``floats(coords) -> (value, gradient)`` for a list of float coordinates,
@@ -382,16 +379,15 @@ class LogDensity:
     floats: Optional[Callable[[list], tuple[float, Sequence[float]]]] = None
 
     def __post_init__(self):
-        logpdf = _LastTwo(self.logpdf)
-        object.__setattr__(self, "logpdf", logpdf)
-        if self.grad is None:
-            if self.value_and_grad is not None or self.floats is not None:
-                raise ConfigError("a fused value_and_grad or a float form "
-                                  "needs the gradient too")
-            return
-        grad = _GradMemo(self.grad, logpdf, self.value_and_grad, self.floats)
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "value_and_grad", grad.value_and_grad)
+        if self.grad is None and (self.value_and_grad is not None
+                                  or self.floats is not None):
+            raise ConfigError("a fused value_and_grad or a float form "
+                              "needs the gradient too")
+        memo = _Memo(self.logpdf, self.grad, self.value_and_grad, self.floats)
+        object.__setattr__(self, "logpdf", _Field(memo, 1))
+        if self.grad is not None:
+            object.__setattr__(self, "grad", _Field(memo, 2))
+            object.__setattr__(self, "value_and_grad", memo.value_and_grad)
 
 
 def float_density(dim: int, value, floats) -> LogDensity:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import _MISS, Involution, JointPoint, _RowIndex, _joint_point
+from .core import Involution, JointPoint, _RowIndex, _joint_point
 from .errors import ConfigError, FixedPointError
 
 __all__ = [
@@ -87,16 +87,16 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     and the momentum is standard normal, the kicks and drifts run on Python
     floats (`_leapfrog_floats`) with the same bits.
     """
-    if grad_v is None and getattr(grad_x, "floats", None) is not None:
+    memo = getattr(grad_x, "memo", None)
+    if grad_v is None and getattr(memo, "floats", None) is not None:
         x, v = _leapfrog_floats(x, np.asarray(v, dtype=float).tolist(), cfg, grad_x)
         return x, np.array(v)
     interior = endpoint = grad_x
-    fused = getattr(grad_x, "value_and_grad", None)
-    if fused is not None:
+    if memo is not None:
         interior = grad_x.fn
 
         def endpoint(y):
-            return fused(y)[1]
+            return memo.value_and_grad(y)[1]
 
     half, eps = 0.5 * cfg.eps, cfg.eps
     # x is never written to (each drift makes a new array), so only v, whose
@@ -129,9 +129,9 @@ def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
     Python float rounds each as numpy does, so the bits are the same.  The
     start gradient comes through the memo, the ``k - 1`` interior positions
     call the float form, and so does the endpoint, whose value and gradient
-    then fill both memos as ``value_and_grad`` would (`_float_endpoint`).
+    then fill its record in the memo (`core._Memo.endpoint`).
     """
-    floats = grad_x.floats
+    floats = grad_x.memo.floats
     half, eps = 0.5 * cfg.eps, cfg.eps
     x = np.asarray(x, dtype=float)
     g = grad_x(x).tolist()
@@ -145,7 +145,7 @@ def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
         if step < cfg.k:
             g = floats(x)[1]
         else:
-            x, g = _float_endpoint(grad_x, x)
+            x, g = grad_x.memo.endpoint(x)
         for i in coords:
             v[i] += half * g[i]
     if not all(map(math.isfinite, v)):
@@ -153,28 +153,11 @@ def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
     return x, v
 
 
-def _float_endpoint(grad_x, x: list) -> tuple[np.ndarray, Sequence[float]]:
-    """A trajectory's endpoint ``x`` as an array, and the gradient there as
-    floats, with the value and the gradient remembered in ``grad_x``'s
-    memos.  A point that misses both memos costs one call of the float form,
-    whose results go into the memos as they are; a point that hits one goes
-    through ``value_and_grad``."""
-    arr = np.array(x)
-    key = (arr.shape, arr.tobytes())
-    logpdf = grad_x.logpdf
-    if logpdf.get(key) is _MISS and grad_x.get(key) is _MISS:
-        value, g = grad_x.floats(x)
-        logpdf.put(key, value)
-        grad_x.put(key, np.array(g))
-        return arr, g
-    return arr, grad_x.value_and_grad(arr)[1].tolist()
-
-
 def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
                      grad_x) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of the unit-mass `leapfrog`: flip, integrate, flip.  On a
     float form, as `leapfrog` takes it, both flips negate floats."""
-    if getattr(grad_x, "floats", None) is not None:
+    if getattr(getattr(grad_x, "memo", None), "floats", None) is not None:
         x, v = _leapfrog_floats(
             x, [-w for w in np.asarray(v, dtype=float).tolist()], cfg, grad_x)
         return x, np.array([-w for w in v])

@@ -30,8 +30,8 @@ from .core import (
     TagConditional,
     TransitionKernel,
     _NUMPY_SERIAL_SUM,
-    _LastTwo,
     _joint_point,
+    _last_two,
     _numpy_order_sum,
     compose,
 )
@@ -204,7 +204,7 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
     """Finite proposal family over grid values with weights exp(logpdf_fn).
 
     ``logpdf_fn(u, center)`` must be a pure function: the weight vector is
-    remembered at the last two centers (see `core._LastTwo`), since a step
+    remembered at the last two centers (see `core._last_two`), since a step
     asks for it at the same center to draw and to score.  Log-weights with
     a NaN, a +inf or no finite value are a DensityError quoting them.
     """
@@ -219,7 +219,7 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
         w = np.exp(logs - top)
         return w / w.sum()
 
-    vals, sample, logpdf, support = _finite_law(values, _LastTwo(_weights))
+    vals, sample, logpdf, support = _finite_law(values, _last_two(_weights))
 
     def sample_rows(rng, center, n):
         # one inverse-CDF draw per row
@@ -294,7 +294,7 @@ def mala_proposal(target: LogDensity, eps: float,
 
     # a step asks for the mean at its current point to draw and to score,
     # and at its proposal to score the reverse move
-    mean_at = _LastTwo(lambda x: x + eps * target.grad(x))
+    mean_at = _last_two(lambda x: x + eps * target.grad(x))
 
     def mean(point):
         return mean_at(point.x)
@@ -432,6 +432,52 @@ def make_mixture_proposal(target: LogDensity, index: TagConditional,
 # multiple-try Metropolis
 # ---------------------------------------------------------------------------
 
+class _Weighings:
+    """log p at the points that a kernel's last two weighings read, each a
+    dict from a point's bytes to its log p, newest first and replaced whole.
+    A multiple-try or sample-adaptive step weighs its refreshed point's block
+    and then its proposal's (the same points, one exchanged), and the next
+    step's block holds its current point again: so the target term and each
+    weighing find every point asked for again.  Threads that overwrite each
+    other's weighings only cost re-evaluations."""
+
+    __slots__ = ("_logpdf", "_last")
+
+    def __init__(self, target: LogDensity, family: ProposalFamily):
+        # a continuous family's point that no weighing holds is new, so it
+        # skips the density's memo, which a block would only churn
+        self._logpdf = target.logpdf.fn if family.support is None else target.logpdf
+        self._last = ({}, {})
+
+    def __call__(self, x: np.ndarray) -> float:
+        """log p at ``x``, kept with the newest weighing if no weighing holds
+        it, so that the initial check of `run_chain` serves the first step."""
+        key = x.tobytes()
+        newer, older = self._last
+        lp = newer.get(key)
+        if lp is None:
+            lp = older.get(key)
+            if lp is None:
+                lp = newer[key] = self._logpdf(x)
+        return lp
+
+    def weigh(self, points) -> list:
+        """log p at each of ``points``, kept as the newest weighing."""
+        newer, older = self._last
+        values, out = {}, []
+        for y in points:
+            key = y.tobytes()
+            lp = newer.get(key)
+            if lp is None:
+                lp = older.get(key)
+                if lp is None:
+                    lp = self._logpdf(y)
+            values[key] = lp
+            out.append(lp)
+        self._last = (values, newer)
+        return out
+
+
 def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
                       lam: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
                       ) -> ImcmcKernel:
@@ -462,28 +508,7 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
         slots={"y": slice(0, kd), "xstar": slice(kd, (2 * k - 1) * d)},
         tags=("j",), tag_values={"j": tuple(range(k))})
 
-    # log p at the centre and the trials of the last two trial sets weighed,
-    # newer first, each dict replaced whole.  Every log p a step needs is
-    # among them: its current point is the previous proposal's centre or one
-    # of its trials, its proposal is one of its own trials, and the
-    # proposal's trials are its current point and the new reference points.
-    # log p is a pure function of the point's bytes, so threads sharing the
-    # kernel that overwrite each other's dicts only cost re-evaluations.
-    weighed = ({}, {})
-    # A continuous family's trial that no weighing holds is new, so it skips
-    # the density's two-entry memo, which the k + 1 points of a weighing
-    # would only churn; a finite family's trials repeat points, which the
-    # memo may still hold.  The centre goes through the memo either way, as
-    # run_chain's initial check leaves it there for the first step.
-    value_at = target.logpdf.fn if family.support is None else target.logpdf
-
-    def logp(y):
-        key = y.tobytes()
-        for values in weighed:
-            lp = values.get(key)
-            if lp is not None:
-                return lp
-        return target.logpdf(y)
+    weighings = _Weighings(target, family)
 
     def _iid_slot(count, center_fn, slot_name):
         def _sample(rng, point):
@@ -508,24 +533,15 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     y_cond = _iid_slot(k, lambda point: point.x, "trials")
 
     def _j_probs(xy):
-        nonlocal weighed
-        x, ys = xy[:d], xy[d:].reshape(k, d)
-        newer, older = weighed
-        values = {x.tobytes(): logp(x)}
+        # the centre x and the trials, in the v block's order
+        rows = list(xy.reshape(k + 1, d))
+        x, lps = rows[0], weighings.weigh(rows)
         # q(x | y_i): x is the value and the trials are the centers
-        qs = family.logpdf_rows(x, ys)
+        qs = family.logpdf_rows(x, xy[d:].reshape(k, d))
         logs = []
-        for y, q in zip(ys, qs):
+        for y, lp, q in zip(rows[1:], lps[1:], qs):
             # w_i = p(y_i) q(x | y_i) lambda(y_i, x)
-            key = y.tobytes()
-            lp = newer.get(key)
-            if lp is None:
-                lp = older.get(key)
-            if lp is None:
-                lp = value_at(y)
-            values[key] = lp
             logs.append(lp if lp == -math.inf else lp + q + loglam(y, x))
-        weighed = (values, newer)
         finite = [lw for lw in logs if math.isfinite(lw)]
         if not finite and all(lw == -math.inf for lw in logs):
             return [1.0 / k] * k
@@ -537,7 +553,7 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
 
     # a step asks for the index weights of its refreshed point twice (draw
     # and joint density) and of its proposal once; x and the trials key them
-    j_weights = _LastTwo(_j_probs)
+    j_weights = _last_two(_j_probs)
 
     def j_probs(point):
         return j_weights(np.concatenate([point.x, point.v[:kd]]))
@@ -559,7 +575,7 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
         new_v = np.concatenate([v[kd:kd + lo], z.x, v[kd + lo:], v[:lo], v[hi:kd]])
         return _joint_point(v[lo:hi].copy(), new_v, z.tags, z.layout), 0.0
 
-    return ImcmcKernel(layout, lambda point: logp(point.x),
+    return ImcmcKernel(layout, lambda point: weighings(point.x),
                        aux_refresh=[("y", y_cond), ("j", j_cond), ("xstar", xstar_cond)],
                        involution=Involution(fn, name="mtm_swap"),
                        name="mtm")
@@ -586,7 +602,7 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
     aggregation (the default, `sorted_mean`) that test accepts every
     proposed swap; with any other (the generalized kernel) it may reject.
     ``aggregate`` must be a pure function: the swap weights are remembered
-    at the last two (ensemble, proposal) pairs (see `core._LastTwo`).
+    at the last two (ensemble, proposal) pairs (see `core._last_two`).
     """
     if N < 1:
         raise ConfigError("ensemble size must be at least 1")
@@ -599,21 +615,24 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
     def ensemble(point):
         return point.x.reshape(N, d)
 
+    weighings = _Weighings(target, family)
+
     def joint_target(point):
-        return math.fsum(target.logpdf(xi) for xi in ensemble(point))
+        return math.fsum(map(weighings, ensemble(point)))
 
     prop_cond = _FamilyConditional(family, lambda point: g(ensemble(point)), "prop")
 
     def _j_probs(xp):
-        S, prop = xp[:N * d].reshape(N, d), xp[N * d:]
+        rows = xp.reshape(N + 1, d)
+        S, prop, lps = rows[:N], rows[N], weighings.weigh(rows)
         # log lambda_i = log q(x_i | aggregate(S_-i)) - log p(x_i), with
         # S_-i the ensemble with the proposal in place i
         out = []
         for i in range(N):
             S_i = S.copy()
             S_i[i] = prop
-            out.append(family.logpdf(S[i], g(S_i)) - target.logpdf(S[i]))
-        out.append(family.logpdf(prop, g(S)) - target.logpdf(prop))
+            out.append(family.logpdf(S[i], g(S_i)) - lps[i])
+        out.append(family.logpdf(prop, g(S)) - lps[N])
         logs = np.array(out)
         w = np.exp(logs - logs.max())
         return w / math.fsum(w.tolist())
@@ -621,7 +640,7 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
     # a step asks for the swap weights of its refreshed point twice (draw
     # and joint density) and of its proposal once; the ensemble and the
     # proposal key them
-    j_weights = _LastTwo(_j_probs)
+    j_weights = _last_two(_j_probs)
 
     def j_probs(point):
         return j_weights(np.concatenate([point.x, point.v]))
@@ -1100,7 +1119,7 @@ def make_irr_mala(target: LogDensity, eps: float,
     layout = xv_layout(d, tags=("d",))
 
     # the mean for each direction, remembered as mala's is
-    mean_at = {sign: _LastTwo(lambda x, step=sign * eps: x + step * target.grad(x))
+    mean_at = {sign: _last_two(lambda x, step=sign * eps: x + step * target.grad(x))
                for sign in (-1, 1)}
 
     def mean(point):

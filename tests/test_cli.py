@@ -301,6 +301,7 @@ BAD_INPUT_FILES = {
     "trace_latin1.csv": "step,accepted,x_0\n0,1,0.5\n1,1,caf\u00e9\n",
     "trace_nan.csv": "step,accepted,x_0\n0,1,0.5\n1,1,NaN\n",
     "trace_inf.csv": "step,accepted,x_0\n0,1,inf\n1,1,0.5\n",
+    "trace_no_x.csv": "step,accepted,y\n0,1,0.5\n",
 }
 
 # argv and the one line the CLI writes to stderr, with {tmp} for the
@@ -407,6 +408,25 @@ BAD_INPUTS = {
     "bench_no_samplers": (
         ["bench", "--target", "mog2", "--samplers", ",", "--out", "{tmp}/bench.csv"],
         "error: bench needs at least one sampler (--samplers)"),
+    "unknown_target": (
+        ["sample", "--kind", "rwm", "--target", "nope", "--scale", "1", "--out", "{tmp}"],
+        "error: unknown target 'nope'"),
+    "logreg_without_dataset": (
+        ["sample", "--kind", "mala", "--target", "logreg", "--eps", "0.1", "--out", "{tmp}"],
+        "error: the logreg target needs --dataset"),
+    "no_chains": (
+        ["sample", "--kind", "mala", "--target", "mog2", "--eps", "0.1", "--chains", "0",
+         "--out", "{tmp}"],
+        "error: need at least one chain"),
+    "no_target": (
+        ["sample", "--kind", "mala", "--eps", "0.1", "--out", "{tmp}"],
+        "error: a target is required (--target)"),
+    "trace_without_x_columns": (
+        ["ess", "--trace", "{tmp}/trace_no_x.csv"],
+        "error: {tmp}/trace_no_x.csv: no x_* columns found"),
+    "cdf_on_a_target_without_a_cdf": (
+        ["sample", "--kind", "cdf", "--target", "mog2", "--out", "{tmp}"],
+        "error: target 'mog2' has no tractable CDF"),
 }
 
 

@@ -404,6 +404,28 @@ def test_sample_adaptive_weighs_each_ensemble_and_proposal_once():
             assert _weighings(N, calls[0], pairs) == len(set(pairs))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8])
+def test_sample_adaptive_evaluates_each_new_point_once(N):
+    # run_chain's initial check evaluates the N ensemble points and keeps
+    # them with the weighings, and each step brings one new point, the
+    # proposal: every other point a step asks for is in the last two
+    # weighings.  So n steps cost N + n evaluations, within 2N + n.
+    counts = [0]
+    base = standard_normal(1)
+
+    def logpdf(x):
+        counts[0] += 1
+        return base.logpdf.fn(x)
+
+    kernel = samplers.make_sample_adaptive(LogDensity(dim=1, logpdf=logpdf), N,
+                                           samplers.gaussian_family(1, 1.0))
+    n = 200
+    res = run_chain(kernel, kernel.layout.point(np.linspace(-1.0, 1.0, N), [0.0], (0,)),
+                    n, seed=3)
+    assert res.accepted.all()
+    assert counts[0] <= N + n <= 2 * N + n
+
+
 def test_grid_family_weighs_each_center_once(monkeypatch):
     calls = []
     family = samplers.grid_family
@@ -486,6 +508,16 @@ def test_memo_is_lru_over_two_points():
     assert counts["logpdf"] == 3
     density.logpdf(b)
     assert counts["logpdf"] == 4
+    # one record per point holds its value and its gradient: a gradient at
+    # a held point costs the gradient alone, and one at a third point evicts
+    # the older record, value and all
+    density.grad(a)
+    assert counts == {"logpdf": 4, "grad": 1}
+    density.grad(c)
+    density.logpdf(a)
+    assert counts == {"logpdf": 4, "grad": 2}
+    density.logpdf(b)
+    assert counts == {"logpdf": 5, "grad": 2}
 
 
 def test_memo_gradients_are_read_only_and_other_inputs_pass_through():
@@ -637,6 +669,18 @@ def test_threads_sharing_an_mtm_kernel_reproduce_serial_traces():
     # one kernel, so the threads also share its memo of trial weights
     # and run different chains at once, so they evict each other's entries
     _threads_reproduce_serial_traces(("mtm",), seeds=(1, 2, 3, 4))
+
+
+def test_threads_sharing_a_sample_adaptive_kernel_reproduce_serial_traces():
+    # one kernel, so the threads share its store of weighed log-densities
+    kernel = samplers.make_sample_adaptive(standard_normal(1), 4,
+                                           samplers.gaussian_family(1, 1.0))
+    start = kernel.layout.point(np.linspace(-1.0, 1.0, 4), [0.0], (0,))
+
+    def run(seed):
+        return _digest(run_chain(kernel, start, 300, seed=seed, record_tags=True))
+
+    _threads_reproduce_serial(run, [1, 1, 2, 3])
 
 
 def test_threads_sharing_a_grid_family_reproduce_serial_traces():

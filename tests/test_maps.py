@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from imcmc.core import (
-    _MISS,
     Layout,
     LogDensity,
     make_rng,
@@ -140,23 +139,25 @@ def _without_float_form(density):
     """The same density with its array callables alone, which `leapfrog`
     integrates on arrays."""
     return LogDensity(dim=density.dim, logpdf=density.logpdf.fn, grad=density.grad.fn,
-                      value_and_grad=density.grad.fused)
+                      value_and_grad=density.grad.memo.fused)
 
 
 def _trajectory_bits(integrate, density, x, v, cfg):
-    """The end point's x and v and the log-density the memo holds there, as
-    bits."""
+    """The end point's x and v and the log-density and gradient its record in
+    the memo holds, as bits."""
     x1, v1 = integrate(x, v, cfg, density.grad)
-    value = density.logpdf.get((x1.shape, x1.tobytes()))
-    assert value is not _MISS  # the endpoint was evaluated through the memo
-    return x1.dtype, x1.tobytes(), v1.dtype, v1.tobytes(), value.hex()
+    _, value, g = density.logpdf.memo.record(x1)
+    # the endpoint was evaluated through the memo, both fields at once
+    assert value is not None and g is not None and not g.flags.writeable
+    return (x1.dtype, x1.tobytes(), v1.dtype, v1.tobytes(), value.hex(),
+            g.dtype, g.tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT_TARGETS))
 def test_float_leapfrog_keeps_the_array_bits(name):
     floats = FLOAT_TARGETS[name]()
     arrays = _without_float_form(floats)
-    assert floats.grad.floats is not None and arrays.grad.floats is None
+    assert floats.grad.memo.floats is not None and arrays.grad.memo.floats is None
     rng = make_rng(23)
     starts = 0
     for scale in (0.5, 2.0, 8.0):
@@ -195,7 +196,7 @@ def _counting_float_mog2():
 
     density = LogDensity(dim=2, logpdf=counted("logpdf", base.logpdf.fn),
                          grad=counted("grad", base.grad.fn),
-                         value_and_grad=counted("value_and_grad", base.grad.fused),
+                         value_and_grad=counted("value_and_grad", base.grad.memo.fused),
                          floats=counted("floats", base.floats))
     return density, counts
 

@@ -22,12 +22,14 @@ init fields, a ``kw_only`` field has no position, and a
 (default-argument binders such as ``_q=mala_q``) are skipped.
 
 Beside it, a scan for ``.choice`` calls given weights in ``src/imcmc``:
-every finite draw goes through `core._draw_index`.
+every finite draw goes through `core._draw_index`; and a scan of the other
+modules of ``src/imcmc``, of ``demos/`` and of ``perfbench/`` for code that
+reaches into a density's memo, whose records only `core` reads.
 
 Run as a script (``python3 tests/test_options.py``) it prints the number of
 defaulted parameters of the ``def``s and of defaulted fields in
-``src/imcmc``, then each unset and each always-set one, and each weighted
-``.choice`` call.
+``src/imcmc``, then each unset and each always-set one, each weighted
+``.choice`` call and each reach into the memo.
 """
 
 import ast
@@ -229,6 +231,67 @@ def weighted_choices(library):
             and (len(node.args) >= 4 or any(k.arg == "p" for k in node.keywords))]
 
 
+# what `core` alone may touch: the memo's classes and its records, and the
+# calls a density's callables answered when they were memos of their own
+MEMO_NAMES = ("_MISS", "_Memo", "_Field")
+RECORD_ATTRS = ("record", "_new", "_old")
+DENSITY_CALLABLES = ("logpdf", "grad", "grad_x", "value_and_grad")
+
+
+def _modules():
+    """``(path, tree)`` for every module of ``src/imcmc`` but ``core.py``,
+    of ``demos/`` and of ``perfbench/``."""
+    paths = [p for p in sorted((ROOT / "src" / "imcmc").glob("*.py")) if p.name != "core.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return [(str(p.relative_to(ROOT)), ast.parse(p.read_text(), filename=str(p)))
+            for p in paths]
+
+
+def memo_reaches(modules):
+    """``where what`` for each place in ``modules`` that reaches into a
+    density's memo: importing or naming ``_MISS``, ``_Memo`` or ``_Field``,
+    reading a record (``.record``, ``._new``, ``._old``), or calling
+    ``.get``/``.put`` on a density's ``logpdf``, ``grad`` or
+    ``value_and_grad``.  Only `core` knows the record format, so a change to
+    it stays in one module."""
+    out = []
+    for label, tree in modules:
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                what = [a.name for a in node.names if a.name in MEMO_NAMES]
+            elif isinstance(node, ast.Name):
+                what = [node.id] if node.id in MEMO_NAMES else []
+            elif isinstance(node, ast.Attribute):
+                what = [node.attr] if node.attr in MEMO_NAMES + RECORD_ATTRS else []
+                if node.attr in ("get", "put") and _name(node.value) in DENSITY_CALLABLES:
+                    what = [f"{_name(node.value)}.{node.attr}"]
+            else:
+                what = []
+            found += [(node.lineno, w) for w in what]
+        out += [f"{label}:{line} {w}" for line, w in sorted(found)]
+    return out
+
+
+def test_no_module_but_core_reaches_into_the_memo():
+    assert memo_reaches(_modules()) == []
+
+
+def test_the_scan_flags_reaches_into_the_memo():
+    modules = [("lib.py", ast.parse(
+        "from .core import _MISS, LogDensity\n"
+        "from imcmc.core import _Memo\n"
+        "d.logpdf.get(key)\n"
+        "grad_x.put(key, g)\n"
+        "r = d.grad.memo.record(x)\n"
+        "m._new\n"
+        "core._Field(m, 0)\n"
+        "d.logpdf(x)\nd.grad.fn(x)\nd.grad.memo.endpoint(xs)\nvalues.get(key)\n"))]
+    assert memo_reaches(modules) == [
+        "lib.py:1 _MISS", "lib.py:2 _Memo", "lib.py:3 logpdf.get", "lib.py:4 grad_x.put",
+        "lib.py:5 record", "lib.py:6 _new", "lib.py:7 _Field"]
+
+
 def test_no_weighted_choice_in_the_library():
     assert weighted_choices(_library()) == []
 
@@ -372,3 +435,5 @@ if __name__ == "__main__":
         print("always set:", line)
     for line in weighted_choices(library):
         print("weighted choice:", line)
+    for line in memo_reaches(_modules()):
+        print("reaches into the memo:", line)
