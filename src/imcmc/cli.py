@@ -246,8 +246,8 @@ KINDS: dict[str, _Kind] = {
             LeapfrogConfig(p["eps"], int(p["k"])), density.grad), p["alpha"])),
     "look_ahead": _Kind(
         {"eps": _POSITIVE, "K": (1, 16), "alpha": _UNIT}, {},
-        lambda density, p, name, tgt: make_look_ahead(density, leapfrog_flow(
-            LeapfrogConfig(p["eps"], 1), density.grad), int(p["K"]), p["alpha"])),
+        lambda density, p, name, tgt: make_look_ahead(
+            density, LeapfrogConfig(p["eps"], 1), int(p["K"]), p["alpha"])),
     "neutra": _Kind(
         {"eps": _POSITIVE, "k": _STEPS}, {"flow_shift": 0.0, "flow_scale": 1.0},
         _neutra),

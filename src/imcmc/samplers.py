@@ -30,6 +30,7 @@ from .core import (
     TagConditional,
     TransitionKernel,
     _NUMPY_SERIAL_SUM,
+    _draw_index,
     _joint_point,
     _last_two,
     _numpy_order_sum,
@@ -495,7 +496,8 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
     The trials and the reference points are (k, d) and (k - 1, d) blocks of
     the v block: each is drawn with one `ProposalFamily.sample_rows` call
     and scored with one ``logpdf_rows`` call, and the swap builds the new v
-    block with one concatenation.
+    block with one concatenation.  A NaN or +inf trial log-weight is a
+    DensityError quoting the log-weights.
     """
     if k < 1:
         raise ConfigError("need at least one trial")
@@ -542,8 +544,12 @@ def make_multiple_try(target: LogDensity, family: ProposalFamily, k: int,
         for y, lp, q in zip(rows[1:], lps[1:], qs):
             # w_i = p(y_i) q(x | y_i) lambda(y_i, x)
             logs.append(lp if lp == -math.inf else lp + q + loglam(y, x))
+        # a NaN or a +inf makes the sum NaN or +inf
+        if not sum(logs) < math.inf:
+            raise DensityError(f"cannot weigh the trials by the log-weights {logs!r}: "
+                               "none may be NaN or +inf")
         finite = [lw for lw in logs if math.isfinite(lw)]
-        if not finite and all(lw == -math.inf for lw in logs):
+        if not finite:
             return [1.0 / k] * k
         top = max(finite)
         w = [math.exp(lw - top) if math.isfinite(lw) else 0.0 for lw in logs]
@@ -875,72 +881,64 @@ def make_persistent(target: LogDensity, T: FlowMap | Involution, refresh_alpha: 
 # ---------------------------------------------------------------------------
 
 class LookAheadKernel(TransitionKernel):
-    """Mixture over flip-after-k-steps involutions with sequential weights.
+    """Look-ahead HMC's move (Sohl-Dickstein, Mudigonda & DeWeese, 2014): a
+    cascade over persistent HMC's move kernel ``move``, whose involution is
+    ``flip∘T`` for the leapfrog T.
 
-    The move to ``flip(T^k(z))`` happens with probability ``pi_k`` computed
-    by the recursion ``pi_k = min(1 - sum_{j<k} pi_j(z),
-    ratio_k * (1 - sum_{j<k} pi_j(flip(T^k(z)))))``; when all K proposals
-    fail the state is kept unchanged (the trailing flip kernel then reverses
-    the momentum).
+    Landing point 1 is ``move``'s involution of z and landing k + 1 its
+    involution of the flip of landing k, i.e. ``flip(T^k(z))``.  The move to
+    landing k happens with probability ``pi_k = min(1 - sum_{j<k} pi_j(z),
+    ratio_k * (1 - sum_{j<k} pi_j(flip(T^k(z)))))``, the ratios those of
+    ``move.joint_logpdf``; one `core._draw_index` draw over ``pi_1 .. pi_K``
+    and the weight of staying picks the branch (on staying, the trailing
+    flip kernel reverses the momentum).
 
-    ``T`` must be reversible (``flip∘T`` an involution) and the momentum
-    factor symmetric, as the cascade's own validity requires.  Then the
-    reverse cascade from ``flip(z_k)``, with ``z_k = T^k(z)``, lands on
-    ``z_{k-1}, ..., z_1, z`` again, so one trajectory and its K + 1 joint
-    densities serve every weight of the recursion.
+    T is reversible and the momentum factor symmetric, so the reverse
+    cascade from ``flip(z_k)``, with ``z_k = T^k(z)``, lands on ``z_{k-1},
+    ..., z_1, z`` again: one trajectory and its K + 1 joint densities serve
+    every weight.
     """
 
-    def __init__(self, layout: Layout, target, mom_factor: AuxiliaryConditional,
-                 T: FlowMap, K: int, name: str):
+    def __init__(self, move: ImcmcKernel, K: int, name: str):
         if K < 1:
             raise ConfigError("look-ahead depth must be at least 1")
-        self.layout = layout
-        self.target = target
-        self.mom = mom_factor
-        self.T = T
+        self.move = move
         self.K = K
         self.name = name
 
-    def joint(self, z: JointPoint) -> float:
-        return float(self.target(z)) + self.mom.logpdf(z.slot("v"), z)
-
-    def _flip(self, z: JointPoint) -> JointPoint:
-        return z.with_slot("v", -z.slot("v"))
+    # the move's layout, and its target for `run_chain`'s check of the start
+    layout = property(lambda self: self.move.layout)
+    target = property(lambda self: self.move.target)
 
     def _cascade(self, z: JointPoint) -> tuple[list[JointPoint], list[float]]:
         """The landing points ``flip(z_k)`` and their weights ``pi_k``."""
-        joints = [self.joint(z)]
-        landings = []
-        w = z
-        for _ in range(self.K):
-            w, ld = self.T.forward(w)
-            if abs(ld) > 1e-12:
-                raise ConfigError("look-ahead requires a volume-preserving map")
-            fz = self._flip(w)
-            landings.append(fz)
-            joints.append(self.joint(fz))
+        joint, involution = self.move.joint_logpdf, self.move.involution
+        joints, landings, w = [joint(z)], [], z
+        for k in range(1, self.K + 1):
+            landing, _ = involution.forward(w)
+            landings.append(landing)
+            joints.append(joint(landing))
+            if k < self.K:
+                w = landing.with_slot("v", -landing.slot("v"))
         return landings, _cascade_weights(joints)
 
     def pis(self, z: JointPoint) -> list[float]:
         return self._cascade(z)[1]
 
-    def _branches(self, z: JointPoint) -> list[tuple[JointPoint, float]]:
+    def _branches(self, z: JointPoint) -> tuple[list[JointPoint], list[float]]:
+        """The K landing points and z, and the weight of ending at each."""
         landings, pis = self._cascade(z)
-        return [*zip(landings, pis), (z, 1.0 - math.fsum(pis))]
+        # a weight that the recursion's rounding leaves a hair below zero is zero
+        pis = [p if p > 0.0 else 0.0 for p in pis]
+        return landings + [z], pis + [max(0.0, 1.0 - math.fsum(pis))]
 
     def step(self, point: JointPoint, rng: np.random.Generator):
-        branches = self._branches(point)
-        u = rng.random()
-        cum = 0.0
-        total_move = 1.0 - branches[-1][1]
-        for dest, p in branches[:-1]:
-            cum += p
-            if u < cum:
-                return StepOutcome(dest, True, total_move)
-        return StepOutcome(point, False, total_move)
+        dests, weights = self._branches(point)
+        i = _draw_index(rng, weights)
+        return StepOutcome(dests[i], i < self.K, 1.0 - weights[-1])
 
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
-        return [(dest, p) for dest, p in self._branches(point) if p > 0.0]
+        return [(dest, p) for dest, p in zip(*self._branches(point)) if p > 0.0]
 
 
 def _cascade_weights(joints: list[float]) -> list[float]:
@@ -970,20 +968,19 @@ def _cascade_weights(joints: list[float]) -> list[float]:
     return weights(0, 1, len(joints) - 1)
 
 
-def make_look_ahead(target: LogDensity, T: FlowMap, K: int, refresh_alpha: float,
+def make_look_ahead(target: LogDensity, cfg: LeapfrogConfig, K: int, refresh_alpha: float,
                     momentum_cond: Optional[AuxiliaryConditional] = None
                     ) -> KernelComposition:
-    """Look-ahead composition: refresh, multi-step proposal cascade, flip,
-    all three scoring v with one momentum factor (``momentum_cond``, N(0, I)
-    by default)."""
-    d = target.dim
-    momentum = momentum_cond if momentum_cond is not None else normal_momentum(d)
-    layout = xv_layout(d, scratch=refresh_alpha < 1.0)
-    refresh = momentum_refresh_kernel(layout, refresh_alpha, momentum)
-    la = LookAheadKernel(layout, _x_target(target), momentum, T, K,
-                         name="look_ahead_cascade")
-    flip = slot_flip_kernel(layout, momentum, name="look_ahead_flip")
-    return compose([refresh, la, flip], name="look_ahead")
+    """Look-ahead HMC: `make_persistent` with the flip-after-``cfg.k``-leapfrog-steps
+    involution, its move wrapped in a K-deep `LookAheadKernel`.  The refresh, the
+    cascade and the flip share one momentum factor (``momentum_cond``, N(0, I) by default)."""
+    if target.grad is None:
+        raise ConfigError("Hamiltonian kernels need a target gradient")
+    refresh, move, flip = make_persistent(target, hmc_involution(cfg, target.grad),
+                                          refresh_alpha, momentum_cond,
+                                          name="look_ahead").kernels()
+    cascade = LookAheadKernel(move, K, name="look_ahead_cascade")
+    return compose([refresh, cascade, flip], name="look_ahead")
 
 
 # ---------------------------------------------------------------------------

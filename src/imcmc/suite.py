@@ -431,7 +431,7 @@ def finite_cases() -> list[FiniteCase]:
         joint_logpdf=dm_joint, expect_irreversible=True))
 
     # look-ahead cascade
-    la = make_look_ahead(dens, L, 3, 1.0, momentum_cond=mom)
+    la = make_look_ahead(dens, cfg, 3, 1.0, momentum_cond=mom)
     add(FiniteCase(
         name="look_ahead_grid", kernel=la, states=hmc_states,
         joint_logpdf=hmc_joint))
@@ -815,8 +815,7 @@ def _reduction_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckR
     _, _, xgrid, mom, _ = _harmonic_grid()
     cfg = LeapfrogConfig(math.sqrt(2.0), 1)
     dens = xgrid.density()
-    L = leapfrog_flow(cfg, xgrid.grad)
-    la1 = make_look_ahead(dens, L, 1, 1.0, momentum_cond=mom)
+    la1 = make_look_ahead(dens, cfg, 1, 1.0, momentum_cond=mom)
     pm = make_persistent(dens, hmc_involution(cfg, xgrid.grad), 1.0,
                          momentum_cond=mom)
     hmc, T_h = reg["hmc_grid"]

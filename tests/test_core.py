@@ -27,7 +27,10 @@ from imcmc.core import (
 from imcmc.errors import ConfigError, DensityError
 from imcmc.maps import LeapfrogConfig, hmc_involution, leapfrog_flow, swap_blocks
 from imcmc.samplers import (
+    default_init,
+    gaussian_family,
     grid_family,
+    make_look_ahead,
     make_mh,
     make_mixture_proposal,
     make_multiple_try,
@@ -181,6 +184,21 @@ def test_finite_draws_refuse_bad_weights(builder, weights):
         run_chain(kernel, init, 5, seed=1)
 
 
+def test_acceptance_at_a_zero_density_point_skips_the_proposal():
+    """A refreshed point of joint density zero is rejected outright: the
+    proposal is built, and its density is never asked for."""
+    asked = []
+
+    def target(point):
+        asked.append(float(point.x[0]))
+        return -math.inf if point.x[0] == 0.0 else 0.0
+
+    layout = Layout(x_dim=1, v_dim=1, slots={"v": slice(0, 1)})
+    kernel = ImcmcKernel(layout, target, involution=swap_blocks(), name="swap")
+    prob, proposal = kernel.acceptance(layout.point([0.0], [1.0]))
+    assert (prob, float(proposal.x[0]), asked) == (0.0, 1.0, [0.0])
+
+
 def test_log_accept_equal_densities():
     assert log_accept(AcceptanceRule.METROPOLIS, -1.0, -1.0, 0.0) == 1.0
     assert log_accept(AcceptanceRule.BARKER, -1.0, -1.0, 0.0) == 0.5
@@ -313,6 +331,34 @@ def test_density_error_mid_chain_names_kernel_and_step():
     assert run_chain(kern, init, step, seed=3).xs.shape == (step, 1)
     with pytest.raises(DensityError, match=f"^rw step {step}: "):
         run_chain(kern, init, step + 1, seed=3)
+
+
+def _nan_above_one():
+    """A standard normal whose log-density is NaN beyond x = 1, with a
+    gradient that stays finite there."""
+    return LogDensity(dim=1, logpdf=lambda x: math.nan if x[0] > 1.0 else -0.5 * float(x @ x),
+                      grad=lambda x: -x)
+
+
+# kernel builder on `_nan_above_one`, and what its refusal says
+_NAN_CASES = {
+    # a private joint density skipped the NaN check, and the cascade gave a
+    # NaN ratio all the remaining weight: 468 of 2000 steps ran in the region
+    "look_ahead": (lambda d: make_look_ahead(d, LeapfrogConfig(0.5, 1), 4, 1.0),
+                   "look_ahead_move: joint log-density is NaN"),
+    # all trials NaN raised max()'s bare ValueError, and a NaN trial among
+    # finite ones was given weight 0
+    "mtm": (lambda d: make_multiple_try(d, gaussian_family(1, 4.0), 4),
+            "cannot weigh the trials by the log-weights "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NAN_CASES))
+def test_nan_log_density_mid_chain_is_a_density_error(kind):
+    build, cause = _NAN_CASES[kind]
+    kernel = build(_nan_above_one())
+    with pytest.raises(DensityError, match=rf"^{kind} step \d+: {re.escape(cause)}"):
+        run_chain(kernel, default_init(kernel, [0.0]), 2000, seed=1)
 
 
 def test_chain_rngs_split_deterministically():

@@ -164,13 +164,15 @@ def _digest(res, accept_prob=True) -> str:
 
 def _reference_pis(cascade, z, kmax):
     """Look-ahead weights by the plain recursion on points: each reverse
-    cascade from ``flip(T^k z)`` is integrated afresh."""
-    lp = cascade.joint(z)
+    cascade from ``flip(T^k z)`` is integrated afresh, landing k + 1 being
+    the move's involution of the flip of landing k."""
+    joint, involution = cascade.move.joint_logpdf, cascade.move.involution
+    lp = joint(z)
     out, cum, w = [], 0.0, z
     for k in range(1, kmax + 1):
-        w, _ = cascade.T.forward(w)
-        fz = w.with_slot("v", -w.slot("v"))
-        ratio = math.exp(min(cascade.joint(fz) - lp, 50.0))
+        fz, _ = involution.forward(w)
+        w = fz.with_slot("v", -fz.slot("v"))
+        ratio = math.exp(min(joint(fz) - lp, 50.0))
         inner = 1.0 - math.fsum(_reference_pis(cascade, fz, k - 1)) if k > 1 else 1.0
         out.append(min(1.0 - cum, ratio * inner))
         cum += out[-1]

@@ -17,8 +17,8 @@ KIND_NAMES = {
     "hmc": ["hmc", "flip*leapfrog^3"],
     "persistent_hmc": ["persistent", "refresh", "swap_slots", "persistent_move",
                        "dir[leapfrog]", "persistent_flip", "persistent_flip"],
-    "look_ahead": ["look_ahead", "refresh", "swap_slots", "look_ahead_cascade", "leapfrog",
-                   "look_ahead_flip", "look_ahead_flip"],
+    "look_ahead": ["look_ahead", "refresh", "swap_slots", "look_ahead_cascade",
+                   "look_ahead_move", "flip*leapfrog^1", "look_ahead_flip", "look_ahead_flip"],
     "neutra": ["neutra", "embed[identity^-1,flip*leapfrog^3]"],
     "nice_mc": ["directional", "dir[mog2_coupling]"],
     "irr_nice_mc": ["irr_nice_mc", "refresh", "swap_slots", "irr_nice_mc_move",
@@ -44,8 +44,9 @@ CASE_NAMES = {
     "directional_map_grid": ["directional", "dir[leapfrog]"],
     "persistent_hmc_grid": ["persistent_hmc", "refresh", "identity", "persistent_hmc_move",
                             "dir[leapfrog]", "persistent_hmc_flip", "persistent_hmc_flip"],
-    "look_ahead_grid": ["look_ahead", "refresh", "identity", "look_ahead_cascade", "leapfrog",
-                        "look_ahead_flip", "look_ahead_flip"],
+    "look_ahead_grid": ["look_ahead", "refresh", "identity", "look_ahead_cascade",
+                        "look_ahead_move", "flip*leapfrog^1", "look_ahead_flip",
+                        "look_ahead_flip"],
     "irr_nice_mc_grid": ["irr_nice_mc", "refresh", "identity", "irr_nice_mc_move",
                          "dir[leapfrog]", "irr_nice_mc_flip", "irr_nice_mc_flip"],
     "irr_mala_grid": ["irr_mala", "irr_mala_move", "grad_swap", "irr_mala_flip",
@@ -76,7 +77,7 @@ GALLERY_NAMES = {
 
 def names(kernel):
     """The kernel's name, then each sub-kernel's names in order, then its
-    involution's (or its look-ahead map's)."""
+    involution's (or, for a look-ahead cascade, its move kernel's names)."""
     out = [kernel.name]
     subs = kernel.kernels()
     for sub in subs if subs != [kernel] else []:
@@ -84,7 +85,7 @@ def names(kernel):
     if getattr(kernel, "involution", None) is not None:
         out.append(kernel.involution.name)
     if isinstance(kernel, LookAheadKernel):
-        out.append(kernel.T.name)
+        out += names(kernel.move)
     return out
 
 

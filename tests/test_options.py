@@ -21,15 +21,17 @@ init fields, a ``kw_only`` field has no position, and a
 ``field(default_factory=f)`` default is ``f()``.  Parameters whose names start with ``_``
 (default-argument binders such as ``_q=mala_q``) are skipped.
 
-Beside it, a scan for ``.choice`` calls given weights in ``src/imcmc``:
-every finite draw goes through `core._draw_index`; and a scan of the other
+Beside it, a scan of ``src/imcmc`` for ``.choice`` calls given weights and
+for argument-free ``.random()`` calls outside `core._draw_index` and the
+accept test of `core.ImcmcKernel.step`: every finite draw goes through
+`core._draw_index`; and a scan of the other
 modules of ``src/imcmc``, of ``demos/`` and of ``perfbench/`` for code that
 reaches into a density's memo, whose records only `core` reads.
 
 Run as a script (``python3 tests/test_options.py``) it prints the number of
 defaulted parameters of the ``def``s and of defaulted fields in
-``src/imcmc``, then each unset and each always-set one, each weighted
-``.choice`` call and each reach into the memo.
+``src/imcmc``, then each unset and each always-set one, each finite draw
+outside `core._draw_index` and each reach into the memo.
 """
 
 import ast
@@ -220,15 +222,40 @@ def always_set_options(library, callers):
     return _scan(library, callers, lambda sets: sets and all(s is True for s in sets))
 
 
+# the (module, enclosing def) of the uniform draws a finite draw may make:
+# the inverse CDF of `_draw_index` and the accept test of `ImcmcKernel.step`
+UNIFORM_DRAWS = {("core.py", "_draw_index"), ("core.py", "ImcmcKernel.step")}
+
+
+def _scoped(node, scope=""):
+    """Each node below ``node`` with the dotted name of the innermost
+    ``def`` or ``class`` around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield child, inner
+        yield from _scoped(child, inner)
+
+
 def weighted_choices(library):
     """``where`` for each ``.choice`` call given weights (``p=`` or the
-    fourth positional argument).  Every finite conditional draws through
+    fourth positional argument) and each argument-free ``.random()`` call
+    outside `UNIFORM_DRAWS`.  Every finite conditional draws through
     `core._draw_index` and its one weight check, so such a call would be a
-    second categorical draw."""
-    return [f"{label}:{node.lineno}" for label, tree in library for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "choice"
-            and (len(node.args) >= 4 or any(k.arg == "p" for k in node.keywords))]
+    second categorical draw, or one rolled by hand from a uniform.  A
+    ``.random(n)`` row draw of the batch runners is not a finite draw."""
+    out = []
+    for label, tree in library:
+        for node, scope in _scoped(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name, args, kws = node.func.attr, node.args, node.keywords
+            if (name == "choice" and (len(args) >= 4 or any(k.arg == "p" for k in kws))
+                    or name == "random" and not args and not kws
+                    and (label, scope) not in UNIFORM_DRAWS):
+                out.append(f"{label}:{node.lineno}")
+    return out
 
 
 # what `core` alone may touch: the memo's classes and its records, and the
@@ -301,6 +328,19 @@ def test_the_scan_flags_a_weighted_choice():
         "rng.choice(2)\nrng.choice(values)\nchoice(2, p=w)\n"
         "rng.choice(2, p=w)\nnp.random.choice(3, 1, True, w)\n"))]
     assert weighted_choices(library) == ["lib.py:4", "lib.py:5"]
+
+
+def test_the_scan_flags_a_uniform_draw_outside_draw_index():
+    library = [
+        ("core.py", ast.parse(
+            "def _draw_index(rng, w):\n    return rng.random()\n"
+            "class ImcmcKernel:\n    def step(self, rng):\n        u = rng.random()\n"
+            "    def acceptance(self, rng):\n        return rng.random()\n")),
+        ("lib.py", ast.parse(
+            "def _draw_index(rng):\n    u = rng.random()\n"
+            "def step(rng):\n    rng.random(4)\n    rng.random(size=2)\n"
+            "    return lambda: rng.random()\n"))]
+    assert weighted_choices(library) == ["core.py:7", "lib.py:2", "lib.py:6"]
 
 
 def test_every_option_is_set_by_some_caller():
@@ -434,6 +474,6 @@ if __name__ == "__main__":
     for line in always_set_options(library, callers):
         print("always set:", line)
     for line in weighted_choices(library):
-        print("weighted choice:", line)
+        print("finite draw outside core._draw_index:", line)
     for line in memo_reaches(_modules()):
         print("reaches into the memo:", line)

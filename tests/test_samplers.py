@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from imcmc.cli import KINDS, RunConfig, build_kernel, build_target, kind_params
-from imcmc.core import LogDensity, make_rng, run_chain
+from imcmc.core import ImcmcKernel, Involution, LogDensity, make_rng, run_chain
 from imcmc.diagnostics import check_stationary, stationary_pmf, transition_matrix
 from imcmc.errors import ConfigError
 from imcmc.maps import (CouplingMap, LeapfrogConfig, Metric, constant_metric, leapfrog,
                         leapfrog_flow)
 from imcmc.samplers import (
     BlockConditional,
+    LookAheadKernel,
     ModelSpace,
+    _cascade_weights,
     default_init,
     gaussian_family,
     grid_family,
@@ -32,6 +34,7 @@ from imcmc.samplers import (
     make_transdimensional,
     mala_proposal,
     random_walk_proposal,
+    xv_layout,
 )
 from imcmc.suite import STATIONARY_TOL, finite_cases
 from imcmc.targets import (
@@ -443,8 +446,7 @@ def test_neutra_general_flow_needs_latent_gradient():
 def test_look_ahead_pi_values_match_direct_recursion():
     sn = standard_normal(1)
     cfg = LeapfrogConfig(0.35, 1)
-    L = leapfrog_flow(cfg, sn.grad)
-    la = make_look_ahead(sn, L, 3, 1.0)
+    la = make_look_ahead(sn, cfg, 3, 1.0)
     cascade = la.kernels()[1]
 
     def joint(x, v):
@@ -474,13 +476,34 @@ def test_look_ahead_pi_values_match_direct_recursion():
 
 def test_look_ahead_pis_sum_below_one_everywhere():
     sn = standard_normal(1)
-    L = leapfrog_flow(LeapfrogConfig(0.5, 1), sn.grad)
-    la = make_look_ahead(sn, L, 4, 1.0)
+    la = make_look_ahead(sn, LeapfrogConfig(0.5, 1), 4, 1.0)
     cascade = la.kernels()[1]
     rng = make_rng(12)
     for _ in range(200):
         z = cascade.layout.point(rng.standard_normal(1), rng.standard_normal(1))
         assert sum(cascade.pis(z)) <= 1.0 + 1e-12
+
+
+def test_look_ahead_reads_a_weight_rounded_below_zero_as_zero():
+    """The recursion's rounding can leave a weight a hair below zero (here
+    pi_7 of joint densities drawn at random); the branch draw reads it as
+    zero instead of refusing the weights."""
+    joints = [1.1455435714176743, -0.7423197570313439, 1.1524233475978123,
+              0.28057336761091484, 0.20865754744440856, -0.15657806578739938,
+              -1.513268240219566, 0.33441568423301254]
+    assert min(_cascade_weights(joints)) < 0.0
+    # flip after the unit drift (x, v) -> (x + v, v): from (0, 1) landing k
+    # sits at x = k, where the joint density is joints[k]
+    drift = Involution(lambda z: (z.with_x(z.x + z.v).with_v(-z.v), 0.0), name="drift")
+    move = ImcmcKernel(xv_layout(1), lambda point: joints[round(point.x[0])],
+                       involution=drift, name="move")
+    cascade = LookAheadKernel(move, len(joints) - 1, name="cascade")
+    z = cascade.layout.point([0.0], [1.0])
+    branches = cascade.enumerate_step(z)
+    assert min(p for _, p in branches) > 0.0
+    assert abs(math.fsum(p for _, p in branches) - 1.0) <= 1e-15
+    rng = make_rng(3)
+    assert {round(cascade.step(z, rng).point.x[0]) for _ in range(200)} == {1, 2}
 
 
 def test_lifted_requires_stochastic_base():
@@ -796,7 +819,7 @@ def _persistent_family_with(mom, xgrid):
             make_persistent(dens, hmc_involution(cfg, xgrid.grad), 1.0,
                             momentum_cond=mom), False),
         "irr_nice_mc": (make_irr_nice_mc(dens, L, 1.0, momentum_cond=mom), True),
-        "look_ahead_k3": (make_look_ahead(dens, L, 3, 1.0, momentum_cond=mom), False),
+        "look_ahead_k3": (make_look_ahead(dens, cfg, 3, 1.0, momentum_cond=mom), False),
     }
 
 
