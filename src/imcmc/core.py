@@ -12,6 +12,7 @@ The module also ships the self-verification hooks (`verify_involution`,
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import math
@@ -118,14 +119,12 @@ class JointPoint:
         return _joint_point(self.x, np.asarray(v, dtype=float), self.tags, self.layout)
 
     def with_slot(self, name: str, value) -> "JointPoint":
-        v = self.v.copy()
-        v[self.layout.slots[name]] = value
-        return _joint_point(self.x, v, self.tags, self.layout)
+        return _joint_point(self.x, _slot_written(self.v, self.layout.slots[name], value),
+                            self.tags, self.layout)
 
     def with_tag(self, name: str, value: int) -> "JointPoint":
-        i = self.layout.tag_index(name)
-        tags = self.tags[:i] + (int(value),) + self.tags[i + 1:]
-        return _joint_point(self.x, self.v, tags, self.layout)
+        return _joint_point(self.x, self.v, _tag_written(self.tags, self.layout.tag_index(name),
+                                                         value), self.layout)
 
     def continuous(self) -> np.ndarray:
         """Concatenated continuous coordinates (x block then v block)."""
@@ -138,10 +137,29 @@ class JointPoint:
 
 def _joint_point(x, v, tags, layout) -> JointPoint:
     """A `JointPoint` built without the frozen dataclass's per-field
-    ``__setattr__`` guards; a step makes several."""
+    ``__setattr__`` guards; a step makes several.  An involution builds its
+    image with one call, from blocks of its own (`_slot_written`,
+    `_tag_written`), so the image shares no block it changed with its
+    input."""
     point = object.__new__(JointPoint)
-    point.__dict__.update(x=x, v=v, tags=tags, layout=layout)
+    fields = point.__dict__
+    fields["x"] = x
+    fields["v"] = v
+    fields["tags"] = tags
+    fields["layout"] = layout
     return point
+
+
+def _slot_written(v: np.ndarray, sl: slice, value) -> np.ndarray:
+    """A copy of the v block ``v`` with its slice ``sl`` set to ``value``."""
+    v = v.copy()
+    v[sl] = value
+    return v
+
+
+def _tag_written(tags: tuple, i: int, value) -> tuple:
+    """``tags`` with the tag at position ``i`` set to ``int(value)``."""
+    return tags[:i] + (int(value),) + tags[i + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +455,12 @@ class AuxiliaryConditional:
     def logpdf(self, value, point: JointPoint) -> float:
         return float(self._logpdf(value, point))
 
+    def scorer(self, read: Callable[[JointPoint], object]) -> Callable[[JointPoint], float]:
+        """``point ->`` the log-density of the value ``read(point)`` given
+        ``point``, as one call: a kernel binds each factor once."""
+        logpdf = self.logpdf
+        return lambda point: logpdf(read(point), point)
+
     def support(self, point: JointPoint):
         if self._support is None:
             return None
@@ -473,7 +497,8 @@ class TagConditional(AuxiliaryConditional):
 
 def uniform_tag(values: Sequence[int], name: str) -> TagConditional:
     values = tuple(values)
-    w = np.full(len(values), 1.0 / len(values))
+    # a list of floats, which `_draw_index` reads as it is
+    w = [1.0 / len(values)] * len(values)
     return TagConditional(values, lambda point: w, name=name)
 
 
@@ -514,17 +539,25 @@ class InvolutionReport:
 
 def verify_involution(f: Involution, points: Sequence[JointPoint],
                       tol: float = 1e-10) -> InvolutionReport:
-    """Check ``f(f(z)) == z`` and log-Jacobian antisymmetry on test points."""
-    max_disp = 0.0
-    max_asym = 0.0
+    """Check ``f(f(z)) == z`` and log-Jacobian antisymmetry on test points.
+
+    The points are compared as one block, and the largest displacement and
+    asymmetry are numpy maxima, which keep a NaN: a map that sends a point
+    to a NaN, or reports a NaN log-det, fails with the NaN recorded.
+    """
+    starts, returns, asyms = [], [], []
     tags_ok = True
     for z in points:
         z1, ld1 = f.forward(z)
         z2, ld2 = f.forward(z1)
-        disp = float(np.max(np.abs(z2.continuous() - z.continuous()), initial=0.0))
-        max_disp = max(max_disp, disp)
-        max_asym = max(max_asym, abs(ld1 + ld2))
+        starts.append(z.continuous())
+        returns.append(z2.continuous())
+        asyms.append(abs(ld1 + ld2))
         tags_ok = tags_ok and (z2.tags == z.tags)
+    max_disp = max_asym = 0.0
+    if starts:
+        max_disp = float(np.max(np.abs(np.array(returns) - np.array(starts)), initial=0.0))
+        max_asym = float(np.max(np.array(asyms, dtype=float), initial=0.0))
     return InvolutionReport(f.name, max_disp, max_asym, tol, tags_ok)
 
 
@@ -564,9 +597,16 @@ def fd_jacobian(f: Involution, point: JointPoint) -> np.ndarray:
 
 
 def verify_jacobian(f: Involution, point: JointPoint, tol: float) -> JacobianReport:
-    """Compare the reported log|det J| against a finite-difference estimate."""
+    """Compare the reported log|det J| against a finite-difference estimate.
+
+    A finite-difference Jacobian with a NaN or infinite entry has no
+    log-determinant or condition number: both are recorded as NaN and the
+    report fails.
+    """
     _, reported = f.forward(point)
     jac = fd_jacobian(f, point)
+    if not np.isfinite(jac).all():
+        return JacobianReport(f.name, float(reported), math.nan, tol, math.nan)
     sign, fd_logdet = np.linalg.slogdet(jac)
     cond = float(np.linalg.cond(jac))
     if sign == 0.0:
@@ -679,15 +719,18 @@ class ImcmcKernel(TransitionKernel):
         self.rule = rule
         self.name = name
         self._factors = self.aux_refresh + self.aux_static
-        # each factor as (reader of its coordinates, its logpdf), and each
+        # each factor as one call scoring its coordinates, and each
         # refreshed one as (writer of its coordinates, its conditional),
         # bound once
-        self._scored = tuple((_reader(layout, slot), cond.logpdf)
+        self._scores = tuple(cond.scorer(_reader(layout, slot))
                              for slot, cond in self._factors)
         self._written = tuple((_writer(layout, slot), cond)
                               for slot, cond in self.aux_refresh)
         # no target and no factors: the joint density is identically 1
         self._flat = target is None and not self._factors
+        # the table of acceptance tests that `enumerate_steps` reads and
+        # fills (`sharing_tests`); None gives each call a table of its own
+        self._tests: Optional[dict] = None
 
     # -- density bookkeeping -------------------------------------------------
 
@@ -695,10 +738,10 @@ class ImcmcKernel(TransitionKernel):
         # a None target contributes nothing: factors the involution never
         # moves may be omitted from a kernel's bookkeeping
         total = 0.0 if self.target is None else float(self.target(point))
-        for read, logpdf in self._scored:
+        for score in self._scores:
             if total == -math.inf:
                 break
-            total += logpdf(read(point), point)
+            total += score(point)
         if math.isnan(total):
             raise DensityError(f"{self.name}: joint log-density is NaN")
         return total
@@ -714,10 +757,24 @@ class ImcmcKernel(TransitionKernel):
         Same joint density, no resampling; this is the part of the kernel
         the joint-space reversibility statement applies to.
         """
-        return ImcmcKernel(self.layout, self.target, aux_refresh=(),
-                           involution=self.involution, rule=self.rule,
-                           aux_static=self._factors,
-                           name=f"{self.name}_frozen")
+        frozen = ImcmcKernel(self.layout, self.target, aux_refresh=(),
+                             involution=self.involution, rule=self.rule,
+                             aux_static=self._factors,
+                             name=f"{self.name}_frozen")
+        # the same joint density, involution and rule make the same tests,
+        # unless a subclass changed how this kernel tests
+        if type(self).acceptance is ImcmcKernel.acceptance:
+            frozen._tests = self._tests
+        return frozen
+
+    def sharing_tests(self, tests: dict) -> "ImcmcKernel":
+        """A copy of this kernel whose enumerations, and those of its
+        `frozen_aux`, read and fill the table ``tests``.  The two kernels
+        make one acceptance test, a pure function of a refreshed point's
+        bits, so one table serves a case's matrix and its frozen matrix."""
+        kernel = copy.copy(self)
+        kernel._tests = tests
+        return kernel
 
     def acceptance(self, point: JointPoint) -> tuple[float, JointPoint]:
         """Acceptance probability of the deterministic move from ``point``."""
@@ -769,10 +826,12 @@ class ImcmcKernel(TransitionKernel):
 
         States that differ only in refreshed coordinates land on the same
         refreshed points, and the test is a pure function of a point's bits,
-        so a table local to the call, keyed by those bits, answers repeats
-        with the same numbers.
+        so a table keyed by those bits answers repeats with the same
+        numbers.  The table is local to the call unless the kernel was made
+        by `sharing_tests`.
         """
-        scored: dict[tuple, tuple[float, JointPoint]] = {}
+        scored: dict[tuple, tuple[float, JointPoint]] = (
+            {} if self._tests is None else self._tests)
         rows = []
         for point in points:
             out = []
@@ -808,18 +867,15 @@ def _writer(layout: Layout, slot: str) -> Callable[[JointPoint, object], JointPo
     """``(point, value) ->`` the point with the named tag, v slot or, for
     the reserved name ``"x"``, target block set to ``value``."""
     if slot in layout.tags:
-        return lambda point, value: point.with_tag(slot, value)
+        i = layout.tag_index(slot)
+        return lambda point, value: _joint_point(
+            point.x, point.v, _tag_written(point.tags, i, value), point.layout)
     if slot == "x":
         return lambda point, value: point.with_x(value)
     if slot in layout.slots:
         sl = layout.slots[slot]
-
-        def write(point, value):
-            v = point.v.copy()
-            v[sl] = value
-            return _joint_point(point.x, v, point.tags, point.layout)
-
-        return write
+        return lambda point, value: _joint_point(
+            point.x, _slot_written(point.v, sl, value), point.tags, point.layout)
     raise ConfigError(f"unknown auxiliary slot {slot!r}")
 
 
@@ -925,26 +981,31 @@ def run_chain(kernel: TransitionKernel, init: JointPoint, n: int,
         raise DensityError("initial state has non-finite target log-density")
 
     m = len(kernels)
+    # the x blocks go into one array as they come, so no step's x is kept;
+    # the flags and probabilities, one per sub-kernel and step, are appended
+    # to lists and converted once
     xs = np.empty((n, init.layout.x_dim))
-    acc = np.empty((n, m), dtype=bool)
-    prob = np.empty((n, m))
+    acc: list = []
+    prob: list = []
     tag_trace = np.empty((n, len(init.layout.tags)), dtype=int) if record_tags else None
 
     steps = [k.step for k in kernels]
+    flag, weigh = acc.append, prob.append
     point = init
     try:
         for i in range(n):
-            for j, step in enumerate(steps):
+            for step in steps:
                 out = step(point, rng)
                 point = out.point
-                acc[i, j] = out.accepted
-                prob[i, j] = out.prob
+                flag(out.accepted)
+                weigh(out.prob)
             xs[i] = point.x
             if record_tags:
                 tag_trace[i] = point.tags
     except DensityError as exc:
         raise DensityError(f"{kernel.name} step {i}: {exc}") from exc
-    return ChainResult(xs=xs, accepted=acc, accept_prob=prob,
+    return ChainResult(xs=xs, accepted=np.array(acc, dtype=bool).reshape(n, m),
+                       accept_prob=np.array(prob, dtype=float).reshape(n, m),
                        tags=tag_trace, final=point if n > 0 else init)
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Involution, JointPoint, _RowIndex, _joint_point
+from .core import (Involution, JointPoint, _RowIndex, _joint_point, _slot_written,
+                   _tag_written)
 from .errors import ConfigError, FixedPointError
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "direction_augment",
     "embed",
     "hmc_involution",
+    "hmc_landings",
     "identity_flow",
     "implicit_hmc_involution",
     "implicit_leapfrog",
@@ -89,8 +91,10 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     """
     memo = getattr(grad_x, "memo", None)
     if grad_v is None and getattr(memo, "floats", None) is not None:
-        x, v = _leapfrog_floats(x, np.asarray(v, dtype=float).tolist(), cfg, grad_x)
-        return x, np.array(v)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float).tolist()
+        end, _ = _leapfrog_floats(x.tolist(), v, grad_x(x).tolist(), cfg, grad_x)
+        return end, np.array(v)
     interior = endpoint = grad_x
     if memo is not None:
         interior = grad_x.fn
@@ -118,24 +122,23 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     return x, v
 
 
-def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
-                     grad_x) -> tuple[np.ndarray, list]:
+def _leapfrog_floats(x: list, v: list, g: Sequence[float], cfg: LeapfrogConfig,
+                     grad_x) -> tuple[np.ndarray, Sequence[float]]:
     """The unit-mass `leapfrog` on the float form of ``grad_x``'s density,
-    with the momentum ``v`` a list of floats, which it updates and returns
-    beside the endpoint array.
+    from the position ``x`` and momentum ``v``, lists of floats that it
+    updates in place, with ``g`` the gradient at ``x`` as floats.  It
+    returns the endpoint as an array and the gradient there, so a caller
+    may go on from the end without asking the memo for it.
 
     Each coordinate gets the array path's operations in its order, ``v +
     half * g`` and ``x + eps * v`` as a separate multiply and add, and a
     Python float rounds each as numpy does, so the bits are the same.  The
-    start gradient comes through the memo, the ``k - 1`` interior positions
-    call the float form, and so does the endpoint, whose value and gradient
-    then fill its record in the memo (`core._Memo.endpoint`).
+    ``k - 1`` interior positions call the float form, and so does the
+    endpoint, whose value and gradient then fill its record in the memo
+    (`core._Memo.endpoint`).
     """
     floats = grad_x.memo.floats
     half, eps = 0.5 * cfg.eps, cfg.eps
-    x = np.asarray(x, dtype=float)
-    g = grad_x(x).tolist()
-    x = x.tolist()
     coords = range(len(x))
     for step in range(1, cfg.k + 1):
         for i in coords:
@@ -145,12 +148,12 @@ def _leapfrog_floats(x: np.ndarray, v: list, cfg: LeapfrogConfig,
         if step < cfg.k:
             g = floats(x)[1]
         else:
-            x, g = grad_x.memo.endpoint(x)
+            end, g = grad_x.memo.endpoint(x)
         for i in coords:
             v[i] += half * g[i]
     if not all(map(math.isfinite, v)):
         raise ConfigError("non-finite gradient in leapfrog")
-    return x, v
+    return end, g
 
 
 def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
@@ -158,9 +161,10 @@ def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
     """Inverse of the unit-mass `leapfrog`: flip, integrate, flip.  On a
     float form, as `leapfrog` takes it, both flips negate floats."""
     if getattr(getattr(grad_x, "memo", None), "floats", None) is not None:
-        x, v = _leapfrog_floats(
-            x, [-w for w in np.asarray(v, dtype=float).tolist()], cfg, grad_x)
-        return x, np.array([-w for w in v])
+        x = np.asarray(x, dtype=float)
+        v = [-w for w in np.asarray(v, dtype=float).tolist()]
+        end, _ = _leapfrog_floats(x.tolist(), v, grad_x(x).tolist(), cfg, grad_x)
+        return end, np.array([-w for w in v])
     x, v = leapfrog(x, -np.asarray(v, dtype=float), cfg, grad_x)
     return x, -v
 
@@ -194,16 +198,24 @@ def identity_flow() -> FlowMap:
     return FlowMap(lambda z: (z, 0.0), lambda z: (z, 0.0), name="identity")
 
 
+def _xv_image(z: JointPoint, x: np.ndarray, v: np.ndarray) -> JointPoint:
+    """``z`` with the target block ``x`` and the slot "v" set to ``v``, as
+    one point.  ``x`` and ``v`` must be float arrays of the map's own: ``v``
+    is the image's v block when the slot is the whole block, else it is
+    written into a copy of ``z``'s."""
+    if v.size != z.v.size:
+        v = _slot_written(z.v, z.layout.slots["v"], v)
+    return _joint_point(x, v, z.tags, z.layout)
+
+
 def leapfrog_flow(cfg: LeapfrogConfig, grad_x) -> FlowMap:
     """The unit-mass integrator as a volume-preserving flow on (x, v)."""
 
     def fwd(z):
-        x, v = leapfrog(z.x, z.slot("v"), cfg, grad_x)
-        return z.with_x(x).with_slot("v", v), 0.0
+        return _xv_image(z, *leapfrog(z.x, z.slot("v"), cfg, grad_x)), 0.0
 
     def inv(z):
-        x, v = leapfrog_inverse(z.x, z.slot("v"), cfg, grad_x)
-        return z.with_x(x).with_slot("v", v), 0.0
+        return _xv_image(z, *leapfrog_inverse(z.x, z.slot("v"), cfg, grad_x)), 0.0
 
     return FlowMap(fwd, inv, name="leapfrog")
 
@@ -284,33 +296,44 @@ def swap_blocks() -> Involution:
         w = z.slot("v")
         if z.layout.x_dim != w.size:
             raise ConfigError("swap needs matching block dimensions")
-        v = z.v.copy()
-        v[z.layout.slots["v"]] = z.x
-        return _joint_point(w.copy(), v, z.tags, z.layout), 0.0
+        if w.size == z.v.size:
+            # the slot is the whole v block: each block is the other's copy
+            return _joint_point(w.copy(), z.x.copy(), z.tags, z.layout), 0.0
+        return _joint_point(w.copy(), _slot_written(z.v, z.layout.slots["v"], z.x),
+                            z.tags, z.layout), 0.0
 
     return Involution(fn, name="swap")
 
 
 def swap_slots(a: str, b: str) -> Involution:
-    """Exchange two auxiliary slots of equal dimension."""
+    """Exchange two auxiliary slots of equal dimension: the image's v block
+    is the input's taken through one permutation index, made once per
+    layout, and its x block a copy."""
+    # (layout, its permutation index), replaced whole when the layout changes
+    last = [(None, None)]
+
+    def permutation(layout):
+        sa, sb = layout.slots[a], layout.slots[b]
+        index = np.arange(layout.v_dim)
+        if index[sa].size != index[sb].size:
+            raise ConfigError("slots must have equal dimensions")
+        index[sa], index[sb] = index[sb].copy(), index[sa].copy()
+        last[0] = (layout, index)
+        return index
 
     def fn(z: JointPoint):
-        sa, sb = z.layout.slots[a], z.layout.slots[b]
-        va, vb = z.v[sa], z.v[sb]
-        if va.size != vb.size:
-            raise ConfigError("slots must have equal dimensions")
-        # one copy of the block, whose slots are then written from the
-        # unchanged original
-        v = z.v.copy()
-        v[sa], v[sb] = vb, va
-        return _joint_point(z.x, v, z.tags, z.layout), 0.0
+        layout, index = last[0]
+        if layout is not z.layout:
+            index = permutation(z.layout)
+        return _joint_point(z.x.copy(), z.v[index], z.tags, z.layout), 0.0
 
     return Involution(fn, name="swap_slots")
 
 
 def _swap_negate_fn(z: JointPoint):
-    return (z.with_x(z.v.copy()).with_v(z.x.copy())
-            .with_tag("d", -z.tag("d")), 0.0)
+    return _joint_point(z.v.copy(), z.x.copy(),
+                        _tag_written(z.tags, z.layout.tag_index("d"), -z.tag("d")),
+                        z.layout), 0.0
 
 
 # the lifted chains' move: exchange x and v and negate the direction tag "d"
@@ -323,9 +346,38 @@ def hmc_involution(cfg: LeapfrogConfig, grad_x) -> Involution:
 
     def fn(z: JointPoint):
         x, v = leapfrog(z.x, z.slot("v"), cfg, grad_x)
-        return z.with_x(x).with_slot("v", -v), 0.0
+        return _xv_image(z, x, -v), 0.0
 
     return Involution(fn, name=f"flip*leapfrog^{cfg.k}")
+
+
+def hmc_landings(cfg: LeapfrogConfig, grad_x) -> Callable[[JointPoint], Iterator[JointPoint]]:
+    """``z ->`` the landing points ``flip(T^k(z))``, k = 1, 2, ..., of the
+    ``cfg.k``-step unit-mass leapfrog T, for ever: landing k + 1 is
+    `hmc_involution` of the flip of landing k, with its bits.
+
+    On a float form the landings come from one float trajectory: the flips
+    negate exactly and `_leapfrog_floats` keeps a step's two half-kicks
+    apart, so going on from a landing's end position, momentum and gradient
+    makes the floats that integrating its flip afresh makes.  Each endpoint
+    fills the density's memo as `leapfrog`'s does, so a caller taking a
+    landing's joint density before asking for the next keeps the memo as
+    the involutions would.  Otherwise each landing is one `leapfrog` call.
+    """
+    floats = getattr(getattr(grad_x, "memo", None), "floats", None)
+
+    def landings(z: JointPoint) -> Iterator[JointPoint]:
+        x, v = z.x, z.slot("v")
+        if floats is None:
+            while True:
+                x, v = leapfrog(x, v, cfg, grad_x)
+                yield _xv_image(z, x, -v)
+        xs, vs, g = x.tolist(), v.tolist(), grad_x(x).tolist()
+        while True:
+            end, g = _leapfrog_floats(xs, vs, g, cfg, grad_x)
+            yield _xv_image(z, end, np.array([-w for w in vs]))
+
+    return landings
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +556,7 @@ def implicit_hmc_involution(cfg: LeapfrogConfig,
                             ham: RiemannianHamiltonian) -> Involution:
     def fn(z: JointPoint):
         x, v = implicit_leapfrog(z.x, z.v, cfg, ham)
-        return z.with_x(x).with_v(-v), 0.0
+        return _joint_point(x, -v, z.tags, z.layout), 0.0
 
     return Involution(fn, name=f"flip*implicit_leapfrog^{cfg.k}")
 
@@ -580,9 +632,11 @@ class CouplingMap(FlowMap):
     the target block with the slot "v".
 
     ``forward_arrays``/``inverse_arrays`` take one point ``(d,)`` or rows
-    ``(..., d)`` of points and return one log-det per row.  With layer
-    functions that act elementwise, as all here do, a row's result equals
-    the single-point result bitwise.
+    ``(..., d)`` of points and return one log-det per row, a float for one
+    point.  With layer functions that act elementwise, as all here do, a
+    row's result equals the single-point result bitwise.  Every layer but
+    ``swap`` makes a new block, so only a block that no layer replaced (a
+    lone ``swap`` aliases the input) is copied at the end.
     """
 
     def __init__(self, layers: Sequence[tuple], name: str = "coupling"):
@@ -608,8 +662,8 @@ class CouplingMap(FlowMap):
         super().__init__(self._forward, self._inverse, name=name)
 
     def forward_arrays(self, x: np.ndarray, v: np.ndarray):
-        x, v = x.copy(), v.copy()
-        ld = np.zeros(x.shape[:-1])
+        given = (x, v)
+        ld = 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
         for layer in self._steps:
             kind = layer[0]
             if kind == "add_x":
@@ -625,11 +679,11 @@ class CouplingMap(FlowMap):
             else:
                 x, v = x * layer[1], v * layer[2]
                 ld += layer[3]
-        return x, v, ld[()]  # a scalar for one point, an array for rows
+        return _own(x, given), _own(v, given), ld
 
     def inverse_arrays(self, x: np.ndarray, v: np.ndarray):
-        x, v = x.copy(), v.copy()
-        ld = np.zeros(x.shape[:-1])
+        given = (x, v)
+        ld = 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
         for layer in reversed(self._steps):
             kind = layer[0]
             if kind == "add_x":
@@ -645,15 +699,20 @@ class CouplingMap(FlowMap):
             else:
                 x, v = x / layer[1], v / layer[2]
                 ld -= layer[3]
-        return x, v, ld[()]  # a scalar for one point, an array for rows
+        return _own(x, given), _own(v, given), ld
 
     def _forward(self, z: JointPoint) -> tuple[JointPoint, float]:
         x, v, ld = self.forward_arrays(z.x, z.slot("v"))
-        return z.with_x(x).with_slot("v", v), ld
+        return _xv_image(z, x, v), ld
 
     def _inverse(self, z: JointPoint) -> tuple[JointPoint, float]:
         x, v, ld = self.inverse_arrays(z.x, z.slot("v"))
-        return z.with_x(x).with_slot("v", v), ld
+        return _xv_image(z, x, v), ld
+
+
+def _own(block: np.ndarray, given: tuple) -> np.ndarray:
+    """``block``, copied if it is one of the arrays ``given``."""
+    return block.copy() if block is given[0] or block is given[1] else block
 
 
 def _bounded_cubic(c: tuple[float, float, float, float]):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .core import (
     _joint_point,
     _last_two,
     _numpy_order_sum,
+    _tag_written,
     compose,
 )
 from .errors import ConfigError, DensityError
@@ -47,6 +48,7 @@ from .maps import (
     direction_augment,
     embed,
     hmc_involution,
+    hmc_landings,
     implicit_hmc_involution,
     mixture_involution,
     swap_blocks,
@@ -241,7 +243,8 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
 class _FamilyConditional(AuxiliaryConditional):
     """A proposal family seen from a point: ``q(. | center_fn(point))``.
 
-    The family's own ``logpdf`` returns a float, so it is called directly.
+    The family's own ``logpdf`` returns a float, so it is called directly,
+    and a kernel scores the factor as one call of it (`scorer`).
     """
 
     def __init__(self, family: ProposalFamily, center_fn, name: str):
@@ -258,6 +261,10 @@ class _FamilyConditional(AuxiliaryConditional):
 
     def logpdf(self, value, point: JointPoint) -> float:
         return self._family.logpdf(value, self._center(point))
+
+    def scorer(self, read):
+        logpdf, center = self._family.logpdf, self._center
+        return lambda point: logpdf(read(point), center(point))
 
 
 def gaussian_slot_conditional(dim: int, mean_fn, var, name: str,
@@ -714,7 +721,7 @@ def make_gibbs(target: LogDensity, blocks: Sequence[BlockConditional],
         def fn(z: JointPoint):
             x, v = z.x.copy(), z.v.copy()
             x[sel], v[:len(sel)] = v[:len(sel)].copy(), x[sel].copy()
-            return z.with_x(x).with_v(v), 0.0
+            return _joint_point(x, v, z.tags, z.layout), 0.0
 
         return Involution(fn, name=f"swap{idx}")
 
@@ -886,12 +893,13 @@ class LookAheadKernel(TransitionKernel):
     ``flip∘T`` for the leapfrog T.
 
     Landing point 1 is ``move``'s involution of z and landing k + 1 its
-    involution of the flip of landing k, i.e. ``flip(T^k(z))``.  The move to
-    landing k happens with probability ``pi_k = min(1 - sum_{j<k} pi_j(z),
-    ratio_k * (1 - sum_{j<k} pi_j(flip(T^k(z)))))``, the ratios those of
-    ``move.joint_logpdf``; one `core._draw_index` draw over ``pi_1 .. pi_K``
-    and the weight of staying picks the branch (on staying, the trailing
-    flip kernel reverses the momentum).
+    involution of the flip of landing k, i.e. ``flip(T^k(z))``;
+    ``landings(z)`` yields them in order (`maps.hmc_landings`, from one
+    trajectory).  The move to landing k happens with probability ``pi_k = min(1 - sum_{j<k}
+    pi_j(z), ratio_k * (1 - sum_{j<k} pi_j(flip(T^k(z)))))``, the ratios
+    those of ``move.joint_logpdf``; one `core._draw_index` draw over
+    ``pi_1 .. pi_K`` and the weight of staying picks the branch (on
+    staying, the trailing flip kernel reverses the momentum).
 
     T is reversible and the momentum factor symmetric, so the reverse
     cascade from ``flip(z_k)``, with ``z_k = T^k(z)``, lands on ``z_{k-1},
@@ -899,10 +907,12 @@ class LookAheadKernel(TransitionKernel):
     every weight.
     """
 
-    def __init__(self, move: ImcmcKernel, K: int, name: str):
+    def __init__(self, move: ImcmcKernel, landings: Callable[[JointPoint], Iterator[JointPoint]],
+                 K: int, name: str):
         if K < 1:
             raise ConfigError("look-ahead depth must be at least 1")
         self.move = move
+        self.landings = landings
         self.K = K
         self.name = name
 
@@ -911,15 +921,13 @@ class LookAheadKernel(TransitionKernel):
     target = property(lambda self: self.move.target)
 
     def _cascade(self, z: JointPoint) -> tuple[list[JointPoint], list[float]]:
-        """The landing points ``flip(z_k)`` and their weights ``pi_k``."""
-        joint, involution = self.move.joint_logpdf, self.move.involution
-        joints, landings, w = [joint(z)], [], z
-        for k in range(1, self.K + 1):
-            landing, _ = involution.forward(w)
+        """The landing points ``flip(z_k)`` and their weights ``pi_k``; each
+        joint density is taken as its landing comes."""
+        joint = self.move.joint_logpdf
+        joints, landings = [joint(z)], []
+        for landing in itertools.islice(self.landings(z), self.K):
             landings.append(landing)
             joints.append(joint(landing))
-            if k < self.K:
-                w = landing.with_slot("v", -landing.slot("v"))
         return landings, _cascade_weights(joints)
 
     def pis(self, z: JointPoint) -> list[float]:
@@ -979,7 +987,8 @@ def make_look_ahead(target: LogDensity, cfg: LeapfrogConfig, K: int, refresh_alp
     refresh, move, flip = make_persistent(target, hmc_involution(cfg, target.grad),
                                           refresh_alpha, momentum_cond,
                                           name="look_ahead").kernels()
-    cascade = LookAheadKernel(move, K, name="look_ahead_cascade")
+    cascade = LookAheadKernel(move, hmc_landings(cfg, target.grad), K,
+                              name="look_ahead_cascade")
     return compose([refresh, cascade, flip], name="look_ahead")
 
 
@@ -1124,14 +1133,15 @@ def make_irr_mala(target: LogDensity, eps: float,
 
     v_cond = gaussian_slot_conditional(d, mean, 2.0 * eps, name="langevin",
                                        support_values=support_values)
+    d_at = layout.tag_index("d")
 
     def fn(z: JointPoint):
         gx = target.grad(z.x)
         # z.v is the proposal, whose log-density the acceptance test needs next
         gv = target.value_and_grad(z.v)[1]
         s = 1.0 if float(gx @ gv) >= 0.0 else -1.0
-        return (z.with_x(z.v.copy()).with_v(z.x.copy())
-                .with_tag("d", int(-z.tag("d") * s)), 0.0)
+        return _joint_point(z.v.copy(), z.x.copy(),
+                            _tag_written(z.tags, d_at, -z.tags[d_at] * s), z.layout), 0.0
 
     t1 = ImcmcKernel(layout, _x_target(target),
                      aux_refresh=[("v", v_cond)],
@@ -1276,6 +1286,7 @@ def make_transdimensional(space: ModelSpace, mode: str,
 
     if mode == "reversible":
         layout = Layout(x_dim=d, v_dim=0, tags=("k", "j"), tag_values={"k": ids, "j": ids})
+        k_at, j_at = layout.tag_index("k"), layout.tag_index("j")
 
         if model_probs is None:
             def model_probs(point):
@@ -1290,7 +1301,8 @@ def make_transdimensional(space: ModelSpace, mode: str,
         def fn(z: JointPoint):
             k, j = z.tag("k"), z.tag("j")
             z1, ld = space.apply_move(k, j, z)
-            return z1.with_tag("k", j).with_tag("j", k), ld
+            tags = _tag_written(_tag_written(z1.tags, k_at, j), j_at, k)
+            return _joint_point(z1.x, z1.v, tags, z1.layout), ld
 
         return ImcmcKernel(layout, lambda point: space.logpdf(point.tag("k"), point.x),
                            aux_refresh=[("j", j_cond), ("x", pad)],
@@ -1306,6 +1318,7 @@ def make_transdimensional(space: ModelSpace, mode: str,
     layout = Layout(x_dim=d, v_dim=w_dim, slots={"w": slice(0, w_dim)},
                     tags=("k", "nu", "m"),
                     tag_values={"k": ids, "nu": (-1, 1), "m": (0, 1)})
+    k_at, nu_at = layout.tag_index("k"), layout.tag_index("nu")
 
     m_cond = TagConditional((0, 1), lambda point: np.array([tau, 1.0 - tau]),
                             name="move_type")
@@ -1328,13 +1341,14 @@ def make_transdimensional(space: ModelSpace, mode: str,
     def jump_involution(z: JointPoint):
         k, nu = z.tag("k"), z.tag("nu")
         z1, ld = space.apply_move(k, k + nu, z)
-        return z1.with_tag("k", k + nu).with_tag("nu", -nu), ld
+        tags = _tag_written(_tag_written(z1.tags, k_at, k + nu), nu_at, -nu)
+        return _joint_point(z1.x, z1.v, tags, z1.layout), ld
 
     def within_involution(z: JointPoint):
         n = n_swap(z)
         x, w = z.x.copy(), z.v.copy()
         x[:n], w[:n] = w[:n].copy(), x[:n].copy()
-        return z.with_x(x).with_v(w), 0.0
+        return _joint_point(x, w, z.tags, z.layout), 0.0
 
     family = [Involution(within_involution, name="within"),
               Involution(jump_involution, name="jump")]

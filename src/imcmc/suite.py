@@ -638,7 +638,7 @@ def mutant_case() -> FiniteCase:
 def run_stationarity(cases: Optional[list[FiniteCase]] = None) -> list[CheckResult]:
     """Fixed-point residual of every finite analog, plus the mutant control."""
     cases = finite_cases() if cases is None else cases
-    return _stationarity_checks([(case, case.matrix()) for case in cases])
+    return _stationarity_checks(_built(cases))
 
 
 def run_balance(cases: Optional[list[FiniteCase]] = None) -> list[CheckResult]:
@@ -649,12 +649,27 @@ def run_balance(cases: Optional[list[FiniteCase]] = None) -> list[CheckResult]:
     chain matrix must be in detailed balance with the chain law.
     """
     cases = finite_cases() if cases is None else cases
-    return _balance_checks([(case, case.matrix()) for case in cases])
+    return _balance_checks(_built(cases))
 
 
-def _stationarity_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:
+# a case, its matrix, and the kernel that built it
+Built = tuple[FiniteCase, np.ndarray, TransitionKernel]
+
+
+def _built(cases: list[FiniteCase]) -> list[Built]:
+    """Each case with its matrix.  A single kernel builds it over a fresh
+    table of acceptance tests, which its frozen build in `_balance_checks`
+    reads again: nothing carries over between cases or passes."""
     out = []
-    for case, T in built:
+    for case in cases:
+        kernel = case.kernel.sharing_tests({}) if case.single else case.kernel
+        out.append((case, transition_matrix(kernel, case.states), kernel))
+    return out
+
+
+def _stationarity_checks(built: list[Built]) -> list[CheckResult]:
+    out = []
+    for case, T, _ in built:
         resid = check_stationary(case.check_matrix(T), case.check_pmf, STATIONARY_TOL)
         out.append(CheckResult(case.name, "stationarity", resid.residual,
                                STATIONARY_TOL, resid.passed))
@@ -670,12 +685,12 @@ def _mutant_check() -> CheckResult:
                        STATIONARY_TOL, not resid.passed)
 
 
-def _balance_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:
+def _balance_checks(built: list[Built]) -> list[CheckResult]:
     out = []
-    for case, T in built:
+    for case, T, kernel in built:
         if case.single:
             p_joint = case._joint_pmf
-            frozen = transition_matrix(case.kernel.frozen_aux(), case.states)
+            frozen = transition_matrix(kernel.frozen_aux(), case.states)
             rep = check_detailed_balance(frozen, p_joint, BALANCE_TOL)
             out.append(CheckResult(case.name, "joint-reversibility",
                                    rep.max_asymmetry, BALANCE_TOL, rep.passed))
@@ -788,13 +803,14 @@ def run_reductions() -> list[CheckResult]:
     space and on the refresh-marginalized chain matrix otherwise.
     """
     cases = [case for case in finite_cases() if case.name in _REDUCTION_CASES]
-    return _reduction_checks([(case, case.matrix()) for case in cases])
+    return _reduction_checks(_built(cases))
 
 
-def _reduction_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckResult]:
-    """The reductions over the registry matrices in ``built``; only kernels
-    the registry lacks are built here."""
-    reg = {case.name: (case, T) for case, T in built}
+def _reduction_checks(built: list) -> list[CheckResult]:
+    """The reductions over the registry matrices in ``built``, whose items
+    start with a case and its matrix; only kernels the registry lacks are
+    built here."""
+    reg = {case.name: (case, T) for case, T, *_ in built}
     out = []
 
     def record(name, diff, tol=REDUCTION_TOL):
@@ -877,6 +893,6 @@ def _reduction_checks(built: list[tuple[FiniteCase, np.ndarray]]) -> list[CheckR
 def run_all() -> list[CheckResult]:
     """Every check, with each finite case's matrix built once for the
     stationarity, the balance and the reduction checks."""
-    built = [(case, case.matrix()) for case in finite_cases()]
+    built = _built(finite_cases())
     return (run_involutions() + _stationarity_checks(built) + _balance_checks(built)
             + _reduction_checks(built))

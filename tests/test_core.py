@@ -465,6 +465,36 @@ def test_verify_jacobian_swap():
     assert rep.passed
 
 
+def _nan_above_zero() -> Involution:
+    """Sends a point with x[0] > 0 to a NaN x with a NaN log-det and leaves
+    every other point as it is: no involution, whatever its maxima say."""
+
+    def fn(z):
+        if z.x[0] > 0.0:
+            return z.with_x(np.full(z.x.shape, math.nan)), math.nan
+        return z, 0.0
+
+    return Involution(fn, name="nan_above_zero")
+
+
+def test_verify_involution_fails_on_a_nan_image():
+    layout = Layout(x_dim=2, v_dim=2, slots={"v": slice(0, 2)})
+    pts = random_points(layout, 100, make_rng(5))
+    assert any(pt.x[0] > 0.0 for pt in pts) and any(pt.x[0] <= 0.0 for pt in pts)
+    rep = verify_involution(_nan_above_zero(), pts)
+    assert math.isnan(rep.max_displacement)
+    assert math.isnan(rep.max_logdet_asymmetry)
+    assert not rep.passed
+
+
+def test_verify_jacobian_fails_on_a_nan_image():
+    layout = Layout(x_dim=2, v_dim=2, slots={"v": slice(0, 2)})
+    rep = verify_jacobian(_nan_above_zero(), layout.point([0.5, -0.2], [0.1, 0.3]), tol=1e-6)
+    assert math.isnan(rep.reported_logdet)
+    assert math.isnan(rep.fd_logdet)
+    assert not rep.passed
+
+
 def test_random_points_respect_tag_domains():
     layout = Layout(x_dim=1, v_dim=0, tags=("d",), tag_values={"d": (-1, 1)})
     pts = random_points(layout, 40, make_rng(4))

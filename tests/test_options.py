@@ -26,12 +26,15 @@ for argument-free ``.random()`` calls outside `core._draw_index` and the
 accept test of `core.ImcmcKernel.step`: every finite draw goes through
 `core._draw_index`; and a scan of the other
 modules of ``src/imcmc``, of ``demos/`` and of ``perfbench/`` for code that
-reaches into a density's memo, whose records only `core` reads.
+reaches into a density's memo, whose records only `core` reads; and a scan of
+``src/imcmc`` for a chained `JointPoint` copy (``.with_x(...).with_slot(``):
+an involution builds its image as one point.
 
 Run as a script (``python3 tests/test_options.py``) it prints the number of
 defaulted parameters of the ``def``s and of defaulted fields in
 ``src/imcmc``, then each unset and each always-set one, each finite draw
-outside `core._draw_index` and each reach into the memo.
+outside `core._draw_index`, each reach into the memo and each chained
+point copy.
 """
 
 import ast
@@ -300,6 +303,38 @@ def memo_reaches(modules):
     return out
 
 
+# the `JointPoint` methods that copy a point
+POINT_COPIES = ("with_x", "with_v", "with_slot", "with_tag", "with_continuous")
+
+
+def _is_copy(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in POINT_COPIES)
+
+
+def chained_copies(library):
+    """``where`` for each `JointPoint` copy called on the result of another
+    (``z.with_x(x).with_slot("v", v)``).  Each link makes a whole point that
+    the next drops; an involution builds its image in one piece
+    (`core._joint_point` over blocks of its own)."""
+    return [f"{label}:{line}" for label, tree in library
+            for line in sorted({node.lineno for node in ast.walk(tree)
+                                if _is_copy(node) and _is_copy(node.func.value)})]
+
+
+def test_no_joint_point_copy_is_chained():
+    assert chained_copies(_library()) == []
+
+
+def test_the_scan_flags_a_chained_copy():
+    library = [("lib.py", ast.parse(
+        "def fn(z):\n    return z.with_x(x).with_slot('v', v), 0.0\n"
+        "def ok(z):\n    w = z.with_x(x)\n    return w.with_tag('d', 1)\n"
+        "def tagged(z):\n    return (z.with_v(v)\n            .with_tag('d', -1))\n"
+        "def other(z):\n    return z.copy().with_x(x), f(z.with_x(x))\n"))]
+    assert chained_copies(library) == ["lib.py:2", "lib.py:7"]
+
+
 def test_no_module_but_core_reaches_into_the_memo():
     assert memo_reaches(_modules()) == []
 
@@ -477,3 +512,5 @@ if __name__ == "__main__":
         print("finite draw outside core._draw_index:", line)
     for line in memo_reaches(_modules()):
         print("reaches into the memo:", line)
+    for line in chained_copies(library):
+        print("chained point copy:", line)

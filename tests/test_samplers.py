@@ -497,7 +497,14 @@ def test_look_ahead_reads_a_weight_rounded_below_zero_as_zero():
     drift = Involution(lambda z: (z.with_x(z.x + z.v).with_v(-z.v), 0.0), name="drift")
     move = ImcmcKernel(xv_layout(1), lambda point: joints[round(point.x[0])],
                        involution=drift, name="move")
-    cascade = LookAheadKernel(move, len(joints) - 1, name="cascade")
+
+    def landings(z):
+        while True:  # the drift's image of z, then of each landing's flip
+            z, _ = drift.forward(z)
+            yield z
+            z = z.with_v(-z.v)
+
+    cascade = LookAheadKernel(move, landings, len(joints) - 1, name="cascade")
     z = cascade.layout.point([0.0], [1.0])
     branches = cascade.enumerate_step(z)
     assert min(p for _, p in branches) > 0.0

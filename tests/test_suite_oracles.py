@@ -263,9 +263,10 @@ def test_run_all_makes_every_fixed_point_solve(monkeypatch):
     """A hardware-free count of the implicit integrator's work in one oracle
     pass: how fast a pass runs may change, but not how many fixed-point
     solves it makes, how many iterations they take or to what tolerance.
-    Each distinct refreshed point is solved once per matrix build (scoring
-    every auxiliary draw of every state again made 1302 solves and 9089
-    iterations)."""
+    Each distinct refreshed point is solved once per case, whose frozen
+    build reads the tests of its matrix build (scoring every auxiliary draw
+    of every state again made 1302 solves and 9089 iterations, and one
+    table per build 1266 and 9029)."""
     counts = {"solves": 0, "iterations": 0}
     solve = maps._fixed_point
 
@@ -283,14 +284,15 @@ def test_run_all_makes_every_fixed_point_solve(monkeypatch):
     for _ in range(2):  # nothing carries over from one pass to the next
         counts.update(solves=0, iterations=0)
         run_all()
-        assert counts == {"solves": 1266, "iterations": 9029}
+        assert counts == {"solves": 1248, "iterations": 8999}
 
 
 def test_run_all_reads_each_metric_once_per_position(monkeypatch):
     """The one-coordinate implicit integrator reads the metric at a step's
     start position once, for its kick and its first drift term alike, and
-    each distinct refreshed point is integrated once per matrix build
-    (scoring every auxiliary draw of every state again made 5412 reads)."""
+    each distinct refreshed point is integrated once per case (scoring
+    every auxiliary draw of every state again made 5412 reads, and one
+    table per build 5346)."""
     calls = [0]
     init = maps.RiemannianHamiltonian.__init__
 
@@ -307,7 +309,7 @@ def test_run_all_reads_each_metric_once_per_position(monkeypatch):
     for _ in range(2):  # nothing carries over from one pass to the next
         calls[0] = 0
         run_all()
-        assert calls[0] == 5346
+        assert calls[0] == 5313
 
 
 def _point_bits(point):
@@ -356,15 +358,19 @@ def test_shared_builds_equal_per_state_rows(monkeypatch):
 
 
 def test_run_all_scores_each_refreshed_point_once_per_build(monkeypatch):
-    """A hardware-free count of the oracle's acceptance tests: a matrix build
-    runs `ImcmcKernel.acceptance` once per distinct refreshed point of its
-    states (scoring every auxiliary draw of every state made 2351 tests),
-    while `transition_matrix_direct` stays per state."""
+    """A hardware-free count of the oracle's acceptance tests: a case's
+    matrix build runs `ImcmcKernel.acceptance` once per distinct refreshed
+    point of its states, and a single case's frozen build reads the same
+    table, so it tests only points the matrix build did not (scoring every
+    auxiliary draw of every state made 2351 tests, and one table per build
+    817), while `transition_matrix_direct` stays per state."""
     counts = {"built": 0, "direct": 0, "other": 0, "distinct": 0}
     where = ["other"]
     acceptance = ImcmcKernel.acceptance
     build = diagnostics._kernel_matrix
     direct = diagnostics.transition_matrix_direct
+    # each table of tests (or each build without one) -> its refreshed points
+    tables: dict = {}
 
     def counted(self, point):
         counts[where[0]] += 1
@@ -381,19 +387,24 @@ def test_run_all_scores_each_refreshed_point_once_per_build(monkeypatch):
 
     def counted_build(kernel, index):
         if isinstance(kernel, ImcmcKernel):
-            counts["distinct"] += len({_point_bits(r) for s in index.states
-                                       for r, _ in kernel._expand(s, 0)})
+            table = kernel._tests if kernel._tests is not None else {}
+            seen = tables.setdefault(id(table), (table, set()))[1]
+            fresh = {_point_bits(r) for s in index.states
+                     for r, _ in kernel._expand(s, 0)} - seen
+            counts["distinct"] += len(fresh)
+            seen |= fresh
         return inside("built", build)(kernel, index)
 
     monkeypatch.setattr(ImcmcKernel, "acceptance", counted)
     monkeypatch.setattr(diagnostics, "_kernel_matrix", counted_build)
     monkeypatch.setattr(diagnostics, "transition_matrix_direct",
                         inside("direct", direct))
-    for _ in range(2):  # nothing carries over from one build to the next
+    for _ in range(2):  # nothing carries over from one pass to the next
         counts.update(built=0, direct=0, other=0, distinct=0)
+        tables.clear()
         run_all()
         assert counts["built"] == counts["distinct"]
-        assert counts == {"built": 817, "direct": 174, "other": 0, "distinct": 817}
+        assert counts == {"built": 649, "direct": 174, "other": 0, "distinct": 649}
 
 
 # ---------------------------------------------------------------------------
