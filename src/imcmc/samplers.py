@@ -895,11 +895,12 @@ class LookAheadKernel(TransitionKernel):
     Landing point 1 is ``move``'s involution of z and landing k + 1 its
     involution of the flip of landing k, i.e. ``flip(T^k(z))``;
     ``landings(z)`` yields them in order (`maps.hmc_landings`, from one
-    trajectory).  The move to landing k happens with probability ``pi_k = min(1 - sum_{j<k}
-    pi_j(z), ratio_k * (1 - sum_{j<k} pi_j(flip(T^k(z)))))``, the ratios
-    those of ``move.joint_logpdf``; one `core._draw_index` draw over
-    ``pi_1 .. pi_K`` and the weight of staying picks the branch (on
-    staying, the trailing flip kernel reverses the momentum).
+    trajectory).  The move to landing k happens with probability ``pi_k =
+    min(1 - sum_{j<k} pi_j(z), ratio_k * (1 - sum_{j<k}
+    pi_j(flip(T^k(z)))))``, the ratios those of ``move.joint_logpdf``; one
+    `core._draw_index` draw over ``pi_1 .. pi_K`` and the weight of staying
+    picks the branch (on staying, the trailing flip kernel reverses the
+    momentum).
 
     T is reversible and the momentum factor symmetric, so the reverse
     cascade from ``flip(z_k)``, with ``z_k = T^k(z)``, lands on ``z_{k-1},

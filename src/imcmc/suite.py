@@ -653,10 +653,10 @@ def run_balance(cases: Optional[list[FiniteCase]] = None) -> list[CheckResult]:
 
 
 # a case, its matrix, and the kernel that built it
-Built = tuple[FiniteCase, np.ndarray, TransitionKernel]
+_Built = tuple[FiniteCase, np.ndarray, TransitionKernel]
 
 
-def _built(cases: list[FiniteCase]) -> list[Built]:
+def _built(cases: list[FiniteCase]) -> list[_Built]:
     """Each case with its matrix.  A single kernel builds it over a fresh
     table of acceptance tests, which its frozen build in `_balance_checks`
     reads again: nothing carries over between cases or passes."""
@@ -667,7 +667,7 @@ def _built(cases: list[FiniteCase]) -> list[Built]:
     return out
 
 
-def _stationarity_checks(built: list[Built]) -> list[CheckResult]:
+def _stationarity_checks(built: list[_Built]) -> list[CheckResult]:
     out = []
     for case, T, _ in built:
         resid = check_stationary(case.check_matrix(T), case.check_pmf, STATIONARY_TOL)
@@ -685,7 +685,7 @@ def _mutant_check() -> CheckResult:
                        STATIONARY_TOL, not resid.passed)
 
 
-def _balance_checks(built: list[Built]) -> list[CheckResult]:
+def _balance_checks(built: list[_Built]) -> list[CheckResult]:
     out = []
     for case, T, kernel in built:
         if case.single:
