@@ -140,13 +140,13 @@ class _StateIndex:
 
     States are grouped by tag tuple once; a lookup is then the first
     nearest state of the matching group in the sup norm (see
-    `core._RowIndex`), which must lie within ``atol``.  A state with a NaN
-    or infinite coordinate is refused, as the index refuses such a row.
+    `core._RowIndex`), which must lie within ``core._LOOKUP_ATOL``.  A
+    state with a NaN or infinite coordinate is refused, as the index
+    refuses such a row.
     """
 
-    def __init__(self, states: Sequence[JointPoint], atol: float):
+    def __init__(self, states: Sequence[JointPoint]):
         self.states = list(states)
-        self.atol = atol
         cont = np.stack([s.continuous() for s in self.states])
         _RowIndex.refuse_non_finite(cont, "enumerated state", EnumerationError)
         members: dict[tuple, list[int]] = {}
@@ -165,7 +165,7 @@ class _StateIndex:
         ids, rows = group
         j, best_d = rows.nearest(point.continuous())
         # written so that a NaN distance fails too
-        if not best_d <= self.atol:
+        if not best_d <= _LOOKUP_ATOL:
             raise EnumerationError(
                 f"step landed outside the enumerated space (distance {best_d:.3g})")
         return ids[j]
@@ -185,7 +185,6 @@ def _kernel_matrix(kernel: TransitionKernel, index: _StateIndex) -> np.ndarray:
 
 
 def transition_matrix(kernel: TransitionKernel, states: Sequence[JointPoint],
-                      atol: float = _LOOKUP_ATOL,
                       max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
     """Exact transition matrix of a kernel over an enumerated state space.
 
@@ -199,7 +198,7 @@ def transition_matrix(kernel: TransitionKernel, states: Sequence[JointPoint],
     if len(states) > max_states:
         raise EnumerationError(
             f"{len(states)} states exceeds the cap of {max_states}")
-    index = _StateIndex(states, atol)
+    index = _StateIndex(states)
     parts = kernel.kernels()
     T = _kernel_matrix(parts[0], index)
     for k in parts[1:]:
@@ -212,7 +211,7 @@ def transition_matrix_direct(kernel: TransitionKernel,
     """Composition matrix built by chaining enumerations, not by multiplying.
 
     Exists to cross-check that the matrix product route agrees with direct
-    path enumeration, at `transition_matrix`'s default tolerance and cap.
+    path enumeration, at `transition_matrix`'s tolerance and default cap.
     It enumerates one state at a time (`enumerate_step`), sharing no
     acceptance test between states, so the suite's
     ``composition_product_equals_direct`` compares the shared route with an
@@ -221,7 +220,7 @@ def transition_matrix_direct(kernel: TransitionKernel,
     if len(states) > DEFAULT_MAX_STATES:
         raise EnumerationError(
             f"{len(states)} states exceeds the cap of {DEFAULT_MAX_STATES}")
-    index = _StateIndex(states, _LOOKUP_ATOL)
+    index = _StateIndex(states)
     n = len(index)
     T = np.zeros((n, n))
     for i, state in enumerate(index.states):

@@ -71,30 +71,41 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
              grad_x: Callable[[np.ndarray], np.ndarray],
              grad_v: Optional[Callable[[np.ndarray], np.ndarray]] = None,
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Half-kick / drift / half-kick update applied ``cfg.k`` times.
+    """Half-kick / drift / half-kick update applied ``cfg.k`` times, the
+    first stop of `_trajectory`.
 
     ``grad_x`` is the gradient of the target log-density; ``grad_v`` that of
     the momentum log-density (standard normal when omitted).  The map is
-    volume preserving, so no log-Jacobian is returned.  The gradient at each
-    position serves both the closing half-kick of one step and the opening
-    half-kick of the next, so ``k`` steps cost ``k + 1`` gradients.  A
-    non-finite gradient leaves ``v`` non-finite (later kicks only add to
-    it), so one check of the final ``v`` covers the whole trajectory.
+    volume preserving, so no log-Jacobian is returned.
+    """
+    return next(_trajectory(x, v, cfg, grad_x, grad_v))
 
-    When ``grad_x`` is a `LogDensity`'s memoized gradient, only the start
-    goes through its memo: the interior positions are new points that
-    nothing asks for again, and the endpoint goes through the density's
+
+def _trajectory(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig, grad_x,
+                grad_v) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The leapfrog from ``(x, v)``, stopping after every ``cfg.k`` steps
+    with that stop's own position and momentum arrays.
+
+    The gradient at each position serves both the closing half-kick of one
+    step and the opening half-kick of the next, so a stop costs ``k + 1``
+    gradients.  A non-finite gradient leaves ``v`` non-finite (later kicks
+    only add to it), so one check of ``v`` per stop covers its steps.
+
+    When ``grad_x`` is a `LogDensity`'s memoized gradient, only a stop's
+    start goes through its memo: the interior positions are new points that
+    nothing asks for again, and the stop's end goes through the density's
     ``value_and_grad``, since an acceptance test asks for its log-density
     next.  When that density also has a float form (`core.float_density`)
     and the momentum is standard normal, the kicks and drifts run on Python
-    floats (`_leapfrog_floats`) with the same bits.
+    floats (`_leapfrog_floats`) with the same bits, each stop going on with
+    the gradient the last one ended on.
     """
-    memo = getattr(grad_x, "memo", None)
+    x, memo = np.asarray(x, dtype=float), getattr(grad_x, "memo", None)
     if grad_v is None and getattr(memo, "floats", None) is not None:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float).tolist()
-        end, _ = _leapfrog_floats(x.tolist(), v, grad_x(x).tolist(), cfg, grad_x)
-        return end, np.array(v)
+        xs, vs, g = x.tolist(), np.asarray(v, dtype=float).tolist(), grad_x(x).tolist()
+        while True:
+            end, g = _leapfrog_floats(xs, vs, g, cfg, grad_x)
+            yield end, np.array(vs)
     interior = endpoint = grad_x
     if memo is not None:
         interior = grad_x.fn
@@ -103,23 +114,24 @@ def leapfrog(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
             return memo.value_and_grad(y)[1]
 
     half, eps = 0.5 * cfg.eps, cfg.eps
-    # x is never written to (each drift makes a new array), so only v, whose
-    # half-kicks are in place, is copied
-    x, v = np.asarray(x, dtype=float), np.array(v, dtype=float)
-    g = grad_x(x)
-    for step in range(1, cfg.k + 1):
-        v += half * g
-        if grad_v is None:
-            # the drift for a standard normal momentum: -eps * (-v) is eps * v
-            x = x + eps * v
-        else:
-            x = x - eps * grad_v(v)
-            v = v.copy()  # grad_v may keep the array it was handed
-        g = endpoint(x) if step == cfg.k else interior(x)
-        v += half * g
-    if not np.isfinite(v).all():
-        raise ConfigError("non-finite gradient in leapfrog")
-    return x, v
+    while True:
+        # x is never written to (each drift makes a new array), so only v,
+        # whose half-kicks are in place, is copied, once per stop
+        v = np.array(v, dtype=float)
+        g = grad_x(x)
+        for step in range(1, cfg.k + 1):
+            v += half * g
+            if grad_v is None:
+                # the drift for a standard normal momentum: -eps * (-v) is eps * v
+                x = x + eps * v
+            else:
+                x = x - eps * grad_v(v)
+                v = v.copy()  # grad_v may keep the array it was handed
+            g = endpoint(x) if step == cfg.k else interior(x)
+            v += half * g
+        if not np.isfinite(v).all():
+            raise ConfigError("non-finite gradient in leapfrog")
+        yield x, v
 
 
 def _leapfrog_floats(x: list, v: list, g: Sequence[float], cfg: LeapfrogConfig,
@@ -158,13 +170,7 @@ def _leapfrog_floats(x: list, v: list, g: Sequence[float], cfg: LeapfrogConfig,
 
 def leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
                      grad_x) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the unit-mass `leapfrog`: flip, integrate, flip.  On a
-    float form, as `leapfrog` takes it, both flips negate floats."""
-    if getattr(getattr(grad_x, "memo", None), "floats", None) is not None:
-        x = np.asarray(x, dtype=float)
-        v = [-w for w in np.asarray(v, dtype=float).tolist()]
-        end, _ = _leapfrog_floats(x.tolist(), v, grad_x(x).tolist(), cfg, grad_x)
-        return end, np.array([-w for w in v])
+    """Inverse of the unit-mass `leapfrog`: flip, integrate, flip."""
     x, v = leapfrog(x, -np.asarray(v, dtype=float), cfg, grad_x)
     return x, -v
 
@@ -353,29 +359,17 @@ def hmc_involution(cfg: LeapfrogConfig, grad_x) -> Involution:
 
 def hmc_landings(cfg: LeapfrogConfig, grad_x) -> Callable[[JointPoint], Iterator[JointPoint]]:
     """``z ->`` the landing points ``flip(T^k(z))``, k = 1, 2, ..., of the
-    ``cfg.k``-step unit-mass leapfrog T, for ever: landing k + 1 is
-    `hmc_involution` of the flip of landing k, with its bits.
-
-    On a float form the landings come from one float trajectory: the flips
-    negate exactly and `_leapfrog_floats` keeps a step's two half-kicks
-    apart, so going on from a landing's end position, momentum and gradient
-    makes the floats that integrating its flip afresh makes.  Each endpoint
-    fills the density's memo as `leapfrog`'s does, so a caller taking a
+    ``cfg.k``-step unit-mass leapfrog T, for ever: the flipped stops of one
+    `_trajectory`.  The flips negate exactly, so landing k + 1 is
+    `hmc_involution` of the flip of landing k, with its bits, and each stop
+    fills the density's memo as `leapfrog`'s does: a caller taking a
     landing's joint density before asking for the next keeps the memo as
-    the involutions would.  Otherwise each landing is one `leapfrog` call.
+    the involutions would.
     """
-    floats = getattr(getattr(grad_x, "memo", None), "floats", None)
 
     def landings(z: JointPoint) -> Iterator[JointPoint]:
-        x, v = z.x, z.slot("v")
-        if floats is None:
-            while True:
-                x, v = leapfrog(x, v, cfg, grad_x)
-                yield _xv_image(z, x, -v)
-        xs, vs, g = x.tolist(), v.tolist(), grad_x(x).tolist()
-        while True:
-            end, g = _leapfrog_floats(xs, vs, g, cfg, grad_x)
-            yield _xv_image(z, end, np.array([-w for w in vs]))
+        for x, v in _trajectory(z.x, z.slot("v"), cfg, grad_x, None):
+            yield _xv_image(z, x, -v)
 
     return landings
 
@@ -388,14 +382,15 @@ def hmc_landings(cfg: LeapfrogConfig, grad_x) -> Callable[[JointPoint], Iterator
 class Metric:
     """Position-dependent symmetric positive-definite mass matrix.
 
-    ``g(x)`` returns the matrix, ``g_logdet(x)`` its log-determinant and
-    ``g_grad(x)`` the stacked partials ``dG/dx_k`` with shape (d, d, d),
-    indexed as ``g_grad(x)[k][i, j] = dG_ij/dx_k``.
+    ``g(x)`` returns the matrix, ``g_grad(x)`` the stacked partials
+    ``dG/dx_k`` with shape (d, d, d), indexed as ``g_grad(x)[k][i, j] =
+    dG_ij/dx_k``, which the implicit kicks need, and ``g_logdet(x)``, if
+    given, its log-determinant.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
+    g_grad: Callable[[np.ndarray], np.ndarray]
     g_logdet: Optional[Callable[[np.ndarray], float]] = None
-    g_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def logdet(self, x: np.ndarray) -> float:
         if self.g_logdet is not None:
@@ -403,9 +398,7 @@ class Metric:
         return float(np.linalg.slogdet(self.g(x))[1])
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        if self.g_grad is not None:
-            return np.asarray(self.g_grad(x), dtype=float)
-        return np.zeros((x.size, x.size, x.size))
+        return np.asarray(self.g_grad(x), dtype=float)
 
 
 def constant_metric(mat: np.ndarray) -> Metric:
@@ -554,9 +547,11 @@ def implicit_leapfrog_inverse(x: np.ndarray, v: np.ndarray, cfg: LeapfrogConfig,
 
 def implicit_hmc_involution(cfg: LeapfrogConfig,
                             ham: RiemannianHamiltonian) -> Involution:
+    """Flip composed with k implicit leapfrog steps on the slot "v"."""
+
     def fn(z: JointPoint):
-        x, v = implicit_leapfrog(z.x, z.v, cfg, ham)
-        return _joint_point(x, -v, z.tags, z.layout), 0.0
+        x, v = implicit_leapfrog(z.x, z.slot("v"), cfg, ham)
+        return _xv_image(z, x, -v), 0.0
 
     return Involution(fn, name=f"flip*implicit_leapfrog^{cfg.k}")
 

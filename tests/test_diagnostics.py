@@ -170,11 +170,14 @@ def test_transition_matrix_detects_escapes():
 
 
 def test_transition_matrix_ties_go_to_the_first_state():
-    # x = 1 is at distance 1 from both enumerated states
+    # x = 2^-31 is at distance 2^-31, within the lookup tolerance of 1e-9,
+    # from both enumerated states, 0 and 2^-30: an exact tie
     lay = Layout(x_dim=1, v_dim=0)
-    to_one = DeterministicKernel(lay, lambda pt: pt.with_x(np.array([1.0])))
-    for xs in ((0.0, 2.0), (2.0, 0.0)):
-        T = transition_matrix(to_one, [lay.point([x]) for x in xs], atol=1.0)
+    mid = 2.0 ** -31
+    assert mid - 0.0 == 2.0 ** -30 - mid <= 1e-9
+    to_mid = DeterministicKernel(lay, lambda pt: pt.with_x(np.array([mid])))
+    for xs in ((0.0, 2.0 ** -30), (2.0 ** -30, 0.0)):
+        T = transition_matrix(to_mid, [lay.point([x]) for x in xs])
         assert np.array_equal(T, [[1.0, 0.0], [1.0, 0.0]])
 
 

@@ -132,9 +132,9 @@ def test_locate_equals_the_search(rows):
               for v in (0.0, -0.0, 1.0) for d in (-1, 1)]
     if np.isnan(rows).any():
         with pytest.raises(EnumerationError, match="NaN coordinate"):
-            _StateIndex(states, 1e-9)
+            _StateIndex(states)
         return
-    index = _StateIndex(states, 1e-9)
+    index = _StateIndex(states)
     queries = [lay.point(q, [v], (d,)) for q in _queries(rows)
                for v in (0.0, -0.0, 1.0 + 5e-10, 1.0 + 2e-9) for d in (-1, 1)]
     # tags the enumeration never produced
@@ -150,7 +150,7 @@ def test_locate_equals_the_search(rows):
 def test_locate_finds_the_nearest_state_and_ties_go_to_the_first():
     lay = Layout(x_dim=1)
     states = [lay.point([x]) for x in (0.0, 1.0, 1.0, 1.0 + 5e-10, -0.0)]
-    index = _StateIndex(states, 1e-9)
+    index = _StateIndex(states)
     # the nearest state wins and exact ties go to the first: the third state
     # is the second's duplicate, the fourth is 5e-10 from it and the fifth
     # is the first's other signed zero
@@ -158,7 +158,7 @@ def test_locate_finds_the_nearest_state_and_ties_go_to_the_first():
     # states with no continuous coordinate go to their tags' first state
     lay = Layout(x_dim=0, tags=("a",), tag_values={"a": (0, 1)})
     states = [lay.point([], tags=(a,)) for a in (0, 1, 0, 1)]
-    assert [_StateIndex(states, 1e-9).locate(s) for s in states] == [0, 1, 0, 1]
+    assert [_StateIndex(states).locate(s) for s in states] == [0, 1, 0, 1]
 
 
 def test_transition_matrices_refuse_a_nan_state():
@@ -221,7 +221,7 @@ def test_a_rows_own_bytes_cost_no_search(monkeypatch):
                  tags=("d",), tag_values={"d": (-1, 1)})
     states = [lay.point(row, [v], (d,)) for row in rows
               for v in (0.0, -0.0) for d in (-1, 1)]
-    index = _StateIndex(states, 1e-9)
+    index = _StateIndex(states)
     point = lay.point([0.0, 0.0], [0.0], (1,))
     want = [_reference_locate(states, 1e-9, s) for s in states]
     calls = _counting_search(monkeypatch)

@@ -1,5 +1,6 @@
 """Integrators, flows, combinators, coupling layers, CDF rotation."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 from imcmc.core import (
     Layout,
     LogDensity,
+    float_density,
     make_rng,
     random_points,
     run_chain,
@@ -32,6 +34,7 @@ from imcmc.maps import (
     direction_augment,
     embed,
     hmc_involution,
+    hmc_landings,
     identity_flow,
     implicit_hmc_involution,
     implicit_leapfrog,
@@ -184,20 +187,22 @@ def test_float_leapfrog_keeps_the_array_bits(name):
                     integrate(x, np.zeros(floats.dim), LeapfrogConfig(eps, 16), density.grad)
 
 
+def _counted(counts, name, fn):
+    """``fn``, adding each call to ``counts[name]``."""
+    def wrapper(x):
+        counts[name] += 1
+        return fn(x)
+    return wrapper
+
+
 def _counting_float_mog2():
     """mog2 with every callable counted, its float form included."""
     base, counts = mog2(), Counter()
-
-    def counted(name, fn):
-        def wrapper(x):
-            counts[name] += 1
-            return fn(x)
-        return wrapper
-
-    density = LogDensity(dim=2, logpdf=counted("logpdf", base.logpdf.fn),
-                         grad=counted("grad", base.grad.fn),
-                         value_and_grad=counted("value_and_grad", base.grad.memo.fused),
-                         floats=counted("floats", base.floats))
+    density = LogDensity(dim=2, logpdf=_counted(counts, "logpdf", base.logpdf.fn),
+                         grad=_counted(counts, "grad", base.grad.fn),
+                         value_and_grad=_counted(counts, "value_and_grad",
+                                                 base.grad.memo.fused),
+                         floats=_counted(counts, "floats", base.floats))
     return density, counts
 
 
@@ -229,6 +234,84 @@ def test_hmc_on_a_float_form_evaluates_each_trajectory_once():
     # memos: an accepted endpoint is the next start, and a rejected step
     # starts where it did, both still in the memo
     assert counts == Counter(logpdf=1, grad=1, floats=k * n)
+
+
+def _counting_float_grad():
+    """`_counting_float_mog2`'s gradient and its counts."""
+    density, counts = _counting_float_mog2()
+    return density.grad, counts
+
+
+def _counting_arrays_normal():
+    """standard_normal(2)'s memoized gradient over counted array callables."""
+    base, counts = standard_normal(2), Counter()
+    density = LogDensity(dim=2, logpdf=_counted(counts, "logpdf", base.logpdf.fn),
+                         grad=_counted(counts, "grad", base.grad.fn))
+    return density.grad, counts
+
+
+def _counting_plain_gradient():
+    """A plain gradient function, with no memo, and its call count."""
+    counts = Counter()
+    return _counted(counts, "grad", lambda x: np.sin(x) - x), counts
+
+
+# gradient factories for the landings, each with the evaluations that K
+# landings of k steps make: the float form, memoized arrays, a plain function
+LANDING_GRADIENTS = {
+    "mog2": (_counting_float_grad, lambda K, k: Counter(grad=1, floats=K * k)),
+    "standard_normal": (_counting_arrays_normal,
+                        lambda K, k: Counter(grad=1 + K * k, logpdf=K)),
+    "plain": (_counting_plain_gradient, lambda K, k: Counter(grad=K * (k + 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANDING_GRADIENTS))
+def test_landings_are_the_iterated_involution_of_the_flip(name):
+    # landing k + 1 is hmc_involution of the flip of landing k, bitwise, at
+    # the same evaluations, on a v block that is the slot and on one with
+    # the scratch slot "a" beside it
+    build, cost = LANDING_GRADIENTS[name]
+    cfg, K = LeapfrogConfig(0.3, 4), 6
+    scratch = Layout(x_dim=2, v_dim=4, slots={"v": slice(0, 2), "a": slice(2, 4)})
+    rng = make_rng(31)
+    for lay in (LAY2, scratch):
+        for z in random_points(lay, 10, rng):
+            grad, counts = build()
+            got = list(itertools.islice(hmc_landings(cfg, grad)(z), K))
+            assert counts == cost(K, cfg.k)
+            grad, counts = build()
+            inv, flip, want, w = hmc_involution(cfg, grad), momentum_flip(), [], z
+            for _ in range(K):
+                w, _ = inv.forward(w)
+                want.append(w)
+                w, _ = flip.forward(w)
+            assert counts == cost(K, cfg.k)
+            for a, b in zip(got, want, strict=True):
+                assert a.tags == b.tags and a.layout is b.layout
+                for mine, theirs in ((a.x, b.x), (a.v, b.v)):
+                    assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def test_landings_raise_on_a_gradient_that_turns_non_finite_later():
+    # with a zero gradient x moves by eps * v a step: the first landing is
+    # at 0.3, and the second trajectory passes x = 0.45, where the gradient
+    # turns infinite
+    cfg = LeapfrogConfig(0.1, 3)
+
+    def g(x):
+        return np.array([math.inf]) if x[0] > 0.45 else np.zeros(1)
+
+    def floats(coords):
+        return 0.0, [math.inf] if coords[0] > 0.45 else [0.0]
+
+    for grad in (g, LogDensity(dim=1, logpdf=lambda x: 0.0, grad=g).grad,
+                 float_density(1, lambda coords: 0.0, floats).grad):
+        landings = hmc_landings(cfg, grad)(LAY1.point([0.0], [1.0]))
+        first = next(landings)
+        assert abs(first.x[0] - 0.3) < 1e-12 and first.v[0] == -1.0
+        with pytest.raises(ConfigError, match="^non-finite gradient in leapfrog$"):
+            next(landings)
 
 
 def test_leapfrog_volume_preserving():
@@ -529,13 +612,21 @@ def test_one_coordinate_integrator_diverges_on_a_non_finite_iterate(bad):
     # turns non-finite there; the kick at the start is finite
     g1 = np.array([[1.0]])
     met = Metric(g=lambda x: g1 if x[0] < 1.0 else np.array([[1.0 / bad]]),
-                 g_logdet=lambda x: 0.0)
+                 g_grad=lambda x: np.zeros((1, 1, 1)), g_logdet=lambda x: 0.0)
     ham = RiemannianHamiltonian(SN1.logpdf, SN1.grad, met)
     cfg = LeapfrogConfig(0.5, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         got = _outcome(implicit_leapfrog, 0.9, 1.0, cfg, ham)
         assert got == _outcome(_reference_implicit_leapfrog, 0.9, 1.0, cfg, ham)
     assert got == ("implicit integrator step diverged", math.inf.hex())
+
+
+def test_a_metric_needs_its_partials():
+    # without dG/dx the kicks would miss their trace and quadratic terms:
+    # the implicit map stays an involution but is no longer volume
+    # preserving, which the acceptance test cannot see
+    with pytest.raises(TypeError, match="g_grad"):
+        Metric(g=lambda x: np.array([[1.0 + x[0] ** 2]]))
 
 
 def test_implicit_involution_position_dependent_metric():

@@ -26,15 +26,17 @@ for argument-free ``.random()`` calls outside `core._draw_index` and the
 accept test of `core.ImcmcKernel.step`: every finite draw goes through
 `core._draw_index`; and a scan of the other
 modules of ``src/imcmc``, of ``demos/`` and of ``perfbench/`` for code that
-reaches into a density's memo, whose records only `core` reads; and a scan of
+reaches into a density's memo, whose records only `core` reads; a scan of
 ``src/imcmc`` for a chained `JointPoint` copy (``.with_x(...).with_slot(``):
-an involution builds its image as one point.
+an involution builds its image as one point; and a scan of ``src/imcmc``
+for reads of a density's float form outside `core` and the one explicit
+trajectory routine, `maps._trajectory` with its `maps._leapfrog_floats`.
 
 Run as a script (``python3 tests/test_options.py``) it prints the number of
 defaulted parameters of the ``def``s and of defaulted fields in
 ``src/imcmc``, then each unset and each always-set one, each finite draw
-outside `core._draw_index`, each reach into the memo and each chained
-point copy.
+outside `core._draw_index`, each reach into the memo, each chained
+point copy and each float-form read outside the trajectory.
 """
 
 import ast
@@ -322,6 +324,50 @@ def chained_copies(library):
                                 if _is_copy(node) and _is_copy(node.func.value)})]
 
 
+# the defs outside `core` that may read a density's float form: the one
+# explicit trajectory routine and the float steps it hands the floats to
+FLOAT_FORM_READERS = {("maps.py", "_trajectory"), ("maps.py", "_leapfrog_floats")}
+
+
+def _reads_float_form(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "floats" and isinstance(node.ctx, ast.Load)
+    return (isinstance(node, ast.Call) and _name(node) == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "floats")
+
+
+def float_form_reads(library):
+    """``where def`` for each read of a density's float form (a ``.floats``
+    attribute read or a ``getattr(..., "floats", ...)`` call) in a module
+    other than ``core.py``, outside `FLOAT_FORM_READERS`.  Every explicit
+    leapfrog steps through `maps._trajectory`, so its test for the float
+    form and the float path are written once."""
+    return [f"{label}:{node.lineno} {scope or '<module>'}"
+            for label, tree in library if label != "core.py"
+            for node, scope in _scoped(tree)
+            if _reads_float_form(node) and (label, scope) not in FLOAT_FORM_READERS]
+
+
+def test_only_the_trajectory_reads_the_float_form():
+    assert float_form_reads(_library()) == []
+
+
+def test_the_scan_flags_a_float_form_read():
+    library = [
+        ("core.py", ast.parse("def f(d):\n    return d.floats\n")),
+        ("maps.py", ast.parse(
+            "def _trajectory(g):\n    return getattr(g.memo, 'floats', None)\n"
+            "def _leapfrog_floats(g):\n    return g.memo.floats\n"
+            "def leapfrog(g):\n    return getattr(getattr(g, 'memo', None), 'floats', None)\n"
+            "def hmc_landings(g):\n    def landings(z):\n        return g.memo.floats(z)\n"
+            "    return landings\n"
+            "def fine(d, floats):\n    d.floats = floats\n"
+            "    return LogDensity(floats=floats), getattr(d, 'grad')\n")),
+        ("samplers.py", ast.parse("def _trajectory(g):\n    return g.floats\n"))]
+    assert float_form_reads(library) == [
+        "maps.py:6 leapfrog", "maps.py:9 hmc_landings.landings", "samplers.py:2 _trajectory"]
+
+
 def test_no_joint_point_copy_is_chained():
     assert chained_copies(_library()) == []
 
@@ -514,3 +560,5 @@ if __name__ == "__main__":
         print("reaches into the memo:", line)
     for line in chained_copies(library):
         print("chained point copy:", line)
+    for line in float_form_reads(library):
+        print("float-form read outside the trajectory:", line)

@@ -377,7 +377,9 @@ METRIC_MOMENTA = {
                g_grad=lambda x: np.array([[[2.0 * x[0]]]])),
         [[-1.5], [0.0], [0.7]]),
     2: (Metric(g=lambda x: np.array([[2.0 + 0.25 * x[0] ** 2, -0.3],
-                                     [-0.3, 2.0 + 0.25 * x[1] ** 2]])),
+                                     [-0.3, 2.0 + 0.25 * x[1] ** 2]]),
+               g_grad=lambda x: np.array([[[0.5 * x[0], 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [0.0, 0.5 * x[1]]]])),
         [[1.0, 0.0], [-0.5, 1.2]]),
 }
 
@@ -889,3 +891,28 @@ def test_persistent_takes_its_form_from_the_map():
     for T in (cfg, sn.grad, None):
         with pytest.raises(ConfigError, match="needs a FlowMap or an Involution"):
             make_persistent(sn, T, 1.0)
+
+
+def test_persistent_rmhmc_runs_with_a_partial_refresh():
+    """Persistent RMHMC on G = 1 + x^2 with half the momentum refreshed: the
+    layout carries the scratch slot "a" beside "v", and the implicit
+    involution integrates the slot "v" alone."""
+    from imcmc.core import random_points, verify_involution, verify_jacobian
+    from imcmc.maps import RiemannianHamiltonian, implicit_hmc_involution
+    from imcmc.samplers import make_persistent
+
+    sn = standard_normal(1)
+    curved = Metric(g=lambda x: np.array([[1.0 + x[0] ** 2]]),
+                    g_grad=lambda x: np.array([[[2.0 * x[0]]]]),
+                    g_logdet=lambda x: math.log1p(x[0] ** 2))
+    ham = RiemannianHamiltonian(sn.logpdf, sn.grad, curved)
+    kern = make_persistent(sn, implicit_hmc_involution(LeapfrogConfig(0.1, 3), ham), 0.5)
+    move = kern.kernels()[1]
+    assert kern.layout.slots == {"v": slice(0, 1), "a": slice(1, 2)}
+    res = run_chain(kern, default_init(kern, [0.4]), 300, seed=8)
+    moves = res.accepted[:, 1]
+    assert 0 < moves.sum() and np.all(np.isfinite(res.xs))
+    points = random_points(kern.layout, 50, make_rng(12))
+    assert verify_involution(move.involution, points).passed
+    for pt in points:
+        assert verify_jacobian(move.involution, pt, tol=1e-5).passed
