@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import enum
 import math
+import operator
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -494,6 +495,11 @@ class TagConditional(AuxiliaryConditional):
 
         super().__init__(_sample, _logpdf, _support, name=name)
 
+    def scorer(self, read):
+        # `_logpdf` gives a float, so `logpdf`'s float() is left out
+        logpdf = self._logpdf
+        return lambda point: logpdf(read(point), point)
+
 
 def uniform_tag(values: Sequence[int], name: str) -> TagConditional:
     values = tuple(values)
@@ -655,25 +661,21 @@ def log_accept(rule: AcceptanceRule, log_p_current: float,
 # kernels
 # ---------------------------------------------------------------------------
 
-class StepOutcome:
-    """Where a step landed, whether it moved, and its acceptance
-    probability.  A plain slotted class: a chain makes one per step."""
-
-    __slots__ = ("point", "accepted", "prob")
-
-    def __init__(self, point: JointPoint, accepted: bool, prob: float):
-        self.point = point
-        self.accepted = accepted
-        self.prob = prob
+# a step's (point, accepted, prob), as `TransitionKernel` describes
+Step = tuple[JointPoint, bool, float]
 
 
 class TransitionKernel:
-    """Common protocol: a single stochastic step plus optional enumeration."""
+    """Common protocol: a single stochastic step plus optional enumeration.
+
+    ``step`` returns the tuple ``(point, accepted, prob)``: where the step
+    landed, whether it moved, and its acceptance probability.
+    """
 
     layout: Layout
     name: str = "kernel"
 
-    def step(self, point: JointPoint, rng: np.random.Generator) -> StepOutcome:
+    def step(self, point: JointPoint, rng: np.random.Generator) -> Step:
         raise NotImplementedError
 
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
@@ -726,6 +728,8 @@ class ImcmcKernel(TransitionKernel):
                              for slot, cond in self._factors)
         self._written = tuple((_writer(layout, slot), cond)
                               for slot, cond in self.aux_refresh)
+        # the involution's own function, called without `Involution.forward`
+        self._map = involution.fn
         # no target and no factors: the joint density is identically 1
         self._flat = target is None and not self._factors
         # the table of acceptance tests that `enumerate_steps` reads and
@@ -737,19 +741,15 @@ class ImcmcKernel(TransitionKernel):
     def joint_logpdf(self, point: JointPoint) -> float:
         # a None target contributes nothing: factors the involution never
         # moves may be omitted from a kernel's bookkeeping
-        total = 0.0 if self.target is None else float(self.target(point))
+        target = self.target
+        total = 0.0 if target is None else float(target(point))
         for score in self._scores:
             if total == -math.inf:
                 break
             total += score(point)
-        if math.isnan(total):
+        if total != total:
             raise DensityError(f"{self.name}: joint log-density is NaN")
         return total
-
-    def refresh(self, point: JointPoint, rng: np.random.Generator) -> JointPoint:
-        for write, cond in self._written:
-            point = write(point, cond.sample(rng, point))
-        return point
 
     def frozen_aux(self) -> "ImcmcKernel":
         """The accept/reject move with auxiliaries held fixed.
@@ -779,7 +779,7 @@ class ImcmcKernel(TransitionKernel):
     def acceptance(self, point: JointPoint) -> tuple[float, JointPoint]:
         """Acceptance probability of the deterministic move from ``point``."""
         lp = 0.0 if self._flat else self.joint_logpdf(point)
-        proposal, logdet = self.involution.forward(point)
+        proposal, logdet = self._map(point)
         if (proposal.x.shape != point.x.shape or proposal.v.shape != point.v.shape
                 or len(proposal.tags) != len(point.tags)):
             raise ConfigError(f"{self.name}: involution changed the point layout")
@@ -791,13 +791,13 @@ class ImcmcKernel(TransitionKernel):
 
     # -- stepping ------------------------------------------------------------
 
-    def step(self, point: JointPoint, rng: np.random.Generator) -> StepOutcome:
-        point = self.refresh(point, rng)
+    def step(self, point: JointPoint, rng: np.random.Generator) -> Step:
+        for write, cond in self._written:
+            point = write(point, cond.sample(rng, point))
         prob, proposal = self.acceptance(point)
-        u = rng.random()
-        if u < prob:
-            return StepOutcome(proposal, True, prob)
-        return StepOutcome(point, False, prob)
+        if rng.random() < prob:
+            return proposal, True, prob
+        return point, False, prob
 
     # -- exact enumeration ---------------------------------------------------
 
@@ -851,14 +851,18 @@ class ImcmcKernel(TransitionKernel):
 
 def _reader(layout: Layout, slot: str) -> Callable[[JointPoint], object]:
     """``point ->`` the value of the named tag or v slot, or the whole
-    target block for the reserved name ``"x"``."""
+    target block for the reserved name ``"x"``.  A whole block is read
+    by an `operator.attrgetter`, which runs no Python frame; a slot that
+    spans the v block reads the block itself, unsliced."""
     if slot in layout.tags:
         i = layout.tag_index(slot)
         return lambda point: point.tags[i]
     if slot == "x":
-        return lambda point: point.x
+        return operator.attrgetter("x")
     if slot in layout.slots:
         sl = layout.slots[slot]
+        if range(layout.v_dim)[sl] == range(layout.v_dim):
+            return operator.attrgetter("v")
         return lambda point: point.v[sl]
     raise ConfigError(f"unknown auxiliary slot {slot!r}")
 
@@ -874,8 +878,13 @@ def _writer(layout: Layout, slot: str) -> Callable[[JointPoint, object], JointPo
         return lambda point, value: point.with_x(value)
     if slot in layout.slots:
         sl = layout.slots[slot]
-        return lambda point, value: _joint_point(
-            point.x, _slot_written(point.v, sl, value), point.tags, point.layout)
+
+        def write(point, value):
+            v = point.v.copy()
+            v[sl] = value
+            return _joint_point(point.x, v, point.tags, point.layout)
+
+        return write
     raise ConfigError(f"unknown auxiliary slot {slot!r}")
 
 
@@ -888,8 +897,8 @@ class DeterministicKernel(TransitionKernel):
         self.name = name
         self.target = target
 
-    def step(self, point: JointPoint, rng: np.random.Generator) -> StepOutcome:
-        return StepOutcome(self.fn(point), True, 1.0)
+    def step(self, point: JointPoint, rng: np.random.Generator) -> Step:
+        return self.fn(point), True, 1.0
 
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
         return [(self.fn(point), 1.0)]
@@ -916,15 +925,14 @@ class KernelComposition(TransitionKernel):
     def kernels(self) -> list[TransitionKernel]:
         return list(self._kernels)
 
-    def step(self, point: JointPoint, rng: np.random.Generator) -> StepOutcome:
+    def step(self, point: JointPoint, rng: np.random.Generator) -> Step:
         accepted = True
         prob = 1.0
         for k in self._kernels:
-            out = k.step(point, rng)
-            point = out.point
-            accepted = accepted and out.accepted
-            prob = min(prob, out.prob)
-        return StepOutcome(point, accepted, prob)
+            point, moved, p = k.step(point, rng)
+            accepted = accepted and moved
+            prob = min(prob, p)
+        return point, accepted, prob
 
 
 def compose(kernels: Sequence[TransitionKernel], name: str = "composition") -> KernelComposition:
@@ -995,10 +1003,9 @@ def run_chain(kernel: TransitionKernel, init: JointPoint, n: int,
     try:
         for i in range(n):
             for step in steps:
-                out = step(point, rng)
-                point = out.point
-                flag(out.accepted)
-                weigh(out.prob)
+                point, accepted, p = step(point, rng)
+                flag(accepted)
+                weigh(p)
             xs[i] = point.x
             if record_tags:
                 tag_trace[i] = point.tags

@@ -568,15 +568,22 @@ def direction_augment(flow: FlowMap) -> Involution:
     d=-1 applies the inverse and lands on d=+1.
     """
 
+    # (layout, the position of its tag "d"), replaced whole when the layout changes
+    last = [(None, None)]
+
     def fn(z: JointPoint):
-        d = z.tag("d")
+        layout, i = last[0]
+        if layout is not z.layout:
+            layout, i = z.layout, z.layout.tag_index("d")
+            last[0] = (layout, i)
+        d = z.tags[i]
         if d == 1:
             z1, ld = flow.forward(z)
         elif d == -1:
             z1, ld = flow.inverse(z)
         else:
             raise ConfigError(f"direction tag must be +1 or -1, got {d}")
-        return z1.with_tag("d", -d), ld
+        return _joint_point(z1.x, z1.v, _tag_written(z1.tags, i, -d), z1.layout), ld
 
     return Involution(fn, name=f"dir[{flow.name}]")
 

@@ -26,7 +26,6 @@ from .core import (
     KernelComposition,
     Layout,
     LogDensity,
-    StepOutcome,
     TagConditional,
     TransitionKernel,
     _NUMPY_SERIAL_SUM,
@@ -115,7 +114,9 @@ class ProposalFamily:
     and ``centers`` one is an (n, d) array and the other one more such array
     or a single (d,) row, and item i of the result is ``logpdf(values[i],
     centers[i])``, bit for bit.  ``logpdf`` takes a value and a center that
-    are both (d,) float arrays.
+    are both (d,) float arrays.  ``scorer(read, center)`` binds ``point ->
+    logpdf(read(point), center(point))`` as one call, ``center`` being a
+    function of the point or, where it is the same at every point, an array.
     """
 
     def __init__(self, sample, sample_rows, logpdf, logpdf_rows, support=None):
@@ -125,9 +126,20 @@ class ProposalFamily:
         self.logpdf_rows = logpdf_rows  # (values, centers) -> list of n floats
         self.support = support          # center -> [(value, prob)] or None
 
+    def scorer(self, read, center):
+        logpdf = self.logpdf
+        if callable(center):
+            return lambda point: logpdf(read(point), center(point))
+        return lambda point: logpdf(read(point), center)
+
 
 def gaussian_family(d: int, var) -> ProposalFamily:
     var = np.broadcast_to(np.asarray(var, dtype=float), (d,)).copy()
+    # a zero or subnormal variance (alpha ** 2 underflows for a tiny alpha)
+    # would divide by zero, or lose its bits, when a value is scored
+    if not (np.isfinite(var) & (var >= np.finfo(float).tiny)).all():
+        raise ConfigError(f"a normal proposal needs positive, finite, normal "
+                          f"variances, not {var.tolist()!r}")
     const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
     sd = np.sqrt(var)
     add = np.add.reduce
@@ -181,6 +193,27 @@ def gaussian_family(d: int, var) -> ProposalFamily:
             if centers.ndim == 1:
                 return [score(v, cs) for v in vs]
             return list(map(score, vs, cs))
+
+        def scorer(read, center):
+            # `logpdf` in one call; an array center is made a list once
+            fixed = None if callable(center) else center.tolist()
+
+            def score_point(point):
+                vs = read(point).tolist()
+                cs = center(point).tolist() if fixed is None else fixed
+                if len(vs) != d or len(cs) != d:
+                    raise ValueError(f"gaussian_family({d}) scores (d,) arrays")
+                s = 0.0
+                for a, c, vi in zip(vs, cs, var_list):
+                    t = a - c
+                    s += t * t / vi
+                return const - 0.5 * s
+
+            return score_point
+
+        family = ProposalFamily(sample, sample_rows, logpdf, logpdf_rows)
+        family.scorer = scorer
+        return family
     elif unit:
         # from d = 8 numpy sums; a row's sum along axis 1 is the sum `add`
         # makes of that row alone, so `logpdf_rows` gives `logpdf`'s bits
@@ -241,13 +274,15 @@ def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
 
 
 class _FamilyConditional(AuxiliaryConditional):
-    """A proposal family seen from a point: ``q(. | center_fn(point))``.
+    """A proposal family seen from a point: ``q(. | center(point))``, or
+    ``q(. | center)`` for a center given as an array.
 
     The family's own ``logpdf`` returns a float, so it is called directly,
-    and a kernel scores the factor as one call of it (`scorer`).
+    and a kernel scores the factor through the family's `scorer`.
     """
 
-    def __init__(self, family: ProposalFamily, center_fn, name: str):
+    def __init__(self, family: ProposalFamily, center, name: str):
+        center_fn = center if callable(center) else (lambda point: center)
         support = family.support
         super().__init__(
             None, None,
@@ -255,6 +290,7 @@ class _FamilyConditional(AuxiliaryConditional):
             name=name)
         self._family = family
         self._center = center_fn
+        self._center_given = center  # a function of the point, or a fixed array
 
     def sample(self, rng: np.random.Generator, point: JointPoint):
         return self._family.sample(rng, self._center(point))
@@ -263,14 +299,14 @@ class _FamilyConditional(AuxiliaryConditional):
         return self._family.logpdf(value, self._center(point))
 
     def scorer(self, read):
-        logpdf, center = self._family.logpdf, self._center
-        return lambda point: logpdf(read(point), center(point))
+        return self._family.scorer(read, self._center_given)
 
 
 def gaussian_slot_conditional(dim: int, mean_fn, var, name: str,
                               support_values: Optional[Sequence] = None
                               ) -> AuxiliaryConditional:
-    """Componentwise normal slot conditional with a point-dependent mean.
+    """Componentwise normal slot conditional with a point-dependent mean
+    ``mean_fn(point)``, or a fixed mean given as an array.
 
     With ``support_values`` the conditional becomes a normalized finite
     restriction of the same density (enumerable by the matrix oracle).
@@ -287,7 +323,7 @@ def normal_momentum(d: int) -> AuxiliaryConditional:
     """State-independent N(0, I) conditional for a momentum slot."""
     zero = np.zeros(d)
     zero.flags.writeable = False
-    return gaussian_slot_conditional(d, lambda point: zero, 1.0, name="momentum")
+    return gaussian_slot_conditional(d, zero, 1.0, name="momentum")
 
 
 def random_walk_proposal(d: int, scale: float) -> AuxiliaryConditional:
@@ -330,10 +366,14 @@ def tag_flip_kernel(layout: Layout, tag: str, name: str,
     accepted; it still runs through the accept-reject machinery.
     """
 
+    i = layout.tag_index(tag)
+    gate = None if when is None else layout.tag_index(when)
+
     def fn(z: JointPoint):
-        if when is not None and z.tag(when) == 0:
+        tags = z.tags
+        if gate is not None and tags[gate] == 0:
             return z, 0.0
-        return z.with_tag(tag, -z.tag(tag)), 0.0
+        return _joint_point(z.x, z.v, _tag_written(tags, i, -tags[i]), z.layout), 0.0
 
     return ImcmcKernel(layout, target=None, involution=Involution(fn, name=name),
                        name=name)
@@ -944,7 +984,7 @@ class LookAheadKernel(TransitionKernel):
     def step(self, point: JointPoint, rng: np.random.Generator):
         dests, weights = self._branches(point)
         i = _draw_index(rng, weights)
-        return StepOutcome(dests[i], i < self.K, 1.0 - weights[-1])
+        return dests[i], i < self.K, 1.0 - weights[-1]
 
     def enumerate_step(self, point: JointPoint) -> list[tuple[JointPoint, float]]:
         return [(dest, p) for dest, p in zip(*self._branches(point)) if p > 0.0]

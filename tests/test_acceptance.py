@@ -153,9 +153,8 @@ def test_criterion_05_guaranteed_acceptance():
     pt = layout.point([0.3], [0.5, 0.0])
     probs = []
     for _ in range(10000):
-        out = refresh.step(pt, rng)
-        probs.append(out.prob)
-        pt = out.point
+        pt, _, prob = refresh.step(pt, rng)
+        probs.append(prob)
     min_refresh = min(probs)
 
     mins = (float(res_sa.accept_prob.min()), float(res_g.accept_prob.min()),

@@ -429,6 +429,16 @@ BAD_INPUTS = {
         "error: target 'mog2' has no tractable CDF"),
 }
 
+# a partial refresh of strength 0 would score its autoregressive draw with
+# variance alpha ** 2 = 0
+BAD_INPUTS.update({
+    f"{kind}_alpha_0": (
+        ["sample", "--kind", kind, "--target", "mog2", "--eps", "0.3", "--k", "1", "--K", "2",
+         "--alpha", "0", "--out", "{tmp}"],
+        "error: a normal proposal needs positive, finite, normal variances, not [0.0, 0.0]")
+    for kind in ("persistent_hmc", "look_ahead", "irr_nice_mc")
+})
+
 
 def _kind_parameter_rows():
     """Two rows for each parameter a kind needs: one leaving it out, and one

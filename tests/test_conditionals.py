@@ -22,6 +22,12 @@ the other rows fixed.
   errors coming from the quadrature's variance and fourth central moment.
 
 The tolerances were fixed before the test was first run.
+
+A kernel scores each factor of its joint density through one call that the
+conditional binds once (`scorer`).  On seeded points, every bound score of
+every kernel of the 12 CLI kinds must equal the conditional's ``logpdf`` of
+the value it reads, bit for bit, and so must the scorers of normal
+conditionals with a mean that is a function of the point or a fixed array.
 """
 
 import math
@@ -31,8 +37,8 @@ import pytest
 from scipy import integrate
 
 from imcmc.cli import RunConfig, build_kernel, build_target
-from imcmc.core import ImcmcKernel
-from imcmc.samplers import default_init
+from imcmc.core import ImcmcKernel, _reader, make_rng, random_points
+from imcmc.samplers import default_init, gaussian_slot_conditional, xv_layout
 from test_evaluations import SPECS
 
 N_DRAWS = 20_000
@@ -161,3 +167,65 @@ def test_every_kind_with_a_continuous_refresh_is_covered():
     assert covered == set(SPECS) - {"cdf"}
     # mtm's trials and reference points, four and three rows
     assert [c[4] for c in CONDITIONALS if c[1] == "mtm"] == [4, 3]
+
+
+# ---------------------------------------------------------------------------
+# bound factor scores
+# ---------------------------------------------------------------------------
+
+def _factors():
+    """``(id, kernel, slot, conditional, bound score)`` for every factor of
+    every accept-reject kernel of the 12 CLI kinds (a look-ahead cascade's
+    through its move)."""
+    out = []
+    for kind, (target, params) in sorted(SPECS.items()):
+        kernel = build_kernel(RunConfig(kind=kind, target=target, params=dict(params)),
+                              build_target(target))
+        for sub in kernel.kernels():
+            sub = getattr(sub, "move", sub)
+            if isinstance(sub, ImcmcKernel):
+                for (slot, cond), score in zip(sub._factors, sub._scores):
+                    out.append((f"{kind}-{sub.name}-{slot}", sub, slot, cond, score))
+    return out
+
+
+FACTORS = _factors()
+
+
+@pytest.mark.parametrize("case", FACTORS, ids=[f[0] for f in FACTORS])
+def test_bound_score_is_the_conditionals_logpdf(case):
+    _, kernel, slot, cond, score = case
+    read = _reader(kernel.layout, slot)
+    for z in random_points(kernel.layout, 20, make_rng(13)):
+        assert score(z).hex() == float(cond.logpdf(read(z), z)).hex()
+
+
+def test_every_named_factor_is_scored():
+    names = {f[3].name for f in FACTORS}
+    assert {"rw", "mala", "momentum", "ar", "langevin", "trial_index", "d"} <= names
+
+
+@pytest.mark.parametrize("d, var", [(1, 1.0), (2, 1.0), (2, [0.3, 2.0]), (9, 1.0), (9, 1.7)])
+@pytest.mark.parametrize("fixed", [False, True], ids=["point_mean", "fixed_mean"])
+def test_normal_scorer_is_its_logpdf(d, var, fixed):
+    layout = xv_layout(d, scratch=True)
+    mean = np.linspace(-1.0, 2.0, d) if fixed else (lambda point: 0.5 * point.x)
+    cond = gaussian_slot_conditional(d, mean, var, name="q")
+    for slot in ("v", "a"):
+        read = _reader(layout, slot)
+        score = cond.scorer(read)
+        for z in random_points(layout, 20, make_rng(14)):
+            assert score(z).hex() == cond.logpdf(read(z), z).hex()
+
+
+@pytest.mark.parametrize("d", [2, 9])
+@pytest.mark.parametrize("fixed", [False, True], ids=["point_mean", "fixed_mean"])
+def test_normal_scorer_refuses_a_mean_of_the_wrong_length(d, fixed):
+    layout = xv_layout(d)
+    mean = np.zeros(d + 1) if fixed else (lambda point: np.zeros(d + 1))
+    cond = gaussian_slot_conditional(d, mean, 1.0, name="q")
+    z = random_points(layout, 1, make_rng(15))[0]
+    with pytest.raises(ValueError):
+        cond.scorer(_reader(layout, "v"))(z)
+    with pytest.raises(ValueError):
+        cond.logpdf(z.v, z)

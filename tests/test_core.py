@@ -241,10 +241,9 @@ def test_independence_sampler_always_accepts():
     rng = make_rng(0)
     pt = kern.layout.point([0.3], [0.0])
     for _ in range(200):
-        out = kern.step(pt, rng)
-        assert out.prob == 1.0
-        assert out.accepted
-        pt = out.point
+        pt, accepted, prob = kern.step(pt, rng)
+        assert prob == 1.0
+        assert accepted
 
 
 def test_measure_preserving_involution_always_accepts():
@@ -259,9 +258,8 @@ def test_measure_preserving_involution_always_accepts():
     rng = make_rng(1)
     pt = layout.point([0.5], [0.0])
     for _ in range(100):
-        out = kern.step(pt, rng)
-        assert out.prob == 1.0
-        pt = out.point
+        pt, _, prob = kern.step(pt, rng)
+        assert prob == 1.0
 
 
 def test_two_state_flip_kernel_matrix():
@@ -403,16 +401,16 @@ def test_composition_step_is_its_kernels_steps_in_turn():
     rng, rng_parts = make_rng(4), make_rng(4)
     accepted = set()
     for _ in range(200):
-        out = comp.step(point, rng)
+        out, moved, prob = comp.step(point, rng)
         end, parts = point, []
         for k in kernels:
             parts.append(k.step(end, rng_parts))
-            end = parts[-1].point
-        assert np.array_equal(out.point.x, end.x) and np.array_equal(out.point.v, end.v)
-        assert out.accepted == all(p.accepted for p in parts)
-        assert out.prob == min(p.prob for p in parts)
-        accepted.add(out.accepted)
-        point = out.point
+            end = parts[-1][0]
+        assert np.array_equal(out.x, end.x) and np.array_equal(out.v, end.v)
+        assert moved == all(p[1] for p in parts)
+        assert prob == min(p[2] for p in parts)
+        accepted.add(moved)
+        point = out
     assert accepted == {True, False}
 
 

@@ -384,8 +384,7 @@ def test_sample_adaptive_weighs_each_ensemble_and_proposal_once():
     identities = 0
     for _ in range(300):
         calls[0], pairs[:] = 0, []
-        out = kernel.step(point, rng)
-        point = out.point
+        point, _, _ = kernel.step(point, rng)
         assert len(pairs) == 2
         identities += pairs[0] == pairs[1]
         assert _weighings(N, calls[0], pairs) == len(set(pairs))

@@ -3,8 +3,10 @@
 Each map that builds its image as one point is checked against the image
 that composing `JointPoint`'s ``with_*`` copies makes, bit for bit, on
 seeded points of layouts with and without a direction tag and the scratch
-slot "a"; the image must share no block with its input.  `run_chain` must
-keep its shapes, dtypes and per-sub-kernel records.
+slot "a"; the image must share no block with its input.  A map that
+retags its image (a direction move, a tag flip) is checked the same way
+against the composed ``with_tag`` image.  `run_chain` must keep its shapes,
+dtypes and per-sub-kernel records.
 """
 
 import math
@@ -31,6 +33,7 @@ from imcmc.maps import (
     _swap_negate,
     additive_coupling,
     affine_coupling,
+    direction_augment,
     hmc_involution,
     leapfrog,
     swap_blocks,
@@ -41,6 +44,7 @@ from imcmc.samplers import (
     make_irr_mala,
     make_mh,
     random_walk_proposal,
+    tag_flip_kernel,
     xv_layout,
 )
 from imcmc.targets import mog2
@@ -179,6 +183,57 @@ def test_image_shares_no_block_with_its_input(name, fn, composed, layout):
         assert _bits(got) == kept, name
 
 
+# ---------------------------------------------------------------------------
+# retagged images: a direction move and a tag flip, each built as one point
+# ---------------------------------------------------------------------------
+
+def _composed_direction(flow):
+    def fn(z):
+        d = z.tag("d")
+        z1, ld = flow.forward(z) if d == 1 else flow.inverse(z)
+        return z1.with_tag("d", -d), ld
+    return fn
+
+
+def _composed_tag_flip(tag, when=None):
+    def fn(z):
+        if when is not None and z.tag(when) == 0:
+            return z, 0.0
+        return z.with_tag(tag, -z.tag(tag)), 0.0
+    return fn
+
+
+GATED = xv_layout(2, tags=("nu", "m"))
+# (name, the map's image function, the composed one, the layouts its points
+# come from, interleaved)
+RETAGS = [
+    (f"direction_{c.name}", direction_augment(c).fn, _composed_direction(c),
+     (LAYOUTS["xvd"], LAYOUTS["xvd_scratch"]))
+    for c in (additive_coupling(), LINEAR, SWAP_ONLY)
+] + [
+    (f"tag_flip_{name}", tag_flip_kernel(LAYOUTS[name], "d", name="flip").involution.fn,
+     _composed_tag_flip("d"), (LAYOUTS[name],))
+    for name in ("xvd", "xvd_scratch")
+] + [
+    ("gated_tag_flip", tag_flip_kernel(GATED, "nu", when="m", name="flip").involution.fn,
+     _composed_tag_flip("nu", when="m"), (GATED,)),
+]
+
+
+@pytest.mark.parametrize("name, fn, composed, layouts", RETAGS, ids=[r[0] for r in RETAGS])
+def test_retagged_image_equals_the_composed_with_tag_image(name, fn, composed, layouts):
+    points = [z for group in zip(*(_points(lay, 12) for lay in layouts)) for z in group]
+    tags = set()
+    for z in points:
+        got, ld = fn(z)
+        want, want_ld = composed(z)
+        assert _bits(got) == _bits(want), name
+        assert float(ld).hex() == float(want_ld).hex(), name
+        tags.add(z.tags)
+    # every tag value the map reads came up
+    assert len(tags) == (4 if name == "gated_tag_flip" else 2)
+
+
 @pytest.mark.parametrize("coupling", [additive_coupling(), affine_coupling(), LINEAR,
                                       SWAP_ONLY], ids=lambda c: c.name)
 @pytest.mark.parametrize("way", ["forward", "inverse"])
@@ -251,10 +306,9 @@ def test_a_composition_records_each_sub_kernels_flag_and_probability():
     flags, probs, xs, tags = [], [], [], []
     for _ in range(n):
         for k in kernel.kernels():
-            out = k.step(point, rng)
-            point = out.point
-            flags.append(out.accepted)
-            probs.append(out.prob)
+            point, accepted, prob = k.step(point, rng)
+            flags.append(accepted)
+            probs.append(prob)
         xs.append(point.x)
         tags.append(point.tags)
     assert res.accepted.tolist() == np.reshape(flags, (n, 2)).tolist()

@@ -512,7 +512,7 @@ def test_look_ahead_reads_a_weight_rounded_below_zero_as_zero():
     assert min(p for _, p in branches) > 0.0
     assert abs(math.fsum(p for _, p in branches) - 1.0) <= 1e-15
     rng = make_rng(3)
-    assert {round(cascade.step(z, rng).point.x[0]) for _ in range(200)} == {1, 2}
+    assert {round(cascade.step(z, rng)[0].x[0]) for _ in range(200)} == {1, 2}
 
 
 def test_lifted_requires_stochastic_base():
