@@ -267,7 +267,7 @@ KINDS: dict[str, _Kind] = {
     "mtm": _Kind(
         {"scale": _POSITIVE, "k": (1, 64)}, {},
         lambda density, p, name, tgt: make_multiple_try(
-            density, gaussian_family(density.dim, p["scale"] ** 2), int(p["k"]))),
+            density, gaussian_family(density.dim, p["scale"] * p["scale"]), int(p["k"]))),
     "lifted_rw": _Kind(
         {"scale": _POSITIVE}, {},
         lambda density, p, name, tgt: make_lifted_rw1d(density, p["scale"])),

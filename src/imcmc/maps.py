@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (Involution, JointPoint, _RowIndex, _joint_point, _slot_written,
+from .core import (Involution, JointPoint, Layout, _RowIndex, _joint_point, _slot_written,
                    _tag_written)
 from .errors import ConfigError, FixedPointError
 
@@ -336,14 +336,20 @@ def swap_slots(a: str, b: str) -> Involution:
     return Involution(fn, name="swap_slots")
 
 
-def _swap_negate_fn(z: JointPoint):
-    return _joint_point(z.v.copy(), z.x.copy(),
-                        _tag_written(z.tags, z.layout.tag_index("d"), -z.tag("d")),
-                        z.layout), 0.0
+def _swap_negate_on(layout: Layout) -> Involution:
+    """The lifted chains' move on ``layout``: exchange x and v and negate the
+    direction tag "d", whose position is bound here."""
+    i = layout.tag_index("d")
+
+    def fn(z: JointPoint):
+        return _joint_point(z.v.copy(), z.x.copy(), _tag_written(z.tags, i, -z.tags[i]),
+                            z.layout), 0.0
+
+    return Involution(fn, name="swap_negate")
 
 
-# the lifted chains' move: exchange x and v and negate the direction tag "d"
-_swap_negate = Involution(_swap_negate_fn, name="swap_negate")
+# the move on any layout whose first tag is "d", as the lifted chains' layouts
+_swap_negate = _swap_negate_on(Layout(x_dim=1, v_dim=1, tags=("d",)))
 
 
 def hmc_involution(cfg: LeapfrogConfig, grad_x) -> Involution:

@@ -42,7 +42,7 @@ from .maps import (
     LeapfrogConfig,
     Metric,
     RiemannianHamiltonian,
-    _swap_negate,
+    _swap_negate_on,
     cdf_map,
     direction_augment,
     embed,
@@ -133,13 +133,19 @@ class ProposalFamily:
         return lambda point: logpdf(read(point), center)
 
 
-def gaussian_family(d: int, var) -> ProposalFamily:
-    var = np.broadcast_to(np.asarray(var, dtype=float), (d,)).copy()
-    # a zero or subnormal variance (alpha ** 2 underflows for a tiny alpha)
-    # would divide by zero, or lose its bits, when a value is scored
+def _check_variances(var: np.ndarray) -> None:
+    """Refuse a normal law's variances unless each is positive, finite and
+    normal: a zero or subnormal variance (alpha ** 2 underflows for a tiny
+    alpha) would divide by zero, or lose its bits, when a value is scored,
+    and an infinite one (a huge scale squared) would score NaN."""
     if not (np.isfinite(var) & (var >= np.finfo(float).tiny)).all():
         raise ConfigError(f"a normal proposal needs positive, finite, normal "
                           f"variances, not {var.tolist()!r}")
+
+
+def gaussian_family(d: int, var) -> ProposalFamily:
+    var = np.broadcast_to(np.asarray(var, dtype=float), (d,)).copy()
+    _check_variances(var)
     const = -0.5 * float(np.sum(np.log(2.0 * math.pi * var)))
     sd = np.sqrt(var)
     add = np.add.reduce
@@ -995,26 +1001,30 @@ def _cascade_weights(joints: list[float]) -> list[float]:
     ``z_0..z_K``.
 
     ``joints[m]`` is the joint density at ``z_m`` (equal to that at
-    ``flip(z_m)``).  The cascade from ``z_s`` lands on ``z_{s+i}`` and the
-    reverse one from ``flip(z_s)`` on ``z_{s-i}``, so a cascade is an index
-    and a direction, and each is computed once however often the recursion
-    asks for it.  The arithmetic is that of recursing on the points.
+    ``flip(z_m)``).  The cascade ``up[s]`` from ``z_s`` lands on ``z_{s+i}``
+    and ``down[m]`` from ``flip(z_m)`` on ``z_{m-i}``; weight i of either
+    reads the first i - 1 weights of the other cascade between the same two
+    ends.  So the table fills by distance i, and only where the cascade from
+    ``z_0`` reads: ``up[0]`` to depth K, ``up[s]`` to K - 1 - s, ``down[m]``
+    to m - 1.  The arithmetic is that of recursing on the points.
     """
-    # (start index, direction) -> (weights so far, their running sums)
-    memo: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
-
-    def weights(s: int, step: int, n: int) -> list[float]:
-        out, cums = memo.setdefault((s, step), ([], [0.0]))
-        while len(out) < n:
-            i = len(out) + 1
-            m = s + step * i
-            ratio = math.exp(min(joints[m] - joints[s], 50.0))
-            inner = 1.0 - math.fsum(weights(m, -step, i - 1)) if i > 1 else 1.0
-            out.append(min(1.0 - cums[-1], ratio * inner))
-            cums.append(cums[-1] + out[-1])
-        return out[:n]
-
-    return weights(0, 1, len(joints) - 1)
+    K = len(joints) - 1
+    up, down = [[] for _ in joints], [[] for _ in joints]
+    up_sum, down_sum = [0.0] * (K + 1), [0.0] * (K + 1)   # each cascade's running sum
+    for i in range(1, K + 1):
+        for s in range(K + 1 - i):
+            m = s + i
+            if s > 0:   # down[m] before up[s], which reads down[m]'s first i - 1
+                w = min(1.0 - down_sum[m], math.exp(min(joints[s] - joints[m], 50.0))
+                        * (1.0 - math.fsum(up[s])))
+                down[m].append(w)
+                down_sum[m] += w
+            if s == 0 or m < K:
+                w = min(1.0 - up_sum[s], math.exp(min(joints[m] - joints[s], 50.0))
+                        * (1.0 - math.fsum(down[m][:i - 1])))
+                up[s].append(w)
+                up_sum[s] += w
+    return up[0]
 
 
 def make_look_ahead(target: LogDensity, cfg: LeapfrogConfig, K: int, refresh_alpha: float,
@@ -1105,17 +1115,18 @@ def make_lifted(base: np.ndarray, values: Sequence[float], log_weights: Sequence
 
     grid = GridDensity(vals, np.asarray(log_weights, dtype=float))
     layout = xv_layout(1, tags=("d",))
+    d_at = layout.tag_index("d")
 
     def probs(point):
         i = grid.index(point.x)
         if i is None:
             raise ConfigError("state outside the lifted grid")
-        return up[i] if point.tag("d") == 1 else down[i]
+        return up[i] if point.tags[d_at] == 1 else down[i]
 
     q_cond = grid_conditional([np.array([u]) for u in vals], probs, name="split_rw")
     t1 = ImcmcKernel(layout, lambda point: grid.logpdf(point.x),
                      aux_refresh=[("v", q_cond)],
-                     involution=_swap_negate,
+                     involution=_swap_negate_on(layout),
                      name="lifted_move")
     t2 = tag_flip_kernel(layout, "d", name="lifted_flip")
     return compose([t1, t2], name="lifted")
@@ -1125,15 +1136,17 @@ def make_lifted_rw1d(target: LogDensity, scale: float) -> KernelComposition:
     """Continuous 1-d lifted walk with half-normal directional proposals."""
     if target.dim != 1:
         raise ConfigError("the split random walk is one-dimensional")
+    _check_variances(np.array([scale * scale]))
     layout = xv_layout(1, tags=("d",))
+    d_at = layout.tag_index("d")
     log2 = math.log(2.0)
     const = -0.5 * math.log(2.0 * math.pi * scale * scale)
 
     def _sample(rng, point):
-        return point.x + point.tag("d") * abs(rng.standard_normal(1)) * scale
+        return point.x + point.tags[d_at] * abs(rng.standard_normal(1)) * scale
 
     def _logpdf(value, point):
-        step = (np.asarray(value) - point.x)[0] * point.tag("d")
+        step = (np.asarray(value) - point.x)[0] * point.tags[d_at]
         if step < 0:
             return -math.inf
         return log2 + const - 0.5 * step * step / (scale * scale)
@@ -1141,7 +1154,7 @@ def make_lifted_rw1d(target: LogDensity, scale: float) -> KernelComposition:
     q_cond = AuxiliaryConditional(_sample, _logpdf, name="half_normal")
     t1 = ImcmcKernel(layout, _x_target(target),
                      aux_refresh=[("v", q_cond)],
-                     involution=_swap_negate,
+                     involution=_swap_negate_on(layout),
                      name="lifted_rw_move")
     t2 = tag_flip_kernel(layout, "d", name="lifted_rw_flip")
     return compose([t1, t2], name="lifted_rw")
@@ -1164,17 +1177,17 @@ def make_irr_mala(target: LogDensity, eps: float,
         raise ConfigError("this kernel needs a target gradient")
     d = target.dim
     layout = xv_layout(d, tags=("d",))
+    d_at = layout.tag_index("d")
 
     # the mean for each direction, remembered as mala's is
     mean_at = {sign: _last_two(lambda x, step=sign * eps: x + step * target.grad(x))
                for sign in (-1, 1)}
 
     def mean(point):
-        return mean_at[point.tag("d")](point.x)
+        return mean_at[point.tags[d_at]](point.x)
 
     v_cond = gaussian_slot_conditional(d, mean, 2.0 * eps, name="langevin",
                                        support_values=support_values)
-    d_at = layout.tag_index("d")
 
     def fn(z: JointPoint):
         gx = target.grad(z.x)

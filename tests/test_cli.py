@@ -427,6 +427,15 @@ BAD_INPUTS = {
     "cdf_on_a_target_without_a_cdf": (
         ["sample", "--kind", "cdf", "--target", "mog2", "--out", "{tmp}"],
         "error: target 'mog2' has no tractable CDF"),
+    # a huge scale's square overflows to an infinite variance
+    "mtm_scale_squared_overflows": (
+        ["sample", "--kind", "mtm", "--target", "mog2", "--scale", "1e200", "--k", "3",
+         "--out", "{tmp}"],
+        "error: a normal proposal needs positive, finite, normal variances, not [inf, inf]"),
+    "lifted_rw_scale_squared_overflows": (
+        ["sample", "--kind", "lifted_rw", "--target", "bimodal1d", "--scale", "1e300",
+         "--out", "{tmp}"],
+        "error: a normal proposal needs positive, finite, normal variances, not [inf]"),
 }
 
 # a partial refresh of strength 0 would score its autoregressive draw with

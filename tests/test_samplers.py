@@ -515,6 +515,58 @@ def test_look_ahead_reads_a_weight_rounded_below_zero_as_zero():
     assert {round(cascade.step(z, rng)[0].x[0]) for _ in range(200)} == {1, 2}
 
 
+def _recursive_cascade_weights(joints):
+    """The look-ahead weights as a memoised recursion over (start, direction),
+    kept as the reference that `_cascade_weights`' table must match bit for bit."""
+    memo = {}
+
+    def weights(s, step, n):
+        out, cums = memo.setdefault((s, step), ([], [0.0]))
+        while len(out) < n:
+            i = len(out) + 1
+            m = s + step * i
+            ratio = math.exp(min(joints[m] - joints[s], 50.0))
+            inner = 1.0 - math.fsum(weights(m, -step, i - 1)) if i > 1 else 1.0
+            out.append(min(1.0 - cums[-1], ratio * inner))
+            cums.append(cums[-1] + out[-1])
+        return out[:n]
+
+    return weights(0, 1, len(joints) - 1)
+
+
+def _random_joints(rng, K):
+    """K + 1 joint densities: mostly normal draws, with some -inf entries,
+    repeated values and differences far past the 50 clamp of the ratio."""
+    joints = []
+    for _ in range(K + 1):
+        u = rng.random()
+        if u < 0.05:
+            joints.append(-math.inf)
+        elif u < 0.15 and joints:
+            joints.append(joints[int(rng.integers(len(joints)))])
+        elif u < 0.25:
+            joints.append(float(rng.uniform(-200.0, 200.0)))
+        else:
+            joints.append(float(rng.normal(0.0, 3.0)))
+    return joints
+
+
+def test_cascade_weights_table_matches_the_recursion_bitwise():
+    rng = make_rng(34)
+    cases = [[1.1455435714176743, -0.7423197570313439, 1.1524233475978123,
+              0.28057336761091484, 0.20865754744440856, -0.15657806578739938,
+              -1.513268240219566, 0.33441568423301254],
+             [0.0] * 17, [-math.inf] * 5, [0.0, 100.0, -100.0, 100.0],
+             # a running sum in place of the fsum of either cascade's prefix
+             # moves a bit of these
+             [0.664, -0.304, -1.178, -0.936, -0.664, 0.147, -0.05, 1.667],
+             [0.506, 0.499, -1.691, -1.744, -0.89, -0.468, 0.305]]
+    cases += [_random_joints(rng, K) for K in range(1, 17) for _ in range(150)]
+    for joints in cases:
+        got = [w.hex() for w in _cascade_weights(joints)]
+        assert got == [w.hex() for w in _recursive_cascade_weights(joints)], joints
+
+
 def test_lifted_requires_stochastic_base():
     bad = np.array([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ConfigError):

@@ -14,7 +14,8 @@ stay out of the count.  Each kind's count must be at most its entry in
 `CALLS`; a change that lowers a count should lower the entry.
 
 Run as a script (``python3 tests/test_step_calls.py``) it prints each
-kind's count and calls per step.
+kind's count and calls per step, and then the counts as a `CALLS` dict in
+Python source, ready to paste.
 """
 
 import os
@@ -38,9 +39,9 @@ SEED = 1
 
 # calls into imcmc frames over one chain of STEPS steps, run_chain included
 CALLS = {
-    "rwm": 2813, "mala": 3918, "irr_mala": 5851, "hmc": 6319, "persistent_hmc": 6621,
-    "look_ahead": 14411, "neutra": 6919, "nice_mc": 5114, "irr_nice_mc": 6415,
-    "mtm": 14911, "lifted_rw": 4716, "cdf": 710,
+    "rwm": 2813, "mala": 3918, "irr_mala": 5251, "hmc": 6319, "persistent_hmc": 6621,
+    "look_ahead": 13811, "neutra": 6919, "nice_mc": 5114, "irr_nice_mc": 6415,
+    "mtm": 14911, "lifted_rw": 3816, "cdf": 710,
 }
 
 # the directory the frames' file names start with, as the import wrote it
@@ -92,6 +93,8 @@ def test_every_cli_kind_is_counted():
 
 
 if __name__ == "__main__":
-    for kind in SPECS:
-        calls = count_calls(kind)
+    counts = {kind: count_calls(kind) for kind in SPECS}
+    for kind, calls in counts.items():
         print(f"{kind:15s} {calls:6d} calls  {calls / STEPS:7.2f} per step")
+    print("CALLS = {\n" + "".join(f'    "{kind}": {calls},\n' for kind, calls in counts.items())
+          + "}")
