@@ -289,6 +289,25 @@ class _Field:
             result = record[self._index] = _read_only(self.fn(x))
         return result
 
+    def at(self, read: Callable[["JointPoint"], np.ndarray]) -> Callable[["JointPoint"], object]:
+        """``point ->`` this field at ``read(point)``, as one closure over
+        the memo: a kernel's target term, or a proposal mean.  A float
+        result is kept as it is, since only an array needs `_read_only`."""
+        record, index, fn = self._record, self._index, self.fn
+
+        def field(point):
+            x = read(point)
+            rec = record(x)
+            result = rec[index]
+            if result is None:
+                result = fn(x)
+                if type(result) is not float:
+                    result = _read_only(result)
+                rec[index] = result
+            return result
+
+        return field
+
 
 def _last_two(fn) -> _Field:
     """``fn``, a pure function of a float64 array, remembered at its last two points."""
@@ -421,11 +440,16 @@ def float_density(dim: int, value, floats) -> LogDensity:
     def coords(x):
         return np.asarray(x, dtype=float).tolist()
 
+    def logpdf(x):
+        # a chain's point is a float64 array, whose list goes straight to `value`
+        return value(x.tolist() if type(x) is np.ndarray and x.dtype == _FLOAT64
+                     else coords(x))
+
     def value_and_grad(x):
         lp, g = floats(coords(x))
         return lp, np.array(g)
 
-    return LogDensity(dim=dim, logpdf=lambda x: value(coords(x)),
+    return LogDensity(dim=dim, logpdf=logpdf,
                       grad=lambda x: value_and_grad(x)[1],
                       value_and_grad=value_and_grad, floats=floats)
 
@@ -452,6 +476,11 @@ class AuxiliaryConditional:
 
     def sample(self, rng: np.random.Generator, point: JointPoint):
         return self._sample(rng, point)
+
+    def sampler(self) -> Callable[[np.random.Generator, JointPoint], object]:
+        """``(rng, point) ->`` a draw, as one call: a kernel binds each
+        refreshed factor's sampler once, and `sample` calls the same one."""
+        return self._sample
 
     def logpdf(self, value, point: JointPoint) -> float:
         return float(self._logpdf(value, point))
@@ -722,13 +751,15 @@ class ImcmcKernel(TransitionKernel):
         self.name = name
         self._factors = self.aux_refresh + self.aux_static
         # each factor as one call scoring its coordinates, and each
-        # refreshed one as (writer of its coordinates, its conditional),
-        # bound once
+        # refreshed one as (writer of its coordinates, its sampler), bound
+        # once
         self._scores = tuple(cond.scorer(_reader(layout, slot))
                              for slot, cond in self._factors)
-        self._written = tuple((_writer(layout, slot), cond)
+        self._written = tuple((_writer(layout, slot), cond.sampler())
                               for slot, cond in self.aux_refresh)
-        # the involution's own function, called without `Involution.forward`
+        # the joint log-density as one closure, and the involution's own
+        # function, called without `Involution.forward`
+        self._joint = _joint_density(target, self._scores, name)
         self._map = involution.fn
         # no target and no factors: the joint density is identically 1
         self._flat = target is None and not self._factors
@@ -739,17 +770,7 @@ class ImcmcKernel(TransitionKernel):
     # -- density bookkeeping -------------------------------------------------
 
     def joint_logpdf(self, point: JointPoint) -> float:
-        # a None target contributes nothing: factors the involution never
-        # moves may be omitted from a kernel's bookkeeping
-        target = self.target
-        total = 0.0 if target is None else float(target(point))
-        for score in self._scores:
-            if total == -math.inf:
-                break
-            total += score(point)
-        if total != total:
-            raise DensityError(f"{self.name}: joint log-density is NaN")
-        return total
+        return self._joint(point)
 
     def frozen_aux(self) -> "ImcmcKernel":
         """The accept/reject move with auxiliaries held fixed.
@@ -778,22 +799,25 @@ class ImcmcKernel(TransitionKernel):
 
     def acceptance(self, point: JointPoint) -> tuple[float, JointPoint]:
         """Acceptance probability of the deterministic move from ``point``."""
-        lp = 0.0 if self._flat else self.joint_logpdf(point)
+        flat, joint = self._flat, self._joint
+        lp = 0.0 if flat else joint(point)
         proposal, logdet = self._map(point)
+        # a map that passes the tags through keeps their count
         if (proposal.x.shape != point.x.shape or proposal.v.shape != point.v.shape
-                or len(proposal.tags) != len(point.tags)):
+                or (proposal.tags is not point.tags
+                    and len(proposal.tags) != len(point.tags))):
             raise ConfigError(f"{self.name}: involution changed the point layout")
         if lp == -math.inf:
             # zero-probability auxiliary draw: reject without evaluating further
             return 0.0, proposal
-        lq = 0.0 if self._flat else self.joint_logpdf(proposal)
+        lq = 0.0 if flat else joint(proposal)
         return log_accept(self.rule, lp, lq, logdet), proposal
 
     # -- stepping ------------------------------------------------------------
 
     def step(self, point: JointPoint, rng: np.random.Generator) -> Step:
-        for write, cond in self._written:
-            point = write(point, cond.sample(rng, point))
+        for write, sample in self._written:
+            point = write(point, sample(rng, point))
         prob, proposal = self.acceptance(point)
         if rng.random() < prob:
             return proposal, True, prob
@@ -805,8 +829,8 @@ class ImcmcKernel(TransitionKernel):
         if idx == len(self.aux_refresh):
             yield point, 1.0
             return
-        write, cond = self._written[idx]
-        sup = cond.support(point)
+        write = self._written[idx][0]
+        sup = self.aux_refresh[idx][1].support(point)
         if sup is None:
             raise EnumerationError(f"{self.name}: conditional for slot "
                                    f"{self.aux_refresh[idx][0]!r} has no finite support")
@@ -847,6 +871,26 @@ class ImcmcKernel(TransitionKernel):
                     out.append((refreshed, w * (1.0 - prob)))
             rows.append(out)
         return rows
+
+
+def _joint_density(target, scores: tuple, name: str) -> Callable[[JointPoint], float]:
+    """``point ->`` the joint log-density: the target term plus each bound
+    factor score, stopping at the first -inf; a NaN total is a
+    `DensityError` naming the kernel.  A None target contributes nothing:
+    factors the involution never moves may be omitted from a kernel's
+    bookkeeping."""
+
+    def joint(point):
+        total = 0.0 if target is None else float(target(point))
+        for score in scores:
+            if total == -math.inf:
+                break
+            total += score(point)
+        if total != total:
+            raise DensityError(f"{name}: joint log-density is NaN")
+        return total
+
+    return joint
 
 
 def _reader(layout: Layout, slot: str) -> Callable[[JointPoint], object]:

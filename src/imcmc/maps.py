@@ -296,16 +296,29 @@ def momentum_flip(name: str = "flip") -> Involution:
 
 
 def swap_blocks() -> Involution:
-    """Exchange the target block with the slot "v" of equal dimension."""
+    """Exchange the target block with the slot "v" of equal dimension: the
+    slot, and whether it is the whole v block, are worked out once per
+    layout."""
+    # (layout, its slot "v", or None where the slot is the whole v block),
+    # replaced whole when the layout changes
+    last = [(None, None)]
+
+    def bind(layout):
+        sl = layout.slots["v"]
+        size = len(range(layout.v_dim)[sl])
+        if layout.x_dim != size:
+            raise ConfigError("swap needs matching block dimensions")
+        last[0] = (layout, None if size == layout.v_dim else sl)
+        return last[0][1]
 
     def fn(z: JointPoint):
-        w = z.slot("v")
-        if z.layout.x_dim != w.size:
-            raise ConfigError("swap needs matching block dimensions")
-        if w.size == z.v.size:
+        layout, sl = last[0]
+        if layout is not z.layout:
+            sl = bind(z.layout)
+        if sl is None:
             # the slot is the whole v block: each block is the other's copy
-            return _joint_point(w.copy(), z.x.copy(), z.tags, z.layout), 0.0
-        return _joint_point(w.copy(), _slot_written(z.v, z.layout.slots["v"], z.x),
+            return _joint_point(z.v.copy(), z.x.copy(), z.tags, z.layout), 0.0
+        return _joint_point(z.v[sl].copy(), _slot_written(z.v, sl, z.x),
                             z.tags, z.layout), 0.0
 
     return Involution(fn, name="swap")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -116,7 +117,9 @@ class ProposalFamily:
     centers[i])``, bit for bit.  ``logpdf`` takes a value and a center that
     are both (d,) float arrays.  ``scorer(read, center)`` binds ``point ->
     logpdf(read(point), center(point))`` as one call, ``center`` being a
-    function of the point or, where it is the same at every point, an array.
+    function of the point or, where it is the same at every point, an array,
+    and ``sampler(center)`` binds ``(rng, point) -> sample(rng,
+    center(point))`` in the same way.
     """
 
     def __init__(self, sample, sample_rows, logpdf, logpdf_rows, support=None):
@@ -131,6 +134,12 @@ class ProposalFamily:
         if callable(center):
             return lambda point: logpdf(read(point), center(point))
         return lambda point: logpdf(read(point), center)
+
+    def sampler(self, center):
+        sample = self.sample
+        if callable(center):
+            return lambda rng, point: sample(rng, center(point))
+        return lambda rng, point: sample(rng, center)
 
 
 def _check_variances(var: np.ndarray) -> None:
@@ -152,18 +161,21 @@ def gaussian_family(d: int, var) -> ProposalFamily:
     unit = bool(np.all(var == 1.0))
 
     # a block of standard normals is the row-by-row draws, bit for bit and
-    # in stream position, and the center and scale act elementwise
-    if unit:
-        # x / 1.0 == x and 1.0 * x == x exactly, so both are skipped
-        def sample(rng, center):
-            return center + rng.standard_normal(d)
+    # in stream position, and the center and scale act elementwise.  The
+    # one-row draw is written once, bound to its center (`sampler`); a draw
+    # around a given array is the sampler whose point is its center
+    def sampler(center):
+        at = center if callable(center) else (lambda point: center)
+        if unit:
+            # x / 1.0 == x and 1.0 * x == x exactly, so both are skipped
+            return lambda rng, point: at(point) + rng.standard_normal(d)
+        return lambda rng, point: at(point) + sd * rng.standard_normal(d)
 
+    sample = sampler(lambda center: center)
+    if unit:
         def sample_rows(rng, center, n):
             return center + rng.standard_normal((n, d))
     else:
-        def sample(rng, center):
-            return center + sd * rng.standard_normal(d)
-
         def sample_rows(rng, center, n):
             return center + sd * rng.standard_normal((n, d))
 
@@ -218,7 +230,7 @@ def gaussian_family(d: int, var) -> ProposalFamily:
             return score_point
 
         family = ProposalFamily(sample, sample_rows, logpdf, logpdf_rows)
-        family.scorer = scorer
+        family.scorer, family.sampler = scorer, sampler
         return family
     elif unit:
         # from d = 8 numpy sums; a row's sum along axis 1 is the sum `add`
@@ -239,7 +251,9 @@ def gaussian_family(d: int, var) -> ProposalFamily:
             diff = values - centers
             return (const - 0.5 * add(diff * diff / var, axis=1)).tolist()
 
-    return ProposalFamily(sample, sample_rows, logpdf, logpdf_rows)
+    family = ProposalFamily(sample, sample_rows, logpdf, logpdf_rows)
+    family.sampler = sampler
+    return family
 
 
 def grid_family(values: Sequence, logpdf_fn) -> ProposalFamily:
@@ -283,23 +297,21 @@ class _FamilyConditional(AuxiliaryConditional):
     """A proposal family seen from a point: ``q(. | center(point))``, or
     ``q(. | center)`` for a center given as an array.
 
-    The family's own ``logpdf`` returns a float, so it is called directly,
-    and a kernel scores the factor through the family's `scorer`.
+    It draws through the family's `sampler`, bound once.  The family's own
+    ``logpdf`` returns a float, so it is called directly, and a kernel
+    scores the factor through the family's `scorer`.
     """
 
     def __init__(self, family: ProposalFamily, center, name: str):
         center_fn = center if callable(center) else (lambda point: center)
         support = family.support
         super().__init__(
-            None, None,
+            family.sampler(center), None,
             None if support is None else (lambda point: support(center_fn(point))),
             name=name)
         self._family = family
         self._center = center_fn
         self._center_given = center  # a function of the point, or a fixed array
-
-    def sample(self, rng: np.random.Generator, point: JointPoint):
-        return self._family.sample(rng, self._center(point))
 
     def logpdf(self, value, point: JointPoint) -> float:
         return self._family.logpdf(value, self._center(point))
@@ -333,7 +345,7 @@ def normal_momentum(d: int) -> AuxiliaryConditional:
 
 
 def random_walk_proposal(d: int, scale: float) -> AuxiliaryConditional:
-    return gaussian_slot_conditional(d, lambda point: point.x, scale * scale, name="rw")
+    return gaussian_slot_conditional(d, operator.attrgetter("x"), scale * scale, name="rw")
 
 
 def mala_proposal(target: LogDensity, eps: float,
@@ -344,11 +356,7 @@ def mala_proposal(target: LogDensity, eps: float,
 
     # a step asks for the mean at its current point to draw and to score,
     # and at its proposal to score the reverse move
-    mean_at = _last_two(lambda x: x + eps * target.grad(x))
-
-    def mean(point):
-        return mean_at(point.x)
-
+    mean = _last_two(lambda x: x + eps * target.grad(x)).at(operator.attrgetter("x"))
     cond = gaussian_slot_conditional(target.dim, mean, 2.0 * eps, name="mala",
                                      support_values=support_values)
     cond.grad_of = target
@@ -356,12 +364,13 @@ def mala_proposal(target: LogDensity, eps: float,
 
 
 def _x_target(density: LogDensity, with_grad: bool = False):
-    """The target term ``point -> log p(point.x)``.  ``with_grad`` fills the
-    gradient memo in the same pass, for a kernel that asks for the gradient
-    at the proposal right after its log-density."""
+    """The target term ``point -> log p(point.x)``: one closure over the
+    density's memo.  ``with_grad`` fills the gradient memo in the same pass,
+    for a kernel that asks for the gradient at the proposal right after its
+    log-density."""
     if with_grad:
         return lambda point: density.value_and_grad(point.x)[0]
-    return lambda point: density.logpdf(point.x)
+    return density.logpdf.at(operator.attrgetter("x"))
 
 
 def tag_flip_kernel(layout: Layout, tag: str, name: str,
@@ -417,9 +426,10 @@ def momentum_refresh_kernel(layout: Layout, alpha: float,
     if "a" not in layout.slots:
         raise ConfigError("partial refresh needs a scratch slot in the layout")
     keep = math.sqrt(1.0 - alpha * alpha)
+    v_at = layout.slots["v"]
 
     def mean(point):
-        return keep * point.slot("v")
+        return keep * point.v[v_at]
 
     a_cond = gaussian_slot_conditional(d, mean, alpha * alpha, name="ar")
     return ImcmcKernel(
@@ -649,6 +659,17 @@ def sorted_mean(S: np.ndarray) -> np.ndarray:
     return np.sort(S, axis=0).mean(axis=0)
 
 
+def _sorted_means(S: np.ndarray, prop: np.ndarray) -> np.ndarray:
+    """`sorted_mean` of the ensemble ``S`` with row i replaced by ``prop``,
+    for each i, and of ``S`` itself last: the N + 1 ensembles stacked, then
+    sorted and averaged in one call each.  Each ensemble is sorted and
+    summed alone, in `sorted_mean`'s order, so each row has its bits."""
+    N = S.shape[0]
+    stack = np.repeat(S[None], N + 1, axis=0)
+    stack[np.arange(N), np.arange(N)] = prop
+    return np.sort(stack, axis=1).mean(axis=1)
+
+
 def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
                          aggregate: Optional[Callable[[np.ndarray], np.ndarray]] = None
                          ) -> ImcmcKernel:
@@ -681,17 +702,26 @@ def make_sample_adaptive(target: LogDensity, N: int, family: ProposalFamily,
 
     prop_cond = _FamilyConditional(family, lambda point: g(ensemble(point)), "prop")
 
-    def _j_probs(xp):
-        rows = xp.reshape(N + 1, d)
-        S, prop, lps = rows[:N], rows[N], weighings.weigh(rows)
-        # log lambda_i = log q(x_i | aggregate(S_-i)) - log p(x_i), with
-        # S_-i the ensemble with the proposal in place i
+    def aggregates(S, prop):
+        # aggregate(S_-i) for each i, with S_-i the ensemble with the
+        # proposal in place i, and aggregate(S) last
+        if g is sorted_mean:
+            return _sorted_means(S, prop)
         out = []
         for i in range(N):
             S_i = S.copy()
             S_i[i] = prop
-            out.append(family.logpdf(S[i], g(S_i)) - lps[i])
-        out.append(family.logpdf(prop, g(S)) - lps[N])
+            out.append(g(S_i))
+        out.append(g(S))
+        return out
+
+    def _j_probs(xp):
+        rows = xp.reshape(N + 1, d)
+        S, prop, lps = rows[:N], rows[N], weighings.weigh(rows)
+        centers = aggregates(S, prop)
+        # log lambda_i = log q(x_i | aggregate(S_-i)) - log p(x_i)
+        out = [family.logpdf(S[i], centers[i]) - lps[i] for i in range(N)]
+        out.append(family.logpdf(prop, centers[N]) - lps[N])
         logs = np.array(out)
         w = np.exp(logs - logs.max())
         return w / math.fsum(w.tolist())
@@ -970,7 +1000,7 @@ class LookAheadKernel(TransitionKernel):
     def _cascade(self, z: JointPoint) -> tuple[list[JointPoint], list[float]]:
         """The landing points ``flip(z_k)`` and their weights ``pi_k``; each
         joint density is taken as its landing comes."""
-        joint = self.move.joint_logpdf
+        joint = self.move._joint
         joints, landings = [joint(z)], []
         for landing in itertools.islice(self.landings(z), self.K):
             landings.append(landing)
@@ -1421,13 +1451,18 @@ def make_transdimensional(space: ModelSpace, mode: str,
 
 def make_cdf_deterministic(target: Cdf1D, shift: Optional[float] = None
                            ) -> DeterministicKernel:
-    """Deterministic measure-preserving 1-d chain through the CDF rotation."""
+    """Deterministic measure-preserving 1-d chain through the CDF rotation.
+    A whole-number shift turns the CDF all the way round, so the map would
+    be the identity and the chain constant: it is refused."""
     if target.cdf is None or target.icdf is None:
         raise ConfigError("the deterministic chain needs a CDF and its inverse")
     from .maps import DEFAULT_SHIFT
 
-    fn1 = cdf_map(target.cdf, target.icdf,
-                  DEFAULT_SHIFT if shift is None else shift)
+    shift = DEFAULT_SHIFT if shift is None else shift
+    if shift % 1.0 == 0.0:
+        raise ConfigError(f"a CDF shift of {shift!r} is a whole number of turns, "
+                          "so the chain would never move")
+    fn1 = cdf_map(target.cdf, target.icdf, shift)
     layout = Layout(x_dim=1, v_dim=0)
 
     def fn(point: JointPoint):

@@ -438,6 +438,15 @@ BAD_INPUTS = {
         "error: a normal proposal needs positive, finite, normal variances, not [inf]"),
 }
 
+# a whole-number shift makes the CDF map the identity
+BAD_INPUTS.update({
+    f"cdf_whole_number_shift_{shift}": (
+        ["sample", "--kind", "cdf", "--target", "normal1d", "--shift", shift, "--out", "{tmp}"],
+        f"error: a CDF shift of {float(shift)!r} is a whole number of turns, "
+        "so the chain would never move")
+    for shift in ("0", "1", "2", "-3")
+})
+
 # a partial refresh of strength 0 would score its autoregressive draw with
 # variance alpha ** 2 = 0
 BAD_INPUTS.update({

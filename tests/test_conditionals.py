@@ -28,6 +28,13 @@ conditional binds once (`scorer`).  On seeded points, every bound score of
 every kernel of the 12 CLI kinds must equal the conditional's ``logpdf`` of
 the value it reads, bit for bit, and so must the scorers of normal
 conditionals with a mean that is a function of the point or a fixed array.
+
+A kernel also draws each refreshed factor through a sampler bound once
+(`sampler`), and reads its target through a term bound once.  From equal
+generator states on seeded points, every bound sampler must draw the bits
+of the conditional's ``sample`` and leave the generator where it does, and
+every target term must give ``density.logpdf(point.x)`` bit for bit, making
+as many evaluations of the density as that call does.
 """
 
 import math
@@ -37,8 +44,8 @@ import pytest
 from scipy import integrate
 
 from imcmc.cli import RunConfig, build_kernel, build_target
-from imcmc.core import ImcmcKernel, _reader, make_rng, random_points
-from imcmc.samplers import default_init, gaussian_slot_conditional, xv_layout
+from imcmc.core import ImcmcKernel, LogDensity, _reader, make_rng, random_points
+from imcmc.samplers import _FamilyConditional, default_init, gaussian_slot_conditional, xv_layout
 from test_evaluations import SPECS
 
 N_DRAWS = 20_000
@@ -229,3 +236,111 @@ def test_normal_scorer_refuses_a_mean_of_the_wrong_length(d, fixed):
         cond.scorer(_reader(layout, "v"))(z)
     with pytest.raises(ValueError):
         cond.logpdf(z.v, z)
+
+
+# ---------------------------------------------------------------------------
+# bound refresh samplers and target terms
+# ---------------------------------------------------------------------------
+
+def _kernel_of(kind, tgt):
+    target, params = SPECS[kind]
+    return build_kernel(RunConfig(kind=kind, target=target, params=dict(params)), tgt)
+
+
+def _accept_reject_kernels(kernel):
+    """The accept-reject kernels of ``kernel`` (a look-ahead cascade's move
+    in its place)."""
+    subs = (getattr(sub, "move", sub) for sub in kernel.kernels())
+    return [sub for sub in subs if isinstance(sub, ImcmcKernel)]
+
+
+def _samplers():
+    """``(id, kernel, conditional, bound sampler)`` for every refreshed
+    factor of every accept-reject kernel of the 12 CLI kinds."""
+    out = []
+    for kind, (target, _) in sorted(SPECS.items()):
+        for sub in _accept_reject_kernels(_kernel_of(kind, build_target(target))):
+            for (slot, cond), (_, sample) in zip(sub.aux_refresh, sub._written):
+                out.append((f"{kind}-{sub.name}-{slot}", sub, cond, sample))
+    return out
+
+
+SAMPLERS = _samplers()
+
+
+def _bits(value) -> tuple:
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+def _next_raw(rng) -> list:
+    """The generator's next raw outputs: equal for equal stream positions."""
+    return rng.bit_generator.random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("case", SAMPLERS, ids=[c[0] for c in SAMPLERS])
+def test_bound_sampler_draws_the_conditionals_sample(case):
+    _, kernel, cond, sample = case
+    for i, z in enumerate(random_points(kernel.layout, 20, make_rng(16))):
+        bound, own = make_rng(100 + i), make_rng(100 + i)
+        drawn = sample(bound, z)
+        assert _bits(drawn) == _bits(cond.sample(own, z))
+        after = _next_raw(bound)
+        assert after == _next_raw(own)
+        if isinstance(cond, _FamilyConditional):
+            # the family's draw around the center the point gives it
+            parts = make_rng(100 + i)
+            assert _bits(drawn) == _bits(cond._family.sample(parts, cond._center(z)))
+            assert after == _next_raw(parts)
+
+
+def test_every_refreshed_kind_has_a_bound_sampler():
+    # cdf is deterministic and refreshes nothing
+    kinds = {c[0].split("-")[0] for c in SAMPLERS}
+    assert kinds == set(SPECS) - {"cdf"}
+    names = {c[2].name for c in SAMPLERS}
+    assert {"rw", "mala", "momentum", "ar", "langevin", "trial_index", "d"} <= names
+
+
+def _counted(tgt):
+    """``tgt`` with its density rebuilt from the same functions, each call
+    of any of them counted, and the count."""
+    density = tgt["density"]
+    memo = density.logpdf.memo
+    calls = [0]
+
+    def counted(fn):
+        if fn is None:
+            return None
+
+        def run(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return run
+
+    rebuilt = LogDensity(dim=density.dim, logpdf=counted(memo.logpdf_fn),
+                         grad=counted(memo.grad_fn), value_and_grad=counted(memo.fused),
+                         floats=counted(memo.floats))
+    return dict(tgt, density=rebuilt), calls
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_target_term_is_the_densitys_logpdf(kind):
+    target = SPECS[kind][0]
+    (tgt, term_calls), (ref, ref_calls) = _counted(build_target(target)), _counted(
+        build_target(target))
+    density = ref["density"]
+    subs = [sub for sub in _accept_reject_kernels(_kernel_of(kind, tgt))
+            if sub.target is not None]
+    # cdf's chain is deterministic, with no accept-reject kernel
+    assert bool(subs) == (kind != "cdf")
+    for sub in subs:
+        for z in random_points(sub.layout, 20, make_rng(17)):
+            # the second asking is answered from what the first kept
+            for _ in range(2):
+                before = term_calls[0], ref_calls[0]
+                got, want = sub.target(z), density.logpdf(z.x)
+                assert float(got).hex() == float(want).hex()
+                assert term_calls[0] - before[0] == ref_calls[0] - before[1]
+    assert term_calls[0] > 0 or kind == "cdf"

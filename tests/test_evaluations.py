@@ -355,13 +355,15 @@ def _counted_sample_adaptive(family, N, target, aggregate=None):
     counted = samplers.ProposalFamily(family.sample, family.sample_rows, logpdf,
                                       family.logpdf_rows, family.support)
     kernel = samplers.make_sample_adaptive(target, N, counted, aggregate=aggregate)
-    joint = kernel.joint_logpdf
+    # the kernel's joint density, bound at construction, which its
+    # acceptance test calls
+    joint = kernel._joint
 
     def recording(point):
         pairs.append(point.x.tobytes() + point.v.tobytes())
         return joint(point)
 
-    kernel.joint_logpdf = recording
+    kernel._joint = recording
     return kernel, calls, pairs
 
 
@@ -531,6 +533,25 @@ def test_memo_gradients_are_read_only_and_other_inputs_pass_through():
     density.grad([0.5, -0.5])
     density.grad(x.astype(np.float32))
     assert counts["grad"] == 3
+
+
+def test_a_bound_field_hands_out_read_only_arrays():
+    # a field bound to a reader (a proposal mean) keeps the memo's arrays
+    # safe on a miss as on a hit, and computes each point once
+    calls = []
+
+    def grad(x):
+        calls.append(x)
+        return -x
+
+    density = LogDensity(dim=2, logpdf=lambda x: -0.5 * float(x @ x), grad=grad)
+    minus_x = density.grad.at(lambda point: point.x)
+    z = samplers.xv_layout(2).point([0.5, -0.5])
+    for _ in range(2):
+        g = minus_x(z)
+        with pytest.raises(ValueError):
+            g[0] = 1.0
+    assert g.tolist() == [-0.5, 0.5] and len(calls) == 1
 
 
 def _counters(post):

@@ -16,6 +16,7 @@ from imcmc.samplers import (
     LookAheadKernel,
     ModelSpace,
     _cascade_weights,
+    _sorted_means,
     default_init,
     gaussian_family,
     grid_family,
@@ -34,6 +35,7 @@ from imcmc.samplers import (
     make_transdimensional,
     mala_proposal,
     random_walk_proposal,
+    sorted_mean,
     xv_layout,
 )
 from imcmc.suite import STATIONARY_TOL, finite_cases
@@ -297,6 +299,28 @@ def test_sample_adaptive_acceptance_identically_one():
                     10000, seed=7)
     assert res.accepted.all()
     assert res.accept_prob.min() >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_sorted_means_of_the_stacked_ensembles_are_each_ensembles_bits(d):
+    # the reference is the loop the weighing ran before: one copy of the
+    # ensemble per index, with the proposal in its place, and `sorted_mean`
+    rng = make_rng(23)
+    for N in range(1, 17):
+        for trial in range(6):
+            if trial % 2:
+                S, prop = rng.standard_normal((N, d)), rng.standard_normal(d)
+            else:
+                # ties and both signed zeros
+                S = rng.integers(-2, 3, size=(N, d)) * rng.choice([-1.0, 1.0], size=(N, d))
+                prop = rng.integers(-2, 3, size=d) * rng.choice([-1.0, 1.0], size=d)
+            want = []
+            for i in range(N):
+                S_i = S.copy()
+                S_i[i] = prop
+                want.append(sorted_mean(S_i))
+            want.append(sorted_mean(S))
+            assert _sorted_means(S, prop).tobytes() == np.array(want).tobytes(), (N, trial)
 
 
 def test_gibbs_acceptance_identically_one_and_correlation():

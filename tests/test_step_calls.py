@@ -15,7 +15,11 @@ stay out of the count.  Each kind's count must be at most its entry in
 
 Run as a script (``python3 tests/test_step_calls.py``) it prints each
 kind's count and calls per step, and then the counts as a `CALLS` dict in
-Python source, ready to paste.
+Python source, ready to paste.  It also prints the hardware-free cost of
+one ``chains_mog2`` sweep: each kind's call events per step (``call`` and
+``c_call``, into any code, over ``SWEEP_STEPS`` steps at seed ``SEED``
+after a warm-up chain), weighted by the kind's segment length in the
+benchmark, and summed.
 """
 
 import os
@@ -36,12 +40,14 @@ from test_evaluations import SPECS
 
 STEPS = 100
 SEED = 1
+# steps per kind when the events of a sweep are counted
+SWEEP_STEPS = 1000
 
 # calls into imcmc frames over one chain of STEPS steps, run_chain included
 CALLS = {
-    "rwm": 2813, "mala": 3918, "irr_mala": 5251, "hmc": 6319, "persistent_hmc": 6621,
-    "look_ahead": 13811, "neutra": 6919, "nice_mc": 5114, "irr_nice_mc": 6415,
-    "mtm": 14911, "lifted_rw": 3816, "cdf": 710,
+    "rwm": 1911, "mala": 3419, "irr_mala": 4948, "hmc": 6016, "persistent_hmc": 6018,
+    "look_ahead": 12710, "neutra": 6616, "nice_mc": 4511, "irr_nice_mc": 5612,
+    "mtm": 13910, "lifted_rw": 3313, "cdf": 710,
 }
 
 # the directory the frames' file names start with, as the import wrote it
@@ -55,10 +61,20 @@ def _kernel(kind):
     return kernel, default_init(kernel, tgt["x0"])
 
 
-def count_calls(kind: str) -> int:
-    """Calls into imcmc frames over one ``STEPS``-step chain of ``kind``."""
+def _profiled(kind: str, steps: int, profile) -> None:
+    """A ``steps``-step chain of a fresh ``kind`` kernel under ``profile``,
+    after a warm-up chain."""
     run_chain(*_kernel(kind), STEPS, seed=SEED)
     kernel, init = _kernel(kind)
+    sys.setprofile(profile)
+    try:
+        run_chain(kernel, init, steps, seed=SEED)
+    finally:
+        sys.setprofile(None)
+
+
+def count_calls(kind: str) -> int:
+    """Calls into imcmc frames over one ``STEPS``-step chain of ``kind``."""
     n = [0]
     # the code objects seen, each with whether it is imcmc's
     ours: dict = {}
@@ -71,12 +87,33 @@ def count_calls(kind: str) -> int:
                 mine = ours[code] = code.co_filename.startswith(_PACKAGE)
             n[0] += mine
 
-    sys.setprofile(profile)
-    try:
-        run_chain(kernel, init, STEPS, seed=SEED)
-    finally:
-        sys.setprofile(None)
+    _profiled(kind, STEPS, profile)
     return n[0]
+
+
+def events_per_step(kind: str) -> float:
+    """``call`` and ``c_call`` events per step of ``kind``, into any code."""
+    n = [0]
+
+    def profile(frame, event, arg):
+        n[0] += event == "call" or event == "c_call"
+
+    _profiled(kind, SWEEP_STEPS, profile)
+    return n[0] / SWEEP_STEPS
+
+
+def sweep_events() -> tuple[dict, float]:
+    """Each kind's events per step, and their sum weighted by the kind's
+    segment length in one ``chains_mog2`` sweep."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import ChainsMog2
+    finally:
+        sys.path.remove(bench)
+    per_step = {kind: events_per_step(kind) for kind, *_ in ChainsMog2.SPECS}
+    return per_step, sum(seg * per_step[kind] for kind, _, _, seg in ChainsMog2.SPECS)
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
@@ -98,3 +135,7 @@ if __name__ == "__main__":
         print(f"{kind:15s} {calls:6d} calls  {calls / STEPS:7.2f} per step")
     print("CALLS = {\n" + "".join(f'    "{kind}": {calls},\n' for kind, calls in counts.items())
           + "}")
+    per_step, total = sweep_events()
+    for kind, events in per_step.items():
+        print(f"{kind:15s} {events:7.1f} events per step")
+    print(f"chains_mog2 sweep, weighted by segment length: {total:.0f} events")
